@@ -62,8 +62,6 @@ def _cmd_gap(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         instance = load_instance(args.instance)
-    except FileNotFoundError:
-        raise
     except ValueError as err:
         print(f"invalid: {err}", file=sys.stderr)
         return EXIT_INVALID

@@ -19,10 +19,12 @@ plus mode-specific keys (defaults in brackets):
     gap         policy ["uniform" or a policy file path], tau [0.0],
                 n_players [2], aggregator [mean_pairwise]
 
-Unknown or missing keys raise ConfigError naming the key. Reruns with an
-identical config write byte-identical files: every random draw flows from
-the root seed through named streams, floats are formatted the same way
-every time, and wall-clock timing is never written.
+Unknown or missing keys, and lossmin values out of range (eta and
+step_size finite and > 0, n_players >= 2, steps >= 0, inits >= 1), raise
+ConfigError naming the key. Reruns with an identical config write
+byte-identical files: every random draw flows from the root seed through
+named streams, floats are formatted the same way every time, and
+wall-clock timing is never written.
 
 Outputs per mode:
 
@@ -35,6 +37,7 @@ Outputs per mode:
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -137,6 +140,19 @@ def _choice(options):
     return check
 
 
+def _bounded(coerce, low, strict=False):
+    """coerce, then require a finite value >= low (> low when strict)."""
+    sign = ">" if strict else ">="
+
+    def check(v):
+        v = coerce(v)
+        if not (v > low if strict else v >= low) or v == math.inf:
+            raise ValueError(f"expected a finite value {sign} {low}, got {v}")
+        return v
+
+    return check
+
+
 def _weights_or_null(v):
     if v is None:
         return None
@@ -160,11 +176,11 @@ _SCHEMAS = {
         "aggregator": (_choice(tuple(_AGGREGATORS)), "mean_pairwise"),
     },
     "lossmin": {
-        "eta": (_number, _REQUIRED),
-        "n_players": (_integer, 2),
-        "steps": (_integer, 4000),
-        "step_size": (_number, 0.5),
-        "inits": (_integer, 3),
+        "eta": (_bounded(_number, 0, strict=True), _REQUIRED),
+        "n_players": (_bounded(_integer, 2), 2),
+        "steps": (_bounded(_integer, 0), 4000),
+        "step_size": (_bounded(_number, 0, strict=True), 0.5),
+        "inits": (_bounded(_integer, 1), 3),
     },
     "presets": {
         "samples": (_integer, 1000),
@@ -243,7 +259,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             continue
         try:
             params[key] = coerce(doc[key])
-        except TypeError as err:
+        except (TypeError, ValueError) as err:
             raise ConfigError(f"bad value for key '{key}': {err}") from err
     return ExperimentConfig(mode, instance, out_dir, seed, params)
 
@@ -422,8 +438,6 @@ def _run_selfplay(instance, config: ExperimentConfig) -> dict:
 
 
 def _run_lossmin(instance, config: ExperimentConfig) -> dict:
-    import csv as _csv
-
     p = config.params
     current = instance.reference
     opponents = [current] * (p["n_players"] - 1)
@@ -455,7 +469,7 @@ def _run_lossmin(instance, config: ExperimentConfig) -> dict:
             }
         )
     with open(descent, "w", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["step", "loss", "grad_norm"])
         for s, v, g in rows:
             writer.writerow([s, f"{v:.12g}", f"{g:.12g}"])
@@ -468,12 +482,10 @@ def _run_lossmin(instance, config: ExperimentConfig) -> dict:
 
 
 def _run_presets(instance, config: ExperimentConfig) -> dict:
-    import csv as _csv
-
     table = compare_presets(instance, config.params["samples"], config.seed)
     path = os.path.join(config.out_dir, "presets.csv")
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["name", "max_abs_deviation"])
         for name, dev in table.items():
             writer.writerow([name, f"{dev:.17g}"])

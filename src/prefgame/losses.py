@@ -15,18 +15,18 @@ whose b -> +inf limit is -log sigmoid(a), the classic logistic preference
 loss. Named presets (dpo, ipo, sppo, spin, dno, inpo, simpo, distill_dpo)
 are nothing but particular (opponents, weights, metric, target) choices.
 
-Two closed-form companions tie the family to the self-play solver: the
-squared loss whose exact minimizer is the next multiplicative-weights
-iterate (update_matching_loss), and its sampled-target simplification
-with the constant winner target (winner_target_loss). With the constant
-target 1/(2 eta) the two differ by a policy-independent constant exactly
-at eta = 1 when the pair source equals the opponent mixture; tests pin
-that configuration.
+Two closed-form companions tie the family to the self-play solver, and
+both are family members too: the squared loss whose exact minimizer is
+the next multiplicative-weights iterate (update_matching_loss), and its
+sampled-target simplification with the constant winner target
+(winner_target_loss). With the constant target 1/(2 eta) the two differ
+by a policy-independent constant exactly at eta = 1 when the pair source
+equals the opponent mixture; tests pin that configuration.
 
-Losses are evaluated either in exact-expectation mode (ordered response
-pairs (a, b) weighted by cur(a) * cur(b) * M[a, b], i.e. an iid draw from
-the pair policy plus a Bernoulli winner; the diagonal stays in as a
-constant) or on an explicit dataset of (prompt, winner, loser) triples.
+One evaluator computes every loss and gradient from per-prompt tables of
+pair weights W[a, b]: in exact-expectation mode cur(a) * cur(b) * M[a, b]
+over distinct responses (an iid pair draw plus a Bernoulli winner), on an
+explicit dataset the share of (prompt, winner, loser) triples (a, b).
 
 Optimization works on per-prompt logits; the policy is the softmax over
 the reference support, so iterates never touch the boundary.
@@ -35,7 +35,7 @@ the reference support, so iterates never touch the boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -58,47 +58,34 @@ PRESET_NAMES = (
 OpponentRef = Union[int, str, TabularPolicy]
 
 
-def _softplus(x: float) -> float:
-    return math.log1p(math.exp(-abs(x))) + max(x, 0.0)
-
-
-def _sigmoid(x: float) -> float:
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
 def squared_distance(margin: float, target: float) -> float:
     return (margin - target) ** 2
 
 
 def bernoulli_kl_distance(margin: float, target: float) -> float:
     """KL(Bernoulli(sigmoid(target)) || Bernoulli(sigmoid(margin)))."""
-    if math.isinf(target):
-        if target < 0:
-            raise ValueError("target -inf is not supported")
-        return _softplus(-margin)
-    q = _sigmoid(target)
-    log_p = -_softplus(-margin)
-    log_1p = -_softplus(margin)
-    log_q = -_softplus(-target)
-    log_1q = -_softplus(target)
-    return q * (log_q - log_p) + (1.0 - q) * (log_1q - log_1p)
+    if target == -math.inf:
+        raise ValueError("target -inf is not supported")
+    return float(_metric("bwd", np.float64(margin), float(target), slope=False))
 
 
-def _distance(metric: str, margin: float, target: float) -> float:
+def _metric(metric: str, m, t, slope: bool):
+    """metric(m, t) elementwise, or its derivative in m when slope is set.
+
+    t is a table matching m or a scalar; the scalar +inf (bwd only) gives
+    the logistic limit -log sigmoid(m).
+    """
     if metric == "sq":
-        return squared_distance(margin, target)
-    return bernoulli_kl_distance(margin, target)
-
-
-def _distance_slope(metric: str, margin: float, target: float) -> float:
-    """Derivative of the metric in its first argument."""
-    if metric == "sq":
-        return 2.0 * (margin - target)
-    q = 1.0 if math.isinf(target) else _sigmoid(target)
-    return _sigmoid(margin) - q
+        return 2.0 * (m - t) if slope else (m - t) ** 2
+    if isinstance(t, float) and math.isinf(t):
+        return -np.exp(-np.logaddexp(0.0, m)) if slope else np.logaddexp(0.0, -m)
+    log_q = -np.logaddexp(0.0, -t)
+    if slope:
+        return np.exp(-np.logaddexp(0.0, -m)) - np.exp(log_q)
+    log_1q = -np.logaddexp(0.0, t)
+    return np.exp(log_q) * (log_q + np.logaddexp(0.0, -m)) + np.exp(log_1q) * (
+        log_1q + np.logaddexp(0.0, m)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,15 +215,20 @@ def _resolve_opponents(
     return out
 
 
-def _log_rows(policy, prompt, needed, who):
-    """Log-probabilities restricted to `needed`; zero there is an error."""
-    row = policy.rows[prompt]
-    dead = needed & (row == 0.0)
+def _masked_logs(policy, prompt, mask, who):
+    """log pi on the masked responses; zero mass there is an error."""
+    row = policy.rows[prompt][mask]
+    dead = row == 0.0
     if np.any(dead):
-        raise SupportViolation(prompt, int(np.argmax(dead)), f"{who} has zero mass")
-    out = np.full(len(row), -np.inf)
-    out[needed] = np.log(row[needed])
-    return out
+        index = int(np.flatnonzero(mask)[np.argmax(dead)])
+        raise SupportViolation(prompt, index, f"{who} has zero mass")
+    return np.log(row)
+
+
+def _opponent_offset(opponents, weights, prompt, mask):
+    """sum_j w_j log pi_j(y) on the masked responses."""
+    logs = (_masked_logs(opp, prompt, mask, "opponent") for opp in opponents)
+    return sum(w * lo for w, lo in zip(weights, logs))
 
 
 def log_ratio_margin(
@@ -250,156 +242,97 @@ def log_ratio_margin(
     if len(opponents) == 0:
         raise ValueError("need at least one opponent")
     weights = (1.0 / len(opponents),) * len(opponents)
-    return _pair_margin(policy, list(opponents), weights, prompt, first, second)
-
-
-def _pair_margin(policy, opponents, weights, prompt, first, second) -> float:
-    needed = np.zeros(len(policy.rows[prompt]), dtype=bool)
-    needed[[first, second]] = True
-    lp = _log_rows(policy, prompt, needed, "policy")
-    margin = lp[first] - lp[second]
-    for w, opp in zip(weights, opponents):
-        lo = _log_rows(opp, prompt, needed, "opponent")
-        margin -= w * (lo[first] - lo[second])
-    return float(margin)
-
-
-def _margin_offsets(policy, opponents, weights, prompt, mask):
-    """u(y) = log pi(y) - sum_j w_j log pi_j(y) on the masked responses."""
-    u = _log_rows(policy, prompt, mask, "policy")[mask]
-    for w, opp in zip(weights, opponents):
-        u = u - w * _log_rows(opp, prompt, mask, "opponent")[mask]
-    return u
+    mask = np.zeros(len(policy.rows[prompt]), dtype=bool)
+    mask[[first, second]] = True
+    u = np.zeros(len(mask))
+    u[mask] = _masked_logs(policy, prompt, mask, "policy")
+    u[mask] -= _opponent_offset(opponents, weights, prompt, mask)
+    return float(u[first] - u[second])
 
 
 # ---------------------------------------------------------------------------
-# update-matching losses (exact solver companions)
+# the pair-margin evaluator
 
 
-def _prompt_pair_tables(instance, current, opponents, policy, prompt):
-    """Shared scaffolding: support mask, winner-ordered pair weights, margins.
+def _targets(config, instance, opponents, prompt, mask):
+    """eta * target for every ordered masked pair, or a scalar (possibly inf)."""
+    if not isinstance(config.target, str):
+        return config.eta * float(config.target)
+    if config.target == "reward_gap":
+        if instance.reward is None:
+            raise ValueError("target rule 'reward_gap' needs a reward table")
+        v = config.eta * instance.reward.rows[prompt][mask]
+    else:  # win_rate_gap
+        if len(opponents) == 0:
+            raise ValueError("target rule 'win_rate_gap' needs opponents")
+        m = instance.preference.matrices[prompt]
+        v = sum((m @ opp.rows[prompt])[mask] for opp in opponents)
+        v *= config.eta / len(opponents)
+    return v[:, None] - v[None, :]
 
-    pair_w[a, b] = cur(a) cur(b) M[a, b]: the probability of drawing the
-    distinct ordered (winner, loser) pair (a, b). A judged pair is two
-    different responses, so the diagonal is zeroed.
+
+def _pair_tables(instance, history, config, data):
+    """Per prompt, everything the evaluator needs but the policy.
+
+    An entry is (prompt, mask, W, offset, target, weight): the responses
+    touched, their pair weights, the opponent part sum_j w_j log pi_j of
+    the margin offsets, the eta-scaled target and the prompt's factor.
+    Exact mode zeroes W's diagonal (a judged pair is two responses);
+    dataset mode keeps it (a triple may name one response twice).
     """
-    cur = current.rows[prompt]
-    mask = cur > 0.0
-    weights = (1.0 / len(opponents),) * len(opponents)
-    u = _margin_offsets(policy, list(opponents), weights, prompt, mask)
-    h = u[:, None] - u[None, :]
-    pair_w = np.outer(cur[mask], cur[mask]) * (
-        instance.preference.matrices[prompt][mask][:, mask]
-    )
-    np.fill_diagonal(pair_w, 0.0)
-    return mask, pair_w, h
+    if len(history) == 0:
+        raise ValueError("history must contain at least the current policy")
+    opponents = _resolve_opponents(config, history, instance)
+    prompts = []
+    if data is None:
+        for x in range(instance.num_prompts):
+            cur = history[0].rows[x]
+            mask = cur > 0.0
+            m = instance.preference.matrices[x][mask][:, mask]
+            pair_w = np.outer(cur[mask], cur[mask]) * m
+            np.fill_diagonal(pair_w, 0.0)
+            prompts.append((x, mask, pair_w, instance.prompt_weights[x]))
+    else:
+        if len(data) == 0:
+            raise ValueError("empty preference dataset")
+        triples = np.array(data, dtype=np.intp).reshape(-1, 3)
+        for x in np.unique(triples[:, 0]):
+            k = len(instance.reference.rows[x])
+            pair_w = np.zeros((k, k))
+            np.add.at(pair_w, tuple(triples[triples[:, 0] == x, 1:].T), 1.0)
+            mask = pair_w.any(axis=0) | pair_w.any(axis=1)
+            prompts.append((int(x), mask, pair_w[mask][:, mask] / len(triples), 1.0))
+    tables = []
+    for x, mask, pair_w, weight in prompts:
+        offset = _opponent_offset(opponents, config.weights, x, mask)
+        target = _targets(config, instance, opponents, x, mask)
+        tables.append((x, mask, pair_w, offset, target, weight))
+    return tables
 
 
-def _advantage_targets(instance, opponents, eta, prompt, mask):
-    """Theta[a, b] = (eta / (n-1)) sum_j (P(a beats pi_j) - P(b beats pi_j))."""
-    m = instance.preference.matrices[prompt]
-    w = np.zeros(int(mask.sum()))
-    for opp in opponents:
-        w = w + (m @ opp.rows[prompt])[mask]
-    w *= eta / len(opponents)
-    return w[:, None] - w[None, :]
+def _evaluate(tables, config, policy, grads=None):
+    """sum over prompts of weight * sum_ab W[a, b] metric(beta h_ab, target).
 
-
-def update_matching_loss(
-    policy: TabularPolicy,
-    instance: GameInstance,
-    current: TabularPolicy,
-    opponents: Sequence[TabularPolicy],
-    eta: float,
-) -> float:
-    """Exact squared loss whose unique minimizer is the next MWU iterate.
-
-    E over winner-ordered pairs from `current` of (h(y_w, y_l) - Theta)^2
-    where h is the equal-weight margin and Theta the scaled win-rate
-    advantage. The residual is swap-symmetric, so the winner weighting
-    only halves the plain iid-pair sum; it matters when this loss is
-    compared against the winner-target variant, whose residual is not.
+    h_ab = u_a - u_b with u = log pi - sum_j w_j log pi_j. Given grads
+    (zero logit rows) it fills in the gradient instead: h_ab moves with
+    z_a - z_b, so a prompt's row is the row sums minus the column sums of
+    W * slope, times beta and the weight.
     """
-    if len(opponents) == 0:
-        raise ValueError("need at least one opponent")
+    beta = config.beta if config.metric == "bwd" else 1.0
     total = 0.0
-    for x in range(instance.num_prompts):
-        mask, pair_w, h = _prompt_pair_tables(instance, current, opponents, policy, x)
-        theta = _advantage_targets(instance, opponents, eta, x, mask)
-        total += instance.prompt_weights[x] * float(np.sum(pair_w * (h - theta) ** 2))
-    return total
-
-
-def winner_target_loss(
-    policy: TabularPolicy,
-    instance: GameInstance,
-    current: TabularPolicy,
-    opponents: Sequence[TabularPolicy],
-    eta: float,
-) -> float:
-    """Sampled-target variant: winner-ordered pairs against 1 / (2 eta).
-
-    E over distinct pairs (y, y') from `current` and a Bernoulli winner
-    draw of (h(y_w, y_l) - 1/(2 eta))^2. Ordered pair (a, b) carries
-    weight cur(a) cur(b) M[a, b], the same distribution as the
-    update-matching loss, so the two differ by a policy-independent
-    constant whenever eta = 1.
-    """
-    if len(opponents) == 0:
-        raise ValueError("need at least one opponent")
-    c = 1.0 / (2.0 * eta)
-    total = 0.0
-    for x in range(instance.num_prompts):
-        mask, pair_w, h = _prompt_pair_tables(instance, current, opponents, policy, x)
-        total += instance.prompt_weights[x] * float(np.sum(pair_w * (h - c) ** 2))
-    return total
-
-
-# ---------------------------------------------------------------------------
-# the unified family
-
-
-def _resolved_targets(config, instance, opponents, prompt, mask):
-    """eta * delta* for every ordered masked pair, or a scalar (possibly inf)."""
-    if isinstance(config.target, str):
-        if config.target == "reward_gap":
-            if instance.reward is None:
-                raise ValueError("target rule 'reward_gap' needs a reward table")
-            v = instance.reward.rows[prompt][mask]
-        else:  # win_rate_gap
-            if len(opponents) == 0:
-                raise ValueError("target rule 'win_rate_gap' needs opponents")
-            m = instance.preference.matrices[prompt]
-            v = np.zeros(int(mask.sum()))
-            for opp in opponents:
-                v = v + (m @ opp.rows[prompt])[mask]
-            v /= len(opponents)
-        return config.eta * (v[:, None] - v[None, :])
-    return config.eta * float(config.target)
-
-
-def _pair_distance_tables(config, margins, targets):
-    """Elementwise metric values and slopes for margin/target matrices."""
-    scale = config.beta if config.metric == "bwd" else 1.0
-    m = scale * margins
-    if config.metric == "sq":
-        values = (m - targets) ** 2
-        slopes = 2.0 * (m - targets) * scale
-        return values, slopes
-    # bwd, vectorized; targets may be the scalar inf
-    log_p = -np.logaddexp(0.0, -m)
-    log_1p = -np.logaddexp(0.0, m)
-    if np.isscalar(targets) and math.isinf(targets):
-        values = -log_p
-        slopes = -scale / (1.0 + np.exp(m))
-        return values, slopes
-    t = np.broadcast_to(np.asarray(targets, dtype=np.float64), m.shape)
-    q = 1.0 / (1.0 + np.exp(-t))
-    log_q = -np.logaddexp(0.0, -t)
-    log_1q = -np.logaddexp(0.0, t)
-    values = q * (log_q - log_p) + (1.0 - q) * (log_1q - log_1p)
-    slopes = (1.0 / (1.0 + np.exp(-m)) - q) * scale
-    return values, slopes
+    for x, mask, pair_w, offset, target, weight in tables:
+        u = _masked_logs(policy, x, mask, "policy") - offset
+        margins = u[:, None] - u[None, :]
+        if beta != 1.0:
+            margins = beta * margins
+        if grads is None:
+            values = _metric(config.metric, margins, target, slope=False)
+            total += weight * float(np.sum(pair_w * values))
+            continue
+        g = pair_w * _metric(config.metric, margins, target, slope=True)
+        grads[x][mask] = g.sum(axis=1) - g.sum(axis=0)
+        grads[x] *= weight * beta
+    return total if grads is None else grads
 
 
 def pair_margin_loss(
@@ -418,54 +351,81 @@ def pair_margin_loss(
     weight); otherwise it is the mean over the given (prompt, winner,
     loser) triples.
     """
-    if len(history) == 0:
-        raise ValueError("history must contain at least the current policy")
-    opponents = _resolve_opponents(config, history, instance)
-
-    if data is not None:
-        if len(data) == 0:
-            raise ValueError("empty preference dataset")
-        total = 0.0
-        for x, win, lose in data:
-            margin = _pair_margin(policy, opponents, config.weights, x, win, lose)
-            target = _triple_target(config, instance, opponents, x, win, lose)
-            scale = config.beta if config.metric == "bwd" else 1.0
-            total += _distance(config.metric, scale * margin, target)
-        return total / len(data)
-
-    current = history[0]
-    total = 0.0
-    for x in range(instance.num_prompts):
-        cur = current.rows[x]
-        mask = cur > 0.0
-        u = _margin_offsets(policy, opponents, config.weights, x, mask)
-        margins = u[:, None] - u[None, :]
-        targets = _resolved_targets(config, instance, opponents, x, mask)
-        values, _ = _pair_distance_tables(config, margins, targets)
-        pair_w = np.outer(cur[mask], cur[mask]) * (
-            instance.preference.matrices[x][mask][:, mask]
-        )
-        np.fill_diagonal(pair_w, 0.0)
-        total += instance.prompt_weights[x] * float(np.sum(pair_w * values))
-    return total
+    return _evaluate(_pair_tables(instance, history, config, data), config, policy)
 
 
-def _triple_target(config, instance, opponents, prompt, win, lose) -> float:
-    if isinstance(config.target, str):
-        if config.target == "reward_gap":
-            if instance.reward is None:
-                raise ValueError("target rule 'reward_gap' needs a reward table")
-            row = instance.reward.rows[prompt]
-            return config.eta * float(row[win] - row[lose])
-        if len(opponents) == 0:
-            raise ValueError("target rule 'win_rate_gap' needs opponents")
-        m = instance.preference.matrices[prompt]
-        gap = 0.0
-        for opp in opponents:
-            w = m @ opp.rows[prompt]
-            gap += float(w[win] - w[lose])
-        return config.eta * gap / len(opponents)
-    return config.eta * float(config.target)
+# ---------------------------------------------------------------------------
+# named configurations: the solver companions and external anchors
+
+
+def _matching_config(opponents, eta, winner_target=False) -> LossConfig:
+    """The member behind update_matching_loss and winner_target_loss.
+
+    The squared metric on the equal-weight margin, regressed onto the
+    eta-scaled win-rate gap (the zero target at eta = 0, which a config's
+    eta cannot be) or onto 1 / (2 eta).
+    """
+    if len(opponents) == 0:
+        raise ValueError("need at least one opponent")
+    n = len(opponents)
+    if winner_target:
+        target, eta = 1.0 / (2.0 * eta), 1.0
+    elif eta == 0.0:
+        target, eta = 0.0, 1.0
+    else:
+        target = "win_rate_gap"
+    return LossConfig(n + 1, tuple(opponents), (1.0 / n,) * n, "sq", target, eta)
+
+
+def update_matching_loss(
+    policy: TabularPolicy,
+    instance: GameInstance,
+    current: TabularPolicy,
+    opponents: Sequence[TabularPolicy],
+    eta: float,
+) -> float:
+    """Exact squared loss whose unique minimizer is the next MWU iterate.
+
+    E over winner-ordered pairs from `current` of (h(y_w, y_l) - Theta)^2
+    where h is the equal-weight margin and Theta the scaled win-rate
+    advantage. The residual is swap-symmetric, so the winner weighting
+    only halves the plain iid-pair sum; it matters when this loss is
+    compared against the winner-target variant, whose residual is not.
+    """
+    config = _matching_config(opponents, eta)
+    return pair_margin_loss(policy, [current], config, instance)
+
+
+def winner_target_loss(
+    policy: TabularPolicy,
+    instance: GameInstance,
+    current: TabularPolicy,
+    opponents: Sequence[TabularPolicy],
+    eta: float,
+) -> float:
+    """Sampled-target variant: winner-ordered pairs against 1 / (2 eta).
+
+    E over distinct pairs (y, y') from `current` and a Bernoulli winner
+    draw of (h(y_w, y_l) - 1/(2 eta))^2. Ordered pair (a, b) carries
+    weight cur(a) cur(b) M[a, b], the same distribution as the
+    update-matching loss, so the two differ by a policy-independent
+    constant whenever eta = 1.
+    """
+    config = _matching_config(opponents, eta, winner_target=True)
+    return pair_margin_loss(policy, [current], config, instance)
+
+
+def _anchored(instance, externals, config, pair_policy):
+    """(history, config) of the external-anchor variant of `config`."""
+    if len(externals) == 0:
+        raise ValueError("need at least one external policy")
+    if len(config.weights) != len(externals):
+        raise ValueError("need one config weight per external policy")
+    if abs(sum(config.weights) - 1.0) > 1e-12:
+        raise ValueError("external-opponent weights must sum to one")
+    anchored = replace(config, n_players=len(externals) + 1, opponents=tuple(externals))
+    source = instance.reference if pair_policy is None else pair_policy
+    return [source], anchored
 
 
 def external_margin_loss(
@@ -482,24 +442,8 @@ def external_margin_loss(
     is a proper mixture of anchored log ratios. Exact mode draws pairs
     from pair_policy, defaulting to the reference.
     """
-    if len(externals) == 0:
-        raise ValueError("need at least one external policy")
-    if len(config.weights) != len(externals):
-        raise ValueError("need one config weight per external policy")
-    if abs(sum(config.weights) - 1.0) > 1e-12:
-        raise ValueError("external-opponent weights must sum to one")
-    anchored = LossConfig(
-        n_players=len(externals) + 1,
-        opponents=tuple(externals),
-        weights=config.weights,
-        metric=config.metric,
-        target=config.target,
-        eta=config.eta,
-        tau=config.tau,
-        beta=config.beta,
-    )
-    source = instance.reference if pair_policy is None else pair_policy
-    return pair_margin_loss(policy, [source], anchored, instance, data)
+    history, anchored = _anchored(instance, externals, config, pair_policy)
+    return pair_margin_loss(policy, history, anchored, instance, data)
 
 
 # ---------------------------------------------------------------------------
@@ -539,164 +483,59 @@ def logits_to_policy(logits: PolicyLogits, reference: TabularPolicy) -> TabularP
     return TabularPolicy(tuple(rows))
 
 
-class _LogitProblem:
-    """Value and analytic gradient of a loss as a function of logits."""
+class PairMarginProblem:
+    """pair_margin_loss (exact or sampled) as a function of logits.
 
-    def __init__(self, instance: GameInstance):
+    Everything but the policy is fixed, so the pair tables are built once.
+    """
+
+    def __init__(self, instance, history, config, data=None):
         self.instance = instance
+        self.config = config
+        self._tables = _pair_tables(instance, history, config, data)
 
     def policy(self, logits: PolicyLogits) -> TabularPolicy:
         return logits_to_policy(logits, self.instance.reference)
 
     def value(self, logits: PolicyLogits) -> float:
-        raise NotImplementedError
+        return _evaluate(self._tables, self.config, self.policy(logits))
 
     def gradient(self, logits: PolicyLogits) -> list[np.ndarray]:
-        raise NotImplementedError
-
-    def _pair_gradient_rows(self, slope_tables):
-        """Turn per-prompt (mask, weighted slope matrix) into logit rows.
-
-        The margin of the ordered pair (a, b) depends on logits as
-        z_a - z_b, so each pair pushes its slope onto a and pulls it
-        off b: row sums minus column sums.
-        """
-        grads = []
-        for x, (mask, g) in enumerate(slope_tables):
-            row = np.zeros(len(self.instance.reference.rows[x]))
-            row[mask] = g.sum(axis=1) - g.sum(axis=0)
-            row *= self.instance.prompt_weights[x]
-            grads.append(row)
-        return grads
+        grads = [np.zeros(len(row)) for row in self.instance.reference.rows]
+        return _evaluate(self._tables, self.config, self.policy(logits), grads)
 
 
-class UpdateMatchingProblem(_LogitProblem):
+class UpdateMatchingProblem(PairMarginProblem):
     """update_matching_loss as a function of logits."""
 
     def __init__(self, instance, current, opponents, eta):
-        super().__init__(instance)
-        self.current = current
-        self.opponents = list(opponents)
-        self.eta = float(eta)
+        super().__init__(instance, [current], _matching_config(opponents, eta))
 
+    # Not inherited: perfbench/tracing.py looks these up in this class's __dict__.
     def value(self, logits):
-        return update_matching_loss(
-            self.policy(logits), self.instance, self.current, self.opponents, self.eta
-        )
+        return super().value(logits)
 
     def gradient(self, logits):
-        policy = self.policy(logits)
-        tables = []
-        for x in range(self.instance.num_prompts):
-            mask, pair_w, h = _prompt_pair_tables(
-                self.instance, self.current, self.opponents, policy, x
-            )
-            theta = _advantage_targets(
-                self.instance, self.opponents, self.eta, x, mask
-            )
-            tables.append((mask, 2.0 * pair_w * (h - theta)))
-        return self._pair_gradient_rows(tables)
+        return super().gradient(logits)
 
 
-class WinnerTargetProblem(_LogitProblem):
+class WinnerTargetProblem(PairMarginProblem):
     """winner_target_loss as a function of logits."""
 
     def __init__(self, instance, current, opponents, eta):
-        super().__init__(instance)
-        self.current = current
-        self.opponents = list(opponents)
-        self.eta = float(eta)
-
-    def value(self, logits):
-        return winner_target_loss(
-            self.policy(logits), self.instance, self.current, self.opponents, self.eta
-        )
-
-    def gradient(self, logits):
-        policy = self.policy(logits)
-        c = 1.0 / (2.0 * self.eta)
-        tables = []
-        for x in range(self.instance.num_prompts):
-            mask, pair_w, h = _prompt_pair_tables(
-                self.instance, self.current, self.opponents, policy, x
-            )
-            tables.append((mask, 2.0 * pair_w * (h - c)))
-        return self._pair_gradient_rows(tables)
-
-
-class PairMarginProblem(_LogitProblem):
-    """pair_margin_loss (exact or sampled) as a function of logits."""
-
-    def __init__(self, instance, history, config, data=None):
-        super().__init__(instance)
-        if len(history) == 0:
-            raise ValueError("history must contain at least the current policy")
-        self.history = list(history)
-        self.config = config
-        self.data = None if data is None else list(data)
-
-    def value(self, logits):
-        return pair_margin_loss(
-            self.policy(logits), self.history, self.config, self.instance, self.data
-        )
-
-    def gradient(self, logits):
-        policy = self.policy(logits)
-        opponents = _resolve_opponents(self.config, self.history, self.instance)
-        cfg = self.config
-        scale = cfg.beta if cfg.metric == "bwd" else 1.0
-
-        if self.data is not None:
-            grads = [np.zeros(len(r)) for r in self.instance.reference.rows]
-            inv = 1.0 / len(self.data)
-            for x, win, lose in self.data:
-                margin = _pair_margin(policy, opponents, cfg.weights, x, win, lose)
-                target = _triple_target(cfg, self.instance, opponents, x, win, lose)
-                s = _distance_slope(cfg.metric, scale * margin, target) * scale * inv
-                grads[x][win] += s
-                grads[x][lose] -= s
-            return grads
-
-        current = self.history[0]
-        tables = []
-        for x in range(self.instance.num_prompts):
-            cur = current.rows[x]
-            mask = cur > 0.0
-            u = _margin_offsets(policy, opponents, cfg.weights, x, mask)
-            margins = u[:, None] - u[None, :]
-            targets = _resolved_targets(cfg, self.instance, opponents, x, mask)
-            _, slopes = _pair_distance_tables(cfg, margins, targets)
-            pair_w = np.outer(cur[mask], cur[mask]) * (
-                self.instance.preference.matrices[x][mask][:, mask]
-            )
-            np.fill_diagonal(pair_w, 0.0)
-            tables.append((mask, pair_w * slopes))
-        return self._pair_gradient_rows(tables)
+        config = _matching_config(opponents, eta, winner_target=True)
+        super().__init__(instance, [current], config)
 
 
 class ExternalMarginProblem(PairMarginProblem):
     """external_margin_loss as a function of logits."""
 
     def __init__(self, instance, externals, config, data=None, pair_policy=None):
-        if len(config.weights) != len(externals):
-            raise ValueError("need one config weight per external policy")
-        if abs(sum(config.weights) - 1.0) > 1e-12:
-            raise ValueError("external-opponent weights must sum to one")
-        anchored = LossConfig(
-            n_players=len(externals) + 1,
-            opponents=tuple(externals),
-            weights=config.weights,
-            metric=config.metric,
-            target=config.target,
-            eta=config.eta,
-            tau=config.tau,
-            beta=config.beta,
-        )
-        source = instance.reference if pair_policy is None else pair_policy
-        super().__init__(instance, [source], anchored, data)
+        history, anchored = _anchored(instance, externals, config, pair_policy)
+        super().__init__(instance, history, anchored, data)
 
 
-def loss_gradient(problem: _LogitProblem, logits: PolicyLogits) -> list[np.ndarray]:
+def loss_gradient(problem: PairMarginProblem, logits: PolicyLogits) -> list[np.ndarray]:
     """Analytic gradient with respect to the logits.
 
     Adding a per-prompt constant to the logits leaves it unchanged, since
@@ -715,7 +554,7 @@ class MinimizeResult:
 
 
 def minimize_loss(
-    problem: _LogitProblem,
+    problem: PairMarginProblem,
     init: PolicyLogits,
     steps: int = 4000,
     step_size: float = 0.5,

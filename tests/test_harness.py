@@ -477,6 +477,28 @@ def test_cli_run_bad_config_exits_2(paths, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("inits", 0),
+        ("n_players", 1),
+        ("eta", float("nan")),
+        ("eta", -0.5),
+        ("eta", 0.0),
+        ("eta", float("inf")),
+        ("steps", -1),
+        ("step_size", 0.0),
+        ("step_size", float("nan")),
+    ],
+)
+def test_cli_run_lossmin_out_of_range_exits_2(paths, tmp_path, capsys, key, value):
+    doc = base_doc(paths, tmp_path, "lossmin", eta=0.5, steps=10)
+    doc[key] = value
+    assert main(["run", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert f"key '{key}'" in err and "Traceback" not in err
+
+
 def test_cli_run_missing_config_exits_3(capsys):
     assert main(["run", "/nonexistent/cfg.json"]) == 3
     assert "missing file" in capsys.readouterr().err

@@ -314,6 +314,54 @@ def test_family_history_offset_out_of_range(rng):
         pair_margin_loss(pol, [pol], cfg, inst)
 
 
+def test_named_losses_and_dataset_mode_are_family_configurations(rng):
+    # update matching and winner target are pair_margin_loss under fixed
+    # configs, values and gradients alike; dataset mode is the mean of the
+    # per-triple metric of the equal-weight margin, repeats and ties included
+    for _ in range(6):
+        inst = random_instance(rng, num_prompts=3, max_responses=4)
+        sizes = inst.space.sizes
+        n = int(rng.integers(2, 5))
+        opps = [random_policy(rng, sizes) for _ in range(n - 1)]
+        weights = (1.0 / (n - 1),) * (n - 1)
+        cur, pol = random_policy(rng, sizes), random_policy(rng, sizes)
+        eta = float(rng.uniform(0.2, 2.0))
+        z = PolicyLogits(tuple(rng.standard_normal(k) for k in sizes))
+        matching = LossConfig(n, tuple(opps), weights, "sq", "win_rate_gap", eta)
+        winner = LossConfig(n, tuple(opps), weights, "sq", 1.0 / (2.0 * eta), 1.0)
+        pairs = (
+            (update_matching_loss, UpdateMatchingProblem, matching),
+            (winner_target_loss, WinnerTargetProblem, winner),
+        )
+        for loss, cls, cfg in pairs:
+            want = pair_margin_loss(pol, [cur], cfg, inst)
+            assert loss(pol, inst, cur, opps, eta) == pytest.approx(want, rel=1e-12)
+            got = cls(inst, cur, opps, eta).gradient(z)
+            ref = PairMarginProblem(inst, [cur], cfg).gradient(z)
+            assert max_grad_rel_error(got, ref) <= 1e-12
+
+        data = [
+            (x, int(rng.integers(sizes[x])), int(rng.integers(sizes[x])))
+            for x in rng.integers(0, 3, size=8)
+        ]
+        data += [data[0], data[0], (1, 0, 0)]
+        members = (
+            (LossConfig(n, tuple(opps), weights, "sq", 0.7, eta=1.3), 1.0, 0.91),
+            (LossConfig(n, tuple(opps), weights, "bwd", 0.4, eta=1.5, beta=0.8), 0.8, 0.6),
+            (LossConfig(n, tuple(opps), weights, "bwd", math.inf, beta=1.7), 1.7, math.inf),
+        )
+        for cfg, beta, target in members:
+            metric = squared_distance if cfg.metric == "sq" else bernoulli_kl_distance
+            want = np.mean(
+                [
+                    metric(beta * log_ratio_margin(pol, opps, int(x), a, b), target)
+                    for x, a, b in data
+                ]
+            )
+            got = pair_margin_loss(pol, [cur], cfg, inst, data=data)
+            assert got == pytest.approx(want, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # presets
 
