@@ -63,10 +63,17 @@ def squared_distance(margin: float, target: float) -> float:
 
 
 def bernoulli_kl_distance(margin: float, target: float) -> float:
-    """KL(Bernoulli(sigmoid(target)) || Bernoulli(sigmoid(margin)))."""
+    """KL(Bernoulli(sigmoid(target)) || Bernoulli(sigmoid(margin))), in scalar math."""
     if target == -math.inf:
         raise ValueError("target -inf is not supported")
-    return float(_metric("bwd", np.float64(margin), float(target), slope=False))
+    def softplus(v: float) -> float:  # -log sigmoid(-v)
+        return math.log1p(math.exp(-abs(v))) + max(v, 0.0)
+    if target == math.inf:
+        return softplus(-margin)
+    q = math.exp(-softplus(-target))
+    return q * (softplus(-margin) - softplus(-target)) + (1.0 - q) * (
+        softplus(margin) - softplus(target)
+    )
 
 
 def _metric(metric: str, m, t, slope: bool):
@@ -215,20 +222,13 @@ def _resolve_opponents(
     return out
 
 
-def _masked_logs(policy, prompt, mask, who):
-    """log pi on the masked responses; zero mass there is an error."""
-    row = policy.rows[prompt][mask]
-    dead = row == 0.0
-    if np.any(dead):
-        index = int(np.flatnonzero(mask)[np.argmax(dead)])
+def _logs_at(policy, prompt, responses, who):
+    """log pi at the given response indices; zero mass there is an error."""
+    row = policy.rows[prompt][responses]
+    if not row.all():
+        index = int(responses[np.argmax(row == 0.0)])
         raise SupportViolation(prompt, index, f"{who} has zero mass")
     return np.log(row)
-
-
-def _opponent_offset(opponents, weights, prompt, mask):
-    """sum_j w_j log pi_j(y) on the masked responses."""
-    logs = (_masked_logs(opp, prompt, mask, "opponent") for opp in opponents)
-    return sum(w * lo for w, lo in zip(weights, logs))
 
 
 def log_ratio_margin(
@@ -241,32 +241,29 @@ def log_ratio_margin(
     """Equal-weight margin log pi(y)/pi(y') - mean_j log pi_j(y)/pi_j(y')."""
     if len(opponents) == 0:
         raise ValueError("need at least one opponent")
-    weights = (1.0 / len(opponents),) * len(opponents)
-    mask = np.zeros(len(policy.rows[prompt]), dtype=bool)
-    mask[[first, second]] = True
-    u = np.zeros(len(mask))
-    u[mask] = _masked_logs(policy, prompt, mask, "policy")
-    u[mask] -= _opponent_offset(opponents, weights, prompt, mask)
-    return float(u[first] - u[second])
+    u = _logs_at(policy, prompt, [first, second], "policy")
+    for opp in opponents:
+        u -= _logs_at(opp, prompt, [first, second], "opponent") / len(opponents)
+    return float(u[0] - u[1])
 
 
 # ---------------------------------------------------------------------------
 # the pair-margin evaluator
 
 
-def _targets(config, instance, opponents, prompt, mask):
-    """eta * target for every ordered masked pair, or a scalar (possibly inf)."""
+def _targets(config, instance, opponents, prompt, resp):
+    """eta * target for every ordered pair of resp, or a scalar (possibly inf)."""
     if not isinstance(config.target, str):
         return config.eta * float(config.target)
     if config.target == "reward_gap":
         if instance.reward is None:
             raise ValueError("target rule 'reward_gap' needs a reward table")
-        v = config.eta * instance.reward.rows[prompt][mask]
+        v = config.eta * instance.reward.rows[prompt][resp]
     else:  # win_rate_gap
         if len(opponents) == 0:
             raise ValueError("target rule 'win_rate_gap' needs opponents")
         m = instance.preference.matrices[prompt]
-        v = sum((m @ opp.rows[prompt])[mask] for opp in opponents)
+        v = sum((m @ opp.rows[prompt])[resp] for opp in opponents)
         v *= config.eta / len(opponents)
     return v[:, None] - v[None, :]
 
@@ -274,9 +271,9 @@ def _targets(config, instance, opponents, prompt, mask):
 def _pair_tables(instance, history, config, data):
     """Per prompt, everything the evaluator needs but the policy.
 
-    An entry is (prompt, mask, W, offset, target, weight): the responses
-    touched, their pair weights, the opponent part sum_j w_j log pi_j of
-    the margin offsets, the eta-scaled target and the prompt's factor.
+    An entry is (prompt, resp, W, offset, target, weight): the touched
+    response indices, their pair weights, the opponent part sum_j w_j
+    log pi_j of the margin offsets, the eta-scaled target and the prompt's factor.
     Exact mode zeroes W's diagonal (a judged pair is two responses);
     dataset mode keeps it (a triple may name one response twice).
     """
@@ -287,26 +284,30 @@ def _pair_tables(instance, history, config, data):
     if data is None:
         for x in range(instance.num_prompts):
             cur = history[0].rows[x]
-            mask = cur > 0.0
-            m = instance.preference.matrices[x][mask][:, mask]
-            pair_w = np.outer(cur[mask], cur[mask]) * m
+            resp = np.flatnonzero(cur > 0.0)
+            m = instance.preference.matrices[x][resp][:, resp]
+            pair_w = np.outer(cur[resp], cur[resp]) * m
             np.fill_diagonal(pair_w, 0.0)
-            prompts.append((x, mask, pair_w, instance.prompt_weights[x]))
+            prompts.append((x, resp, pair_w, instance.prompt_weights[x]))
     else:
         if len(data) == 0:
             raise ValueError("empty preference dataset")
-        triples = np.array(data, dtype=np.intp).reshape(-1, 3)
-        for x in np.unique(triples[:, 0]):
-            k = len(instance.reference.rows[x])
-            pair_w = np.zeros((k, k))
-            np.add.at(pair_w, tuple(triples[triples[:, 0] == x, 1:].T), 1.0)
-            mask = pair_w.any(axis=0) | pair_w.any(axis=1)
-            prompts.append((int(x), mask, pair_w[mask][:, mask] / len(triples), 1.0))
+        triples = np.asarray(data)
+        shaped = triples.shape[1:] == (3,) and triples.dtype.kind in "iu"
+        if not (shaped and triples.min() >= 0):
+            raise ValueError("data must be (prompt, winner, loser) triples of indices")
+        for x in sorted(set(triples[:, 0].tolist())):
+            pairs = triples[triples[:, 0] == x, 1:]
+            resp = np.unique(pairs)
+            pos, side = np.searchsorted(resp, pairs), len(resp)
+            counts = np.bincount(pos[:, 0] * side + pos[:, 1], minlength=side * side)
+            prompts.append((x, resp, counts.reshape(side, side) / len(triples), 1.0))
     tables = []
-    for x, mask, pair_w, weight in prompts:
-        offset = _opponent_offset(opponents, config.weights, x, mask)
-        target = _targets(config, instance, opponents, x, mask)
-        tables.append((x, mask, pair_w, offset, target, weight))
+    for x, resp, pair_w, weight in prompts:
+        logs = (_logs_at(opp, x, resp, "opponent") for opp in opponents)
+        offset = sum(w * lo for w, lo in zip(config.weights, logs))
+        target = _targets(config, instance, opponents, x, resp)
+        tables.append((x, resp, pair_w, offset, target, weight))
     return tables
 
 
@@ -320,17 +321,17 @@ def _evaluate(tables, config, policy, grads=None):
     """
     beta = config.beta if config.metric == "bwd" else 1.0
     total = 0.0
-    for x, mask, pair_w, offset, target, weight in tables:
-        u = _masked_logs(policy, x, mask, "policy") - offset
+    for x, resp, pair_w, offset, target, weight in tables:
+        u = _logs_at(policy, x, resp, "policy") - offset
         margins = u[:, None] - u[None, :]
         if beta != 1.0:
             margins = beta * margins
         if grads is None:
             values = _metric(config.metric, margins, target, slope=False)
-            total += weight * float(np.sum(pair_w * values))
+            total += weight * float((pair_w * values).sum())
             continue
         g = pair_w * _metric(config.metric, margins, target, slope=True)
-        grads[x][mask] = g.sum(axis=1) - g.sum(axis=0)
+        grads[x][resp] = g.sum(axis=1) - g.sum(axis=0)
         grads[x] *= weight * beta
     return total if grads is None else grads
 
@@ -349,7 +350,7 @@ def pair_margin_loss(
     distinct pairs from history[0] with Bernoulli winner weights (a
     judged pair is two different responses, so coincident draws carry no
     weight); otherwise it is the mean over the given (prompt, winner,
-    loser) triples.
+    loser) triples of nonnegative integer indices.
     """
     return _evaluate(_pair_tables(instance, history, config, data), config, policy)
 

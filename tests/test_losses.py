@@ -306,6 +306,25 @@ def test_family_needs_nonempty_history_and_data(rng):
         pair_margin_loss(pol, [pol], cfg, inst, data=[])
 
 
+def test_family_rejects_malformed_dataset(rng):
+    inst = random_instance(rng)
+    pol = random_policy(rng, inst.space.sizes)
+    cfg = preset("dpo")
+    bad = (
+        [(0, 1), (0, 1), (0, 1)],  # pairs whose count divides by 3
+        [(0, 1.0, 0)],  # float index
+        [(0, 1, 0, 1)],
+        [(0, 1, 0), (0, 1)],  # ragged
+        [(-1, 0, 1)],  # negative prompt
+        [(0, -1, 0)],  # negative response
+    )
+    for data in bad:
+        with pytest.raises(ValueError):
+            pair_margin_loss(pol, [pol], cfg, inst, data=data)
+        with pytest.raises(ValueError):
+            PairMarginProblem(inst, [pol], cfg, data)
+
+
 def test_family_history_offset_out_of_range(rng):
     inst = random_instance(rng)
     pol = random_policy(rng, inst.space.sizes)
