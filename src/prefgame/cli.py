@@ -22,12 +22,12 @@ from .harness import (
     EXIT_MISSING_FILE,
     EXIT_OK,
     ValidationFailure,
+    _bounded,
     _load_checked_instance,
     compare_presets,
     gap_report,
     run_experiment,
 )
-from .instances import load_instance, validate_instance
 from .objectives import EnumerationCapExceeded
 
 
@@ -61,17 +61,26 @@ def _cmd_gap(args) -> int:
 
 def _cmd_validate(args) -> int:
     try:
-        instance = load_instance(args.instance)
-    except ValueError as err:
-        print(f"invalid: {err}", file=sys.stderr)
-        return EXIT_INVALID
-    problems = validate_instance(instance)
-    if problems:
-        for p in problems:
+        _load_checked_instance(args.instance)
+    except ValidationFailure as err:
+        for p in err.problems:
             print(f"invalid: {p}", file=sys.stderr)
         return EXIT_INVALID
     print("ok")
     return EXIT_OK
+
+
+def _flag(coerce, low):
+    """argparse type: coerce the text, then require a finite value >= low."""
+    check = _bounded(coerce, low)
+
+    def parse(text):
+        try:
+            return check(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
         "presets", help="check every named loss preset against its direct formula"
     )
     p_pre.add_argument("instance", help="path to an instance file")
-    p_pre.add_argument("--samples", type=int, default=1000)
+    p_pre.add_argument("--samples", type=_flag(int, 1), default=1000)
     p_pre.add_argument("--seed", type=int, default=0)
     p_pre.set_defaults(func=_cmd_presets)
 
@@ -98,8 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_gap.add_argument("instance", help="path to an instance file")
     p_gap.add_argument("policy", help="path to a policy file, or 'uniform'")
-    p_gap.add_argument("--tau", type=float, default=0.0)
-    p_gap.add_argument("--n", type=int, default=2, help="number of players")
+    p_gap.add_argument("--tau", type=_flag(float, 0), default=0.0)
+    p_gap.add_argument("--n", type=_flag(int, 2), default=2, help="number of players")
     p_gap.set_defaults(func=_cmd_gap)
 
     p_val = sub.add_parser("validate", help="check an instance file")

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .instances import GameInstance, TabularPolicy
+from .instances import GameInstance, TabularPolicy, _softmax_policy
 from .objectives import (
     Aggregator,
     ENUMERATION_CAP,
@@ -47,16 +47,13 @@ def best_response_unregularized(
 ) -> BestResponseResult:
     """Best response with tau = 0, restricted to the reference support."""
     win = expected_win_rates(instance, opponents, aggregator, max_tuples)
-    rows = []
-    for x in range(instance.num_prompts):
-        allowed = instance.reference.rows[x] > 0.0
-        if not np.any(allowed):
-            raise ValueError(f"reference support is empty on prompt {x}")
-        w = np.where(allowed, win[x], -np.inf)
-        top = np.max(w)
-        ties = w >= top - tie_tol
-        rows.append(ties / ties.sum())
-    policy = TabularPolicy(tuple(rows))
+    allowed = instance.reference.packed > 0.0
+    w = np.where(allowed, win, -np.inf)
+    ties = allowed & (w >= w.max(axis=1, keepdims=True) - tie_tol)
+    # the softmax of zeros over the tie set splits the mass uniformly
+    policy = _softmax_policy(
+        np.zeros_like(win), ties, instance.space.sizes, "reference support is empty"
+    )
     value = multiplayer_objective(
         policy, opponents, instance, 0.0, aggregator, max_tuples
     )
@@ -74,17 +71,12 @@ def best_response_kl(
     if tau <= 0.0:
         raise ValueError("best_response_kl needs tau > 0")
     win = expected_win_rates(instance, opponents, aggregator, max_tuples)
-    rows = []
-    for x in range(instance.num_prompts):
-        ref = instance.reference.rows[x]
-        if not np.any(ref > 0.0):
-            raise ValueError(f"reference support is empty on prompt {x}")
-        with np.errstate(divide="ignore"):
-            logit = np.log(ref) + win[x] / tau
-        logit = logit - np.max(logit[np.isfinite(logit)])
-        row = np.exp(logit)
-        rows.append(row / row.sum())
-    policy = TabularPolicy(tuple(rows))
+    ref = instance.reference.packed
+    with np.errstate(divide="ignore"):
+        logit = np.log(ref) + win / tau
+    policy = _softmax_policy(
+        logit, ref > 0.0, instance.space.sizes, "reference support is empty"
+    )
     value = multiplayer_objective(
         policy, opponents, instance, tau, aggregator, max_tuples
     )

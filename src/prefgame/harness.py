@@ -19,12 +19,13 @@ plus mode-specific keys (defaults in brackets):
     gap         policy ["uniform" or a policy file path], tau [0.0],
                 n_players [2], aggregator [mean_pairwise]
 
-Unknown or missing keys, and lossmin values out of range (eta and
-step_size finite and > 0, n_players >= 2, steps >= 0, inits >= 1), raise
-ConfigError naming the key. Reruns with an identical config write
-byte-identical files: every random draw flows from the root seed through
-named streams, floats are formatted the same way every time, and
-wall-clock timing is never written.
+Unknown or missing keys, and numeric values out of range, raise
+ConfigError naming the key. The ranges: eta and step_size finite and
+> 0; tau finite and >= 0; n_players >= 2; iterations and steps >= 0;
+inits, metric_stride, samples, comparisons and pool_size >= 1. Reruns
+with an identical config write byte-identical files: every random draw
+flows from the root seed through named streams, floats are formatted the
+same way every time, and wall-clock timing is never written.
 
 Outputs per mode:
 
@@ -166,11 +167,11 @@ _REQUIRED = object()
 # key -> (coercion, default); _REQUIRED means the mode insists on the key
 _SCHEMAS = {
     "selfplay": {
-        "eta": (_number, _REQUIRED),
-        "iterations": (_integer, _REQUIRED),
-        "n_players": (_integer, 2),
-        "tau": (_number, 0.0),
-        "metric_stride": (_integer, 1),
+        "eta": (_bounded(_number, 0, strict=True), _REQUIRED),
+        "iterations": (_bounded(_integer, 0), _REQUIRED),
+        "n_players": (_bounded(_integer, 2), 2),
+        "tau": (_bounded(_number, 0), 0.0),
+        "metric_stride": (_bounded(_integer, 1), 1),
         "opponent_scheme": (_choice(OPPONENT_SCHEMES), "self_play_copies"),
         "history_weights": (_weights_or_null, None),
         "aggregator": (_choice(tuple(_AGGREGATORS)), "mean_pairwise"),
@@ -183,18 +184,18 @@ _SCHEMAS = {
         "inits": (_bounded(_integer, 1), 3),
     },
     "presets": {
-        "samples": (_integer, 1000),
+        "samples": (_bounded(_integer, 1), 1000),
     },
     "rewardfit": {
-        "comparisons": (_integer, _REQUIRED),
-        "pool_size": (_integer, 2),
-        "steps": (_integer, 300),
-        "step_size": (_number, 2.0),
+        "comparisons": (_bounded(_integer, 1), _REQUIRED),
+        "pool_size": (_bounded(_integer, 1), 2),
+        "steps": (_bounded(_integer, 0), 300),
+        "step_size": (_bounded(_number, 0, strict=True), 2.0),
     },
     "gap": {
         "policy": (_string, "uniform"),
-        "tau": (_number, 0.0),
-        "n_players": (_integer, 2),
+        "tau": (_bounded(_number, 0), 0.0),
+        "n_players": (_bounded(_integer, 2), 2),
         "aggregator": (_choice(tuple(_AGGREGATORS)), "mean_pairwise"),
     },
 }
@@ -277,7 +278,10 @@ def _write_json(doc, path) -> None:
 def _load_checked_instance(path) -> GameInstance:
     if not os.path.exists(path):
         raise FileNotFoundError(f"instance file not found: {path}")
-    instance = load_instance(path)
+    try:
+        instance = load_instance(path)
+    except ValueError as err:  # includes json.JSONDecodeError
+        raise ValidationFailure([f"cannot read instance {path}: {err}"]) from err
     problems = validate_instance(instance)
     if problems:
         raise ValidationFailure(problems)
@@ -286,11 +290,11 @@ def _load_checked_instance(path) -> GameInstance:
 
 def _random_interior_policy(rng, sizes) -> TabularPolicy:
     """Random policy bounded away from the simplex boundary."""
-    rows = []
-    for k in sizes:
+    packed = np.zeros((len(sizes), max(sizes)))
+    for x, k in enumerate(sizes):
         row = rng.random(k) + 0.05
-        rows.append(row / row.sum())
-    return TabularPolicy(tuple(rows))
+        packed[x, :k] = row / row.sum()
+    return TabularPolicy._wrap(packed, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +423,6 @@ def _run_selfplay(instance, config: ExperimentConfig) -> dict:
         history_weights=p["history_weights"],
         aggregator=_AGGREGATORS[p["aggregator"]],
         metric_stride=p["metric_stride"],
-        seed=config.seed,
     )
     result = self_play_run(instance, solver)
     metrics = os.path.join(config.out_dir, "metrics.csv")
@@ -455,10 +458,7 @@ def _run_lossmin(instance, config: ExperimentConfig) -> dict:
         res = minimize_loss(
             problem, z0, steps=p["steps"], step_size=p["step_size"], trace=trace
         )
-        linf = max(
-            float(np.max(np.abs(res.policy.rows[x] - closed.rows[x])))
-            for x in range(instance.num_prompts)
-        )
+        linf = float(np.max(np.abs(res.policy.packed - closed.packed)))
         reports.append(
             {
                 "init": i,
@@ -551,7 +551,7 @@ def gap_report(
         if not os.path.exists(policy_spec):
             raise FileNotFoundError(f"policy file not found: {policy_spec}")
         policy = load_policy(policy_spec)
-        if tuple(len(r) for r in policy.rows) != instance.space.sizes:
+        if policy.sizes != instance.space.sizes:
             raise ValidationFailure(
                 ["policy rows do not match the instance's response counts"]
             )

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -46,20 +47,74 @@ class SupportViolation(ValueError):
         super().__init__(msg)
 
 
-def _frozen_row(values) -> np.ndarray:
-    row = np.array(values, dtype=np.float64)
-    if row.ndim != 1:
-        raise ValueError(f"expected a 1-d row, got shape {row.shape}")
-    row.setflags(write=False)
-    return row
+def _pack(tables, square: bool) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Per-prompt rows (or square matrices) copied into one zero-padded array.
+
+    The read-only array is (P, K), or (P, K, K) for matrices, K the largest size.
+    """
+    arrays = [np.asarray(t, dtype=np.float64) for t in tables]
+    for a in arrays:
+        if square and (a.ndim != 2 or a.shape[0] != a.shape[1]):
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        if not square and a.ndim != 1:
+            raise ValueError(f"expected a 1-d row, got shape {a.shape}")
+    sizes = tuple(len(a) for a in arrays)
+    packed = np.zeros((len(arrays),) + (max(sizes, default=0),) * (1 + square))
+    for x, a in enumerate(arrays):
+        packed[x][(slice(len(a)),) * a.ndim] = a
+    packed.setflags(write=False)
+    return packed, sizes
 
 
-def _frozen_matrix(values) -> np.ndarray:
-    mat = np.array(values, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    mat.setflags(write=False)
-    return mat
+def _unpack(packed: np.ndarray, sizes) -> tuple[np.ndarray, ...]:
+    """Per-prompt views into a padded array, each cut to the prompt's size."""
+    if packed.ndim == 2:
+        return tuple(packed[x, :k] for x, k in enumerate(sizes))
+    return tuple(packed[x, :k, :k] for x, k in enumerate(sizes))
+
+
+def _require_sizes(table, sizes: tuple[int, ...], what: str) -> None:
+    """ValueError unless the table's response counts are `sizes`.
+
+    Padding would absorb a mismatch whenever the largest counts agree, so
+    every entry point compares the counts first.
+    """
+    if table.sizes != sizes:
+        pairs = enumerate(zip(table.sizes, sizes))
+        x = next((x for x, (a, b) in pairs if a != b), min(len(sizes), len(table.sizes)))
+        raise ValueError(f"{what} row lengths differ from the response counts at prompt {x}")
+
+
+class _PerPrompt:
+    """A table per prompt, stored as one zero-padded read-only array.
+
+    `packed` is (P, K) for rows and (P, K, K) for matrices, K the largest
+    response count; `sizes` holds each prompt's own count. Padding reads as
+    zero probability, so support masks such as `p > 0` exclude it. The
+    per-prompt tuple a subclass exposes holds views into `packed`.
+    """
+
+    _square = False
+
+    def __init__(self, tables):
+        self.packed, self.sizes = _pack(tables, self._square)
+        if not self.sizes:
+            raise ValueError(f"{type(self).__name__} needs at least one prompt")
+
+    @classmethod
+    def _wrap(cls, packed: np.ndarray, sizes):
+        """Adopt an already padded array as storage, without copying it."""
+        packed.setflags(write=False)
+        obj = cls.__new__(cls)
+        obj.packed, obj.sizes = packed, tuple(sizes)
+        return obj
+
+    def _views(self) -> tuple[np.ndarray, ...]:
+        return _unpack(self.packed, self.sizes)
+
+    @property
+    def num_prompts(self) -> int:
+        return len(self.sizes)
 
 
 @dataclass(frozen=True)
@@ -84,13 +139,12 @@ class ResponseSpace:
     def num_prompts(self) -> int:
         return len(self.labels)
 
-    @property
+    @cached_property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(row) for row in self.labels)
 
 
-@dataclass(frozen=True, eq=False)
-class TabularPolicy:
+class TabularPolicy(_PerPrompt):
     """One probability row per prompt.
 
     Construction checks shapes only; numeric invariants (nonnegativity,
@@ -99,16 +153,7 @@ class TabularPolicy:
     half-parsed. Helper constructors always produce valid rows.
     """
 
-    rows: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(_frozen_row(r) for r in self.rows))
-        if len(self.rows) == 0:
-            raise ValueError("policy needs at least one prompt row")
-
-    @property
-    def num_prompts(self) -> int:
-        return len(self.rows)
+    rows = cached_property(_PerPrompt._views)
 
     def prob(self, prompt: int, response: int) -> float:
         return float(self.rows[prompt][response])
@@ -118,8 +163,7 @@ class TabularPolicy:
         return self.rows[prompt] > 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class PairwisePreference:
+class PairwisePreference(_PerPrompt):
     """One k_x by k_x win-probability matrix per prompt.
 
     matrices[x][a, b] is the probability that response a beats response b
@@ -127,37 +171,17 @@ class PairwisePreference:
     an exact 0.5 diagonal; entries of exactly 0 or 1 are allowed.
     """
 
-    matrices: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "matrices", tuple(_frozen_matrix(m) for m in self.matrices)
-        )
-        if len(self.matrices) == 0:
-            raise ValueError("preference oracle needs at least one prompt")
-
-    @property
-    def num_prompts(self) -> int:
-        return len(self.matrices)
+    _square = True
+    matrices = cached_property(_PerPrompt._views)
 
     def win_prob(self, prompt: int, first: int, second: int) -> float:
         return float(self.matrices[prompt][first, second])
 
 
-@dataclass(frozen=True, eq=False)
-class RewardTable:
+class RewardTable(_PerPrompt):
     """One finite scalar reward row per prompt."""
 
-    rows: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(_frozen_row(r) for r in self.rows))
-        if len(self.rows) == 0:
-            raise ValueError("reward table needs at least one prompt row")
-
-    @property
-    def num_prompts(self) -> int:
-        return len(self.rows)
+    rows = cached_property(_PerPrompt._views)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,30 +199,18 @@ class GameInstance:
     reward: RewardTable | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "prompt_weights", _frozen_row(self.prompt_weights))
+        weights = _pack([self.prompt_weights], square=False)[0][0]  # a read-only copy
+        object.__setattr__(self, "prompt_weights", weights)
         n = self.space.num_prompts
         if len(self.prompt_weights) != n:
             raise ValueError(
                 f"prompt_weights has {len(self.prompt_weights)} entries "
                 f"for {n} prompts"
             )
-        for name, per_prompt in (
-            ("reference", self.reference.rows),
-            ("preference", self.preference.matrices),
-        ):
-            if len(per_prompt) != n:
-                raise ValueError(f"{name} covers {len(per_prompt)} of {n} prompts")
-        if self.reward is not None and self.reward.num_prompts != n:
-            raise ValueError(
-                f"reward covers {self.reward.num_prompts} of {n} prompts"
-            )
-        for x, k in enumerate(self.space.sizes):
-            if len(self.reference.rows[x]) != k:
-                raise ValueError(f"reference row {x} has wrong length")
-            if self.preference.matrices[x].shape != (k, k):
-                raise ValueError(f"preference matrix {x} has wrong shape")
-            if self.reward is not None and len(self.reward.rows[x]) != k:
-                raise ValueError(f"reward row {x} has wrong length")
+        for name in ("reference", "preference", "reward"):
+            part = getattr(self, name)
+            if part is not None:
+                _require_sizes(part, self.space.sizes, name)
 
     @property
     def num_prompts(self) -> int:
@@ -229,7 +241,25 @@ def point_mass_policy(space: ResponseSpace, picks: Sequence[int]) -> TabularPoli
 
 
 def policy_from_rows(rows: Sequence[Sequence[float]]) -> TabularPolicy:
-    return TabularPolicy(tuple(np.asarray(r, dtype=np.float64) for r in rows))
+    return TabularPolicy(rows)
+
+
+def _softmax_policy(
+    logits: np.ndarray, live: np.ndarray, sizes, empty: str = "no live response"
+) -> TabularPolicy:
+    """Row-wise softmax of padded (P, K) logits over the live entries.
+
+    Dead entries, and live ones at -inf, get probability 0. The result is
+    the policy's storage as is. A prompt with no finite live logit raises
+    ValueError with `empty` as the reason.
+    """
+    z = np.where(live, logits, -np.inf)
+    top = z.max(axis=1, keepdims=True)
+    dead = ~np.isfinite(top[:, 0])
+    if dead.any():
+        raise ValueError(f"prompt {int(np.argmax(dead))}: {empty}")
+    e = np.exp(z - top)
+    return TabularPolicy._wrap(e / e.sum(axis=1, keepdims=True), sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +424,11 @@ def require_valid(instance: GameInstance) -> GameInstance:
 
 def policy_in_support(policy: TabularPolicy, base: TabularPolicy) -> None:
     """Raise SupportViolation if policy puts mass outside base's support."""
-    for x, row in enumerate(policy.rows):
-        outside = (row > 0.0) & (base.rows[x] == 0.0)
-        if np.any(outside):
-            y = int(np.argmax(outside))
-            raise SupportViolation(x, y, "mass outside the base policy's support")
+    _require_sizes(policy, base.sizes, "policy")
+    outside = (policy.packed > 0.0) & (base.packed == 0.0)
+    if outside.any():
+        x, y = (int(i) for i in np.argwhere(outside)[0])
+        raise SupportViolation(x, y, "mass outside the base policy's support")
 
 
 # ---------------------------------------------------------------------------

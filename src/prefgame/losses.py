@@ -23,10 +23,10 @@ sampled-target simplification with the constant winner target
 by a policy-independent constant exactly at eta = 1 when the pair source
 equals the opponent mixture; tests pin that configuration.
 
-One evaluator computes every loss and gradient from per-prompt tables of
-pair weights W[a, b]: in exact-expectation mode cur(a) * cur(b) * M[a, b]
+One evaluator computes every loss and gradient from one padded table of
+pair weights W[x, a, b]: in exact-expectation mode cur(a) * cur(b) * M[a, b]
 over distinct responses (an iid pair draw plus a Bernoulli winner), on an
-explicit dataset the share of (prompt, winner, loser) triples (a, b).
+explicit dataset the share of (prompt, winner, loser) triples (x, a, b).
 
 Optimization works on per-prompt logits; the policy is the softmax over
 the reference support, so iterates never touch the boundary.
@@ -36,11 +36,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .instances import GameInstance, SupportViolation, TabularPolicy
+from .instances import (
+    GameInstance,
+    SupportViolation,
+    TabularPolicy,
+    _PerPrompt,
+    _require_sizes,
+    _softmax_policy,
+    _unpack,
+)
+from .objectives import expected_win_rates
 
 METRICS = ("sq", "bwd")
 TARGET_RULES = ("win_rate_gap", "reward_gap")
@@ -135,10 +145,9 @@ class LossConfig:
                 raise ValueError("history offsets must be nonnegative")
             if isinstance(ref, str) and ref != "ref":
                 raise ValueError(f"unknown opponent name {ref!r}")
-        w = np.asarray(self.weights, dtype=np.float64)
-        if len(w) and (np.any(w < 0.0) or np.any(w > 1.0)):
+        if not all(0.0 <= w <= 1.0 for w in self.weights):
             raise ValueError("weights must lie in [0, 1]")
-        if len(w) and w.sum() > 1.0 + 1e-12:
+        if sum(self.weights) > 1.0 + 1e-12:
             raise ValueError("weights must sum to at most 1")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
@@ -151,9 +160,9 @@ class LossConfig:
                 raise ValueError(f"bad target {t}")
             if math.isinf(t) and self.metric == "sq":
                 raise ValueError("the sq metric cannot chase an infinite target")
-        if not (np.isfinite(self.eta) and self.eta > 0.0):
+        if not (math.isfinite(self.eta) and self.eta > 0.0):
             raise ValueError("eta must be positive and finite")
-        if not (np.isfinite(self.beta) and self.beta > 0.0):
+        if not (math.isfinite(self.beta) and self.beta > 0.0):
             raise ValueError("beta must be positive and finite")
         if self.tau < 0.0:
             raise ValueError("tau must be nonnegative")
@@ -222,13 +231,13 @@ def _resolve_opponents(
     return out
 
 
-def _logs_at(policy, prompt, responses, who):
-    """log pi at the given response indices; zero mass there is an error."""
-    row = policy.rows[prompt][responses]
-    if not row.all():
-        index = int(responses[np.argmax(row == 0.0)])
-        raise SupportViolation(prompt, index, f"{who} has zero mass")
-    return np.log(row)
+def _logs(policy, touched, who):
+    """log pi on the (P, K) `touched` mask, 0 elsewhere; zero mass there is an error."""
+    probs = np.where(touched, policy.packed, 1.0)
+    if np.count_nonzero(probs) < probs.size:
+        x, y = (int(i) for i in np.argwhere(probs == 0.0)[0])
+        raise SupportViolation(x, y, f"{who} has zero mass")
+    return np.log(probs)
 
 
 def log_ratio_margin(
@@ -241,9 +250,13 @@ def log_ratio_margin(
     """Equal-weight margin log pi(y)/pi(y') - mean_j log pi_j(y)/pi_j(y')."""
     if len(opponents) == 0:
         raise ValueError("need at least one opponent")
-    u = _logs_at(policy, prompt, [first, second], "policy")
+    # IndexError past the prompt's count; negative indices count from its end
+    pair = np.arange(policy.sizes[prompt])[[first, second]]
+    touched = np.zeros(policy.packed.shape, dtype=bool)
+    touched[prompt, pair] = True
+    u = _logs(policy, touched, "policy")[prompt, pair]
     for opp in opponents:
-        u -= _logs_at(opp, prompt, [first, second], "opponent") / len(opponents)
+        u -= _logs(opp, touched, "opponent")[prompt, pair] / len(opponents)
     return float(u[0] - u[1])
 
 
@@ -251,89 +264,89 @@ def log_ratio_margin(
 # the pair-margin evaluator
 
 
-def _targets(config, instance, opponents, prompt, resp):
-    """eta * target for every ordered pair of resp, or a scalar (possibly inf)."""
+def _targets(config, instance, opponents):
+    """eta * target for every (x, a, b), or a scalar (possibly inf)."""
     if not isinstance(config.target, str):
         return config.eta * float(config.target)
     if config.target == "reward_gap":
         if instance.reward is None:
             raise ValueError("target rule 'reward_gap' needs a reward table")
-        v = config.eta * instance.reward.rows[prompt][resp]
+        v = config.eta * instance.reward.packed
     else:  # win_rate_gap
         if len(opponents) == 0:
             raise ValueError("target rule 'win_rate_gap' needs opponents")
-        m = instance.preference.matrices[prompt]
-        v = sum((m @ opp.rows[prompt])[resp] for opp in opponents)
-        v *= config.eta / len(opponents)
-    return v[:, None] - v[None, :]
+        v = config.eta * expected_win_rates(instance, opponents)
+    return v[:, :, None] - v[:, None, :]
+
+
+def _pair_weights(instance, data):
+    """(P, K, K) share of the (prompt, winner, loser) triples in each cell."""
+    if len(data) == 0:
+        raise ValueError("empty preference dataset")
+    triples = np.asarray(data)
+    if triples.shape[1:] != (3,) or triples.dtype.kind not in "iu":
+        raise ValueError("data must be (prompt, winner, loser) triples of indices")
+    x, a, b = triples.T
+    shape = instance.preference.packed.shape
+    try:  # rejects negative indices and those past the last prompt or response
+        cells = np.ravel_multi_index((x, a, b), shape)
+    except ValueError:
+        raise ValueError("data names a prompt or response outside the instance") from None
+    if np.count_nonzero(np.maximum(a, b) >= np.asarray(instance.space.sizes)[x]):
+        raise ValueError("data names a response past its prompt's count")
+    return np.bincount(cells, minlength=math.prod(shape)).reshape(shape) / len(triples)
 
 
 def _pair_tables(instance, history, config, data):
-    """Per prompt, everything the evaluator needs but the policy.
+    """Everything the evaluator needs but the policy, padded over prompts.
 
-    An entry is (prompt, resp, W, offset, target, weight): the touched
-    response indices, their pair weights, the opponent part sum_j w_j
-    log pi_j of the margin offsets, the eta-scaled target and the prompt's factor.
+    Returns (touched, W, offset, target, factor): the (P, K) mask of the
+    responses the pairs touch, the (P, K, K) pair weights, the opponent
+    part sum_j w_j log pi_j of the margin offsets, the eta-scaled target
+    (a (P, K, K) table or a scalar) and the (P,) prompt factors.
     Exact mode zeroes W's diagonal (a judged pair is two responses);
     dataset mode keeps it (a triple may name one response twice).
     """
     if len(history) == 0:
         raise ValueError("history must contain at least the current policy")
     opponents = _resolve_opponents(config, history, instance)
-    prompts = []
+    for policy in (history[0], *opponents):
+        _require_sizes(policy, instance.space.sizes, "policy")
     if data is None:
-        for x in range(instance.num_prompts):
-            cur = history[0].rows[x]
-            resp = np.flatnonzero(cur > 0.0)
-            m = instance.preference.matrices[x][resp][:, resp]
-            pair_w = np.outer(cur[resp], cur[resp]) * m
-            np.fill_diagonal(pair_w, 0.0)
-            prompts.append((x, resp, pair_w, instance.prompt_weights[x]))
+        cur = history[0].packed
+        touched = cur > 0.0
+        pair_w = cur[:, :, None] * cur[:, None, :] * instance.preference.packed
+        diagonal = np.arange(cur.shape[1])
+        pair_w[:, diagonal, diagonal] = 0.0
+        factor = instance.prompt_weights
     else:
-        if len(data) == 0:
-            raise ValueError("empty preference dataset")
-        triples = np.asarray(data)
-        shaped = triples.shape[1:] == (3,) and triples.dtype.kind in "iu"
-        if not (shaped and triples.min() >= 0):
-            raise ValueError("data must be (prompt, winner, loser) triples of indices")
-        for x in sorted(set(triples[:, 0].tolist())):
-            pairs = triples[triples[:, 0] == x, 1:]
-            resp = np.unique(pairs)
-            pos, side = np.searchsorted(resp, pairs), len(resp)
-            counts = np.bincount(pos[:, 0] * side + pos[:, 1], minlength=side * side)
-            prompts.append((x, resp, counts.reshape(side, side) / len(triples), 1.0))
-    tables = []
-    for x, resp, pair_w, weight in prompts:
-        logs = (_logs_at(opp, x, resp, "opponent") for opp in opponents)
-        offset = sum(w * lo for w, lo in zip(config.weights, logs))
-        target = _targets(config, instance, opponents, x, resp)
-        tables.append((x, resp, pair_w, offset, target, weight))
-    return tables
+        pair_w = _pair_weights(instance, data)
+        touched = (pair_w + pair_w.transpose(0, 2, 1)).any(axis=2)
+        factor = np.ones(instance.num_prompts)
+    logs = (_logs(opp, touched, "opponent") for opp in opponents)
+    offset = sum(w * lo for w, lo in zip(config.weights, logs))
+    return touched, pair_w, offset, _targets(config, instance, opponents), factor
 
 
-def _evaluate(tables, config, policy, grads=None):
-    """sum over prompts of weight * sum_ab W[a, b] metric(beta h_ab, target).
+def _evaluate(tables, config, policy, gradient=False):
+    """sum_x factor_x sum_ab W[x, a, b] metric(beta h_xab, target_xab).
 
-    h_ab = u_a - u_b with u = log pi - sum_j w_j log pi_j. Given grads
-    (zero logit rows) it fills in the gradient instead: h_ab moves with
-    z_a - z_b, so a prompt's row is the row sums minus the column sums of
-    W * slope, times beta and the weight.
+    h_xab = u_xa - u_xb with u = log pi - sum_j w_j log pi_j. With
+    `gradient` set it returns the (P, K) logit gradient instead: h_xab
+    moves with z_xa - z_xb, so a prompt's row is the row sums minus the
+    column sums of W * slope, times beta and the prompt factor.
     """
+    touched, pair_w, offset, target, factor = tables
     beta = config.beta if config.metric == "bwd" else 1.0
-    total = 0.0
-    for x, resp, pair_w, offset, target, weight in tables:
-        u = _logs_at(policy, x, resp, "policy") - offset
-        margins = u[:, None] - u[None, :]
-        if beta != 1.0:
-            margins = beta * margins
-        if grads is None:
-            values = _metric(config.metric, margins, target, slope=False)
-            total += weight * float((pair_w * values).sum())
-            continue
-        g = pair_w * _metric(config.metric, margins, target, slope=True)
-        grads[x][resp] = g.sum(axis=1) - g.sum(axis=0)
-        grads[x] *= weight * beta
-    return total if grads is None else grads
+    u = _logs(policy, touched, "policy") - offset
+    margins = u[:, :, None] - u[:, None, :]
+    if beta != 1.0:
+        margins = beta * margins
+    if not gradient:
+        values = _metric(config.metric, margins, target, slope=False)
+        return float(factor @ (pair_w * values).sum(axis=(1, 2)))
+    g = pair_w * _metric(config.metric, margins, target, slope=True)
+    return (g.sum(axis=2) - g.sum(axis=1)) * (factor * beta)[:, None]
 
 
 def pair_margin_loss(
@@ -352,6 +365,7 @@ def pair_margin_loss(
     weight); otherwise it is the mean over the given (prompt, winner,
     loser) triples of nonnegative integer indices.
     """
+    _require_sizes(policy, instance.space.sizes, "policy")
     return _evaluate(_pair_tables(instance, history, config, data), config, policy)
 
 
@@ -451,37 +465,22 @@ def external_margin_loss(
 # optimization over logits
 
 
-@dataclass(frozen=True, eq=False)
-class PolicyLogits:
+class PolicyLogits(_PerPrompt):
     """Per-prompt real rows; the policy is softmax over the reference support."""
 
-    rows: tuple[np.ndarray, ...]
+    rows = cached_property(_PerPrompt._views)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "rows",
-            tuple(np.array(r, dtype=np.float64) for r in self.rows),
-        )
-        for x, row in enumerate(self.rows):
-            if row.ndim != 1 or not np.all(np.isfinite(row)):
-                raise ValueError(f"logit row {x} must be finite and 1-d")
+    def __init__(self, rows):
+        super().__init__(rows)
+        finite = np.isfinite(self.packed).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"logit row {int(np.argmin(finite))} must be finite")
 
 
 def logits_to_policy(logits: PolicyLogits, reference: TabularPolicy) -> TabularPolicy:
     """Softmax restricted to the reference support; excluded entries get 0."""
-    if len(logits.rows) != reference.num_prompts:
-        raise ValueError("logits and reference cover different prompt counts")
-    rows = []
-    for z, ref in zip(logits.rows, reference.rows):
-        if len(z) != len(ref):
-            raise ValueError("logit row length does not match the response count")
-        mask = ref > 0.0
-        row = np.zeros_like(ref)
-        shifted = z[mask] - z[mask].max()
-        row[mask] = np.exp(shifted)
-        rows.append(row / row.sum())
-    return TabularPolicy(tuple(rows))
+    _require_sizes(logits, reference.sizes, "logits")
+    return _softmax_policy(logits.packed, reference.packed > 0.0, reference.sizes)
 
 
 class PairMarginProblem:
@@ -502,8 +501,8 @@ class PairMarginProblem:
         return _evaluate(self._tables, self.config, self.policy(logits))
 
     def gradient(self, logits: PolicyLogits) -> list[np.ndarray]:
-        grads = [np.zeros(len(row)) for row in self.instance.reference.rows]
-        return _evaluate(self._tables, self.config, self.policy(logits), grads)
+        grad = _evaluate(self._tables, self.config, self.policy(logits), gradient=True)
+        return list(_unpack(grad, self.instance.space.sizes))
 
 
 class UpdateMatchingProblem(PairMarginProblem):

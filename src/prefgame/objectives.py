@@ -16,6 +16,7 @@ is guarded by an enumeration cap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -28,6 +29,8 @@ from .instances import (
     PairwisePreference,
     SupportViolation,
     TabularPolicy,
+    _require_sizes,
+    _softmax_policy,
 )
 
 # Upper bound on exact-enumeration work, in weighted tuples per call.
@@ -83,18 +86,21 @@ def kl_divergence(
     policy: TabularPolicy, base: TabularPolicy, instance: GameInstance
 ) -> float:
     """Prompt-averaged KL(policy || base) with the 0 log 0 = 0 convention."""
-    total = 0.0
-    for x in range(instance.num_prompts):
-        p = policy.rows[x]
-        q = base.rows[x]
-        on = p > 0.0
-        if np.any(on & (q == 0.0)):
-            y = int(np.argmax(on & (q == 0.0)))
-            raise SupportViolation(x, y, "KL against a zero-probability response")
-        total += instance.prompt_weights[x] * float(
-            np.sum(p[on] * (np.log(p[on]) - np.log(q[on])))
-        )
-    return total
+    _require_sizes(policy, instance.space.sizes, "policy")
+    _require_sizes(base, instance.space.sizes, "base policy")
+    p, q = policy.packed, base.packed
+    on = p > 0.0
+    if np.any(on & (q == 0.0)):
+        x, y = (int(i) for i in np.argwhere(on & (q == 0.0))[0])
+        raise SupportViolation(x, y, "KL against a zero-probability response")
+    terms = p * (np.log(np.where(on, p, 1.0)) - np.log(np.where(on, q, 1.0)))
+    return float(instance.prompt_weights @ terms.sum(axis=1))
+
+
+def _expect(policy: TabularPolicy, table: np.ndarray, instance: GameInstance) -> float:
+    """E_x E_{y ~ policy} table[x, y] for a padded (P, K) table."""
+    _require_sizes(policy, instance.space.sizes, "policy")
+    return float(instance.prompt_weights @ np.einsum("pk,pk->p", policy.packed, table))
 
 
 def pl_one_vs_many(
@@ -158,37 +164,33 @@ def expected_win_rates(
     opponents: Sequence[TabularPolicy],
     aggregator: Aggregator = MEAN_PAIRWISE,
     max_tuples: int = ENUMERATION_CAP,
-) -> list[np.ndarray]:
-    """Per-prompt vectors W[x][y] = one-vs-many win probability of y.
+) -> np.ndarray:
+    """Padded (P, K) table W[x, y] = one-vs-many win probability of y.
 
-    mean_pairwise factorizes into matrix-vector products; plackett_luce
-    enumerates the product of opponent supports and respects max_tuples.
+    Entries past a prompt's response count are 0. mean_pairwise
+    factorizes into matrix-vector products; plackett_luce enumerates the
+    product of opponent supports and respects max_tuples.
     """
     if len(opponents) == 0:
         raise ValueError("need at least one opponent")
+    sizes = instance.space.sizes
+    for o in opponents:
+        _require_sizes(o, sizes, "opponent")
     if aggregator.kind == "mean_pairwise":
-        out = []
-        for x in range(instance.num_prompts):
-            m = instance.preference.matrices[x]
-            out.append(
-                np.mean([m @ o.rows[x] for o in opponents], axis=0)
-            )
-        return out
+        stacked = np.stack([o.packed for o in opponents])
+        return np.einsum("pab,npb->pa", instance.preference.packed, stacked) / len(opponents)
 
     if instance.reward is None:
         raise ValueError("plackett_luce aggregator needs a reward table")
-    size = 0
-    for x, k in enumerate(instance.space.sizes):
-        tuples = 1
-        for o in opponents:
-            tuples *= int(np.count_nonzero(o.rows[x] > 0.0))
-        size += tuples * k
+    # Python integers: a product of counts can overflow int64 unnoticed.
+    live = [np.count_nonzero(o.packed > 0.0, axis=1).tolist() for o in opponents]
+    size = sum(k * math.prod(counts) for k, counts in zip(sizes, zip(*live)))
     if size > max_tuples:
         raise EnumerationCapExceeded(size, max_tuples)
-    return [
-        _pl_win_row(instance.reward.rows[x], [o.rows[x] for o in opponents])
-        for x in range(instance.num_prompts)
-    ]
+    win = np.zeros(instance.reward.packed.shape)
+    for x, k in enumerate(sizes):
+        win[x, :k] = _pl_win_row(instance.reward.rows[x], [o.rows[x] for o in opponents])
+    return win
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +208,9 @@ def two_player_objective(
     E_x [ P(first beats second) ] - tau KL(first || ref) + tau KL(second || ref).
     Antisymmetric around 1/2: J(p, q) + J(q, p) = 1, and J(p, p) = 1/2.
     """
-    total = 0.0
-    for x in range(instance.num_prompts):
-        m = instance.preference.matrices[x]
-        total += instance.prompt_weights[x] * float(
-            first.rows[x] @ m @ second.rows[x]
-        )
+    _require_sizes(second, instance.space.sizes, "second policy")
+    win = np.einsum("pab,pb->pa", instance.preference.packed, second.packed)
+    total = _expect(first, win, instance)
     if tau != 0.0:
         total -= tau * kl_divergence(first, instance.reference, instance)
         total += tau * kl_divergence(second, instance.reference, instance)
@@ -232,9 +231,7 @@ def multiplayer_objective(
     to their own objectives.
     """
     win = expected_win_rates(instance, opponents, aggregator, max_tuples)
-    total = 0.0
-    for x in range(instance.num_prompts):
-        total += instance.prompt_weights[x] * float(policy.rows[x] @ win[x])
+    total = _expect(policy, win, instance)
     if tau != 0.0:
         total -= tau * kl_divergence(policy, instance.reference, instance)
     return total
@@ -251,11 +248,8 @@ def regularized_reward_objective(
     tau: float,
 ) -> float:
     """E_x E_pi [ r(x, y) ] - tau KL(policy || ref)."""
-    total = 0.0
-    for x in range(instance.num_prompts):
-        total += instance.prompt_weights[x] * float(
-            policy.rows[x] @ rewards.rows[x]
-        )
+    _require_sizes(rewards, instance.space.sizes, "rewards")
+    total = _expect(policy, rewards.packed, instance)
     return total - tau * kl_divergence(policy, instance.reference, instance)
 
 
@@ -271,11 +265,8 @@ def multi_teacher_objective(
     """Reward minus a KL anchor to the reference and to each teacher."""
     if len(teachers) != len(taus):
         raise ValueError("need one tau per teacher")
-    total = 0.0
-    for x in range(instance.num_prompts):
-        total += instance.prompt_weights[x] * float(
-            policy.rows[x] @ rewards.rows[x]
-        )
+    _require_sizes(rewards, instance.space.sizes, "rewards")
+    total = _expect(policy, rewards.packed, instance)
     total -= tau_ref * kl_divergence(policy, reference, instance)
     for teacher, t in zip(teachers, taus):
         total -= t * kl_divergence(policy, teacher, instance)
@@ -305,16 +296,13 @@ def closed_form_multi_teacher_optimum(
         raise ValueError("need a strictly positive total KL coefficient")
 
     anchors = [(tau_ref, reference)] + [(t, p) for t, p in zip(taus, teachers)]
-    rows = []
-    for x in range(reference.num_prompts):
-        with np.errstate(divide="ignore"):
-            logit = rewards.rows[x] / tau
-            for coeff, anchor in anchors:
-                if coeff > 0.0:
-                    logit = logit + (coeff / tau) * np.log(anchor.rows[x])
-        if not np.any(np.isfinite(logit)):
-            raise ValueError(f"prompt {x}: anchors share no support")
-        logit = logit - np.max(logit[np.isfinite(logit)])
-        row = np.exp(logit)
-        rows.append(row / row.sum())
-    return TabularPolicy(tuple(rows))
+    _require_sizes(rewards, reference.sizes, "rewards")
+    logit = rewards.packed / tau
+    for coeff, anchor in anchors:
+        _require_sizes(anchor, reference.sizes, "teacher")
+        if coeff > 0.0:
+            with np.errstate(divide="ignore"):
+                logit = logit + (coeff / tau) * np.log(anchor.packed)
+    return _softmax_policy(
+        logit, np.isfinite(logit), reference.sizes, "anchors share no support"
+    )

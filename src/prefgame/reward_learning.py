@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import GameInstance, RewardTable
+from .instances import GameInstance, RewardTable, _unpack
 
 
 @dataclass(frozen=True)
@@ -42,13 +42,6 @@ class RankedComparison:
             raise ValueError(f"winner {self.winner} appears in its own pool")
 
 
-def _flat_view(rewards: RewardTable) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate reward rows; offsets[x] is where prompt x starts."""
-    sizes = np.array([len(r) for r in rewards.rows])
-    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    return np.concatenate(rewards.rows), offsets
-
-
 def _grouped_indices(
     rewards: RewardTable, data: list[RankedComparison]
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -58,7 +51,7 @@ def _grouped_indices(
     winner and the rest are the pool. Index bounds are checked here so the
     error can name the offending comparison.
     """
-    sizes = [len(r) for r in rewards.rows]
+    sizes = rewards.sizes
     buckets: dict[int, tuple[list[int], list[list[int]]]] = {}
     for i, c in enumerate(data):
         if not 0 <= c.prompt < len(sizes):
@@ -87,10 +80,10 @@ def pl_nll(rewards: RewardTable, data: list[RankedComparison]) -> float:
     """
     if len(data) == 0:
         raise ValueError("need at least one comparison")
-    flat, offsets = _flat_view(rewards)
+    flat, width = rewards.packed.ravel(), rewards.packed.shape[1]
     total = 0.0
     for prompts, cols in _grouped_indices(rewards, data).values():
-        scores = flat[offsets[prompts][:, None] + cols]
+        scores = flat[prompts[:, None] * width + cols]
         top = scores.max(axis=1)
         lse = top + np.log(np.exp(scores - top[:, None]).sum(axis=1))
         total += float(np.sum(lse - scores[:, 0]))
@@ -108,20 +101,17 @@ def pl_nll_gradient(
     """
     if len(data) == 0:
         raise ValueError("need at least one comparison")
-    flat, offsets = _flat_view(rewards)
+    flat, width = rewards.packed.ravel(), rewards.packed.shape[1]
     grad = np.zeros_like(flat)
     for prompts, cols in _grouped_indices(rewards, data).values():
-        where = offsets[prompts][:, None] + cols
+        where = prompts[:, None] * width + cols
         scores = flat[where]
         shifted = np.exp(scores - scores.max(axis=1)[:, None])
         share = shifted / shifted.sum(axis=1)[:, None]
         share[:, 0] -= 1.0
         np.add.at(grad, where, share)
     grad /= len(data)
-    sizes = [len(r) for r in rewards.rows]
-    return tuple(
-        grad[off : off + k] for off, k in zip(offsets, sizes)
-    )
+    return _unpack(grad.reshape(rewards.packed.shape), rewards.sizes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +143,7 @@ def fit_pl_reward(
     if init is None:
         rows = [np.zeros(k) for k in instance.space.sizes]
     else:
-        if tuple(len(r) for r in init.rows) != instance.space.sizes:
+        if init.sizes != instance.space.sizes:
             raise ValueError("init does not match the instance's response counts")
         rows = [r.copy() for r in init.rows]
     rows = [r - r.mean() for r in rows]

@@ -13,8 +13,7 @@ self_play_run iterates this from the reference policy along one shared
 trajectory (every player is the same policy) and tracks the uniformly
 averaged iterate, which is the object that actually converges; metrics in
 the run log describe that average. The loop itself is exact and needs no
-randomness; the seed in the config exists so downstream consumers can
-derive named sample streams from one root.
+randomness.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .equilibrium import exploitability_multiplayer
-from .instances import GameInstance, TabularPolicy
+from .instances import GameInstance, TabularPolicy, _require_sizes, _softmax_policy
 from .objectives import (
     Aggregator,
     MEAN_PAIRWISE,
@@ -56,8 +55,6 @@ class SolverConfig:
     history_weights: tuple[float, ...] | None = None
     aggregator: Aggregator = MEAN_PAIRWISE
     metric_stride: int = 1
-    seed: int = 0
-    averaging: str = "uniform"
     eta_schedule: Callable[[int], float] | None = None
 
     def __post_init__(self):
@@ -73,8 +70,6 @@ class SolverConfig:
             raise ValueError(f"unknown opponent scheme {self.opponent_scheme!r}")
         if self.metric_stride < 1:
             raise ValueError("metric_stride must be at least 1")
-        if self.averaging != "uniform":
-            raise ValueError("only uniform averaging is implemented")
         if self.history_weights is not None:
             w = np.asarray(self.history_weights, dtype=np.float64)
             if len(w) != self.n_players - 1:
@@ -167,25 +162,22 @@ def mwu_step(
         if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("opponent weights must be a distribution")
 
-    rows = []
-    for x in range(instance.num_prompts):
-        m = instance.preference.matrices[x]
-        ref = instance.reference.rows[x]
-        with np.errstate(divide="ignore"):
-            logit = np.where(ref > 0.0, 0.0, -np.inf)
-            for wj, opp in zip(w, opponents):
-                if wj == 0.0:
-                    continue  # 0 * log 0 would poison the row with NaN
-                logit = logit + wj * np.log(opp.rows[x])
-                logit = logit + eta * wj * (m @ opp.rows[x])
-        if not np.any(np.isfinite(logit)):
-            raise ValueError(
-                f"prompt {x}: no response survives in every opponent's support"
-            )
-        logit = logit - np.max(logit[np.isfinite(logit)])
-        row = np.exp(logit)
-        rows.append(row / row.sum())
-    return TabularPolicy(tuple(rows))
+    for opp in opponents:
+        _require_sizes(opp, instance.space.sizes, "opponent")
+    m = instance.preference.packed
+    logit = np.zeros(m.shape[:2])
+    with np.errstate(divide="ignore"):
+        for wj, opp in zip(w, opponents):
+            if wj == 0.0:
+                continue  # 0 * log 0 would poison the row with NaN
+            logit = logit + wj * np.log(opp.packed)
+            logit = logit + eta * wj * np.einsum("pab,pb->pa", m, opp.packed)
+    return _softmax_policy(
+        logit,
+        instance.reference.packed > 0.0,
+        instance.space.sizes,
+        "no response survives in every opponent's support",
+    )
 
 
 def average_policy(
@@ -202,13 +194,12 @@ def average_policy(
             raise ValueError("need one nonnegative weight per policy")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("averaging weights must sum to one")
-    rows = []
-    for x in range(policies[0].num_prompts):
-        row = np.zeros_like(policies[0].rows[x])
-        for wj, p in zip(w, policies):
-            row = row + wj * p.rows[x]
-        rows.append(row / row.sum())
-    return TabularPolicy(tuple(rows))
+    sizes = policies[0].sizes
+    mix = np.zeros(policies[0].packed.shape)
+    for wj, p in zip(w, policies):
+        _require_sizes(p, sizes, "policy")
+        mix = mix + wj * p.packed
+    return TabularPolicy._wrap(mix / mix.sum(axis=1, keepdims=True), sizes)
 
 
 def _metrics(avg, instance, config, started, iteration) -> RunRecord:
@@ -238,7 +229,8 @@ def self_play_run(instance: GameInstance, config: SolverConfig) -> SelfPlayResul
     """
     started = time.perf_counter()
     current = instance.reference
-    avg_rows = [row.copy() for row in current.rows]
+    sizes = instance.space.sizes
+    mean = current.packed.copy()  # running mean of the iterates
     seen = 1
     window: list[TabularPolicy] = [current]
 
@@ -264,11 +256,10 @@ def self_play_run(instance: GameInstance, config: SolverConfig) -> SelfPlayResul
             window.pop(0)
 
         seen += 1
-        for x, row in enumerate(current.rows):
-            avg_rows[x] += (row - avg_rows[x]) / seen
+        mean += (current.packed - mean) / seen
         if t % config.metric_stride == 0 or t == config.iterations:
-            avg = TabularPolicy(tuple(r / r.sum() for r in avg_rows))
+            avg = TabularPolicy._wrap(mean / mean.sum(axis=1, keepdims=True), sizes)
             records.append(_metrics(avg, instance, config, started, t))
 
-    average = TabularPolicy(tuple(r / r.sum() for r in avg_rows))
+    average = TabularPolicy._wrap(mean / mean.sum(axis=1, keepdims=True), sizes)
     return SelfPlayResult(current, average, RunLog(tuple(records)))

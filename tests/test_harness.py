@@ -477,22 +477,55 @@ def test_cli_run_bad_config_exits_2(paths, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+# A valid config per mode, which each case below breaks in one key.
+_VALID = {
+    "lossmin": {"eta": 0.5, "steps": 10},
+    "selfplay": {"eta": 0.5, "iterations": 2},
+    "rewardfit": {"comparisons": 10},
+    "presets": {"samples": 2},
+    "gap": {},
+}
+
+
 @pytest.mark.parametrize(
-    "key, value",
+    "mode, key, value",
     [
-        ("inits", 0),
-        ("n_players", 1),
-        ("eta", float("nan")),
-        ("eta", -0.5),
-        ("eta", 0.0),
-        ("eta", float("inf")),
-        ("steps", -1),
-        ("step_size", 0.0),
-        ("step_size", float("nan")),
+        # the lossmin cases keep their original ids
+        pytest.param("lossmin", key, value, id=f"{key}-{value}")
+        for key, value in [
+            ("inits", 0),
+            ("n_players", 1),
+            ("eta", float("nan")),
+            ("eta", -0.5),
+            ("eta", 0.0),
+            ("eta", float("inf")),
+            ("steps", -1),
+            ("step_size", 0.0),
+            ("step_size", float("nan")),
+        ]
+    ]
+    + [
+        pytest.param(mode, key, value, id=f"{mode}-{key}-{value}")
+        for mode, key, value in [
+            ("selfplay", "eta", float("nan")),
+            ("selfplay", "eta", -1.0),
+            ("selfplay", "iterations", -1),
+            ("selfplay", "n_players", 1),
+            ("selfplay", "metric_stride", 0),
+            ("selfplay", "tau", -1.0),
+            ("rewardfit", "comparisons", 0),
+            ("rewardfit", "pool_size", 0),
+            ("rewardfit", "steps", -1),
+            ("presets", "samples", 0),
+            ("gap", "n_players", 1),
+            ("gap", "tau", -1.0),
+        ]
     ],
 )
-def test_cli_run_lossmin_out_of_range_exits_2(paths, tmp_path, capsys, key, value):
-    doc = base_doc(paths, tmp_path, "lossmin", eta=0.5, steps=10)
+def test_cli_run_lossmin_out_of_range_exits_2(
+    paths, tmp_path, capsys, mode, key, value
+):
+    doc = base_doc(paths, tmp_path, mode, **_VALID[mode])
     doc[key] = value
     assert main(["run", write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
@@ -532,6 +565,27 @@ def test_cli_run_invalid_instance_exits_5(paths, tmp_path, capsys):
     assert "validation failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "gap"])
+@pytest.mark.parametrize("broken", ["not_json", "short_reference"])
+def test_cli_unreadable_instance_exits_5(paths, tmp_path, capsys, command, broken):
+    path = tmp_path / "instance.json"
+    if broken == "not_json":
+        path.write_text("{ not json")
+    else:
+        doc = json.loads(open(paths["rps"]).read())
+        doc["reference"] = [[0.5, 0.5]]
+        path.write_text(json.dumps(doc))
+    if command == "run":
+        doc = base_doc(paths, tmp_path, "gap")
+        doc["instance"] = str(path)
+        argv = ["run", write_config(tmp_path, doc)]
+    else:
+        argv = ["gap", str(path), "uniform"]
+    assert main(argv) == 5
+    err = capsys.readouterr().err
+    assert "validation failure" in err and "Traceback" not in err
+
+
 def test_cli_validate_ok(paths, capsys):
     assert main(["validate", paths["rps"]]) == 0
     assert capsys.readouterr().out.strip() == "ok"
@@ -569,6 +623,22 @@ def test_cli_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["bogus"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gap", "rps", "uniform", "--n", "1"],
+        ["gap", "rps", "uniform", "--tau", "-1"],
+        ["presets", "mixed", "--samples", "0"],
+    ],
+    ids=["gap-n-1", "gap-tau--1", "presets-samples-0"],
+)
+def test_cli_flags_out_of_range_exit_2(paths, capsys, argv):
+    argv = [argv[0], paths[argv[1]]] + argv[2:]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "expected a finite value" in err and "Traceback" not in err
 
 
 def test_cli_help_exits_0(capsys):

@@ -4,9 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_instance, random_policy
+from helpers import random_instance, random_policy, random_preference
 from prefgame import (
     GameInstance,
+    average_policy,
+    dual_gap_two_player,
+    exploitability_multiplayer,
+    multiplayer_objective,
+    mwu_step,
+    two_player_objective,
+    update_matching_loss,
     PairwisePreference,
     ResponseSpace,
     RewardTable,
@@ -73,6 +80,38 @@ def test_instance_shape_mismatch_rejected(rps):
             reference=short_ref,
             preference=rps.preference,
         )
+
+
+# Each call gets a (3, 5) instance, a policy that fits it and one with
+# counts (5, 3); padding to five responses alone would not tell them apart.
+_MISMATCHED_CALLS = {
+    "mwu_step": lambda inst, ok, bad: mwu_step([bad], inst, 0.5),
+    "two_player_objective": lambda inst, ok, bad: two_player_objective(bad, ok, inst),
+    "multiplayer_objective": lambda inst, ok, bad: multiplayer_objective(bad, [ok], inst),
+    "exploitability_multiplayer": lambda inst, ok, bad: exploitability_multiplayer(
+        bad, 2, inst
+    ),
+    "dual_gap_two_player": lambda inst, ok, bad: dual_gap_two_player(bad, inst),
+    "average_policy": lambda inst, ok, bad: average_policy([ok, bad]),
+    "update_matching_loss": lambda inst, ok, bad: update_matching_loss(
+        bad, inst, ok, [ok], 0.5
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_MISMATCHED_CALLS))
+def test_mismatched_response_counts_raise(rng, name):
+    sizes = (3, 5)
+    inst = GameInstance(
+        prompt_weights=np.array([0.5, 0.5]),
+        space=ResponseSpace(tuple(tuple(f"r{y}" for y in range(k)) for k in sizes)),
+        reference=random_policy(rng, sizes),
+        preference=random_preference(rng, sizes),
+    )
+    ok = random_policy(rng, sizes)
+    bad = random_policy(rng, sizes[::-1])
+    with pytest.raises(ValueError, match="prompt 0"):
+        _MISMATCHED_CALLS[name](inst, ok, bad)
 
 
 def test_uniform_and_point_mass_constructors(rps):

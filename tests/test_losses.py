@@ -310,6 +310,7 @@ def test_family_rejects_malformed_dataset(rng):
     inst = random_instance(rng)
     pol = random_policy(rng, inst.space.sizes)
     cfg = preset("dpo")
+    short = int(np.argmin(inst.space.sizes))
     bad = (
         [(0, 1), (0, 1), (0, 1)],  # pairs whose count divides by 3
         [(0, 1.0, 0)],  # float index
@@ -317,6 +318,8 @@ def test_family_rejects_malformed_dataset(rng):
         [(0, 1, 0), (0, 1)],  # ragged
         [(-1, 0, 1)],  # negative prompt
         [(0, -1, 0)],  # negative response
+        [(short, inst.space.sizes[short], 0)],  # response past its prompt's count
+        [(inst.num_prompts, 0, 1)],  # prompt past the last
     )
     for data in bad:
         with pytest.raises(ValueError):
@@ -485,6 +488,8 @@ def test_loss_config_validation():
         LossConfig(2, (0,), (1.0,), "bwd", -math.inf)
     with pytest.raises(ValueError, match="sum"):
         LossConfig(3, (0, "ref"), (0.8, 0.8), "sq", 0.0)
+    with pytest.raises(ValueError, match="weights"):
+        LossConfig(2, (0,), (float("nan"),), "sq", 0.0)
     with pytest.raises(ValueError, match="offsets"):
         LossConfig(2, (-1,), (1.0,), "sq", 0.0)
     with pytest.raises(ValueError, match="opponent name"):

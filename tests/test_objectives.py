@@ -18,6 +18,7 @@ from prefgame import (
     expected_win_rates,
     kl_divergence,
     mean_pairwise_one_vs_many,
+    mwu_step,
     multi_teacher_objective,
     multiplayer_objective,
     pl_one_vs_many,
@@ -152,6 +153,28 @@ def test_mean_pairwise_two_point_masses(rps):
     assert got == pytest.approx(want, abs=1e-15)
 
 
+def test_padded_tables_match_per_prompt_loops(rng):
+    # Uneven response counts pad every table; the padding must not leak.
+    for _ in range(20):
+        inst = random_instance(rng, num_prompts=4, max_responses=6)
+        p, q = (random_policy(rng, inst.space.sizes) for _ in range(2))
+        mats, w = inst.preference.matrices, inst.prompt_weights
+        win = expected_win_rates(inst, [p, q])
+        step = mwu_step([p, q], inst, 0.7)
+        for x, m in enumerate(mats):
+            k = len(m)
+            mean = (m @ p.rows[x] + m @ q.rows[x]) / 2
+            assert np.allclose(win[x][:k], mean, rtol=0, atol=1e-15)
+            assert np.all(win[x][k:] == 0.0)
+            logit = (np.log(p.rows[x]) + np.log(q.rows[x])) / 2 + 0.7 * mean
+            want = np.exp(logit - logit.max())
+            assert np.allclose(step.rows[x], want / want.sum(), rtol=0, atol=1e-14)
+        kl = sum(w[x] * np.sum(p.rows[x] * np.log(p.rows[x] / q.rows[x])) for x in range(4))
+        assert kl_divergence(p, q, inst) == pytest.approx(kl, abs=1e-14)
+        value = sum(w[x] * p.rows[x] @ m @ q.rows[x] for x, m in enumerate(mats))
+        assert two_player_objective(p, q, inst) == pytest.approx(value, abs=1e-14)
+
+
 def test_expected_win_rates_enumeration_cap(bt):
     uni = uniform_policy(bt.space)
     with pytest.raises(EnumerationCapExceeded) as err:
@@ -159,6 +182,22 @@ def test_expected_win_rates_enumeration_cap(bt):
     assert err.value.size > err.value.cap == 100
     # mean_pairwise never enumerates, so the same cap is harmless there
     expected_win_rates(bt, [uni] * 4, MEAN_PAIRWISE, max_tuples=100)
+
+
+def test_enumeration_cap_count_does_not_overflow():
+    # 12 responses against 17 opponents: 12**18 tuples, past int64, whose
+    # wrapped value would still be a positive number above the cap
+    space = ResponseSpace((tuple(f"r{y}" for y in range(12)),))
+    inst = GameInstance(
+        prompt_weights=np.array([1.0]),
+        space=space,
+        reference=uniform_policy(space),
+        preference=PairwisePreference((np.full((12, 12), 0.5),)),
+        reward=RewardTable((np.zeros(12),)),
+    )
+    with pytest.raises(EnumerationCapExceeded) as err:
+        expected_win_rates(inst, [inst.reference] * 17, PLACKETT_LUCE)
+    assert err.value.size == 12**18
 
 
 def test_expected_win_rates_pl_needs_rewards(rps):
