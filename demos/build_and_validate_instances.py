@@ -6,6 +6,7 @@ save/load preserves every float bit-for-bit.
 """
 
 import json
+import os
 import tempfile
 
 import numpy as np
@@ -79,16 +80,18 @@ def main():
 
     # round trip is value-exact, not approximate
     inst = mixed_instance()
-    with tempfile.NamedTemporaryFile(suffix=".json", mode="w", delete=False) as fh:
-        path = fh.name
-    save_instance(inst, path)
-    again = load_instance(path)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "mixed.json")
+        save_instance(inst, path)
+        again = load_instance(path)
+        with open(path) as fh:
+            kind = json.load(fh)["preference"]["kind"]
     same = all(
         np.array_equal(a, b)
         for a, b in zip(inst.preference.matrices, again.preference.matrices)
     )
     print(f"\nsave/load round trip bit-identical: {same}")
-    print(json.dumps(json.load(open(path))["preference"]["kind"]))
+    print(json.dumps(kind))
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """The whole pipeline through the command line, no Python API needed.
 
 Writes the bundled instances and a handful of experiment configs into a
-scratch directory, then drives everything through the `prefgame`
+temporary directory (removed at the end), then drives everything through the `prefgame`
 entry point: validate, self-play, gap reports, preset checks, and the
 byte-identical rerun guarantee.
 """
@@ -22,7 +22,11 @@ def run(argv):
 
 
 def main():
-    root = tempfile.mkdtemp(prefix="prefgame_demo_")
+    with tempfile.TemporaryDirectory(prefix="prefgame_demo_") as root:
+        pipeline(root)
+
+
+def pipeline(root):
     paths = write_bundled(os.path.join(root, "instances"))
     print(f"workspace: {root}")
 

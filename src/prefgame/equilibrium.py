@@ -8,7 +8,9 @@ support by construction.
 
 The diagnostics reduce a policy's equilibrium quality to a single number:
 the two-player duality gap, and for n players the unilateral-deviation
-exploitability against n - 1 copies of the policy.
+exploitability against n - 1 copies of the policy. A best response builds
+its one-vs-many win table once and keeps it, so exploitability values the
+held policy on the same table instead of enumerating the opponents again.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from .objectives import (
     Aggregator,
     ENUMERATION_CAP,
     MEAN_PAIRWISE,
+    _player_value,
     expected_win_rates,
-    multiplayer_objective,
     two_player_objective,
 )
 
@@ -32,10 +34,17 @@ from .objectives import (
 TIE_TOL = 1e-12
 
 
+class NegativeGapError(ArithmeticError):
+    """A best response scored below the policy it was meant to beat."""
+
+
 @dataclass(frozen=True, eq=False)
 class BestResponseResult:
+    """The response, its value, and the padded (P, K) win table it answers."""
+
     policy: TabularPolicy
     value: float
+    win: np.ndarray
 
 
 def best_response_unregularized(
@@ -54,10 +63,7 @@ def best_response_unregularized(
     policy = _softmax_policy(
         np.zeros_like(win), ties, instance.space.sizes, "reference support is empty"
     )
-    value = multiplayer_objective(
-        policy, opponents, instance, 0.0, aggregator, max_tuples
-    )
-    return BestResponseResult(policy, value)
+    return BestResponseResult(policy, _player_value(policy, win, instance, 0.0), win)
 
 
 def best_response_kl(
@@ -77,10 +83,7 @@ def best_response_kl(
     policy = _softmax_policy(
         logit, ref > 0.0, instance.space.sizes, "reference support is empty"
     )
-    value = multiplayer_objective(
-        policy, opponents, instance, tau, aggregator, max_tuples
-    )
-    return BestResponseResult(policy, value)
+    return BestResponseResult(policy, _player_value(policy, win, instance, tau), win)
 
 
 def _best_response(instance, opponents, tau, aggregator, max_tuples):
@@ -104,10 +107,7 @@ def dual_gap_two_player(
     br = _best_response(instance, [policy], tau, MEAN_PAIRWISE, ENUMERATION_CAP)
     high = two_player_objective(br.policy, policy, instance, tau)
     low = two_player_objective(policy, br.policy, instance, tau)
-    gap = high - low
-    if gap < -1e-10:
-        raise AssertionError(f"negative duality gap {gap}")
-    return max(gap, 0.0)
+    return _clipped_gap(high - low, "duality gap")
 
 
 def exploitability_multiplayer(
@@ -127,8 +127,12 @@ def exploitability_multiplayer(
         raise ValueError("need at least two players")
     others = [policy] * (n_players - 1)
     br = _best_response(instance, others, tau, aggregator, max_tuples)
-    held = multiplayer_objective(policy, others, instance, tau, aggregator, max_tuples)
-    gap = br.value - held
+    held = _player_value(policy, br.win, instance, tau)
+    return _clipped_gap(br.value - held, "exploitability")
+
+
+def _clipped_gap(gap: float, name: str) -> float:
+    # a gap this far below zero is a bug, not rounding
     if gap < -1e-10:
-        raise AssertionError(f"negative exploitability {gap}")
+        raise NegativeGapError(f"negative {name} {gap}")
     return max(gap, 0.0)

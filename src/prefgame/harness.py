@@ -71,6 +71,7 @@ from .objectives import Aggregator, MEAN_PAIRWISE, PLACKETT_LUCE
 from .equilibrium import dual_gap_two_player, exploitability_multiplayer
 from .solvers import OPPONENT_SCHEMES, SolverConfig, mwu_step, self_play_run
 from .reward_learning import (
+    _pool_shortfall,
     fit_pl_reward,
     generate_rankings,
     rankings_to_csv,
@@ -414,16 +415,21 @@ def compare_presets(
 
 def _run_selfplay(instance, config: ExperimentConfig) -> dict:
     p = config.params
-    solver = SolverConfig(
-        eta=p["eta"],
-        iterations=p["iterations"],
-        n_players=p["n_players"],
-        tau=p["tau"],
-        opponent_scheme=p["opponent_scheme"],
-        history_weights=p["history_weights"],
-        aggregator=_AGGREGATORS[p["aggregator"]],
-        metric_stride=p["metric_stride"],
-    )
+    # config_from_dict range-checks every other key the way SolverConfig
+    # does; only the history weights are left to it.
+    try:
+        solver = SolverConfig(
+            eta=p["eta"],
+            iterations=p["iterations"],
+            n_players=p["n_players"],
+            tau=p["tau"],
+            opponent_scheme=p["opponent_scheme"],
+            history_weights=p["history_weights"],
+            aggregator=_AGGREGATORS[p["aggregator"]],
+            metric_stride=p["metric_stride"],
+        )
+    except ValueError as err:
+        raise ConfigError(f"bad value for key 'history_weights': {err}") from err
     result = self_play_run(instance, solver)
     metrics = os.path.join(config.out_dir, "metrics.csv")
     final = os.path.join(config.out_dir, "policy_final.json")
@@ -498,6 +504,9 @@ def _run_rewardfit(instance, config: ExperimentConfig) -> dict:
         raise ValidationFailure(
             ["mode 'rewardfit' needs an instance with a reward table"]
         )
+    short = _pool_shortfall(instance, p["pool_size"])
+    if short is not None:
+        raise ConfigError(f"key 'pool_size' is too large: {short}")
     rng = derive_rng(config.seed, "rewardfit")
     data = generate_rankings(
         instance.reward, instance, p["comparisons"], p["pool_size"], rng

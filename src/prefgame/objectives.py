@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -143,20 +142,21 @@ def mean_pairwise_one_vs_many(
 def _pl_win_row(
     rewards_row: np.ndarray, opponents_rows: list[np.ndarray]
 ) -> np.ndarray:
-    """W[y] = E_{y_j ~ pi_j} [ e^{r_y} / (e^{r_y} + sum_j e^{r_{y_j}}) ]."""
-    r = rewards_row - rewards_row.max()
-    e = np.exp(r)
-    k = len(r)
-    supports = [np.flatnonzero(row > 0.0) for row in opponents_rows]
-    w = np.zeros(k)
-    for tup in product(*supports):
-        weight = 1.0
-        denom = 0.0
-        for row, y in zip(opponents_rows, tup):
-            weight *= row[y]
-            denom += e[y]
-        w += weight * (e / (e + denom))
-    return w
+    """W[y] = E_{y_j ~ pi_j} [ e^{r_y} / (e^{r_y} + sum_j e^{r_{y_j}}) ].
+
+    The opponents' joint weights and pooled denominators are flat arrays
+    over the product of their live supports, first opponent slowest; each
+    response then takes one dot product with them, so memory stays linear
+    in the tuple count.
+    """
+    e = np.exp(rewards_row - rewards_row.max())
+    weight = np.ones(1)
+    denom = np.zeros(1)
+    for row in opponents_rows:
+        live = np.flatnonzero(row > 0.0)
+        weight = np.multiply.outer(weight, row[live]).ravel()
+        denom = np.add.outer(denom, e[live]).ravel()
+    return np.array([weight @ (ey / (ey + denom)) for ey in e])
 
 
 def expected_win_rates(
@@ -231,6 +231,13 @@ def multiplayer_objective(
     to their own objectives.
     """
     win = expected_win_rates(instance, opponents, aggregator, max_tuples)
+    return _player_value(policy, win, instance, tau)
+
+
+def _player_value(
+    policy: TabularPolicy, win: np.ndarray, instance: GameInstance, tau: float
+) -> float:
+    """E_x E_{y ~ policy} win[x, y] - tau KL(policy || ref) for a built table."""
     total = _expect(policy, win, instance)
     if tau != 0.0:
         total -= tau * kl_divergence(policy, instance.reference, instance)

@@ -174,6 +174,17 @@ def fit_pl_reward(
     return FitResult(fitted, nll, gmax, gmax <= tol, taken)
 
 
+def _pool_shortfall(instance: GameInstance, pool_size: int) -> str | None:
+    """Why a drawable prompt cannot hold a pool plus its winner, else None."""
+    for x, k in enumerate(instance.space.sizes):
+        if instance.prompt_weights[x] > 0.0 and pool_size + 1 > k:
+            return (
+                f"pool of {pool_size} needs {pool_size + 1} responses, "
+                f"prompt {x} has {k}"
+            )
+    return None
+
+
 def generate_rankings(
     rewards: RewardTable,
     instance: GameInstance,
@@ -191,13 +202,10 @@ def generate_rankings(
         raise ValueError("pool_size must be at least 1")
     if rewards.num_prompts != instance.num_prompts:
         raise ValueError("rewards do not match the instance's prompt count")
+    short = _pool_shortfall(instance, pool_size)
+    if short is not None:
+        raise ValueError(short)
     group = pool_size + 1
-    for x, k in enumerate(instance.space.sizes):
-        if instance.prompt_weights[x] > 0.0 and group > k:
-            raise ValueError(
-                f"pool of {pool_size} needs {group} responses, "
-                f"prompt {x} has {k}"
-            )
     out = []
     weights = instance.prompt_weights
     for _ in range(count):

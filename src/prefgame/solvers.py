@@ -74,7 +74,7 @@ class SolverConfig:
             w = np.asarray(self.history_weights, dtype=np.float64)
             if len(w) != self.n_players - 1:
                 raise ValueError("need one history weight per opponent slot")
-            if np.any(w < 0.0) or np.any(w > 1.0):
+            if not np.all((w >= 0.0) & (w <= 1.0)):  # NaN fails too
                 raise ValueError("history weights must lie in [0, 1]")
             if w.sum() > 1.0 + 1e-12 or w.sum() <= 0.0:
                 raise ValueError("history weights must sum into (0, 1]")

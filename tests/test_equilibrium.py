@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
+import prefgame.equilibrium as equilibrium
+import prefgame.objectives as objectives
 from helpers import random_instance, random_policy
 from prefgame import (
     MEAN_PAIRWISE,
     PLACKETT_LUCE,
+    BestResponseResult,
     GameInstance,
+    NegativeGapError,
     PairwisePreference,
     best_response_kl,
     best_response_unregularized,
     dual_gap_two_player,
+    expected_win_rates,
     exploitability_multiplayer,
     multiplayer_objective,
     point_mass_policy,
@@ -200,3 +205,71 @@ def test_exploitability_pl_aggregator_runs(bt):
     uni = uniform_policy(bt.space)
     got = exploitability_multiplayer(uni, 3, bt, aggregator=PLACKETT_LUCE)
     assert got >= 0.0
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """Counts win-table builds through either module's binding."""
+    calls = []
+    original = objectives.expected_win_rates
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(objectives, "expected_win_rates", counted)
+    monkeypatch.setattr(equilibrium, "expected_win_rates", counted)
+    return calls
+
+
+@pytest.mark.parametrize("aggregator", [MEAN_PAIRWISE, PLACKETT_LUCE])
+@pytest.mark.parametrize("tau", [0.0, 0.3])
+def test_exploitability_builds_one_table(rng, table_builds, aggregator, tau):
+    for _ in range(5):
+        inst = random_instance(rng, max_responses=4)
+        pol = random_policy(rng, inst.space.sizes)
+        others = [pol] * 2
+        table_builds.clear()
+        got = exploitability_multiplayer(pol, 3, inst, tau, aggregator)
+        assert len(table_builds) == 1
+        br = equilibrium._best_response(
+            inst, others, tau, aggregator, objectives.ENUMERATION_CAP
+        )
+        old = br.value - multiplayer_objective(pol, others, inst, tau, aggregator)
+        assert got == pytest.approx(max(old, 0.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("aggregator", [MEAN_PAIRWISE, PLACKETT_LUCE])
+def test_best_responses_build_one_table(rng, table_builds, aggregator):
+    inst = random_instance(rng, max_responses=4)
+    opp = random_policy(rng, inst.space.sizes)
+    for tau in (0.0, 0.3):
+        table_builds.clear()
+        if tau == 0.0:
+            br = best_response_unregularized(inst, [opp, opp], aggregator)
+        else:
+            br = best_response_kl(inst, [opp, opp], tau, aggregator)
+        assert len(table_builds) == 1
+        assert np.array_equal(br.win, expected_win_rates(inst, [opp, opp], aggregator))
+        direct = multiplayer_objective(br.policy, [opp, opp], inst, tau, aggregator)
+        assert br.value == direct
+
+
+def test_negative_gap_raises_named_error(rps, monkeypatch):
+    # a "best response" that plays response 0, which loses outright to 2
+    loser = point_mass_policy(rps.space, [0])
+
+    def worse(instance, opponents, *args, **kwargs):
+        win = expected_win_rates(instance, opponents)
+        return BestResponseResult(
+            loser, multiplayer_objective(loser, opponents, instance), win
+        )
+
+    monkeypatch.setattr(equilibrium, "best_response_unregularized", worse)
+    winner = point_mass_policy(rps.space, [2])
+    with pytest.raises(NegativeGapError, match="negative exploitability"):
+        exploitability_multiplayer(winner, 2, rps)
+    with pytest.raises(NegativeGapError, match="negative duality gap"):
+        dual_gap_two_player(winner, rps)
+    assert issubclass(NegativeGapError, ArithmeticError)
+    assert not issubclass(NegativeGapError, AssertionError)

@@ -532,6 +532,42 @@ def test_cli_run_lossmin_out_of_range_exits_2(
     assert f"key '{key}'" in err and "Traceback" not in err
 
 
+def test_cli_run_rewardfit_pool_too_large_exits_2(paths, tmp_path, capsys):
+    # mixed has a two-response prompt; the default pool of 2 needs three
+    doc = base_doc(paths, tmp_path, "rewardfit", comparisons=10)
+    doc["instance"] = paths["mixed"]
+    assert main(["run", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "key 'pool_size'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "weights, n_players",
+    [
+        pytest.param([2.0], 2, id="above-one"),
+        pytest.param([-0.5], 2, id="negative"),
+        pytest.param([0.5, 0.5], 2, id="wrong-length"),
+        pytest.param([float("nan"), 0.5], 3, id="nan"),
+    ],
+)
+def test_cli_run_selfplay_bad_history_weights_exits_2(
+    paths, tmp_path, capsys, weights, n_players
+):
+    doc = base_doc(
+        paths,
+        tmp_path,
+        "selfplay",
+        eta=0.5,
+        iterations=2,
+        n_players=n_players,
+        opponent_scheme="history_window",
+        history_weights=weights,
+    )
+    assert main(["run", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "key 'history_weights'" in err and "Traceback" not in err
+
+
 def test_cli_run_missing_config_exits_3(capsys):
     assert main(["run", "/nonexistent/cfg.json"]) == 3
     assert "missing file" in capsys.readouterr().err

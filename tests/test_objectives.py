@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -198,6 +199,66 @@ def test_enumeration_cap_count_does_not_overflow():
     with pytest.raises(EnumerationCapExceeded) as err:
         expected_win_rates(inst, [inst.reference] * 17, PLACKETT_LUCE)
     assert err.value.size == 12**18
+
+
+def _sparse_policy(rng, sizes):
+    """Random rows with about 40% of the entries zeroed, each row still live."""
+    rows = []
+    for k in sizes:
+        row = rng.random(k) + 0.01
+        row[rng.random(k) < 0.4] = 0.0
+        if not row.any():
+            row[rng.integers(k)] = 1.0
+        rows.append(row / row.sum())
+    return policy_from_rows(rows)
+
+
+def test_pl_table_matches_brute_force_enumeration(rng):
+    # Each tuple is scored by pl_one_vs_many; the opponents draw from a
+    # second copy of the response set, so a pool may repeat the response.
+    for _ in range(15):
+        base = random_instance(rng, num_prompts=3, max_responses=5)
+        sizes = base.space.sizes
+        spread = rng.uniform(0.0, 30.0)
+        rewards = RewardTable(tuple(rng.uniform(-spread, spread, k) for k in sizes))
+        inst = GameInstance(
+            prompt_weights=base.prompt_weights,
+            space=base.space,
+            reference=base.reference,
+            preference=base.preference,
+            reward=rewards,
+        )
+        doubled = RewardTable(tuple(np.concatenate((r, r)) for r in rewards.rows))
+        opponents = [_sparse_policy(rng, sizes) for _ in range(rng.integers(1, 5))]
+        win = expected_win_rates(inst, opponents, PLACKETT_LUCE)
+        for x, k in enumerate(sizes):
+            supports = [np.flatnonzero(o.rows[x] > 0.0) for o in opponents]
+            for y in range(k):
+                want = 0.0
+                for tup in itertools.product(*supports):
+                    weight = math.prod(o.rows[x][j] for o, j in zip(opponents, tup))
+                    pool = [k + int(j) for j in tup]
+                    want += weight * pl_one_vs_many(doubled, x, y, pool)
+                assert abs(win[x, y] - want) <= 1e-13
+            assert np.all(win[x, k:] == 0.0)
+
+
+def test_pl_table_at_the_cap_splits_evenly():
+    # 10 responses, 6 opponents: 10 * 10**6 weighted tuples, exactly the cap
+    rng = np.random.default_rng(7)
+    space = ResponseSpace((tuple(f"r{y}" for y in range(10)),))
+    inst = GameInstance(
+        prompt_weights=np.array([1.0]),
+        space=space,
+        reference=uniform_policy(space),
+        preference=PairwisePreference((np.full((10, 10), 0.5),)),
+        reward=RewardTable((rng.normal(0.0, 3.0, 10),)),
+    )
+    row = rng.random(10) + 0.05
+    pol = policy_from_rows([row / row.sum()])
+    win = expected_win_rates(inst, [pol] * 6, PLACKETT_LUCE)
+    # seven exchangeable players: each wins with probability 1/7
+    assert float(pol.rows[0] @ win[0]) == pytest.approx(1.0 / 7.0, abs=1e-12)
 
 
 def test_expected_win_rates_pl_needs_rewards(rps):
