@@ -123,12 +123,25 @@ def exploitability_multiplayer(
     max_dev J(dev, policy, ..., policy) - J(policy, policy, ..., policy),
     clipped at zero. At n = 2 this is the one-sided two-player gap.
     """
+    return _exploitability_and_value(
+        policy, n_players, instance, tau, aggregator, max_tuples
+    )[0]
+
+
+def _exploitability_and_value(
+    policy, n_players, instance, tau, aggregator, max_tuples=ENUMERATION_CAP
+) -> tuple[float, float]:
+    """Exploitability and the held value J(policy, policy, ..., policy).
+
+    Both read the one win table the best response builds; the held value
+    equals multiplayer_objective against n - 1 copies of the policy.
+    """
     if n_players < 2:
         raise ValueError("need at least two players")
     others = [policy] * (n_players - 1)
     br = _best_response(instance, others, tau, aggregator, max_tuples)
     held = _player_value(policy, br.win, instance, tau)
-    return _clipped_gap(br.value - held, "exploitability")
+    return _clipped_gap(br.value - held, "exploitability"), held
 
 
 def _clipped_gap(gap: float, name: str) -> float:

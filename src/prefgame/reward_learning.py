@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import GameInstance, RewardTable, _unpack
+from .instances import GameInstance, RewardTable, _require_sizes, _unpack
 
 
 @dataclass(frozen=True)
@@ -42,17 +42,31 @@ class RankedComparison:
             raise ValueError(f"winner {self.winner} appears in its own pool")
 
 
-def _grouped_indices(
-    rewards: RewardTable, data: list[RankedComparison]
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Bucket comparisons by pool size for vectorized gathers.
+@dataclass(frozen=True, eq=False)
+class _IndexedComparisons:
+    """Comparisons validated once, as flat indices into RewardTable.packed.
 
-    Returns {pool_size: (prompts, columns)} where columns[:, 0] is the
-    winner and the rest are the pool. Index bounds are checked here so the
-    error can name the offending comparison.
+    `where` holds one int array per pool size, in order of first
+    appearance; each row is x * K + member for K the largest response
+    count, with the winner in column 0 and the pool after it.
     """
-    sizes = rewards.sizes
-    buckets: dict[int, tuple[list[int], list[list[int]]]] = {}
+
+    sizes: tuple[int, ...]
+    where: tuple[np.ndarray, ...]
+    count: int
+
+
+def _index_comparisons(
+    sizes: tuple[int, ...], data: list[RankedComparison]
+) -> _IndexedComparisons:
+    """Walk the comparison list once, checking bounds against `sizes`.
+
+    Index errors name the offending comparison.
+    """
+    if len(data) == 0:
+        raise ValueError("need at least one comparison")
+    width = max(sizes)
+    buckets: dict[int, list[list[int]]] = {}
     for i, c in enumerate(data):
         if not 0 <= c.prompt < len(sizes):
             raise ValueError(f"comparison {i}: prompt {c.prompt} out of range")
@@ -62,13 +76,17 @@ def _grouped_indices(
             raise ValueError(
                 f"comparison {i}: response out of range for prompt {c.prompt}"
             )
-        prompts, cols = buckets.setdefault(len(c.pool), ([], []))
-        prompts.append(c.prompt)
-        cols.append(list(members))
-    return {
-        size: (np.array(prompts), np.array(cols))
-        for size, (prompts, cols) in buckets.items()
-    }
+        base = c.prompt * width
+        buckets.setdefault(len(c.pool), []).append([base + y for y in members])
+    where = tuple(np.array(rows, dtype=np.intp) for rows in buckets.values())
+    return _IndexedComparisons(tuple(sizes), where, len(data))
+
+
+def _indexed(rewards: RewardTable, data) -> _IndexedComparisons:
+    if isinstance(data, _IndexedComparisons):
+        _require_sizes(rewards, data.sizes, "rewards")
+        return data
+    return _index_comparisons(rewards.sizes, data)
 
 
 def pl_nll(rewards: RewardTable, data: list[RankedComparison]) -> float:
@@ -78,16 +96,15 @@ def pl_nll(rewards: RewardTable, data: list[RankedComparison]) -> float:
     reward, computed max-shifted. Adding a constant to any prompt row
     leaves the value unchanged.
     """
-    if len(data) == 0:
-        raise ValueError("need at least one comparison")
-    flat, width = rewards.packed.ravel(), rewards.packed.shape[1]
+    indexed = _indexed(rewards, data)
+    flat = rewards.packed.ravel()
     total = 0.0
-    for prompts, cols in _grouped_indices(rewards, data).values():
-        scores = flat[prompts[:, None] * width + cols]
+    for where in indexed.where:
+        scores = flat[where]
         top = scores.max(axis=1)
         lse = top + np.log(np.exp(scores - top[:, None]).sum(axis=1))
         total += float(np.sum(lse - scores[:, 0]))
-    return total / len(data)
+    return total / indexed.count
 
 
 def pl_nll_gradient(
@@ -96,21 +113,24 @@ def pl_nll_gradient(
     """Gradient of pl_nll with respect to every reward entry.
 
     Per comparison the winner column receives softmax_share − 1 and each
-    pool column its softmax share; contributions accumulate by scatter-add
-    and the total is divided by the number of comparisons.
+    pool column its softmax share; contributions accumulate by one
+    np.bincount over the pool-size buckets in order, the sums the
+    per-entry np.add.at gave, and the total is divided by the number of
+    comparisons. `data` is a comparison list or the indexed form a fit
+    builds once.
     """
-    if len(data) == 0:
-        raise ValueError("need at least one comparison")
-    flat, width = rewards.packed.ravel(), rewards.packed.shape[1]
-    grad = np.zeros_like(flat)
-    for prompts, cols in _grouped_indices(rewards, data).values():
-        where = prompts[:, None] * width + cols
+    indexed = _indexed(rewards, data)
+    flat = rewards.packed.ravel()
+    shares = []
+    for where in indexed.where:
         scores = flat[where]
         shifted = np.exp(scores - scores.max(axis=1)[:, None])
         share = shifted / shifted.sum(axis=1)[:, None]
         share[:, 0] -= 1.0
-        np.add.at(grad, where, share)
-    grad /= len(data)
+        shares.append(share.ravel())
+    cells = np.concatenate([where.ravel() for where in indexed.where])
+    grad = np.bincount(cells, np.concatenate(shares), minlength=flat.size)
+    grad /= indexed.count
     return _unpack(grad.reshape(rewards.packed.shape), rewards.sizes)
 
 
@@ -139,7 +159,13 @@ def fit_pl_reward(
     legitimately never converges and simply returns converged=False with
     whatever the step budget reached. A non-finite objective aborts: it
     means the step size is too large for the data, not a model failure.
+    The comparison list is validated and indexed once, before the first
+    step.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
+    if not (np.isfinite(step_size) and step_size > 0.0):
+        raise ValueError(f"step_size must be positive and finite, got {step_size}")
     if init is None:
         rows = [np.zeros(k) for k in instance.space.sizes]
     else:
@@ -147,11 +173,12 @@ def fit_pl_reward(
             raise ValueError("init does not match the instance's response counts")
         rows = [r.copy() for r in init.rows]
     rows = [r - r.mean() for r in rows]
+    indexed = _index_comparisons(instance.space.sizes, data)
 
     gmax = np.inf
     taken = 0
     for t in range(steps):
-        grads = pl_nll_gradient(RewardTable(tuple(rows)), data)
+        grads = pl_nll_gradient(RewardTable(tuple(rows)), indexed)
         gmax = max(float(np.max(np.abs(g))) for g in grads)
         if not np.isfinite(gmax):
             raise FloatingPointError(
@@ -164,14 +191,18 @@ def fit_pl_reward(
         taken = t + 1
 
     fitted = RewardTable(tuple(rows))
-    nll = pl_nll(fitted, data)
+    nll = pl_nll(fitted, indexed)
     if not np.isfinite(nll):
         raise FloatingPointError(
             f"non-finite objective after {taken} steps; reduce step_size"
         )
-    grads = pl_nll_gradient(fitted, data)
+    grads = pl_nll_gradient(fitted, indexed)
     gmax = max(float(np.max(np.abs(g))) for g in grads)
     return FitResult(fitted, nll, gmax, gmax <= tol, taken)
+
+
+# The tolerance Generator.choice allows on the sum of its probabilities.
+_WEIGHT_TOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 def _pool_shortfall(instance: GameInstance, pool_size: int) -> str | None:
@@ -197,24 +228,40 @@ def generate_rankings(
     Each draw picks a prompt from the instance weights, `pool_size` + 1
     distinct responses uniformly, and the winner among them with softmax
     probability under `rewards`. Consumes three rng calls per draw.
+
+    The prompt and the winner are drawn as `rng.choice(n, p=p)` draws
+    them (one uniform, searched in the normalized cumulative sum), so the
+    stream is numpy's; the distributions are checked once up front rather
+    than on every call.
     """
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
     if pool_size < 1:
         raise ValueError("pool_size must be at least 1")
-    if rewards.num_prompts != instance.num_prompts:
-        raise ValueError("rewards do not match the instance's prompt count")
+    _require_sizes(rewards, instance.space.sizes, "rewards")
+    if not np.all(np.isfinite(rewards.packed)):
+        raise ValueError("rewards have non-finite entries")
+    weights = instance.prompt_weights
+    if not (np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= _WEIGHT_TOL):
+        raise ValueError("prompt_weights must be a probability distribution")
     short = _pool_shortfall(instance, pool_size)
     if short is not None:
         raise ValueError(short)
     group = pool_size + 1
+    sizes = instance.space.sizes
+    rows = rewards.rows
+    prompt_cdf = np.cumsum(weights)
+    prompt_cdf /= prompt_cdf[-1]
     out = []
-    weights = instance.prompt_weights
     for _ in range(count):
-        x = int(rng.choice(instance.num_prompts, p=weights))
-        picks = rng.choice(instance.space.sizes[x], size=group, replace=False)
-        r = rewards.rows[x][picks]
+        x = int(prompt_cdf.searchsorted(rng.random(), "right"))
+        picks = rng.choice(sizes[x], size=group, replace=False)
+        r = rows[x][picks]
         p = np.exp(r - r.max())
         p /= p.sum()
-        w = int(rng.choice(group, p=p))
+        cdf = np.cumsum(p)
+        cdf /= cdf[-1]
+        w = int(cdf.searchsorted(rng.random(), "right"))
         winner = int(picks[w])
         pool = tuple(int(y) for i, y in enumerate(picks) if i != w)
         out.append(RankedComparison(x, winner, pool))

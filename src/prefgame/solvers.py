@@ -25,14 +25,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .equilibrium import exploitability_multiplayer
+from .equilibrium import _exploitability_and_value
 from .instances import GameInstance, TabularPolicy, _require_sizes, _softmax_policy
-from .objectives import (
-    Aggregator,
-    MEAN_PAIRWISE,
-    kl_divergence,
-    multiplayer_objective,
-)
+from .objectives import Aggregator, MEAN_PAIRWISE, kl_divergence
 
 OPPONENT_SCHEMES = ("self_play_copies", "history_window")
 
@@ -203,17 +198,10 @@ def average_policy(
 
 
 def _metrics(avg, instance, config, started, iteration) -> RunRecord:
-    gap = exploitability_multiplayer(
+    gap, value = _exploitability_and_value(
         avg, config.n_players, instance, config.tau, config.aggregator
     )
     kl = kl_divergence(avg, instance.reference, instance)
-    value = multiplayer_objective(
-        avg,
-        [avg] * (config.n_players - 1),
-        instance,
-        config.tau,
-        config.aggregator,
-    )
     elapsed = (time.perf_counter() - started) * 1e3
     return RunRecord(iteration, gap, kl, value, elapsed)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import prefgame.reward_learning as reward_learning
 from helpers import fd_reward_gradient, max_grad_rel_error, random_instance
 from prefgame import (
     GameInstance,
@@ -142,6 +143,40 @@ def test_nll_out_of_range_indices_name_the_comparison():
 # gradient
 
 
+def _mixed_pool(inst, group, rng, count):
+    out = []
+    for _ in range(count):
+        x = int(rng.integers(0, inst.num_prompts))
+        k = inst.space.sizes[x]
+        picks = rng.choice(k, size=min(group + 1, k), replace=False)
+        out.append(RankedComparison(x, int(picks[0]), tuple(int(v) for v in picks[1:])))
+    return out
+
+
+def test_nll_gradient_scatter_matches_add_at(rng):
+    # np.bincount accumulates in input order, as np.add.at did: pool-size
+    # buckets in order of first appearance, comparisons in order within each
+    inst = random_instance(rng, num_prompts=3, max_responses=6)
+    data = [c for g in (1, 2, 1, 3) for c in _mixed_pool(inst, g, rng, 30)]
+    probe = RewardTable(tuple(rng.normal(size=k) for k in inst.space.sizes))
+    width = probe.packed.shape[1]
+    buckets = {}
+    for c in data:
+        cols = [c.prompt * width + y for y in (c.winner,) + c.pool]
+        buckets.setdefault(len(c.pool), []).append(cols)
+    want = np.zeros(probe.packed.size)
+    for cols in buckets.values():
+        where = np.array(cols)
+        s = probe.packed.ravel()[where]
+        e = np.exp(s - s.max(axis=1)[:, None])
+        share = e / e.sum(axis=1)[:, None]
+        share[:, 0] -= 1.0
+        np.add.at(want, where, share)
+    want = want.reshape(probe.packed.shape) / len(data)
+    for x, g in enumerate(pl_nll_gradient(probe, data)):
+        assert np.array_equal(g, want[x, : len(g)])
+
+
 def test_nll_gradient_matches_finite_differences(rng):
     for _ in range(5):
         inst = random_instance(rng, max_responses=4)
@@ -244,6 +279,78 @@ def test_fit_reports_final_state_consistently(rng):
     assert fit.converged == (fit.grad_norm <= 1e-6)
 
 
+def test_fit_walks_the_comparison_list_once(monkeypatch, rng):
+    inst = ladder_instance([0.8, 0.0, -0.8])
+    data = generate_rankings(inst.reward, inst, 200, 2, rng)
+    walks = []
+    original = reward_learning._index_comparisons
+
+    def spy(sizes, comparisons):
+        walks.append(len(comparisons))
+        return original(sizes, comparisons)
+
+    monkeypatch.setattr(reward_learning, "_index_comparisons", spy)
+    for steps in (0, 1, 40):
+        walks.clear()
+        fit = fit_pl_reward(data, inst, steps=steps, step_size=0.1)
+        assert fit.steps_taken == steps
+        assert walks == [200]
+
+
+def _uneven_instance(sizes, weights, rewards) -> GameInstance:
+    reward = RewardTable(tuple(np.asarray(r, dtype=np.float64) for r in rewards))
+    return GameInstance(
+        prompt_weights=np.asarray(weights, dtype=np.float64),
+        space=ResponseSpace(tuple(tuple(f"r{x}_{y}" for y in range(k))
+                                  for x, k in enumerate(sizes))),
+        reference=policy_from_rows([np.full(k, 1.0 / k) for k in sizes]),
+        preference=make_bt_oracle(reward),
+        reward=reward,
+    )
+
+
+def test_indexed_fit_matches_per_step_fit_on_the_list():
+    inst = _uneven_instance(
+        (3, 5, 2), (0.4, 0.4, 0.2),
+        ([0.3, -0.2, 0.0], [1.0, 0.5, 0.0, -0.5, -1.0], [0.2, -0.2]),
+    )
+    C = RankedComparison
+    data = [
+        C(1, 0, (3, 4)), C(0, 2, (1,)), C(1, 2, (0,)), C(2, 0, (1,)),
+        C(1, 1, (0, 2, 4)), C(0, 0, (1, 2)), C(1, 4, (3,)), C(2, 1, (0,)),
+        C(0, 1, (0,)), C(1, 0, (1, 2, 3, 4)), C(1, 3, (1, 2)), C(0, 0, (2,)),
+    ]
+    steps, step_size = 25, 1.5
+    fit = fit_pl_reward(data, inst, steps=steps, step_size=step_size)
+
+    rows = [np.zeros(k) for k in inst.space.sizes]
+    for _ in range(steps):
+        grads = pl_nll_gradient(RewardTable(tuple(rows)), data)
+        rows = [r - step_size * g for r, g in zip(rows, grads)]
+        rows = [r - r.mean() for r in rows]
+    want = RewardTable(tuple(rows))
+    assert fit.steps_taken == steps and not fit.converged
+    for got, ref in zip(fit.rewards.rows, want.rows):
+        assert np.array_equal(got, ref)
+    assert fit.final_nll == pl_nll(want, data)
+    grads = pl_nll_gradient(want, data)
+    assert fit.grad_norm == max(float(np.max(np.abs(g))) for g in grads)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"steps": -1}, "steps"),
+    ({"step_size": 0.0}, "step_size"),
+    ({"step_size": -2.0}, "step_size"),
+    ({"step_size": float("nan")}, "step_size"),
+    ({"step_size": float("inf")}, "step_size"),
+])
+def test_fit_rejects_bad_arguments_up_front(kwargs, match):
+    inst = two_response_instance(0.5, -0.5)
+    data = [RankedComparison(0, 0, (1,)), RankedComparison(0, 1, (0,))]
+    with pytest.raises(ValueError, match=match):
+        fit_pl_reward(data, inst, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # generation
 
@@ -283,6 +390,63 @@ def test_generate_rankings_pool_too_large():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="pool"):
         generate_rankings(inst.reward, inst, 10, 2, rng)
+
+
+def _choice_rankings(rewards, instance, count, pool_size, rng):
+    """generate_rankings as written with Generator.choice for every draw."""
+    out = []
+    for _ in range(count):
+        x = int(rng.choice(instance.num_prompts, p=instance.prompt_weights))
+        picks = rng.choice(instance.space.sizes[x], size=pool_size + 1, replace=False)
+        r = rewards.rows[x][picks]
+        p = np.exp(r - r.max())
+        p /= p.sum()
+        w = int(rng.choice(pool_size + 1, p=p))
+        pool = tuple(int(y) for i, y in enumerate(picks) if i != w)
+        out.append(RankedComparison(x, int(picks[w]), pool))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 104729])
+@pytest.mark.parametrize("pool_size", [1, 2, 3])
+def test_generate_rankings_match_generator_choice_draw_for_draw(seed, pool_size):
+    # uneven counts, a zero-weight prompt too small for the pool, and a
+    # prompt weight that puts a flat step in the cumulative sum
+    gen = np.random.default_rng(seed)
+    sizes = (4, 2, 6, 5, 3 + pool_size)
+    inst = _uneven_instance(
+        sizes, (0.3, 0.0, 0.45, 0.15, 0.1),
+        [gen.normal(0.0, 2.0, k) for k in sizes],
+    )
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = generate_rankings(inst.reward, inst, 400, pool_size, a)
+    want = _choice_rankings(inst.reward, inst, 400, pool_size, b)
+    assert got == want
+    assert a.bit_generator.state == b.bit_generator.state
+    assert all(c.prompt != 1 for c in got)
+
+
+@pytest.mark.parametrize("rows, match", [
+    ([np.zeros(3), np.zeros(5)], "prompt 0"),  # longer than prompt 0's count
+    ([np.zeros(2), np.zeros(4)], "prompt 1"),  # shorter than prompt 1's count
+    ([np.zeros(2)], "prompt 1"),  # missing a prompt
+])
+def test_generate_rankings_rejects_reward_rows_of_the_wrong_length(rows, match, rng):
+    inst = _uneven_instance((2, 5), (0.5, 0.5), ([0.0, 1.0], [0.0] * 5))
+    with pytest.raises(ValueError, match=match):
+        generate_rankings(RewardTable(tuple(rows)), inst, 10, 1, rng)
+
+
+def test_generate_rankings_rejects_bad_count_weights_and_rewards(bt, rng):
+    with pytest.raises(ValueError, match="count"):
+        generate_rankings(bt.reward, bt, -1, 1, rng)
+    inst = _uneven_instance((3,), (0.5,), ([0.0, 1.0, 2.0],))
+    with pytest.raises(ValueError, match="prompt_weights"):
+        generate_rankings(inst.reward, inst, 10, 1, rng)
+    bad = RewardTable((np.array([0.0, np.nan, 1.0]),))
+    inst = _uneven_instance((3,), (1.0,), ([0.0, 1.0, 2.0],))
+    with pytest.raises(ValueError, match="non-finite"):
+        generate_rankings(bad, inst, 10, 1, rng)
 
 
 def test_generate_rankings_are_deterministic_per_seed(bt):

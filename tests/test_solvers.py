@@ -3,13 +3,17 @@ import pytest
 
 from helpers import random_instance, random_policy
 from prefgame import (
+    MEAN_PAIRWISE,
+    PLACKETT_LUCE,
     GameInstance,
     PairwisePreference,
     RunLog,
     RunRecord,
     SolverConfig,
     average_policy,
+    exploitability_multiplayer,
     kl_divergence,
+    multiplayer_objective,
     mwu_step,
     point_mass_policy,
     policy_from_rows,
@@ -256,6 +260,23 @@ def test_self_play_final_matches_manual_iteration(rps):
     for _ in range(7):
         cur = mwu_step([cur], rps, 0.5)
     assert np.all(res.final.rows[0] == cur.rows[0])
+
+
+@pytest.mark.parametrize("aggregator", [MEAN_PAIRWISE, PLACKETT_LUCE])
+@pytest.mark.parametrize("tau", [0.0, 0.3])
+def test_self_play_metric_row_values_match_the_objectives(aggregator, tau):
+    # gap and value come from one best response; each must still equal the
+    # public function computed on its own
+    inst = random_instance(np.random.default_rng(31), num_prompts=3, max_responses=5)
+    cfg = SolverConfig(eta=0.5, iterations=6, n_players=3, tau=tau,
+                       aggregator=aggregator, metric_stride=6)
+    res = self_play_run(inst, cfg)
+    first, last = res.log.records
+    for record, avg in ((first, inst.reference), (last, res.average)):
+        value = multiplayer_objective(avg, [avg, avg], inst, tau, aggregator)
+        gap = exploitability_multiplayer(avg, 3, inst, tau, aggregator)
+        assert record.self_play_value - value == 0.0
+        assert record.gap - gap == 0.0
 
 
 def test_self_play_history_window_scheme_runs(rps):
