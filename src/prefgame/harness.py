@@ -19,13 +19,14 @@ plus mode-specific keys (defaults in brackets):
     gap         policy ["uniform" or a policy file path], tau [0.0],
                 n_players [2], aggregator [mean_pairwise]
 
-Unknown or missing keys, and numeric values out of range, raise
-ConfigError naming the key. The ranges: eta and step_size finite and
-> 0; tau finite and >= 0; n_players >= 2; iterations and steps >= 0;
-inits, metric_stride, samples, comparisons and pool_size >= 1. Reruns
-with an identical config write byte-identical files: every random draw
-flows from the root seed through named streams, floats are formatted the
-same way every time, and wall-clock timing is never written.
+Unknown or missing keys, numeric values out of range, and an out_dir
+that is or lies under a file raise ConfigError naming the key. The
+ranges: eta and step_size finite and > 0; tau finite and >= 0;
+n_players >= 2; iterations and steps >= 0; inits, metric_stride,
+samples, comparisons and pool_size >= 1. Reruns with an identical config
+write byte-identical files: every random draw flows from the root seed
+through named streams, floats are formatted the same way every time, and
+wall-clock timing is never written.
 
 Outputs per mode:
 
@@ -276,9 +277,16 @@ def _write_json(doc, path) -> None:
         fh.write("\n")
 
 
-def _load_checked_instance(path) -> GameInstance:
+def _require_file(path, what: str) -> None:
+    """FileNotFoundError unless `path` exists and is not a directory."""
+    if os.path.isdir(path):
+        raise FileNotFoundError(f"{what} path is a directory, not a file: {path}")
     if not os.path.exists(path):
-        raise FileNotFoundError(f"instance file not found: {path}")
+        raise FileNotFoundError(f"{what} file not found: {path}")
+
+
+def _load_checked_instance(path) -> GameInstance:
+    _require_file(path, "instance")
     try:
         instance = load_instance(path)
     except ValueError as err:  # includes json.JSONDecodeError
@@ -557,9 +565,12 @@ def gap_report(
     if policy_spec == "uniform":
         policy = uniform_policy(instance.space)
     else:
-        if not os.path.exists(policy_spec):
-            raise FileNotFoundError(f"policy file not found: {policy_spec}")
-        policy = load_policy(policy_spec)
+        _require_file(policy_spec, "policy")
+        try:
+            policy = load_policy(policy_spec)
+        except ValueError as err:  # includes json.JSONDecodeError
+            problem = f"cannot read policy {policy_spec}: {err}"
+            raise ValidationFailure([problem]) from err
         if policy.sizes != instance.space.sizes:
             raise ValidationFailure(
                 ["policy rows do not match the instance's response counts"]
@@ -616,11 +627,15 @@ def run_experiment(config) -> dict:
     rewrites them byte for byte.
     """
     if not isinstance(config, ExperimentConfig):
-        if not os.path.exists(config):
-            raise FileNotFoundError(f"config file not found: {config}")
+        _require_file(config, "config")
         config = load_config(config)
     instance = _load_checked_instance(config.instance)
-    os.makedirs(config.out_dir, exist_ok=True)
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as err:
+        raise ConfigError(
+            f"bad value for key 'out_dir': {config.out_dir} is or lies under a file"
+        ) from err
     summary = _RUNNERS[config.mode](instance, config)
     summary["mode"] = config.mode
     return summary

@@ -456,18 +456,31 @@ def save_instance(instance: GameInstance, path) -> None:
         fh.write("\n")
 
 
+def _field(key: str, build, value, kind=list):
+    """build(value) for file key `key`; a malformed value is a ValueError naming it."""
+    try:
+        if not isinstance(value, kind):
+            raise TypeError(f"expected a {kind.__name__}, got {type(value).__name__}")
+        return build(value)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"key '{key}': {err}") from None
+
+
 def _build_preference(doc: dict, space: ResponseSpace, reward) -> PairwisePreference:
+    if not isinstance(doc, dict):
+        raise ValueError("key 'preference' must be a JSON object")
     kind = doc.get("kind")
     if kind == "matrix":
         if "matrices" not in doc:
             raise ValueError("preference kind 'matrix' needs key 'matrices'")
-        return PairwisePreference(tuple(np.asarray(m) for m in doc["matrices"]))
+        return _field("preference.matrices", PairwisePreference, doc["matrices"])
     if kind == "cyclic":
         if "strength" not in doc:
             raise ValueError("preference kind 'cyclic' needs key 'strength'")
         if space.num_prompts != 1:
             raise ValueError("preference kind 'cyclic' covers single-prompt instances")
-        return make_cyclic_oracle(space.sizes[0], float(doc["strength"]))
+        strength = _field("preference.strength", float, doc["strength"], object)
+        return make_cyclic_oracle(space.sizes[0], strength)
     if kind == "bradley_terry":
         if reward is None:
             raise ValueError("preference kind 'bradley_terry' needs key 'rewards'")
@@ -485,13 +498,17 @@ def load_instance(path) -> GameInstance:
         if key not in doc:
             raise ValueError(f"instance file missing key '{key}'")
 
-    space = ResponseSpace(tuple(tuple(row) for row in doc["responses"]))
-    reference = policy_from_rows(doc["reference"])
+    space = _field(
+        "responses", lambda v: ResponseSpace(tuple(map(tuple, v))), doc["responses"]
+    )
+    reference = _field("reference", policy_from_rows, doc["reference"])
     reward = None
     if "rewards" in doc:
-        reward = RewardTable(tuple(np.asarray(r) for r in doc["rewards"]))
+        reward = _field("rewards", RewardTable, doc["rewards"])
     if "prompt_weights" in doc:
-        weights = np.asarray(doc["prompt_weights"], dtype=np.float64)
+        weights = _field(
+            "prompt_weights", lambda v: np.asarray(v, float), doc["prompt_weights"]
+        )
     else:
         n = space.num_prompts
         weights = np.full(n, 1.0 / n)
@@ -510,4 +527,4 @@ def load_policy(path) -> TabularPolicy:
         doc = json.load(fh)
     if not isinstance(doc, dict) or "rows" not in doc:
         raise ValueError("policy file missing key 'rows'")
-    return policy_from_rows(doc["rows"])
+    return _field("rows", policy_from_rows, doc["rows"])

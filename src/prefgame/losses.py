@@ -28,8 +28,8 @@ pair weights W[x, a, b]: in exact-expectation mode cur(a) * cur(b) * M[a, b]
 over distinct responses (an iid pair draw plus a Bernoulli winner), on an
 explicit dataset the share of (prompt, winner, loser) triples (x, a, b).
 
-Optimization works on per-prompt logits; the policy is the softmax over
-the reference support, so iterates never touch the boundary.
+Optimization works on packed logits; the loss reads log pi off them as a
+log-softmax over the reference support, so iterates never touch the boundary.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .instances import (
     _PerPrompt,
     _require_sizes,
     _softmax_policy,
-    _unpack,
 )
 from .objectives import expected_win_rates
 
@@ -124,7 +123,6 @@ class LossConfig:
     metric: str
     target: float | str
     eta: float = 1.0
-    tau: float = 0.0
     beta: float = 1.0
 
     def __post_init__(self):
@@ -164,8 +162,6 @@ class LossConfig:
             raise ValueError("eta must be positive and finite")
         if not (math.isfinite(self.beta) and self.beta > 0.0):
             raise ValueError("beta must be positive and finite")
-        if self.tau < 0.0:
-            raise ValueError("tau must be nonnegative")
 
 
 def preset(name: str, eta: float = 1.0, tau: float = 0.1, beta: float = 1.0) -> LossConfig:
@@ -173,13 +169,13 @@ def preset(name: str, eta: float = 1.0, tau: float = 0.1, beta: float = 1.0) -> 
 
     The scalar-target presets (ipo, inpo) and the reward-target preset
     (distill_dpo) store eta = 1 so the regression target is exactly the
-    advertised constant; sppo keeps eta as the target scale. inpo needs
-    0 < tau <= eta for its mixture weights to stay in [0, 1].
+    advertised constant; sppo keeps eta as the target scale. Only ipo and
+    inpo read tau; inpo needs 0 < tau <= eta for weights in [0, 1].
     """
     if name == "dpo":
-        return LossConfig(2, ("ref",), (1.0,), "bwd", math.inf, tau=tau, beta=beta)
+        return LossConfig(2, ("ref",), (1.0,), "bwd", math.inf, beta=beta)
     if name == "distill_dpo":
-        return LossConfig(2, ("ref",), (1.0,), "sq", "reward_gap", eta=1.0, tau=tau)
+        return LossConfig(2, ("ref",), (1.0,), "sq", "reward_gap", eta=1.0)
     if name == "simpo":
         return LossConfig(1, (), (), "bwd", math.inf, beta=beta)
     if name == "dno":
@@ -193,19 +189,12 @@ def preset(name: str, eta: float = 1.0, tau: float = 0.1, beta: float = 1.0) -> 
     if name == "ipo":
         if tau <= 0.0:
             raise ValueError("ipo needs tau > 0")
-        return LossConfig(2, ("ref",), (1.0,), "sq", 1.0 / (2.0 * tau), eta=1.0, tau=tau)
+        return LossConfig(2, ("ref",), (1.0,), "sq", 1.0 / (2.0 * tau), eta=1.0)
     if name == "inpo":
         if not 0.0 < tau <= eta:
             raise ValueError("inpo needs 0 < tau <= eta")
-        return LossConfig(
-            3,
-            (0, "ref"),
-            ((eta - tau) / eta, tau / eta),
-            "sq",
-            1.0 / (2.0 * tau),
-            eta=1.0,
-            tau=tau,
-        )
+        weights = ((eta - tau) / eta, tau / eta)
+        return LossConfig(3, (0, "ref"), weights, "sq", 1.0 / (2.0 * tau), eta=1.0)
     raise ValueError(f"unknown preset {name!r}")
 
 
@@ -328,17 +317,17 @@ def _pair_tables(instance, history, config, data):
     return touched, pair_w, offset, _targets(config, instance, opponents), factor
 
 
-def _evaluate(tables, config, policy, gradient=False):
+def _evaluate(tables, config, logs, gradient=False):
     """sum_x factor_x sum_ab W[x, a, b] metric(beta h_xab, target_xab).
 
-    h_xab = u_xa - u_xb with u = log pi - sum_j w_j log pi_j. With
-    `gradient` set it returns the (P, K) logit gradient instead: h_xab
-    moves with z_xa - z_xb, so a prompt's row is the row sums minus the
-    column sums of W * slope, times beta and the prompt factor.
+    u = logs - sum_j w_j log pi_j, logs the policy's log pi on the touched
+    mask, and h_xab = u_xa - u_xb. With `gradient` set it returns the (P, K)
+    logit gradient: h_xab moves with z_xa - z_xb, so a row is the row sums
+    minus the column sums of W * slope, times beta and the prompt factor.
     """
-    touched, pair_w, offset, target, factor = tables
+    _, pair_w, offset, target, factor = tables
     beta = config.beta if config.metric == "bwd" else 1.0
-    u = _logs(policy, touched, "policy") - offset
+    u = logs - offset
     margins = u[:, :, None] - u[:, None, :]
     if beta != 1.0:
         margins = beta * margins
@@ -366,7 +355,8 @@ def pair_margin_loss(
     loser) triples of nonnegative integer indices.
     """
     _require_sizes(policy, instance.space.sizes, "policy")
-    return _evaluate(_pair_tables(instance, history, config, data), config, policy)
+    tables = _pair_tables(instance, history, config, data)
+    return _evaluate(tables, config, _logs(policy, tables[0], "policy"))
 
 
 # ---------------------------------------------------------------------------
@@ -486,23 +476,43 @@ def logits_to_policy(logits: PolicyLogits, reference: TabularPolicy) -> TabularP
 class PairMarginProblem:
     """pair_margin_loss (exact or sampled) as a function of logits.
 
-    Everything but the policy is fixed, so the pair tables are built once.
+    Everything but the policy is fixed, so the pair tables and the support
+    checks run once. log pi is a log-softmax of the logits, which never
+    underflows to a zero probability however far apart the logits are.
     """
 
     def __init__(self, instance, history, config, data=None):
         self.instance = instance
         self.config = config
         self._tables = _pair_tables(instance, history, config, data)
+        self._live = instance.reference.packed > 0.0
+        dead = ~self._live.any(axis=1)
+        if dead.any():
+            raise ValueError(f"prompt {int(np.argmax(dead))}: no reference support")
+        outside = np.argwhere(self._tables[0] & ~self._live)
+        if len(outside):
+            x, y = (int(i) for i in outside[0])
+            raise SupportViolation(x, y, "pairs leave the reference support")
+
+    def _log_policy(self, logits: PolicyLogits) -> np.ndarray:
+        """log pi on the touched mask: z - max - log sum exp over the live entries."""
+        _require_sizes(logits, self.instance.space.sizes, "logits")
+        z = np.where(self._live, logits.packed, -np.inf)
+        z = z - z.max(axis=1, keepdims=True)
+        logs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        return np.where(self._tables[0], logs, 0.0)
 
     def policy(self, logits: PolicyLogits) -> TabularPolicy:
         return logits_to_policy(logits, self.instance.reference)
 
     def value(self, logits: PolicyLogits) -> float:
-        return _evaluate(self._tables, self.config, self.policy(logits))
+        return _evaluate(self._tables, self.config, self._log_policy(logits))
 
-    def gradient(self, logits: PolicyLogits) -> list[np.ndarray]:
-        grad = _evaluate(self._tables, self.config, self.policy(logits), gradient=True)
-        return list(_unpack(grad, self.instance.space.sizes))
+    def gradient(self, logits: PolicyLogits) -> PolicyLogits:
+        """d value / d logits, packed; a per-prompt logit shift leaves it unchanged."""
+        logs = self._log_policy(logits)
+        grad = _evaluate(self._tables, self.config, logs, gradient=True)
+        return PolicyLogits._wrap(grad, logits.sizes)
 
 
 class UpdateMatchingProblem(PairMarginProblem):
@@ -535,15 +545,6 @@ class ExternalMarginProblem(PairMarginProblem):
         super().__init__(instance, history, anchored, data)
 
 
-def loss_gradient(problem: PairMarginProblem, logits: PolicyLogits) -> list[np.ndarray]:
-    """Analytic gradient with respect to the logits.
-
-    Adding a per-prompt constant to the logits leaves it unchanged, since
-    only logit differences enter any margin.
-    """
-    return problem.gradient(logits)
-
-
 @dataclass(frozen=True, eq=False)
 class MinimizeResult:
     policy: TabularPolicy
@@ -568,31 +569,28 @@ def minimize_loss(
     trace, when given, is called as trace(accepted_steps, loss, grad_max)
     at the start and after every accepted proposal.
     """
-    rows = [row.copy() for row in init.rows]
-    z = PolicyLogits(tuple(rows))
+    z = init
     val = problem.value(z)
     grad = problem.gradient(z)
+    gmax = float(np.abs(grad.packed).max())
     step = float(step_size)
     taken = 0
     accepted = 0
     if trace is not None:
-        trace(0, val, max(float(np.max(np.abs(g))) for g in grad))
+        trace(0, val, gmax)
     for taken in range(1, steps + 1):
-        gmax = max(float(np.max(np.abs(g))) for g in grad)
         if gmax < 1e-13 or step < 1e-18:
             break
-        cand = PolicyLogits(
-            tuple(r - step * g for r, g in zip(z.rows, grad))
-        )
+        cand = PolicyLogits._wrap(z.packed - step * grad.packed, z.sizes)
         cand_val = problem.value(cand)
         if cand_val < val:
             z, val = cand, cand_val
             grad = problem.gradient(z)
+            gmax = float(np.abs(grad.packed).max())
             step *= 1.2
             accepted += 1
             if trace is not None:
-                trace(accepted, val, max(float(np.max(np.abs(g))) for g in grad))
+                trace(accepted, val, gmax)
         else:
             step *= 0.5
-    gmax = max(float(np.max(np.abs(g))) for g in grad)
     return MinimizeResult(problem.policy(z), z, val, gmax, taken)

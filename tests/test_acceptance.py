@@ -191,7 +191,7 @@ def test_criterion_06_gradient_integrity(capsys):
         )
         problem = PairMarginProblem(inst, history, cfg)
         z = PolicyLogits(tuple(rng.standard_normal(k) for k in inst.space.sizes))
-        analytic = problem.gradient(z)
+        analytic = problem.gradient(z).rows
         numeric = fd_logit_gradient(problem, z, step=1e-5)
         assert max_grad_rel_error(analytic, numeric) <= 1e-5
 

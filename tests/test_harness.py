@@ -680,3 +680,122 @@ def test_cli_flags_out_of_range_exit_2(paths, capsys, argv):
 def test_cli_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "prefgame" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract at the edges
+
+
+@pytest.mark.parametrize("eta", [3000.0, 1e4])
+@pytest.mark.parametrize("name", ["rps", "bt", "mixed"])
+def test_cli_lossmin_large_eta_reaches_the_update(paths, tmp_path, capsys, name, eta):
+    # softmax probabilities of the update underflow to zero at these step sizes
+    doc = base_doc(paths, tmp_path, "lossmin", eta=eta)
+    doc["instance"] = paths[name]
+    assert main(["run", write_config(tmp_path, doc)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["worst_gap_to_update"] <= 1e-10
+
+
+def _gap_argv(paths, tmp_path, command, policy):
+    if command == "gap":
+        return ["gap", paths["rps"], policy]
+    doc = base_doc(paths, tmp_path, "gap", policy=policy)
+    return ["run", write_config(tmp_path, doc)]
+
+
+@pytest.mark.parametrize("command", ["run", "gap"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{ not json",
+        json.dumps({"rows": [[[0.5, 0.25, 0.25]]]}),
+        json.dumps({"rows": ["abc"]}),
+        json.dumps({"rows": [["a", "b", "c"]]}),
+        json.dumps([[0.5, 0.25, 0.25]]),
+        json.dumps({"rows": 3}),
+        json.dumps({"rows": []}),
+    ],
+    ids=["not-json", "nested-rows", "string-row", "string-entries", "top-level-list",
+         "rows-number", "rows-empty"],
+)
+def test_cli_unreadable_policy_exits_5(paths, tmp_path, capsys, command, text):
+    path = tmp_path / "policy.json"
+    path.write_text(text)
+    assert main(_gap_argv(paths, tmp_path, command, str(path))) == 5
+    err = capsys.readouterr().err
+    assert "validation failure" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "gap"])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("responses", 7),
+        ("reference", 7),
+        ("rewards", 7),
+        ("preference.matrices", 7),
+        ("preference", [1, 2]),
+    ],
+    ids=["responses-number", "reference-number", "rewards-number",
+         "matrices-number", "preference-list"],
+)
+def test_cli_instance_key_of_the_wrong_type_exits_5(
+    paths, tmp_path, capsys, command, key, value
+):
+    doc = json.loads(open(paths["rps"]).read())
+    doc["rewards"] = [[0.0, 0.0, 0.0]]
+    if key == "preference.matrices":
+        doc["preference"]["matrices"] = value
+    else:
+        doc[key] = value
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    if command == "run":
+        run_doc = base_doc(paths, tmp_path, "gap")
+        run_doc["instance"] = str(path)
+        argv = ["run", write_config(tmp_path, run_doc)]
+    else:
+        argv = ["gap", str(path), "uniform"]
+    assert main(argv) == 5
+    err = capsys.readouterr().err
+    assert f"key '{key}'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, which",
+    [
+        ("run", "config"),
+        ("run", "instance"),
+        ("run", "policy"),
+        ("gap", "instance"),
+        ("gap", "policy"),
+        ("presets", "instance"),
+        ("validate", "instance"),
+    ],
+)
+def test_cli_directory_as_input_file_exits_3(paths, tmp_path, capsys, command, which):
+    folder = str(tmp_path / "folder")
+    (tmp_path / "folder").mkdir()
+    if which == "policy":
+        argv = _gap_argv(paths, tmp_path, command, folder)
+    elif command == "run":
+        doc = base_doc(paths, tmp_path, "gap")
+        doc["instance"] = folder
+        argv = ["run", folder if which == "config" else write_config(tmp_path, doc)]
+    else:
+        argv = [command, folder] + (["uniform"] if command == "gap" else [])
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "is a directory" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["is-a-file", "under-a-file"])
+def test_cli_out_dir_on_a_file_exits_2(paths, tmp_path, capsys, where):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    doc = base_doc(paths, tmp_path, "gap")
+    doc["out_dir"] = str(blocker if where == "is-a-file" else blocker / "out")
+    assert main(["run", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "key 'out_dir'" in err and "Traceback" not in err

@@ -22,7 +22,6 @@ from prefgame import (
     external_margin_loss,
     log_ratio_margin,
     logits_to_policy,
-    loss_gradient,
     minimize_loss,
     mwu_step,
     pair_margin_loss,
@@ -358,8 +357,8 @@ def test_named_losses_and_dataset_mode_are_family_configurations(rng):
         for loss, cls, cfg in pairs:
             want = pair_margin_loss(pol, [cur], cfg, inst)
             assert loss(pol, inst, cur, opps, eta) == pytest.approx(want, rel=1e-12)
-            got = cls(inst, cur, opps, eta).gradient(z)
-            ref = PairMarginProblem(inst, [cur], cfg).gradient(z)
+            got = cls(inst, cur, opps, eta).gradient(z).rows
+            ref = PairMarginProblem(inst, [cur], cfg).gradient(z).rows
             assert max_grad_rel_error(got, ref) <= 1e-12
 
         data = [
@@ -619,7 +618,7 @@ def test_analytic_gradient_matches_finite_differences(rng, kind):
         inst = random_instance(rng, num_prompts=1, max_responses=4)
         problem = make_problem(inst, rng, kind)
         z = PolicyLogits(tuple(rng.standard_normal(k) for k in inst.space.sizes))
-        analytic = loss_gradient(problem, z)
+        analytic = problem.gradient(z).rows
         numeric = fd_logit_gradient(problem, z, step=1e-6)
         assert max_grad_rel_error(analytic, numeric) <= 1e-6
 
@@ -630,8 +629,8 @@ def test_gradient_is_shift_invariant(rng):
     problem = UpdateMatchingProblem(inst, cur, [cur], 1.0)
     z = PolicyLogits(tuple(rng.standard_normal(k) for k in inst.space.sizes))
     shifted = PolicyLogits(tuple(r + 11.25 for r in z.rows))
-    a = loss_gradient(problem, z)
-    b = loss_gradient(problem, shifted)
+    a = problem.gradient(z).rows
+    b = problem.gradient(shifted).rows
     assert max(np.abs(x - y).max() for x, y in zip(a, b)) <= 1e-10
     assert problem.value(z) == pytest.approx(problem.value(shifted), rel=1e-10)
 
@@ -643,8 +642,54 @@ def test_gradient_vanishes_at_the_closed_form_minimizer(rng):
     problem = UpdateMatchingProblem(inst, cur, [cur], eta)
     nxt = mwu_step([cur], inst, eta)
     z = PolicyLogits((np.log(nxt.rows[0]),))
-    grad = loss_gradient(problem, z)
+    grad = problem.gradient(z).rows
     assert max(np.abs(g).max() for g in grad) <= 1e-8
+
+
+def _two_prompt_instance(reference_rows):
+    import prefgame
+
+    sizes = [len(r) for r in reference_rows]
+    return prefgame.GameInstance(
+        prompt_weights=np.full(len(sizes), 1.0 / len(sizes)),
+        space=prefgame.ResponseSpace(
+            tuple(tuple(f"r{y}" for y in range(k)) for k in sizes)
+        ),
+        reference=policy_from_rows(reference_rows),
+        preference=prefgame.PairwisePreference(
+            tuple(np.full((k, k), 0.5) for k in sizes)
+        ),
+    )
+
+
+def test_problem_rejects_pairs_off_the_reference_support_at_construction():
+    inst = _two_prompt_instance([[0.5, 0.5, 0.0], [0.5, 0.5]])
+    cur = policy_from_rows([[0.25, 0.25, 0.5], [0.5, 0.5]])
+    with pytest.raises(SupportViolation, match="reference support") as err:
+        PairMarginProblem(inst, [cur], preset("sppo"))
+    assert (err.value.prompt, err.value.response) == (0, 2)
+    with pytest.raises(SupportViolation, match="reference support"):
+        PairMarginProblem(inst, [cur], preset("simpo"), data=[(0, 2, 0)])
+    # pairs that stay on the support are fine
+    PairMarginProblem(inst, [cur], preset("simpo"), data=[(0, 1, 0)])
+
+
+def test_problem_rejects_a_prompt_without_reference_support_at_construction():
+    inst = _two_prompt_instance([[0.5, 0.5], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="prompt 1: no reference support"):
+        PairMarginProblem(inst, [inst.reference], preset("simpo"), data=[(0, 0, 1)])
+    with pytest.raises(ValueError, match="prompt 1: no reference support"):
+        PairMarginProblem(inst, [inst.reference], preset("simpo"))
+
+
+def test_problem_reads_wide_logit_spreads_without_underflow(rng):
+    # softmax would give the bottom response exactly zero probability here
+    inst = random_instance(rng, num_prompts=2, max_responses=4)
+    problem = UpdateMatchingProblem(inst, inst.reference, [inst.reference], 1.0)
+    z = PolicyLogits(tuple(2000.0 * np.arange(k) for k in inst.space.sizes))
+    assert np.any(logits_to_policy(z, inst.reference).packed[:, 0] == 0.0)
+    assert math.isfinite(problem.value(z))
+    assert np.all(np.isfinite(problem.gradient(z).packed))
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +705,41 @@ def test_minimize_zero_steps_returns_softmaxed_init(rng):
     want = logits_to_policy(z0, inst.reference)
     assert np.all(res.policy.rows[0] == want.rows[0])
     assert res.steps_taken == 0
+
+
+def test_minimize_calls_value_per_proposal_and_gradient_per_acceptance(
+    monkeypatch, rng
+):
+    import prefgame.losses as losses
+
+    inst = random_instance(rng, num_prompts=2, max_responses=4)
+    cur = random_policy(rng, inst.space.sizes)
+    problem = UpdateMatchingProblem(inst, cur, [cur], 0.9)
+    calls = {"value": 0, "gradient": 0, "logits_to_policy": 0}
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(problem, "value", spy("value", problem.value))
+    monkeypatch.setattr(problem, "gradient", spy("gradient", problem.gradient))
+    monkeypatch.setattr(
+        losses, "logits_to_policy", spy("logits_to_policy", losses.logits_to_policy)
+    )
+    z0 = PolicyLogits(tuple(5.0 * rng.standard_normal(k) for k in inst.space.sizes))
+    accepted = []
+    res = minimize_loss(problem, z0, steps=30, trace=lambda s, v, g: accepted.append(s))
+    # the gradient never reached the floor and 30 halvings cannot underflow
+    # the step, so every one of the 30 steps made a proposal
+    assert res.grad_max >= 1e-13 and res.steps_taken == 30
+    assert calls == {
+        "value": 1 + 30,
+        "gradient": 1 + (len(accepted) - 1),
+        "logits_to_policy": 1,
+    }
 
 
 def test_minimize_reaches_the_update_from_different_inits(rng):
