@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_pre.add_argument("instance", help="path to an instance file")
     p_pre.add_argument("--samples", type=_flag(int, 1), default=1000)
-    p_pre.add_argument("--seed", type=int, default=0)
+    p_pre.add_argument("--seed", type=_flag(int, 0), default=0)
     p_pre.set_defaults(func=_cmd_presets)
 
     p_gap = sub.add_parser(

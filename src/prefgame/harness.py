@@ -5,7 +5,7 @@ A run is described by one flat JSON config:
     mode        one of selfplay | lossmin | presets | rewardfit | gap
     instance    path to an instance file
     out_dir     directory for output files (created if missing)
-    seed        root seed for every stream, default 0
+    seed        root seed for every stream, an integer >= 0, default 0
 
 plus mode-specific keys (defaults in brackets):
 
@@ -166,6 +166,14 @@ def _weights_or_null(v):
 
 _REQUIRED = object()
 
+# keys every mode takes: (key, coercion, default); the caller has checked
+# that the keys without a default are present
+_COMMON = (
+    ("instance", _string, None),
+    ("out_dir", _string, None),
+    ("seed", _bounded(_integer, 0), 0),
+)
+
 # key -> (coercion, default); _REQUIRED means the mode insists on the key
 _SCHEMAS = {
     "selfplay": {
@@ -246,12 +254,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if key not in common and key not in schema:
             raise ConfigError(f"unknown key '{key}' for mode '{mode}'")
 
-    try:
-        instance = _string(doc["instance"])
-        out_dir = _string(doc["out_dir"])
-        seed = _integer(doc.get("seed", 0))
-    except TypeError as err:
-        raise ConfigError(f"bad value for a common key: {err}") from err
+    values = {}
+    for key, coerce, default in _COMMON:
+        try:
+            values[key] = coerce(doc.get(key, default))
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"bad value for common key '{key}': {err}") from err
 
     params = {}
     for key, (coerce, default) in schema.items():
@@ -264,7 +272,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             params[key] = coerce(doc[key])
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad value for key '{key}': {err}") from err
-    return ExperimentConfig(mode, instance, out_dir, seed, params)
+    return ExperimentConfig(mode, params=params, **values)
 
 
 # ---------------------------------------------------------------------------

@@ -466,6 +466,14 @@ def _field(key: str, build, value, kind=list):
         raise ValueError(f"key '{key}': {err}") from None
 
 
+def _response_space(rows: list) -> ResponseSpace:
+    """A ResponseSpace from label lists; a string row is not split into letters."""
+    for x, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise TypeError(f"row {x}: expected a list, got {type(row).__name__}")
+    return ResponseSpace(tuple(map(tuple, rows)))
+
+
 def _build_preference(doc: dict, space: ResponseSpace, reward) -> PairwisePreference:
     if not isinstance(doc, dict):
         raise ValueError("key 'preference' must be a JSON object")
@@ -498,9 +506,7 @@ def load_instance(path) -> GameInstance:
         if key not in doc:
             raise ValueError(f"instance file missing key '{key}'")
 
-    space = _field(
-        "responses", lambda v: ResponseSpace(tuple(map(tuple, v))), doc["responses"]
-    )
+    space = _field("responses", _response_space, doc["responses"])
     reference = _field("reference", policy_from_rows, doc["reference"])
     reward = None
     if "rewards" in doc:

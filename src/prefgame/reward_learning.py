@@ -15,6 +15,8 @@ as a semicolon-separated index list.
 from __future__ import annotations
 
 import csv
+import functools
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +91,15 @@ def _indexed(rewards: RewardTable, data) -> _IndexedComparisons:
     return _index_comparisons(rewards.sizes, data)
 
 
+def _row_max(scores: np.ndarray) -> np.ndarray:
+    """scores.max(axis=1), taken a column at a time.
+
+    numpy reduces along short rows one row per inner loop, which costs
+    more than the arithmetic; a maximum is exact in any order.
+    """
+    return functools.reduce(np.maximum, scores.T)
+
+
 def pl_nll(rewards: RewardTable, data: list[RankedComparison]) -> float:
     """Mean negative log-likelihood of each winner's softmax share.
 
@@ -101,7 +112,7 @@ def pl_nll(rewards: RewardTable, data: list[RankedComparison]) -> float:
     total = 0.0
     for where in indexed.where:
         scores = flat[where]
-        top = scores.max(axis=1)
+        top = _row_max(scores)
         lse = top + np.log(np.exp(scores - top[:, None]).sum(axis=1))
         total += float(np.sum(lse - scores[:, 0]))
     return total / indexed.count
@@ -124,7 +135,7 @@ def pl_nll_gradient(
     shares = []
     for where in indexed.where:
         scores = flat[where]
-        shifted = np.exp(scores - scores.max(axis=1)[:, None])
+        shifted = np.exp(scores - _row_max(scores)[:, None])
         share = shifted / shifted.sum(axis=1)[:, None]
         share[:, 0] -= 1.0
         shares.append(share.ravel())
@@ -141,6 +152,21 @@ class FitResult:
     grad_norm: float
     converged: bool
     steps_taken: int
+
+
+def _center(packed: np.ndarray, groups) -> np.ndarray:
+    """Subtract each prompt row's mean in place, one response count at a time.
+
+    `groups` pairs the prompts of one count k with k. A row sum over such
+    a block reads only the rows' own entries, and that sum over k is what
+    `r.mean()` computes, so every row gets the bits of `r - r.mean()`; a
+    masked sum over the padded rows would not, since the padding changes
+    numpy's summation order.
+    """
+    for prompts, k in groups:
+        block = packed[prompts, :k]
+        packed[prompts, :k] = block - block.sum(axis=1, keepdims=True) / k
+    return packed
 
 
 def fit_pl_reward(
@@ -160,45 +186,47 @@ def fit_pl_reward(
     whatever the step budget reached. A non-finite objective aborts: it
     means the step size is too large for the data, not a model failure.
     The comparison list is validated and indexed once, before the first
-    step.
+    step, and the rewards are stepped as one zero-padded array.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
     if not (np.isfinite(step_size) and step_size > 0.0):
         raise ValueError(f"step_size must be positive and finite, got {step_size}")
-    if init is None:
-        rows = [np.zeros(k) for k in instance.space.sizes]
-    else:
-        if init.sizes != instance.space.sizes:
+    sizes = instance.space.sizes
+    counts = np.array(sizes)
+    filled = np.arange(counts.max()) < counts[:, None]
+    packed = np.zeros(filled.shape)
+    if init is not None:
+        if init.sizes != sizes:
             raise ValueError("init does not match the instance's response counts")
-        rows = [r.copy() for r in init.rows]
-    rows = [r - r.mean() for r in rows]
-    indexed = _index_comparisons(instance.space.sizes, data)
+        packed[filled] = init.packed[filled]
+    groups = [(np.flatnonzero(counts == k), k) for k in np.unique(counts).tolist()]
+    rewards = RewardTable._wrap(_center(packed, groups), sizes)
+    indexed = _index_comparisons(sizes, data)
 
     gmax = np.inf
     taken = 0
     for t in range(steps):
-        grads = pl_nll_gradient(RewardTable(tuple(rows)), indexed)
-        gmax = max(float(np.max(np.abs(g))) for g in grads)
+        grad = np.concatenate(pl_nll_gradient(rewards, indexed))
+        gmax = float(np.max(np.abs(grad)))
         if not np.isfinite(gmax):
             raise FloatingPointError(
                 f"non-finite gradient at step {t}; reduce step_size"
             )
         if gmax <= tol:
             break
-        rows = [r - step_size * g for r, g in zip(rows, grads)]
-        rows = [r - r.mean() for r in rows]
+        packed = rewards.packed.copy()
+        packed[filled] -= step_size * grad
+        rewards = RewardTable._wrap(_center(packed, groups), sizes)
         taken = t + 1
 
-    fitted = RewardTable(tuple(rows))
-    nll = pl_nll(fitted, indexed)
+    nll = pl_nll(rewards, indexed)
     if not np.isfinite(nll):
         raise FloatingPointError(
             f"non-finite objective after {taken} steps; reduce step_size"
         )
-    grads = pl_nll_gradient(fitted, indexed)
-    gmax = max(float(np.max(np.abs(g))) for g in grads)
-    return FitResult(fitted, nll, gmax, gmax <= tol, taken)
+    gmax = float(np.max(np.abs(np.concatenate(pl_nll_gradient(rewards, indexed)))))
+    return FitResult(rewards, nll, gmax, gmax <= tol, taken)
 
 
 # The tolerance Generator.choice allows on the sum of its probabilities.
@@ -214,6 +242,29 @@ def _pool_shortfall(instance: GameInstance, pool_size: int) -> str | None:
                 f"prompt {x} has {k}"
             )
     return None
+
+
+def _comparisons(prompts, winners, pools, sizes) -> list[RankedComparison]:
+    """RankedComparisons built from draw arrays, checked in one pass.
+
+    With the pools nonempty (pool_size >= 1 is checked up front), the pass
+    proves of every row what RankedComparison.__post_init__ proves of one
+    (distinct pool responses, the winner outside its pool) and that each
+    response is in range for its prompt, so the objects are built
+    without re-running it.
+    """
+    members = np.sort(np.column_stack([winners, pools]), axis=1)
+    valid = (members[:, 0] >= 0) & (members[:, -1] < np.asarray(sizes)[prompts])
+    valid &= np.all(members[:, 1:] != members[:, :-1], axis=1)
+    if not valid.all():
+        raise ValueError(f"draw {int(np.argmin(valid))} is not a valid comparison")
+    out = []
+    new = object.__new__
+    for x, w, pool in zip(prompts.tolist(), winners.tolist(), pools.tolist()):
+        c = new(RankedComparison)
+        c.__dict__.update(prompt=x, winner=w, pool=tuple(pool))
+        out.append(c)
+    return out
 
 
 def generate_rankings(
@@ -232,7 +283,10 @@ def generate_rankings(
     The prompt and the winner are drawn as `rng.choice(n, p=p)` draws
     them (one uniform, searched in the normalized cumulative sum), so the
     stream is numpy's; the distributions are checked once up front rather
-    than on every call.
+    than on every call. Only the rng calls run per draw: the loop records
+    each prompt, its picks and the winner's uniform, and the winners are
+    then found for all draws at once, with the same bits as one draw at
+    a time.
     """
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
@@ -249,23 +303,33 @@ def generate_rankings(
         raise ValueError(short)
     group = pool_size + 1
     sizes = instance.space.sizes
-    rows = rewards.rows
     prompt_cdf = np.cumsum(weights)
     prompt_cdf /= prompt_cdf[-1]
-    out = []
-    for _ in range(count):
-        x = int(prompt_cdf.searchsorted(rng.random(), "right"))
-        picks = rng.choice(sizes[x], size=group, replace=False)
-        r = rows[x][picks]
-        p = np.exp(r - r.max())
-        p /= p.sum()
-        cdf = np.cumsum(p)
-        cdf /= cdf[-1]
-        w = int(cdf.searchsorted(rng.random(), "right"))
-        winner = int(picks[w])
-        pool = tuple(int(y) for i, y in enumerate(picks) if i != w)
-        out.append(RankedComparison(x, winner, pool))
-    return out
+    # bisect_right on the floats is searchsorted(..., "right")
+    prompt_cdf = prompt_cdf.tolist()
+    prompts = np.empty(count, dtype=np.intp)
+    picks = np.empty((count, group), dtype=np.intp)
+    uniforms = np.empty(count)
+    random, choice = rng.random, rng.choice
+    for i in range(count):
+        x = bisect_right(prompt_cdf, random())
+        prompts[i] = x
+        picks[i] = choice(sizes[x], size=group, replace=False)
+        uniforms[i] = random()
+
+    # each row as the single draw computed it: max-shifted softmax,
+    # normalized cumulative sum, right-side search of the uniform (the
+    # count of entries <= u, since a cumulative sum of shares never falls)
+    r = rewards.packed[prompts[:, None], picks]
+    p = np.exp(r - _row_max(r)[:, None])
+    p /= p.sum(axis=1, keepdims=True)
+    cdf = np.cumsum(p, axis=1)
+    cdf /= cdf[:, -1:]
+    won = np.count_nonzero(cdf <= uniforms[:, None], axis=1)
+    beaten = np.arange(group) != won[:, None]
+    winners = picks[np.arange(count), won]
+    pools = picks[beaten].reshape(count, pool_size)
+    return _comparisons(prompts, winners, pools, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -275,11 +339,14 @@ CSV_HEADER = ("prompt", "winner", "pool")
 
 
 def rankings_to_csv(data: list[RankedComparison], path) -> None:
+    """Write `prompt,winner,pool` rows, the bytes csv.writer writes.
+
+    No field can need quoting: every field is an integer or a
+    semicolon-joined list of integers.
+    """
+    rows = [f"{c.prompt},{c.winner},{';'.join(map(str, c.pool))}\n" for c in data]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for c in data:
-            writer.writerow([c.prompt, c.winner, ";".join(str(y) for y in c.pool)])
+        fh.write(",".join(CSV_HEADER) + "\n" + "".join(rows))
 
 
 def rankings_from_csv(path) -> list[RankedComparison]:

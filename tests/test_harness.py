@@ -122,6 +122,18 @@ def test_config_rejects_fractional_seed(paths, tmp_path):
         config_from_dict(doc)
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**40), True, "3"])
+def test_config_rejects_bad_seed_naming_it(paths, tmp_path, seed):
+    doc = base_doc(paths, tmp_path, "presets", seed=seed)
+    with pytest.raises(ConfigError, match="common key 'seed'"):
+        config_from_dict(doc)
+
+
+def test_config_accepts_a_large_seed(paths, tmp_path):
+    doc = base_doc(paths, tmp_path, "presets", seed=2**70)
+    assert config_from_dict(doc).seed == 2**70
+
+
 def test_config_aggregator_choices(paths, tmp_path):
     doc = base_doc(paths, tmp_path, "gap", aggregator="geometric")
     with pytest.raises(ConfigError, match="key 'aggregator'"):
@@ -677,6 +689,21 @@ def test_cli_flags_out_of_range_exit_2(paths, capsys, argv):
     assert "expected a finite value" in err and "Traceback" not in err
 
 
+def test_cli_run_negative_seed_exits_2(paths, tmp_path, capsys):
+    doc = base_doc(paths, tmp_path, "lossmin", eta=0.5, seed=-1)
+    assert main(["run", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "key 'seed'" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_presets_negative_seed_exits_2(paths, capsys):
+    assert main(["presets", paths["rps"], "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "expected a finite value >= 0" in err
+    assert "Traceback" not in err
+
+
 def test_cli_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "prefgame" in capsys.readouterr().out
@@ -760,6 +787,26 @@ def test_cli_instance_key_of_the_wrong_type_exits_5(
     assert main(argv) == 5
     err = capsys.readouterr().err
     assert f"key '{key}'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("rows", [["abc"], [["rock", "scissors", "paper"], "ab"]])
+def test_cli_string_response_row_exits_5(paths, tmp_path, capsys, command, rows):
+    # a string row used to load as one label per character
+    doc = json.loads(open(paths["rps"]).read())
+    doc["responses"] = rows
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    if command == "run":
+        run_doc = base_doc(paths, tmp_path, "gap")
+        run_doc["instance"] = str(path)
+        argv = ["run", write_config(tmp_path, run_doc)]
+    else:
+        argv = ["validate", str(path)]
+    assert main(argv) == 5
+    err = capsys.readouterr().err
+    assert "key 'responses'" in err and "expected a list" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,11 @@
+import csv
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prefgame.reward_learning as reward_learning
 from helpers import fd_reward_gradient, max_grad_rel_error, random_instance
@@ -337,6 +341,64 @@ def test_indexed_fit_matches_per_step_fit_on_the_list():
     assert fit.grad_norm == max(float(np.max(np.abs(g))) for g in grads)
 
 
+def _row_fit(data, instance, init=None, steps=300, step_size=2.0, tol=1e-6):
+    """fit_pl_reward as written with one array per prompt row."""
+    if init is None:
+        rows = [np.zeros(k) for k in instance.space.sizes]
+    else:
+        rows = [r.copy() for r in init.rows]
+    rows = [r - r.mean() for r in rows]
+    taken = 0
+    for t in range(steps):
+        grads = pl_nll_gradient(RewardTable(tuple(rows)), data)
+        gmax = max(float(np.max(np.abs(g))) for g in grads)
+        if gmax <= tol:
+            break
+        rows = [r - step_size * g for r, g in zip(rows, grads)]
+        rows = [r - r.mean() for r in rows]
+        taken = t + 1
+    fitted = RewardTable(tuple(rows))
+    grads = pl_nll_gradient(fitted, data)
+    gmax = max(float(np.max(np.abs(g))) for g in grads)
+    return fitted, pl_nll(fitted, data), gmax, taken
+
+
+@pytest.mark.parametrize("steps", [0, 1, 60])
+@pytest.mark.parametrize("with_init", [False, True])
+def test_packed_fit_matches_the_per_row_fit_to_the_bit(steps, with_init):
+    # uneven counts with two prompts sharing a count, pool sizes 1-3 mixed
+    gen = np.random.default_rng(31 + steps)
+    sizes = (4, 7, 3, 7, 12)
+    rewards = [gen.normal(0.0, 1.5, k) for k in sizes]
+    data = []
+    for pool_size in (1, 3, 2, 1):
+        weights = np.array([float(k > pool_size) for k in sizes])
+        source = _uneven_instance(sizes, weights / weights.sum(), rewards)
+        data += generate_rankings(source.reward, source, 150, pool_size, gen)
+    inst = _uneven_instance(sizes, (0.2,) * 5, rewards)
+    init = None
+    if with_init:
+        init = RewardTable(tuple(gen.normal(3.0, 2.0, k) for k in sizes))
+    fit = fit_pl_reward(data, inst, init=init, steps=steps, step_size=1.7)
+    want, nll, gmax, taken = _row_fit(data, inst, init, steps, step_size=1.7)
+    assert fit.rewards.sizes == want.sizes
+    assert np.array_equal(fit.rewards.packed, want.packed)
+    assert fit.final_nll == nll
+    assert fit.grad_norm == gmax
+    assert fit.steps_taken == taken == steps
+    assert fit.converged == (gmax <= 1e-6)
+
+
+def test_packed_fit_stops_where_the_per_row_fit_converges():
+    inst = ladder_instance([0.4, 0.0, -0.4])
+    data = generate_rankings(inst.reward, inst, 300, 2, np.random.default_rng(3))
+    fit = fit_pl_reward(data, inst, steps=400, step_size=2.0, tol=1e-5)
+    want, nll, gmax, taken = _row_fit(data, inst, None, 400, 2.0, tol=1e-5)
+    assert fit.converged and fit.steps_taken == taken < 400
+    assert np.array_equal(fit.rewards.packed, want.packed)
+    assert (fit.final_nll, fit.grad_norm) == (nll, gmax)
+
+
 @pytest.mark.parametrize("kwargs, match", [
     ({"steps": -1}, "steps"),
     ({"step_size": 0.0}, "step_size"),
@@ -426,6 +488,88 @@ def test_generate_rankings_match_generator_choice_draw_for_draw(seed, pool_size)
     assert all(c.prompt != 1 for c in got)
 
 
+@st.composite
+def _ranking_games(draw):
+    """A game with 1-6 prompts of 2-12 responses, some of zero weight.
+
+    Every prompt with weight holds a pool plus its winner; zero-weight
+    prompts may be smaller. Rewards are wide enough that some softmax
+    shares underflow to zero.
+    """
+    pool_size = draw(st.integers(1, 3))
+    prompts = draw(st.integers(1, 6))
+    sizes, weights = [], []
+    for x in range(prompts):
+        weight = draw(st.integers(0 if x else 1, 5))
+        sizes.append(draw(st.integers(pool_size + 1 if weight else 2, 12)))
+        weights.append(weight)
+    rewards = [
+        draw(st.lists(st.floats(-400.0, 400.0), min_size=k, max_size=k))
+        for k in sizes
+    ]
+    # the draws read only the rewards; a flat oracle keeps wide rewards finite
+    inst = GameInstance(
+        prompt_weights=np.array(weights) / sum(weights),
+        space=ResponseSpace(tuple(tuple(map(str, range(k))) for k in sizes)),
+        reference=policy_from_rows([np.full(k, 1.0 / k) for k in sizes]),
+        preference=PairwisePreference(tuple(np.full((k, k), 0.5) for k in sizes)),
+        reward=RewardTable(tuple(rewards)),
+    )
+    return inst, pool_size, draw(st.integers(0, 40)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_ranking_games())
+def test_generate_rankings_match_generator_choice_on_random_games(game):
+    inst, pool_size, count, seed = game
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = generate_rankings(inst.reward, inst, count, pool_size, a)
+    want = _choice_rankings(inst.reward, inst, count, pool_size, b)
+    assert got == want
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_generate_rankings_zero_count_draws_nothing(bt):
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    assert generate_rankings(bt.reward, bt, 0, 2, rng) == []
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("case, message", [
+    ("count", "count must be nonnegative, got -3"),
+    ("pool_size", "pool_size must be at least 1"),
+    ("weights", "prompt_weights must be a probability distribution"),
+    ("negative_weight", "prompt_weights must be a probability distribution"),
+    ("nan_reward", "rewards have non-finite entries"),
+    ("inf_reward", "rewards have non-finite entries"),
+    ("shortfall", "pool of 2 needs 3 responses, prompt 1 has 2"),
+])
+def test_generate_rankings_errors_are_unchanged(case, message):
+    sizes, weights, pool_size, count = (3, 2), (0.5, 0.5), 1, 10
+    rewards = [[0.0, 1.0, 2.0], [0.5, -0.5]]
+    if case == "count":
+        count = -3
+    elif case == "pool_size":
+        pool_size = 0
+    elif case == "weights":
+        weights = (0.5, 0.4)
+    elif case == "negative_weight":
+        weights = (1.5, -0.5)
+    elif case == "shortfall":
+        pool_size = 2
+    inst = _uneven_instance(sizes, weights, rewards)
+    table = inst.reward
+    if case.endswith("_reward"):
+        bad = np.nan if case == "nan_reward" else np.inf
+        table = RewardTable(([0.0, bad, 2.0], [0.5, -0.5]))
+    rng = np.random.default_rng(8)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate_rankings(table, inst, count, pool_size, rng)
+    assert rng.bit_generator.state == before
+
+
 @pytest.mark.parametrize("rows, match", [
     ([np.zeros(3), np.zeros(5)], "prompt 0"),  # longer than prompt 0's count
     ([np.zeros(2), np.zeros(4)], "prompt 1"),  # shorter than prompt 1's count
@@ -466,6 +610,22 @@ def test_rankings_csv_round_trip(tmp_path, bt, rng):
     assert rankings_from_csv(path) == data
     header = path.read_text().splitlines()[0]
     assert header == "prompt,winner,pool"
+
+
+@pytest.mark.parametrize("pool_size", [1, 2, 3])
+def test_rankings_csv_bytes_match_csv_writer(tmp_path, pool_size):
+    gen = np.random.default_rng(pool_size)
+    sizes = (4, 11, 6)
+    inst = _uneven_instance(sizes, (0.3, 0.5, 0.2), [gen.normal(size=k) for k in sizes])
+    data = generate_rankings(inst.reward, inst, 200, pool_size, gen)
+    path, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    rankings_to_csv(data, path)
+    with open(want, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("prompt", "winner", "pool"))
+        for c in data:
+            writer.writerow([c.prompt, c.winner, ";".join(str(y) for y in c.pool)])
+    assert path.read_bytes() == want.read_bytes()
 
 
 def test_rankings_csv_rejects_foreign_header(tmp_path):
