@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config or usage problem, 3 missing file,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .harness import (
@@ -118,10 +119,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() uses, built on the first call in a process.
+
+    parse_args leaves a parser unchanged, so in-process callers share one.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as err:
         # argparse exits 2 on usage errors and 0 on --help; keep its code
         return int(err.code or 0)

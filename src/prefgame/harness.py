@@ -281,8 +281,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 def _write_json(doc, path) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def _require_file(path, what: str) -> None:

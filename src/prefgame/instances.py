@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -71,6 +70,20 @@ def _unpack(packed: np.ndarray, sizes) -> tuple[np.ndarray, ...]:
     if packed.ndim == 2:
         return tuple(packed[x, :k] for x, k in enumerate(sizes))
     return tuple(packed[x, :k, :k] for x, k in enumerate(sizes))
+
+
+def _count_groups(sizes) -> list[tuple[np.ndarray, int]]:
+    """(prompt indices, k) for each distinct response count k, ascending.
+
+    Grouped in plain Python: np.unique would import numpy.ma on first use.
+    """
+    counts = np.array(sizes)
+    return [(np.flatnonzero(counts == k), k) for k in sorted(set(sizes))]
+
+
+def _live_rows(sizes, width: int) -> np.ndarray:
+    """(P, width) mask of each prompt's own entries in a padded array."""
+    return np.arange(width) < np.array(sizes)[:, None]
 
 
 def _require_sizes(table, sizes: tuple[int, ...], what: str) -> None:
@@ -269,21 +282,25 @@ def _softmax_policy(
 def make_bt_oracle(rewards: RewardTable) -> PairwisePreference:
     """Bradley-Terry oracle: a beats b with probability sigmoid(r_a - r_b).
 
-    The lower triangle is written as the exact complement of the upper one,
-    so M + M^T = 1 holds exactly, not just within tolerance.
+    The upper triangles of every prompt are one array op; the lower
+    triangle is written as the exact complement of the upper one, so
+    M + M^T = 1 holds exactly, not just within tolerance. A reward gap
+    past exp's range gives the limit 0.0 or 1.0 without a warning.
     """
-    mats = []
-    for row in rewards.rows:
-        if not np.all(np.isfinite(row)):
-            raise ValueError("rewards must be finite")
-        k = len(row)
-        m = np.full((k, k), 0.5)
-        for a, b in combinations(range(k), 2):
-            p = 1.0 / (1.0 + np.exp(-(row[a] - row[b])))
-            m[a, b] = p
-            m[b, a] = 1.0 - p
-        mats.append(m)
-    return PairwisePreference(tuple(mats))
+    r = rewards.packed
+    if not np.all(np.isfinite(r)):
+        raise ValueError("rewards must be finite")
+    k = r.shape[1]
+    upper, lower = np.triu_indices(k, 1)
+    with np.errstate(over="ignore"):
+        p = 1.0 / (1.0 + np.exp(-(r[:, upper] - r[:, lower])))
+    m = np.empty((len(r), k, k))
+    m[:, upper, lower] = p
+    m[:, lower, upper] = 1.0 - p
+    m[:, range(k), range(k)] = 0.5
+    live = _live_rows(rewards.sizes, k)
+    m[~(live[:, :, None] & live[:, None, :])] = 0.0
+    return PairwisePreference._wrap(m, rewards.sizes)
 
 
 def make_cyclic_oracle(k: int, strength: float) -> PairwisePreference:
@@ -361,23 +378,71 @@ def sample_preference_dataset(
 # validation
 
 
+def _row_sums(packed: np.ndarray, sizes) -> np.ndarray:
+    """Each prompt row's sum with the bits of `row.sum()`.
+
+    Summed one response count at a time, over the rows' own entries only:
+    a sum over the padded rows would change numpy's summation order.
+    """
+    sums = np.empty(len(packed))
+    for prompts, k in _count_groups(sizes):
+        sums[prompts] = packed[prompts, :k].sum(axis=1)
+    return sums
+
+
 def _policy_violations(policy: TabularPolicy, tag: str) -> list[str]:
+    p = policy.packed
+    finite = np.isfinite(p).all(axis=1)
+    p = np.where(finite[:, None], p, 0.0)  # a non-finite row reports only that
+    sums = _row_sums(p, policy.sizes)
+    negative = (p < 0.0).any(axis=1)
+    unnormalized = np.abs(sums - 1.0) > NORMALIZATION_TOL
+    empty = ~(p > 0.0).any(axis=1)
     bad = []
-    for x, row in enumerate(policy.rows):
-        if not np.all(np.isfinite(row)):
+    for x in np.flatnonzero(~finite | negative | unnormalized | empty).tolist():
+        if not finite[x]:
             bad.append(f"{tag} row {x} has non-finite entries")
             continue
-        if np.any(row < 0.0):
+        if negative[x]:
             bad.append(f"{tag} row {x} has negative entries")
-        if abs(row.sum() - 1.0) > NORMALIZATION_TOL:
-            bad.append(f"{tag} row {x} normalization: sums to {float(row.sum())!r}")
-        if not np.any(row > 0.0):
+        if unnormalized[x]:
+            bad.append(f"{tag} row {x} normalization: sums to {float(sums[x])!r}")
+        if empty[x]:
             bad.append(f"{tag} row {x} has empty support")
     return bad
 
 
+def _preference_violations(preference: PairwisePreference) -> list[str]:
+    m = preference.packed
+    k = m.shape[1]
+    ok = np.isfinite(m)
+    finite = ok.all(axis=(1, 2))
+    m = np.where(ok, m, 0.0)  # a non-finite matrix reports only that
+    live = _live_rows(preference.sizes, k)
+    outside = ((m < 0.0) | (m > 1.0)).any(axis=(1, 2))
+    skew = np.abs(m + m.transpose(0, 2, 1) - 1.0) > NORMALIZATION_TOL
+    skew = (skew & live[:, :, None] & live[:, None, :]).any(axis=(1, 2))
+    diagonal = ((m[:, range(k), range(k)] != 0.5) & live).any(axis=1)
+    bad = []
+    for x in np.flatnonzero(~finite | outside | skew | diagonal).tolist():
+        if not finite[x]:
+            bad.append(f"preference matrix {x} has non-finite entries")
+            continue
+        if outside[x]:
+            bad.append(f"preference matrix {x} has entries outside [0, 1]")
+        if skew[x]:
+            bad.append(f"preference matrix {x} breaks M + M^T = 1")
+        if diagonal[x]:
+            bad.append(f"preference matrix {x} diagonal is not exactly 0.5")
+    return bad
+
+
 def validate_instance(instance: GameInstance) -> list[str]:
-    """Check every value-level invariant; returns violations, empty if ok."""
+    """Check every value-level invariant; returns violations, empty if ok.
+
+    Each check is one array op over the padded tables; messages are built
+    only for the prompts that fail one.
+    """
     bad = []
 
     w = instance.prompt_weights
@@ -394,22 +459,12 @@ def validate_instance(instance: GameInstance) -> list[str]:
             bad.append(f"prompt {x} has fewer than two responses")
 
     bad.extend(_policy_violations(instance.reference, "reference"))
-
-    for x, m in enumerate(instance.preference.matrices):
-        if not np.all(np.isfinite(m)):
-            bad.append(f"preference matrix {x} has non-finite entries")
-            continue
-        if np.any(m < 0.0) or np.any(m > 1.0):
-            bad.append(f"preference matrix {x} has entries outside [0, 1]")
-        if np.max(np.abs(m + m.T - 1.0)) > NORMALIZATION_TOL:
-            bad.append(f"preference matrix {x} breaks M + M^T = 1")
-        if np.any(np.diag(m) != 0.5):
-            bad.append(f"preference matrix {x} diagonal is not exactly 0.5")
+    bad.extend(_preference_violations(instance.preference))
 
     if instance.reward is not None:
-        for x, row in enumerate(instance.reward.rows):
-            if not np.all(np.isfinite(row)):
-                bad.append(f"reward row {x} has non-finite entries")
+        finite = np.isfinite(instance.reward.packed).all(axis=1)
+        for x in np.flatnonzero(~finite).tolist():
+            bad.append(f"reward row {x} has non-finite entries")
 
     return bad
 
@@ -522,10 +577,23 @@ def load_instance(path) -> GameInstance:
     return GameInstance(weights, space, reference, preference, reward)
 
 
+# json's spellings of the floats that repr writes as nan, inf and -inf
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_row(row: np.ndarray) -> str:
+    """A list of floats as json.dumps(..., indent=1) writes it two levels deep."""
+    if len(row) == 0:
+        return "[]"
+    items = [_JSON_NONFINITE.get(s, s) for s in map(float.__repr__, row.tolist())]
+    return "[\n   " + ",\n   ".join(items) + "\n  ]"
+
+
 def save_policy(policy: TabularPolicy, path) -> None:
+    """Write {"rows": ...} with the bytes of json.dumps(..., indent=1), in one write."""
+    rows = ",\n  ".join(map(_json_row, policy.rows))
     with open(path, "w") as fh:
-        json.dump({"rows": [r.tolist() for r in policy.rows]}, fh, indent=1)
-        fh.write("\n")
+        fh.write('{\n "rows": [\n  ' + rows + "\n ]\n}\n")
 
 
 def load_policy(path) -> TabularPolicy:

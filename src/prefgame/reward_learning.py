@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import GameInstance, RewardTable, _require_sizes, _unpack
+from .instances import (
+    GameInstance,
+    RewardTable,
+    _count_groups,
+    _live_rows,
+    _require_sizes,
+    _unpack,
+)
 
 
 @dataclass(frozen=True)
@@ -193,14 +200,13 @@ def fit_pl_reward(
     if not (np.isfinite(step_size) and step_size > 0.0):
         raise ValueError(f"step_size must be positive and finite, got {step_size}")
     sizes = instance.space.sizes
-    counts = np.array(sizes)
-    filled = np.arange(counts.max()) < counts[:, None]
+    filled = _live_rows(sizes, max(sizes))
     packed = np.zeros(filled.shape)
     if init is not None:
         if init.sizes != sizes:
             raise ValueError("init does not match the instance's response counts")
         packed[filled] = init.packed[filled]
-    groups = [(np.flatnonzero(counts == k), k) for k in np.unique(counts).tolist()]
+    groups = _count_groups(sizes)
     rewards = RewardTable._wrap(_center(packed, groups), sizes)
     indexed = _index_comparisons(sizes, data)
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from prefgame import (
+    NORMALIZATION_TOL,
     GameInstance,
     PairwisePreference,
     ResponseSpace,
@@ -106,3 +107,73 @@ def random_instance(
         preference=random_preference(rng, sizes),
         reward=reward,
     )
+
+
+def _reference_policy_violations(rows, tag: str) -> list[str]:
+    bad = []
+    for x, row in enumerate(rows):
+        if not np.all(np.isfinite(row)):
+            bad.append(f"{tag} row {x} has non-finite entries")
+            continue
+        if np.any(row < 0.0):
+            bad.append(f"{tag} row {x} has negative entries")
+        if abs(row.sum() - 1.0) > NORMALIZATION_TOL:
+            bad.append(f"{tag} row {x} normalization: sums to {float(row.sum())!r}")
+        if not np.any(row > 0.0):
+            bad.append(f"{tag} row {x} has empty support")
+    return bad
+
+
+def reference_validate_instance(instance: GameInstance) -> list[str]:
+    """validate_instance written one prompt and one check at a time.
+
+    Independent of the packed-array checks in prefgame.instances on
+    purpose: the property test asks both for the same message list.
+    """
+    bad = []
+
+    w = instance.prompt_weights
+    if not np.all(np.isfinite(w)):
+        bad.append("prompt_weights has non-finite entries")
+    else:
+        if np.any(w < 0.0):
+            bad.append("prompt_weights has negative entries")
+        if abs(w.sum() - 1.0) > NORMALIZATION_TOL:
+            bad.append(f"prompt_weights normalization: sums to {float(w.sum())!r}")
+
+    for x, k in enumerate(instance.space.sizes):
+        if k < 2:
+            bad.append(f"prompt {x} has fewer than two responses")
+
+    bad.extend(_reference_policy_violations(instance.reference.rows, "reference"))
+
+    for x, m in enumerate(instance.preference.matrices):
+        if not np.all(np.isfinite(m)):
+            bad.append(f"preference matrix {x} has non-finite entries")
+            continue
+        if np.any(m < 0.0) or np.any(m > 1.0):
+            bad.append(f"preference matrix {x} has entries outside [0, 1]")
+        if np.max(np.abs(m + m.T - 1.0)) > NORMALIZATION_TOL:
+            bad.append(f"preference matrix {x} breaks M + M^T = 1")
+        if np.any(np.diag(m) != 0.5):
+            bad.append(f"preference matrix {x} diagonal is not exactly 0.5")
+
+    if instance.reward is not None:
+        for x, row in enumerate(instance.reward.rows):
+            if not np.all(np.isfinite(row)):
+                bad.append(f"reward row {x} has non-finite entries")
+
+    return bad
+
+
+def reference_bt_matrix(row: np.ndarray) -> np.ndarray:
+    """Bradley-Terry matrix of one reward row, one pair at a time."""
+    k = len(row)
+    m = np.full((k, k), 0.5)
+    for a in range(k):
+        for b in range(a + 1, k):
+            with np.errstate(over="ignore"):  # exp(inf) gives the limit 0.0
+                p = 1.0 / (1.0 + np.exp(-(row[a] - row[b])))
+            m[a, b] = p
+            m[b, a] = 1.0 - p
+    return m

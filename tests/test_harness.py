@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from prefgame import (
     save_policy,
     write_bundled,
 )
+from prefgame import cli
 from prefgame.cli import main
 from prefgame.harness import MODES
 from prefgame.instances import RewardTable
@@ -671,6 +675,45 @@ def test_cli_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["bogus"]) == 2
     capsys.readouterr()
+
+
+def test_cli_main_reuses_its_parser_across_calls(paths, capsys):
+    assert main(["validate", paths["rps"]]) == 0
+    assert main(["gap", paths["rps"], "uniform", "--n"]) == 2
+    assert main(["gap", paths["rps"], "uniform"]) == 0
+    assert cli._parser() is cli._parser()
+    out = capsys.readouterr().out
+    assert out.startswith("ok\n") and "exploitability" in out
+
+
+_MODULES_AFTER_EACH_RUN = """
+import json, sys
+from prefgame.cli import main
+seen = {}
+for mode, config in json.loads(sys.argv[1]):
+    seen[mode] = [main(["run", config]), "numpy.ma" in sys.modules]
+print(json.dumps(seen))
+"""
+
+
+def test_cli_runs_never_import_numpy_ma(paths, tmp_path):
+    # numpy.ma costs 12-14 ms to import; np.unique is one call that pulls it in
+    configs = []
+    for mode in ("selfplay", "gap", "lossmin", "rewardfit"):
+        doc = base_doc(paths, tmp_path / mode, mode, **_VALID[mode])
+        doc["instance"] = paths["mixed"]  # uneven response counts, rewards
+        if mode == "rewardfit":
+            doc["pool_size"] = 1  # the mixed game's third prompt has two responses
+        path = tmp_path / f"{mode}.json"
+        path.write_text(json.dumps(doc))
+        configs.append((mode, str(path)))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_AFTER_EACH_RUN, json.dumps(configs)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {mode: [0, False] for mode, _ in configs}
 
 
 @pytest.mark.parametrize(

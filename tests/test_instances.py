@@ -1,10 +1,19 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_instance, random_policy, random_preference
+from helpers import (
+    random_instance,
+    random_policy,
+    random_preference,
+    reference_bt_matrix,
+    reference_validate_instance,
+)
 from prefgame import (
     GameInstance,
     average_policy,
@@ -157,6 +166,25 @@ def test_bt_oracle_complement_is_exact(rng):
         r = RewardTable((rng.normal(size=5) * 3,))
         m = make_bt_oracle(r).matrices[0]
         assert np.all(m + m.T == 1.0)
+
+
+def test_bt_oracle_matches_the_per_pair_loop_bitwise(rng):
+    # uneven counts in one table, so the padding is rebuilt too
+    for _ in range(200):
+        sizes = rng.integers(1, 16, int(rng.integers(1, 5)))
+        spread = 10.0 ** rng.uniform(-2, 3)
+        rows = tuple(rng.normal(size=k) * spread for k in sizes)
+        oracle = make_bt_oracle(RewardTable(rows))
+        want = PairwisePreference(tuple(map(reference_bt_matrix, rows)))
+        assert oracle.sizes == want.sizes
+        assert oracle.packed.tobytes() == want.packed.tobytes()
+
+
+def test_bt_oracle_saturates_without_overflow_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        m = make_bt_oracle(RewardTable((np.array([0.0, 800.0]),))).matrices[0]
+    assert m.tolist() == [[0.5, 0.0], [1.0, 0.5]]
 
 
 def test_bt_oracle_is_stochastically_transitive(rng):
@@ -329,6 +357,65 @@ def test_validate_accepts_random_instances(rng):
         assert validate_instance(random_instance(rng)) == []
 
 
+# Changes to one entry of a valid instance. The small shifts land on either
+# side of NORMALIZATION_TOL, for row sums and for M + M^T alike.
+_CORRUPTIONS = {
+    "nan": lambda v: math.nan,
+    "inf": lambda v: math.inf,
+    "-inf": lambda v: -math.inf,
+    "negative": lambda v: -abs(v) - 1e-3,
+    "sum+1e-13": lambda v: v + 1e-13,
+    "sum-3e-12": lambda v: v - 3e-12,
+    "sum+1e-11": lambda v: v + 1e-11,
+    "skew": lambda v: v + 1e-3,
+    "half+1e-16": lambda v: 0.5 + 1e-16,
+}
+
+
+@st.composite
+def corrupted_instances(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))
+    rng = np.random.default_rng(seed)
+    weights = rng.random(len(sizes)) + 0.1
+    weights = weights / weights.sum()
+    reference = [r.copy() for r in random_policy(rng, sizes).rows]
+    matrices = [m.copy() for m in random_preference(rng, sizes).matrices]
+    rewards = [rng.normal(size=k) for k in sizes]
+    for _ in range(draw(st.integers(0, 4))):
+        x = draw(st.integers(0, len(sizes) - 1))
+        k = sizes[x]
+        a, b = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        table = draw(st.sampled_from(["weights", "reference", "zero row",
+                                      "matrix", "diagonal", "reward"]))
+        change = _CORRUPTIONS[draw(st.sampled_from(sorted(_CORRUPTIONS)))]
+        if table == "weights":
+            weights[x] = change(weights[x])
+        elif table == "reference":
+            reference[x][a] = change(reference[x][a])
+        elif table == "zero row":
+            reference[x][:] = 0.0
+        elif table == "matrix":
+            matrices[x][a, b] = change(matrices[x][a, b])
+        elif table == "diagonal":
+            matrices[x][a, a] = change(matrices[x][a, a])
+        else:
+            rewards[x][a] = change(rewards[x][a])
+    return GameInstance(
+        prompt_weights=weights,
+        space=ResponseSpace(tuple(tuple(map(str, range(k))) for k in sizes)),
+        reference=TabularPolicy(tuple(reference)),
+        preference=PairwisePreference(tuple(matrices)),
+        reward=RewardTable(tuple(rewards)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_instances())
+def test_validate_matches_the_per_prompt_reference(instance):
+    assert validate_instance(instance) == reference_validate_instance(instance)
+
+
 def test_policy_in_support_raises_with_location():
     base = policy_from_rows([[1.0, 0.0]])
     probe = policy_from_rows([[0.5, 0.5]])
@@ -443,6 +530,55 @@ def test_policy_round_trip(tmp_path, rng):
     back = load_policy(path)
     for x in range(2):
         assert np.all(back.rows[x] == pol.rows[x])
+
+
+_SPECIAL_FLOATS = [5e-324, 1e-300, -0.0, math.nan, math.inf, -math.inf]
+
+
+def _two_prompt_instance(reference, matrices):
+    sizes = [len(r) for r in reference]
+    return GameInstance(
+        prompt_weights=np.full(len(sizes), 1.0 / len(sizes)),
+        space=ResponseSpace(tuple(tuple(map(str, range(k))) for k in sizes)),
+        reference=policy_from_rows(reference),
+        preference=PairwisePreference(tuple(matrices)),
+    )
+
+
+def test_validate_reports_the_row_sum_beside_a_wider_prompt():
+    # summed over the 12-wide padded row, 0.1 + 0.2 + 0.3 + 0.05 reads 0.65
+    inst = _two_prompt_instance(
+        [[0.1, 0.2, 0.3, 0.05], [1 / 12] * 12],
+        random_preference(np.random.default_rng(0), [4, 12]).matrices,
+    )
+    want = ["reference row 0 normalization: sums to 0.6500000000000001"]
+    assert validate_instance(inst) == reference_validate_instance(inst) == want
+
+
+def test_validate_reports_opposite_infinities_once():
+    m = np.full((3, 3), 0.5)
+    m[0, 1], m[1, 0] = math.inf, -math.inf
+    inst = _two_prompt_instance(
+        [[math.inf, -math.inf, 0.5], [0.5, 0.5]], [m, np.full((2, 2), 0.5)]
+    )
+    want = ["reference row 0 has non-finite entries",
+            "preference matrix 0 has non-finite entries"]
+    assert validate_instance(inst) == reference_validate_instance(inst) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.lists(st.floats() | st.sampled_from(_SPECIAL_FLOATS), min_size=1, max_size=12),
+    min_size=1, max_size=6,
+))
+def test_save_policy_writes_json_indent_bytes(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "written_policy.json"
+    save_policy(policy_from_rows(rows), path)
+    assert path.read_text() == json.dumps({"rows": rows}, indent=1) + "\n"
+    back = load_policy(path)
+    for row, got in zip(rows, back.rows):
+        finite = np.isfinite(row)
+        assert np.array(row)[finite].tobytes() == got[finite].tobytes()
 
 
 def test_load_policy_needs_rows_key(tmp_path):
