@@ -9,6 +9,7 @@ byte-identical rerun guarantee.
 import json
 import os
 import tempfile
+from pathlib import Path
 
 from prefgame import write_bundled
 from prefgame.cli import main as cli
@@ -55,9 +56,10 @@ def pipeline(root):
     run(["presets", paths["mixed"], "--samples", "200"])
 
     # rerunning the same config rewrites the same bytes
-    before = open(os.path.join(root, "selfplay", "metrics.csv"), "rb").read()
+    metrics = Path(root, "selfplay", "metrics.csv")
+    before = metrics.read_bytes()
     run(["run", cfg_path])
-    after = open(os.path.join(root, "selfplay", "metrics.csv"), "rb").read()
+    after = metrics.read_bytes()
     print(f"\nrerun byte-identical: {before == after}")
 
     # failures use distinct exit codes instead of tracebacks

@@ -23,7 +23,8 @@ from .harness import (
     EXIT_MISSING_FILE,
     EXIT_OK,
     ValidationFailure,
-    _bounded,
+    _COMMON,
+    _SCHEMAS,
     _load_checked_instance,
     compare_presets,
     gap_report,
@@ -71,17 +72,17 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _flag(coerce, low):
-    """argparse type: coerce the text, then require a finite value >= low."""
-    check = _bounded(coerce, low)
+def _flag(parse, entry):
+    """argparse type and default: parse the text, check it as the run schema does."""
+    check, default = entry
 
-    def parse(text):
+    def read(text):
         try:
-            return check(text)
+            return check(parse(text))
         except ValueError as err:
             raise argparse.ArgumentTypeError(str(err)) from None
 
-    return parse
+    return {"type": read, "default": default}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,6 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact preference-game experiments on tabular instances.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    presets, gap = _SCHEMAS["presets"], _SCHEMAS["gap"]
 
     p_run = sub.add_parser("run", help="run an experiment described by a config file")
     p_run.add_argument("config", help="path to a JSON experiment config")
@@ -99,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
         "presets", help="check every named loss preset against its direct formula"
     )
     p_pre.add_argument("instance", help="path to an instance file")
-    p_pre.add_argument("--samples", type=_flag(int, 1), default=1000)
-    p_pre.add_argument("--seed", type=_flag(int, 0), default=0)
+    p_pre.add_argument("--samples", **_flag(int, presets["samples"]))
+    p_pre.add_argument("--seed", **_flag(int, _COMMON["seed"]))
     p_pre.set_defaults(func=_cmd_presets)
 
     p_gap = sub.add_parser(
@@ -108,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_gap.add_argument("instance", help="path to an instance file")
     p_gap.add_argument("policy", help="path to a policy file, or 'uniform'")
-    p_gap.add_argument("--tau", type=_flag(float, 0), default=0.0)
-    p_gap.add_argument("--n", type=_flag(int, 2), default=2, help="number of players")
+    p_gap.add_argument("--tau", **_flag(float, gap["tau"]))
+    p_gap.add_argument("--n", **_flag(int, gap["n_players"]), help="number of players")
     p_gap.set_defaults(func=_cmd_gap)
 
     p_val = sub.add_parser("validate", help="check an instance file")

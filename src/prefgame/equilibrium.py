@@ -20,12 +20,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .instances import GameInstance, TabularPolicy, _softmax_policy
+from .instances import GameInstance, RewardTable, TabularPolicy, _softmax_policy
 from .objectives import (
     Aggregator,
     ENUMERATION_CAP,
     MEAN_PAIRWISE,
     _player_value,
+    closed_form_multi_teacher_optimum,
     expected_win_rates,
     two_player_objective,
 )
@@ -51,14 +52,13 @@ def best_response_unregularized(
     instance: GameInstance,
     opponents: Sequence[TabularPolicy],
     aggregator: Aggregator = MEAN_PAIRWISE,
-    tie_tol: float = TIE_TOL,
     max_tuples: int = ENUMERATION_CAP,
 ) -> BestResponseResult:
     """Best response with tau = 0, restricted to the reference support."""
     win = expected_win_rates(instance, opponents, aggregator, max_tuples)
     allowed = instance.reference.packed > 0.0
     w = np.where(allowed, win, -np.inf)
-    ties = allowed & (w >= w.max(axis=1, keepdims=True) - tie_tol)
+    ties = allowed & (w >= w.max(axis=1, keepdims=True) - TIE_TOL)
     # the softmax of zeros over the tie set splits the mass uniformly
     policy = _softmax_policy(
         np.zeros_like(win), ties, instance.space.sizes, "reference support is empty"
@@ -73,16 +73,12 @@ def best_response_kl(
     aggregator: Aggregator = MEAN_PAIRWISE,
     max_tuples: int = ENUMERATION_CAP,
 ) -> BestResponseResult:
-    """Best response with a KL(pi || ref) penalty, tau > 0."""
-    if tau <= 0.0:
-        raise ValueError("best_response_kl needs tau > 0")
+    """Best response with a KL(pi || ref) penalty, tau > 0, in closed form."""
+    if not 0.0 < tau < np.inf:  # NaN fails too
+        raise ValueError(f"best_response_kl needs a finite tau > 0, got {tau}")
     win = expected_win_rates(instance, opponents, aggregator, max_tuples)
-    ref = instance.reference.packed
-    with np.errstate(divide="ignore"):
-        logit = np.log(ref) + win / tau
-    policy = _softmax_policy(
-        logit, ref > 0.0, instance.space.sizes, "reference support is empty"
-    )
+    rewards = RewardTable._wrap(win, instance.space.sizes)
+    policy = closed_form_multi_teacher_optimum(rewards, instance.reference, [], tau, [])
     return BestResponseResult(policy, _player_value(policy, win, instance, tau), win)
 
 

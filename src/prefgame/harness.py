@@ -52,6 +52,7 @@ from .instances import (
     GameInstance,
     SupportViolation,
     TabularPolicy,
+    _count_groups,
     _policy_violations,
     load_instance,
     load_policy,
@@ -72,6 +73,7 @@ from .objectives import Aggregator, MEAN_PAIRWISE, PLACKETT_LUCE
 from .equilibrium import dual_gap_two_player, exploitability_multiplayer
 from .solvers import OPPONENT_SCHEMES, SolverConfig, mwu_step, self_play_run
 from .reward_learning import (
+    _center,
     _pool_shortfall,
     fit_pl_reward,
     generate_rankings,
@@ -166,13 +168,13 @@ def _weights_or_null(v):
 
 _REQUIRED = object()
 
-# keys every mode takes: (key, coercion, default); the caller has checked
-# that the keys without a default are present
-_COMMON = (
-    ("instance", _string, None),
-    ("out_dir", _string, None),
-    ("seed", _bounded(_integer, 0), 0),
-)
+# keys every mode takes: key -> (coercion, default); the caller has
+# checked that the keys without a default are present
+_COMMON = {
+    "instance": (_string, None),
+    "out_dir": (_string, None),
+    "seed": (_bounded(_integer, 0), 0),
+}
 
 # key -> (coercion, default); _REQUIRED means the mode insists on the key
 _SCHEMAS = {
@@ -249,13 +251,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         )
     schema = _SCHEMAS[mode]
 
-    common = {"mode", "instance", "out_dir", "seed"}
     for key in doc:
-        if key not in common and key not in schema:
+        if key != "mode" and key not in _COMMON and key not in schema:
             raise ConfigError(f"unknown key '{key}' for mode '{mode}'")
 
     values = {}
-    for key, coerce, default in _COMMON:
+    for key, (coerce, default) in _COMMON.items():
         try:
             values[key] = coerce(doc.get(key, default))
         except (TypeError, ValueError) as err:
@@ -379,16 +380,6 @@ def _draw_hypers(name, rng) -> tuple[float, float, float]:
     return eta, tau, beta
 
 
-def _preset_config(name, eta, tau, beta):
-    if name == "ipo":
-        return preset(name, tau=tau)
-    if name == "inpo":
-        return preset(name, eta=eta, tau=tau)
-    if name == "sppo":
-        return preset(name, eta=eta)
-    return preset(name, beta=beta)
-
-
 def compare_presets(
     instance: GameInstance, samples: int = 1000, seed: int = 0
 ) -> dict[str, float]:
@@ -414,7 +405,7 @@ def compare_presets(
             x = int(rng.choice(instance.num_prompts, p=instance.prompt_weights))
             a, b = (int(v) for v in rng.choice(sizes[x], size=2, replace=False))
             eta, tau, beta = _draw_hypers(name, rng)
-            cfg = _preset_config(name, eta, tau, beta)
+            cfg = preset(name, eta, tau, beta)
             generic = pair_margin_loss(policy, [prev], cfg, instance, data=[(x, a, b)])
             direct = _direct_formula(
                 name, instance, policy, prev, x, a, b, eta, tau, beta
@@ -534,10 +525,8 @@ def _run_rewardfit(instance, config: ExperimentConfig) -> dict:
         data, instance, steps=p["steps"], step_size=p["step_size"]
     )
     _write_json({"rows": [r.tolist() for r in fit.rewards.rows]}, fitted_path)
-    err = max(
-        float(np.max(np.abs(fit.rewards.rows[x] - (true - true.mean()))))
-        for x, true in enumerate(instance.reward.rows)
-    )
+    true = _center(instance.reward.packed.copy(), _count_groups(instance.space.sizes))
+    err = float(np.max(np.abs(fit.rewards.packed - true)))
     _write_json(
         {
             "comparisons": p["comparisons"],

@@ -168,9 +168,6 @@ class TabularPolicy(_PerPrompt):
 
     rows = cached_property(_PerPrompt._views)
 
-    def prob(self, prompt: int, response: int) -> float:
-        return float(self.rows[prompt][response])
-
     def support(self, prompt: int) -> np.ndarray:
         """Boolean mask of responses with strictly positive probability."""
         return self.rows[prompt] > 0.0

@@ -42,6 +42,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .instances import (
+    NORMALIZATION_TOL,
     GameInstance,
     SupportViolation,
     TabularPolicy,
@@ -117,7 +118,6 @@ class LossConfig:
     the bwd metric and is ignored by sq.
     """
 
-    n_players: int
     opponents: tuple[OpponentRef, ...]
     weights: tuple[float, ...]
     metric: str
@@ -128,10 +128,6 @@ class LossConfig:
     def __post_init__(self):
         object.__setattr__(self, "opponents", tuple(self.opponents))
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if self.n_players < 1:
-            raise ValueError("n_players must be at least 1")
-        if len(self.opponents) != self.n_players - 1:
-            raise ValueError("need exactly n_players - 1 opponents")
         if len(self.weights) != len(self.opponents):
             raise ValueError("need one weight per opponent")
         for ref in self.opponents:
@@ -145,7 +141,7 @@ class LossConfig:
                 raise ValueError(f"unknown opponent name {ref!r}")
         if not all(0.0 <= w <= 1.0 for w in self.weights):
             raise ValueError("weights must lie in [0, 1]")
-        if sum(self.weights) > 1.0 + 1e-12:
+        if sum(self.weights) > 1.0 + NORMALIZATION_TOL:
             raise ValueError("weights must sum to at most 1")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
@@ -163,6 +159,10 @@ class LossConfig:
         if not (math.isfinite(self.beta) and self.beta > 0.0):
             raise ValueError("beta must be positive and finite")
 
+    @property
+    def n_players(self) -> int:
+        return len(self.opponents) + 1
+
 
 def preset(name: str, eta: float = 1.0, tau: float = 0.1, beta: float = 1.0) -> LossConfig:
     """Named members of the family.
@@ -173,28 +173,28 @@ def preset(name: str, eta: float = 1.0, tau: float = 0.1, beta: float = 1.0) -> 
     inpo read tau; inpo needs 0 < tau <= eta for weights in [0, 1].
     """
     if name == "dpo":
-        return LossConfig(2, ("ref",), (1.0,), "bwd", math.inf, beta=beta)
+        return LossConfig(("ref",), (1.0,), "bwd", math.inf, beta=beta)
     if name == "distill_dpo":
-        return LossConfig(2, ("ref",), (1.0,), "sq", "reward_gap", eta=1.0)
+        return LossConfig(("ref",), (1.0,), "sq", "reward_gap", eta=1.0)
     if name == "simpo":
-        return LossConfig(1, (), (), "bwd", math.inf, beta=beta)
+        return LossConfig((), (), "bwd", math.inf, beta=beta)
     if name == "dno":
-        return LossConfig(2, (0,), (1.0,), "bwd", math.inf, beta=beta)
+        return LossConfig((0,), (1.0,), "bwd", math.inf, beta=beta)
     if name == "spin":
         # the weight column reads beta, but the published loss scales the
         # whole margin, which is what the bwd metric's beta already does
-        return LossConfig(2, (0,), (1.0,), "bwd", math.inf, beta=beta)
+        return LossConfig((0,), (1.0,), "bwd", math.inf, beta=beta)
     if name == "sppo":
-        return LossConfig(2, (0,), (1.0,), "sq", "win_rate_gap", eta=eta)
+        return LossConfig((0,), (1.0,), "sq", "win_rate_gap", eta=eta)
     if name == "ipo":
         if tau <= 0.0:
             raise ValueError("ipo needs tau > 0")
-        return LossConfig(2, ("ref",), (1.0,), "sq", 1.0 / (2.0 * tau), eta=1.0)
+        return LossConfig(("ref",), (1.0,), "sq", 1.0 / (2.0 * tau), eta=1.0)
     if name == "inpo":
         if not 0.0 < tau <= eta:
             raise ValueError("inpo needs 0 < tau <= eta")
         weights = ((eta - tau) / eta, tau / eta)
-        return LossConfig(3, (0, "ref"), weights, "sq", 1.0 / (2.0 * tau), eta=1.0)
+        return LossConfig((0, "ref"), weights, "sq", 1.0 / (2.0 * tau), eta=1.0)
     raise ValueError(f"unknown preset {name!r}")
 
 
@@ -379,7 +379,7 @@ def _matching_config(opponents, eta, winner_target=False) -> LossConfig:
         target, eta = 0.0, 1.0
     else:
         target = "win_rate_gap"
-    return LossConfig(n + 1, tuple(opponents), (1.0 / n,) * n, "sq", target, eta)
+    return LossConfig(tuple(opponents), (1.0 / n,) * n, "sq", target, eta)
 
 
 def update_matching_loss(
@@ -426,9 +426,9 @@ def _anchored(instance, externals, config, pair_policy):
         raise ValueError("need at least one external policy")
     if len(config.weights) != len(externals):
         raise ValueError("need one config weight per external policy")
-    if abs(sum(config.weights) - 1.0) > 1e-12:
+    if not abs(sum(config.weights) - 1.0) <= NORMALIZATION_TOL:
         raise ValueError("external-opponent weights must sum to one")
-    anchored = replace(config, n_players=len(externals) + 1, opponents=tuple(externals))
+    anchored = replace(config, opponents=tuple(externals))
     source = instance.reference if pair_policy is None else pair_policy
     return [source], anchored
 
@@ -569,6 +569,10 @@ def minimize_loss(
     trace, when given, is called as trace(accepted_steps, loss, grad_max)
     at the start and after every accepted proposal.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
+    if not (math.isfinite(step_size) and step_size > 0.0):
+        raise ValueError(f"step_size must be positive and finite, got {step_size}")
     z = init
     val = problem.value(z)
     grad = problem.gradient(z)

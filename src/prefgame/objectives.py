@@ -296,9 +296,9 @@ def closed_form_multi_teacher_optimum(
     """
     if len(teachers) != len(taus):
         raise ValueError("need one tau per teacher")
-    if tau_ref < 0.0 or any(t < 0.0 for t in taus):
-        raise ValueError("KL coefficients must be nonnegative")
-    tau = tau_ref + float(np.sum(taus))
+    if not all(0.0 <= t < math.inf for t in (tau_ref, *taus)):  # NaN fails too
+        raise ValueError(f"tau_ref, taus must be nonnegative and finite: {tau_ref}, {taus}")
+    tau = tau_ref + sum(taus)
     if tau <= 0.0:
         raise ValueError("need a strictly positive total KL coefficient")
 

@@ -107,6 +107,19 @@ def _row_max(scores: np.ndarray) -> np.ndarray:
     return functools.reduce(np.maximum, scores.T)
 
 
+def _softmax_pass(rewards: RewardTable, data):
+    """Indexed comparisons; per bucket (scores, row max, shifted exps, their sums)."""
+    indexed = _indexed(rewards, data)
+    flat = rewards.packed.ravel()
+    buckets = []
+    for where in indexed.where:
+        scores = flat[where]
+        top = _row_max(scores)
+        shifted = np.exp(scores - top[:, None])
+        buckets.append((scores, top, shifted, shifted.sum(axis=1)))
+    return indexed, buckets
+
+
 def pl_nll(rewards: RewardTable, data: list[RankedComparison]) -> float:
     """Mean negative log-likelihood of each winner's softmax share.
 
@@ -114,14 +127,10 @@ def pl_nll(rewards: RewardTable, data: list[RankedComparison]) -> float:
     reward, computed max-shifted. Adding a constant to any prompt row
     leaves the value unchanged.
     """
-    indexed = _indexed(rewards, data)
-    flat = rewards.packed.ravel()
+    indexed, buckets = _softmax_pass(rewards, data)
     total = 0.0
-    for where in indexed.where:
-        scores = flat[where]
-        top = _row_max(scores)
-        lse = top + np.log(np.exp(scores - top[:, None]).sum(axis=1))
-        total += float(np.sum(lse - scores[:, 0]))
+    for scores, top, _, sums in buckets:
+        total += float(np.sum(top + np.log(sums) - scores[:, 0]))
     return total / indexed.count
 
 
@@ -137,17 +146,14 @@ def pl_nll_gradient(
     comparisons. `data` is a comparison list or the indexed form a fit
     builds once.
     """
-    indexed = _indexed(rewards, data)
-    flat = rewards.packed.ravel()
+    indexed, buckets = _softmax_pass(rewards, data)
     shares = []
-    for where in indexed.where:
-        scores = flat[where]
-        shifted = np.exp(scores - _row_max(scores)[:, None])
-        share = shifted / shifted.sum(axis=1)[:, None]
+    for _, _, shifted, sums in buckets:
+        share = shifted / sums[:, None]
         share[:, 0] -= 1.0
         shares.append(share.ravel())
     cells = np.concatenate([where.ravel() for where in indexed.where])
-    grad = np.bincount(cells, np.concatenate(shares), minlength=flat.size)
+    grad = np.bincount(cells, np.concatenate(shares), minlength=rewards.packed.size)
     grad /= indexed.count
     return _unpack(grad.reshape(rewards.packed.shape), rewards.sizes)
 

@@ -19,14 +19,15 @@ randomness.
 from __future__ import annotations
 
 import csv
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .equilibrium import _exploitability_and_value
-from .instances import GameInstance, TabularPolicy, _require_sizes, _softmax_policy
+from .instances import (
+    NORMALIZATION_TOL, GameInstance, TabularPolicy, _require_sizes, _softmax_policy
+)
 from .objectives import Aggregator, MEAN_PAIRWISE, kl_divergence
 
 OPPONENT_SCHEMES = ("self_play_copies", "history_window")
@@ -59,8 +60,8 @@ class SolverConfig:
             raise ValueError("iterations must be nonnegative")
         if self.n_players < 2:
             raise ValueError("need at least two players")
-        if self.tau < 0.0:
-            raise ValueError("tau must be nonnegative")
+        if not 0.0 <= self.tau < np.inf:  # NaN fails too
+            raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
         if self.opponent_scheme not in OPPONENT_SCHEMES:
             raise ValueError(f"unknown opponent scheme {self.opponent_scheme!r}")
         if self.metric_stride < 1:
@@ -71,7 +72,7 @@ class SolverConfig:
                 raise ValueError("need one history weight per opponent slot")
             if not np.all((w >= 0.0) & (w <= 1.0)):  # NaN fails too
                 raise ValueError("history weights must lie in [0, 1]")
-            if w.sum() > 1.0 + 1e-12 or w.sum() <= 0.0:
+            if w.sum() > 1.0 + NORMALIZATION_TOL or w.sum() <= 0.0:
                 raise ValueError("history weights must sum into (0, 1]")
 
 
@@ -81,7 +82,6 @@ class RunRecord:
     gap: float
     kl_ref: float
     self_play_value: float
-    elapsed_ms: float
 
 
 @dataclass(frozen=True)
@@ -96,25 +96,18 @@ class RunLog:
         if any(b <= a for a, b in zip(iters, iters[1:])):
             raise ValueError("iteration indices must strictly increase")
         for r in self.records:
-            for name in ("gap", "kl_ref", "self_play_value", "elapsed_ms"):
+            for name in ("gap", "kl_ref", "self_play_value"):
                 if not np.isfinite(getattr(r, name)):
                     raise ValueError(f"non-finite {name} at iteration {r.iteration}")
 
-    def to_csv(self, path, measured_timing: bool = False) -> None:
-        """Write rows with 12 significant digits.
-
-        elapsed_ms is written as 0 unless measured_timing is set: wall
-        clock is the one column that would break byte-identical reruns.
-        """
+    def to_csv(self, path) -> None:
+        """Write rows with 12 significant digits; elapsed_ms always reads 0."""
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["iter", "gap", "kl_ref", "self_play_value", "elapsed_ms"])
             for r in self.records:
-                ms = r.elapsed_ms if measured_timing else 0.0
-                writer.writerow(
-                    [r.iteration]
-                    + [f"{v:.12g}" for v in (r.gap, r.kl_ref, r.self_play_value, ms)]
-                )
+                values = (r.gap, r.kl_ref, r.self_play_value, 0.0)
+                writer.writerow([r.iteration] + [f"{v:.12g}" for v in values])
 
     @staticmethod
     def from_csv(path) -> "RunLog":
@@ -124,7 +117,7 @@ class RunLog:
             if header != ["iter", "gap", "kl_ref", "self_play_value", "elapsed_ms"]:
                 raise ValueError(f"unexpected run-log header {header}")
             records = tuple(
-                RunRecord(int(row[0]), *(float(v) for v in row[1:5]))
+                RunRecord(int(row[0]), *(float(v) for v in row[1:4]))
                 for row in reader
             )
         return RunLog(records)
@@ -154,8 +147,8 @@ def mwu_step(
         w = np.asarray(weights, dtype=np.float64)
         if len(w) != len(opponents):
             raise ValueError("need one weight per opponent")
-        if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("opponent weights must be a distribution")
+        if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= NORMALIZATION_TOL):
+            raise ValueError(f"opponent weights must be a distribution, got {w}")
 
     for opp in opponents:
         _require_sizes(opp, instance.space.sizes, "opponent")
@@ -185,9 +178,9 @@ def average_policy(
         w = np.full(len(policies), 1.0 / len(policies))
     else:
         w = np.asarray(weights, dtype=np.float64)
-        if len(w) != len(policies) or np.any(w < 0.0):
-            raise ValueError("need one nonnegative weight per policy")
-        if abs(w.sum() - 1.0) > 1e-12:
+        if len(w) != len(policies) or not np.all(w >= 0.0):  # NaN fails too
+            raise ValueError(f"need one nonnegative weight per policy, got {w}")
+        if not abs(w.sum() - 1.0) <= NORMALIZATION_TOL:
             raise ValueError("averaging weights must sum to one")
     sizes = policies[0].sizes
     mix = np.zeros(policies[0].packed.shape)
@@ -197,13 +190,12 @@ def average_policy(
     return TabularPolicy._wrap(mix / mix.sum(axis=1, keepdims=True), sizes)
 
 
-def _metrics(avg, instance, config, started, iteration) -> RunRecord:
+def _metrics(avg, instance, config, iteration) -> RunRecord:
     gap, value = _exploitability_and_value(
         avg, config.n_players, instance, config.tau, config.aggregator
     )
     kl = kl_divergence(avg, instance.reference, instance)
-    elapsed = (time.perf_counter() - started) * 1e3
-    return RunRecord(iteration, gap, kl, value, elapsed)
+    return RunRecord(iteration, gap, kl, value)
 
 
 def self_play_run(instance: GameInstance, config: SolverConfig) -> SelfPlayResult:
@@ -215,14 +207,13 @@ def self_play_run(instance: GameInstance, config: SolverConfig) -> SelfPlayResul
     for the running average at iteration 0, every metric_stride steps,
     and at the end.
     """
-    started = time.perf_counter()
     current = instance.reference
     sizes = instance.space.sizes
     mean = current.packed.copy()  # running mean of the iterates
     seen = 1
     window: list[TabularPolicy] = [current]
 
-    records = [_metrics(current, instance, config, started, 0)]
+    records = [_metrics(current, instance, config, 0)]
     for t in range(1, config.iterations + 1):
         eta = config.eta if config.eta_schedule is None else config.eta_schedule(t)
         if config.opponent_scheme == "self_play_copies":
@@ -247,7 +238,7 @@ def self_play_run(instance: GameInstance, config: SolverConfig) -> SelfPlayResul
         mean += (current.packed - mean) / seen
         if t % config.metric_stride == 0 or t == config.iterations:
             avg = TabularPolicy._wrap(mean / mean.sum(axis=1, keepdims=True), sizes)
-            records.append(_metrics(avg, instance, config, started, t))
+            records.append(_metrics(avg, instance, config, t))
 
     average = TabularPolicy._wrap(mean / mean.sum(axis=1, keepdims=True), sizes)
     return SelfPlayResult(current, average, RunLog(tuple(records)))

@@ -185,7 +185,7 @@ def test_criterion_06_gradient_integrity(capsys):
         w = rng.uniform(0.2, 0.8, size=n - 1)
         w = tuple(w / w.sum())
         cfg = LossConfig(
-            n, offsets, w, metric, target,
+            offsets, w, metric, target,
             eta=float(rng.uniform(0.3, 2.0)),
             beta=float(rng.uniform(0.5, 2.0)),
         )

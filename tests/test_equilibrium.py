@@ -127,6 +127,36 @@ def test_kl_best_response_is_softmax_of_win_rates(rps, rng):
     assert np.allclose(br.policy.rows[0], want, atol=1e-12)
 
 
+@pytest.mark.parametrize("aggregator", [MEAN_PAIRWISE, PLACKETT_LUCE])
+@pytest.mark.parametrize("n_players", [2, 3])
+@pytest.mark.parametrize("tau", [1e-3, 0.3, 1e3])
+def test_kl_best_response_matches_hand_written_gibbs_rows(rng, aggregator, n_players, tau):
+    # ref(y) exp(W(y) / tau), normalized, on uneven instances; one instance
+    # in two drops a reference entry, which the response must drop too
+    for trial in range(6):
+        inst = random_instance(rng)
+        if trial % 2:
+            rows = [r.copy() for r in inst.reference.rows]
+            rows[0][0] = 0.0
+            rows[0] /= rows[0].sum()
+            inst = GameInstance(
+                prompt_weights=inst.prompt_weights,
+                space=inst.space,
+                reference=policy_from_rows(rows),
+                preference=inst.preference,
+                reward=inst.reward,
+            )
+        opps = [random_policy(rng, inst.space.sizes) for _ in range(n_players - 1)]
+        br = best_response_kl(inst, opps, tau, aggregator)
+        win = expected_win_rates(inst, opps, aggregator)
+        for x, ref in enumerate(inst.reference.rows):
+            s = win[x, : len(ref)] / tau
+            want = ref * np.exp(s - s[ref > 0.0].max())
+            want /= want.sum()
+            assert np.max(np.abs(br.policy.rows[x] - want)) <= 1e-12
+            assert np.all(br.policy.rows[x][ref == 0.0] == 0.0)
+
+
 def test_kl_best_response_rejects_nonpositive_tau(rps):
     with pytest.raises(ValueError, match="tau"):
         best_response_kl(rps, [rps.reference], tau=0.0)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,6 +271,20 @@ def test_selfplay_run_writes_metrics_and_policies(paths, tmp_path):
         str(out / "policy_final.json"),
         str(out / "policy_average.json"),
     }
+
+
+@pytest.mark.parametrize("instance", ["rps", "mixed"])
+def test_selfplay_metrics_keep_a_zero_elapsed_column(paths, tmp_path, instance):
+    # runs are not timed, so the pinned fifth column reads 0 on every row
+    doc = base_doc(paths, tmp_path, "selfplay", eta=0.5, iterations=30,
+                   n_players=3, tau=0.1, metric_stride=7)
+    doc["instance"] = paths[instance]
+    assert main(["run", write_config(tmp_path, doc)]) == 0
+    lines = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
+    assert lines[0] == "iter,gap,kl_ref,self_play_value,elapsed_ms"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == [0, 7, 14, 21, 28, 30]
+    assert all(len(r) == 5 and r[4] == "0" for r in rows)
 
 
 def test_lossmin_run_matches_closed_form_update(paths, tmp_path):
@@ -624,7 +639,7 @@ def test_cli_unreadable_instance_exits_5(paths, tmp_path, capsys, command, broke
     if broken == "not_json":
         path.write_text("{ not json")
     else:
-        doc = json.loads(open(paths["rps"]).read())
+        doc = json.loads(Path(paths["rps"]).read_text())
         doc["reference"] = [[0.5, 0.5]]
         path.write_text(json.dumps(doc))
     if command == "run":
@@ -813,7 +828,7 @@ def test_cli_unreadable_policy_exits_5(paths, tmp_path, capsys, command, text):
 def test_cli_instance_key_of_the_wrong_type_exits_5(
     paths, tmp_path, capsys, command, key, value
 ):
-    doc = json.loads(open(paths["rps"]).read())
+    doc = json.loads(Path(paths["rps"]).read_text())
     doc["rewards"] = [[0.0, 0.0, 0.0]]
     if key == "preference.matrices":
         doc["preference"]["matrices"] = value
@@ -836,7 +851,7 @@ def test_cli_instance_key_of_the_wrong_type_exits_5(
 @pytest.mark.parametrize("rows", [["abc"], [["rock", "scissors", "paper"], "ab"]])
 def test_cli_string_response_row_exits_5(paths, tmp_path, capsys, command, rows):
     # a string row used to load as one label per character
-    doc = json.loads(open(paths["rps"]).read())
+    doc = json.loads(Path(paths["rps"]).read_text())
     doc["responses"] = rows
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(doc))

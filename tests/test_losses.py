@@ -218,7 +218,7 @@ def test_family_exact_mode_matches_scalar_reference(rng):
     pol = random_policy(rng, inst.space.sizes)
     prev = random_policy(rng, inst.space.sizes)
     for metric, target in (("sq", 0.7), ("bwd", 0.3), ("bwd", math.inf)):
-        cfg = LossConfig(2, (0,), (1.0,), metric, target, eta=1.3, beta=0.8)
+        cfg = LossConfig((0,), (1.0,), metric, target, eta=1.3, beta=0.8)
         got = pair_margin_loss(pol, [prev], cfg, inst)
         k = inst.space.sizes[0]
         m = inst.preference.matrices[0]
@@ -256,7 +256,7 @@ def test_family_zero_weights_reduce_to_raw_log_ratio(rng):
     inst = random_instance(rng, num_prompts=1, max_responses=3)
     pol = random_policy(rng, inst.space.sizes)
     cur = random_policy(rng, inst.space.sizes)
-    cfg = LossConfig(2, (0,), (0.0,), "sq", 0.0, eta=1.0)
+    cfg = LossConfig((0,), (0.0,), "sq", 0.0, eta=1.0)
     got = pair_margin_loss(pol, [cur], cfg, inst)
     k = inst.space.sizes[0]
     m = inst.preference.matrices[0]
@@ -279,7 +279,7 @@ def test_family_sampled_target_match_gives_zero_loss():
     pol = policy_from_rows(
         [[sigmoid(want_margin), sigmoid(-want_margin)]]
     )
-    cfg = LossConfig(2, (0,), (1.0,), "sq", target, eta=eta)
+    cfg = LossConfig((0,), (1.0,), "sq", target, eta=eta)
     got = pair_margin_loss(pol, [ref], cfg, inst, data=[(0, 0, 1)])
     assert got <= 1e-25
 
@@ -289,7 +289,7 @@ def test_family_singleton_equals_metric_of_margin():
     ref = policy_from_rows([[0.6, 0.4]])
     inst = random_instance(np.random.default_rng(2), num_prompts=1, max_responses=2)
     pol = policy_from_rows([[0.3, 0.7]])
-    cfg = LossConfig(2, (ref,), (1.0,), "sq", 0.25, eta=2.0)
+    cfg = LossConfig((ref,), (1.0,), "sq", 0.25, eta=2.0)
     got = pair_margin_loss(pol, [pol], cfg, inst, data=[(0, 0, 1)])
     margin = log_ratio_margin(pol, [ref], 0, 0, 1)
     assert got == squared_distance(margin, 2.0 * 0.25)
@@ -330,7 +330,7 @@ def test_family_rejects_malformed_dataset(rng):
 def test_family_history_offset_out_of_range(rng):
     inst = random_instance(rng)
     pol = random_policy(rng, inst.space.sizes)
-    cfg = LossConfig(2, (3,), (1.0,), "sq", 0.0)
+    cfg = LossConfig((3,), (1.0,), "sq", 0.0)
     with pytest.raises(ValueError, match="history"):
         pair_margin_loss(pol, [pol], cfg, inst)
 
@@ -348,8 +348,8 @@ def test_named_losses_and_dataset_mode_are_family_configurations(rng):
         cur, pol = random_policy(rng, sizes), random_policy(rng, sizes)
         eta = float(rng.uniform(0.2, 2.0))
         z = PolicyLogits(tuple(rng.standard_normal(k) for k in sizes))
-        matching = LossConfig(n, tuple(opps), weights, "sq", "win_rate_gap", eta)
-        winner = LossConfig(n, tuple(opps), weights, "sq", 1.0 / (2.0 * eta), 1.0)
+        matching = LossConfig(tuple(opps), weights, "sq", "win_rate_gap", eta)
+        winner = LossConfig(tuple(opps), weights, "sq", 1.0 / (2.0 * eta), 1.0)
         pairs = (
             (update_matching_loss, UpdateMatchingProblem, matching),
             (winner_target_loss, WinnerTargetProblem, winner),
@@ -367,9 +367,9 @@ def test_named_losses_and_dataset_mode_are_family_configurations(rng):
         ]
         data += [data[0], data[0], (1, 0, 0)]
         members = (
-            (LossConfig(n, tuple(opps), weights, "sq", 0.7, eta=1.3), 1.0, 0.91),
-            (LossConfig(n, tuple(opps), weights, "bwd", 0.4, eta=1.5, beta=0.8), 0.8, 0.6),
-            (LossConfig(n, tuple(opps), weights, "bwd", math.inf, beta=1.7), 1.7, math.inf),
+            (LossConfig(tuple(opps), weights, "sq", 0.7, eta=1.3), 1.0, 0.91),
+            (LossConfig(tuple(opps), weights, "bwd", 0.4, eta=1.5, beta=0.8), 0.8, 0.6),
+            (LossConfig(tuple(opps), weights, "bwd", math.inf, beta=1.7), 1.7, math.inf),
         )
         for cfg, beta, target in members:
             metric = squared_distance if cfg.metric == "sq" else bernoulli_kl_distance
@@ -471,34 +471,30 @@ def test_preset_ipo_singleton_is_squared_anchor_loss(rng):
 
 
 def test_loss_config_validation():
-    with pytest.raises(ValueError, match="n_players"):
-        LossConfig(0, (), (), "sq", 0.0)
-    with pytest.raises(ValueError, match="opponents"):
-        LossConfig(2, (), (), "sq", 0.0)
     with pytest.raises(ValueError, match="weight"):
-        LossConfig(2, (0,), (), "sq", 0.0)
+        LossConfig((0,), (), "sq", 0.0)
     with pytest.raises(ValueError, match="metric"):
-        LossConfig(2, (0,), (1.0,), "huber", 0.0)
+        LossConfig((0,), (1.0,), "huber", 0.0)
     with pytest.raises(ValueError, match="target"):
-        LossConfig(2, (0,), (1.0,), "sq", "margin_gap")
+        LossConfig((0,), (1.0,), "sq", "margin_gap")
     with pytest.raises(ValueError, match="infinite"):
-        LossConfig(2, (0,), (1.0,), "sq", math.inf)
+        LossConfig((0,), (1.0,), "sq", math.inf)
     with pytest.raises(ValueError, match="target"):
-        LossConfig(2, (0,), (1.0,), "bwd", -math.inf)
+        LossConfig((0,), (1.0,), "bwd", -math.inf)
     with pytest.raises(ValueError, match="sum"):
-        LossConfig(3, (0, "ref"), (0.8, 0.8), "sq", 0.0)
+        LossConfig((0, "ref"), (0.8, 0.8), "sq", 0.0)
     with pytest.raises(ValueError, match="weights"):
-        LossConfig(2, (0,), (float("nan"),), "sq", 0.0)
+        LossConfig((0,), (float("nan"),), "sq", 0.0)
     with pytest.raises(ValueError, match="offsets"):
-        LossConfig(2, (-1,), (1.0,), "sq", 0.0)
+        LossConfig((-1,), (1.0,), "sq", 0.0)
     with pytest.raises(ValueError, match="opponent name"):
-        LossConfig(2, ("previous",), (1.0,), "sq", 0.0)
+        LossConfig(("previous",), (1.0,), "sq", 0.0)
     with pytest.raises(ValueError, match="opponent reference"):
-        LossConfig(2, (True,), (1.0,), "sq", 0.0)
+        LossConfig((True,), (1.0,), "sq", 0.0)
     with pytest.raises(ValueError, match="eta"):
-        LossConfig(2, (0,), (1.0,), "sq", 0.0, eta=0.0)
+        LossConfig((0,), (1.0,), "sq", 0.0, eta=0.0)
     with pytest.raises(ValueError, match="beta"):
-        LossConfig(2, (0,), (1.0,), "sq", 0.0, beta=-1.0)
+        LossConfig((0,), (1.0,), "sq", 0.0, beta=-1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +504,7 @@ def test_loss_config_validation():
 def test_external_loss_matches_reference_preset(rng):
     inst = random_instance(rng, num_prompts=1, max_responses=3)
     pol = random_policy(rng, inst.space.sizes)
-    cfg = LossConfig(2, ("ref",), (1.0,), "sq", 0.3, eta=1.0)
+    cfg = LossConfig(("ref",), (1.0,), "sq", 0.3, eta=1.0)
     data = [(0, 0, 1), (0, 2, 1)]
     via_family = pair_margin_loss(pol, [inst.reference], cfg, inst, data=data)
     via_external = external_margin_loss(
@@ -524,13 +520,13 @@ def test_external_loss_identical_anchors_ignore_the_split(rng):
     a = external_margin_loss(
         pol,
         [anchor, anchor],
-        LossConfig(3, (0, 0), (0.3, 0.7), "sq", 0.2),
+        LossConfig((0, 0), (0.3, 0.7), "sq", 0.2),
         inst,
     )
     b = external_margin_loss(
         pol,
         [anchor, anchor],
-        LossConfig(3, (0, 0), (0.5, 0.5), "sq", 0.2),
+        LossConfig((0, 0), (0.5, 0.5), "sq", 0.2),
         inst,
     )
     assert a == pytest.approx(b, rel=1e-13)
@@ -539,7 +535,7 @@ def test_external_loss_identical_anchors_ignore_the_split(rng):
 def test_external_loss_requires_convex_weights(rng):
     inst = random_instance(rng)
     pol = random_policy(rng, inst.space.sizes)
-    cfg = LossConfig(3, (0, 0), (0.5, 0.4), "sq", 0.0)
+    cfg = LossConfig((0, 0), (0.5, 0.4), "sq", 0.0)
     with pytest.raises(ValueError, match="sum to one"):
         external_margin_loss(pol, [pol, pol], cfg, inst)
 
@@ -557,7 +553,6 @@ def test_external_loss_minimized_by_multi_teacher_optimum(rng):
             inst.reward, inst.reference, [teacher], tau_ref, [tau_t]
         )
         cfg = LossConfig(
-            3,
             (inst.reference, teacher),
             (tau_ref / tau, tau_t / tau),
             "sq",
@@ -606,7 +601,7 @@ def make_problem(inst, rng, kind):
         data = [(0, 0, 1), (0, 1, 0)]
         return PairMarginProblem(inst, [cur], preset("ipo", tau=0.3), data)
     return ExternalMarginProblem(
-        inst, [cur], LossConfig(2, (cur,), (1.0,), "sq", 0.1)
+        inst, [cur], LossConfig((cur,), (1.0,), "sq", 0.1)
     )
 
 

@@ -7,12 +7,18 @@ from prefgame import (
     PLACKETT_LUCE,
     GameInstance,
     PairwisePreference,
+    PolicyLogits,
     RunLog,
     RunRecord,
     SolverConfig,
+    UpdateMatchingProblem,
     average_policy,
+    best_response_kl,
+    closed_form_multi_teacher_optimum,
+    dual_gap_two_player,
     exploitability_multiplayer,
     kl_divergence,
+    minimize_loss,
     multiplayer_objective,
     mwu_step,
     point_mass_policy,
@@ -151,7 +157,7 @@ def test_average_policy_validation(rps):
 
 
 def _record(t, gap=0.1):
-    return RunRecord(t, gap, 0.01, 0.5, 3.0)
+    return RunRecord(t, gap, 0.01, 0.5)
 
 
 def test_run_log_requires_increasing_iterations():
@@ -163,7 +169,7 @@ def test_run_log_requires_increasing_iterations():
 
 def test_run_log_rejects_non_finite_entries():
     with pytest.raises(ValueError, match="non-finite"):
-        RunLog((RunRecord(0, np.nan, 0.0, 0.5, 0.0),))
+        RunLog((RunRecord(0, np.nan, 0.0, 0.5),))
 
 
 def test_run_log_csv_round_trip(tmp_path):
@@ -175,14 +181,6 @@ def test_run_log_csv_round_trip(tmp_path):
     for a, b in zip(log.records, back.records):
         assert a.iteration == b.iteration
         assert b.gap == pytest.approx(a.gap, rel=1e-11)
-        assert b.elapsed_ms == 0.0  # zeroed unless measured_timing
-
-
-def test_run_log_csv_measured_timing(tmp_path):
-    log = RunLog((_record(0),))
-    path = tmp_path / "timed.csv"
-    log.to_csv(path, measured_timing=True)
-    assert RunLog.from_csv(path).records[0].elapsed_ms == 3.0
 
 
 def test_run_log_csv_header_is_pinned(tmp_path):
@@ -339,3 +337,43 @@ def test_solver_config_validation(rps):
             opponent_scheme="history_window",
             history_weights=(0.5,),
         )
+
+
+# ---------------------------------------------------------------------------
+# non-finite arguments
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _descent_problem(inst):
+    problem = UpdateMatchingProblem(inst, inst.reference, [inst.reference], 0.5)
+    return problem, PolicyLogits(tuple(np.zeros(k) for k in inst.space.sizes))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda inst: SolverConfig(eta=0.5, iterations=3, tau=NAN), "tau"),
+    (lambda inst: SolverConfig(eta=0.5, iterations=3, tau=INF), "tau"),
+    (lambda inst: best_response_kl(inst, [inst.reference], NAN), "tau"),
+    (lambda inst: exploitability_multiplayer(inst.reference, 3, inst, NAN), "tau"),
+    (lambda inst: dual_gap_two_player(inst.reference, inst, NAN), "tau"),
+    (lambda inst: mwu_step([inst.reference] * 2, inst, 0.5, [NAN, 1.0]), "weights"),
+    (lambda inst: average_policy([inst.reference] * 2, [NAN, 1.0]), "weight"),
+    (lambda inst: closed_form_multi_teacher_optimum(
+        inst.reward, inst.reference, [], NAN, []), "tau_ref"),
+    (lambda inst: closed_form_multi_teacher_optimum(
+        inst.reward, inst.reference, [inst.reference], 0.5, [NAN]), "taus"),
+    (lambda inst: minimize_loss(*_descent_problem(inst), step_size=NAN), "step_size"),
+    (lambda inst: minimize_loss(*_descent_problem(inst), step_size=INF), "step_size"),
+    (lambda inst: minimize_loss(*_descent_problem(inst), steps=-1), "steps"),
+], ids=[
+    "solver_tau_nan", "solver_tau_inf", "best_response_kl_tau_nan",
+    "exploitability_tau_nan", "dual_gap_tau_nan", "mwu_step_weights_nan",
+    "average_policy_weights_nan", "closed_form_tau_ref_nan", "closed_form_taus_nan",
+    "minimize_step_size_nan", "minimize_step_size_inf", "minimize_steps_negative",
+])
+def test_non_finite_arguments_are_rejected_by_name(mixed, call, name):
+    # the check that names the argument rejects it, before a later step
+    # can blame the supports, return a NaN policy or run as if it were valid
+    with pytest.raises(ValueError, match=name):
+        call(mixed)
