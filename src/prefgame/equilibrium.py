@@ -20,10 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .instances import GameInstance, RewardTable, TabularPolicy, _softmax_policy
+from .instances import (
+    GameInstance, RewardTable, TabularPolicy, _require_count, _softmax_policy
+)
 from .objectives import (
     Aggregator,
-    ENUMERATION_CAP,
     MEAN_PAIRWISE,
     _player_value,
     closed_form_multi_teacher_optimum,
@@ -52,10 +53,9 @@ def best_response_unregularized(
     instance: GameInstance,
     opponents: Sequence[TabularPolicy],
     aggregator: Aggregator = MEAN_PAIRWISE,
-    max_tuples: int = ENUMERATION_CAP,
 ) -> BestResponseResult:
     """Best response with tau = 0, restricted to the reference support."""
-    win = expected_win_rates(instance, opponents, aggregator, max_tuples)
+    win = expected_win_rates(instance, opponents, aggregator)
     allowed = instance.reference.packed > 0.0
     w = np.where(allowed, win, -np.inf)
     ties = allowed & (w >= w.max(axis=1, keepdims=True) - TIE_TOL)
@@ -71,23 +71,20 @@ def best_response_kl(
     opponents: Sequence[TabularPolicy],
     tau: float,
     aggregator: Aggregator = MEAN_PAIRWISE,
-    max_tuples: int = ENUMERATION_CAP,
 ) -> BestResponseResult:
     """Best response with a KL(pi || ref) penalty, tau > 0, in closed form."""
     if not 0.0 < tau < np.inf:  # NaN fails too
         raise ValueError(f"best_response_kl needs a finite tau > 0, got {tau}")
-    win = expected_win_rates(instance, opponents, aggregator, max_tuples)
+    win = expected_win_rates(instance, opponents, aggregator)
     rewards = RewardTable._wrap(win, instance.space.sizes)
     policy = closed_form_multi_teacher_optimum(rewards, instance.reference, [], tau, [])
     return BestResponseResult(policy, _player_value(policy, win, instance, tau), win)
 
 
-def _best_response(instance, opponents, tau, aggregator, max_tuples):
+def _best_response(instance, opponents, tau, aggregator):
     if tau == 0.0:
-        return best_response_unregularized(
-            instance, opponents, aggregator, max_tuples=max_tuples
-        )
-    return best_response_kl(instance, opponents, tau, aggregator, max_tuples)
+        return best_response_unregularized(instance, opponents, aggregator)
+    return best_response_kl(instance, opponents, tau, aggregator)
 
 
 def dual_gap_two_player(
@@ -100,7 +97,7 @@ def dual_gap_two_player(
     Zero exactly at an equilibrium; 1.0 at a point mass in an unregularized
     cycle, where the counter wins outright.
     """
-    br = _best_response(instance, [policy], tau, MEAN_PAIRWISE, ENUMERATION_CAP)
+    br = _best_response(instance, [policy], tau, MEAN_PAIRWISE)
     high = two_player_objective(br.policy, policy, instance, tau)
     low = two_player_objective(policy, br.policy, instance, tau)
     return _clipped_gap(high - low, "duality gap")
@@ -112,30 +109,26 @@ def exploitability_multiplayer(
     instance: GameInstance,
     tau: float = 0.0,
     aggregator: Aggregator = MEAN_PAIRWISE,
-    max_tuples: int = ENUMERATION_CAP,
 ) -> float:
     """Gain of the best unilateral deviation against n - 1 copies of policy.
 
     max_dev J(dev, policy, ..., policy) - J(policy, policy, ..., policy),
     clipped at zero. At n = 2 this is the one-sided two-player gap.
     """
-    return _exploitability_and_value(
-        policy, n_players, instance, tau, aggregator, max_tuples
-    )[0]
+    return _exploitability_and_value(policy, n_players, instance, tau, aggregator)[0]
 
 
 def _exploitability_and_value(
-    policy, n_players, instance, tau, aggregator, max_tuples=ENUMERATION_CAP
+    policy, n_players, instance, tau, aggregator
 ) -> tuple[float, float]:
     """Exploitability and the held value J(policy, policy, ..., policy).
 
     Both read the one win table the best response builds; the held value
     equals multiplayer_objective against n - 1 copies of the policy.
     """
-    if n_players < 2:
-        raise ValueError("need at least two players")
+    _require_count(n_players, 2, f"need at least two players, n_players={n_players}")
     others = [policy] * (n_players - 1)
-    br = _best_response(instance, others, tau, aggregator, max_tuples)
+    br = _best_response(instance, others, tau, aggregator)
     held = _player_value(policy, br.win, instance, tau)
     return _clipped_gap(br.value - held, "exploitability"), held
 

@@ -54,6 +54,7 @@ from .instances import (
     TabularPolicy,
     _count_groups,
     _policy_violations,
+    _require_count,
     load_instance,
     load_policy,
     policy_in_support,
@@ -390,8 +391,7 @@ def compare_presets(
     member on that single pair against the published formula. Every preset
     gets its own named stream from the seed.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    _require_count(samples, 1, f"need at least one sample, got samples={samples}")
     sizes = instance.space.sizes
     if instance.reward is None:
         raise ValueError("compare_presets needs an instance with a reward table")

@@ -46,6 +46,33 @@ class SupportViolation(ValueError):
         super().__init__(msg)
 
 
+def _raise_at_first(mask: np.ndarray, detail: str) -> None:
+    """Raise SupportViolation at the first flagged (prompt, response) cell, if any."""
+    if mask.any():
+        x, y = (int(i) for i in np.argwhere(mask)[0])
+        raise SupportViolation(x, y, detail)
+
+
+def _mixture_weights(weights, n: int, what: str) -> np.ndarray:
+    """Uniform weights over n items, or the given ones checked as a distribution."""
+    if weights is None:
+        return np.full(n, 1.0 / n)
+    w = np.asarray(weights, dtype=np.float64)
+    # written so that a NaN weight fails it too
+    if not (len(w) == n and np.all(w >= 0.0) and abs(w.sum() - 1.0) <= NORMALIZATION_TOL):
+        raise ValueError(
+            f"{what} weights must be a distribution: {n} nonnegative weights "
+            f"that sum to one, got {w}"
+        )
+    return w
+
+
+def _require_count(value, low: int, message: str) -> None:
+    """Raise ValueError(message) unless value is an integer (np.integer too) >= low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(message)
+
+
 def _pack(tables, square: bool) -> tuple[np.ndarray, tuple[int, ...]]:
     """Per-prompt rows (or square matrices) copied into one zero-padded array.
 
@@ -478,9 +505,7 @@ def policy_in_support(policy: TabularPolicy, base: TabularPolicy) -> None:
     """Raise SupportViolation if policy puts mass outside base's support."""
     _require_sizes(policy, base.sizes, "policy")
     outside = (policy.packed > 0.0) & (base.packed == 0.0)
-    if outside.any():
-        x, y = (int(i) for i in np.argwhere(outside)[0])
-        raise SupportViolation(x, y, "mass outside the base policy's support")
+    _raise_at_first(outside, "mass outside the base policy's support")
 
 
 # ---------------------------------------------------------------------------

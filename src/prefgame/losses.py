@@ -44,9 +44,11 @@ import numpy as np
 from .instances import (
     NORMALIZATION_TOL,
     GameInstance,
-    SupportViolation,
     TabularPolicy,
     _PerPrompt,
+    _mixture_weights,
+    _raise_at_first,
+    _require_count,
     _require_sizes,
     _softmax_policy,
 )
@@ -187,8 +189,8 @@ def preset(name: str, eta: float = 1.0, tau: float = 0.1, beta: float = 1.0) -> 
     if name == "sppo":
         return LossConfig((0,), (1.0,), "sq", "win_rate_gap", eta=eta)
     if name == "ipo":
-        if tau <= 0.0:
-            raise ValueError("ipo needs tau > 0")
+        if not tau > 0.0:  # NaN fails too
+            raise ValueError(f"ipo needs tau > 0, got {tau}")
         return LossConfig(("ref",), (1.0,), "sq", 1.0 / (2.0 * tau), eta=1.0)
     if name == "inpo":
         if not 0.0 < tau <= eta:
@@ -223,9 +225,7 @@ def _resolve_opponents(
 def _logs(policy, touched, who):
     """log pi on the (P, K) `touched` mask, 0 elsewhere; zero mass there is an error."""
     probs = np.where(touched, policy.packed, 1.0)
-    if np.count_nonzero(probs) < probs.size:
-        x, y = (int(i) for i in np.argwhere(probs == 0.0)[0])
-        raise SupportViolation(x, y, f"{who} has zero mass")
+    _raise_at_first(probs == 0.0, f"{who} has zero mass")
     return np.log(probs)
 
 
@@ -424,10 +424,7 @@ def _anchored(instance, externals, config, pair_policy):
     """(history, config) of the external-anchor variant of `config`."""
     if len(externals) == 0:
         raise ValueError("need at least one external policy")
-    if len(config.weights) != len(externals):
-        raise ValueError("need one config weight per external policy")
-    if not abs(sum(config.weights) - 1.0) <= NORMALIZATION_TOL:
-        raise ValueError("external-opponent weights must sum to one")
+    _mixture_weights(config.weights, len(externals), "external-opponent")
     anchored = replace(config, opponents=tuple(externals))
     source = instance.reference if pair_policy is None else pair_policy
     return [source], anchored
@@ -489,10 +486,7 @@ class PairMarginProblem:
         dead = ~self._live.any(axis=1)
         if dead.any():
             raise ValueError(f"prompt {int(np.argmax(dead))}: no reference support")
-        outside = np.argwhere(self._tables[0] & ~self._live)
-        if len(outside):
-            x, y = (int(i) for i in outside[0])
-            raise SupportViolation(x, y, "pairs leave the reference support")
+        _raise_at_first(self._tables[0] & ~self._live, "pairs leave the reference support")
 
     def _log_policy(self, logits: PolicyLogits) -> np.ndarray:
         """log pi on the touched mask: z - max - log sum exp over the live entries."""
@@ -501,9 +495,6 @@ class PairMarginProblem:
         z = z - z.max(axis=1, keepdims=True)
         logs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         return np.where(self._tables[0], logs, 0.0)
-
-    def policy(self, logits: PolicyLogits) -> TabularPolicy:
-        return logits_to_policy(logits, self.instance.reference)
 
     def value(self, logits: PolicyLogits) -> float:
         return _evaluate(self._tables, self.config, self._log_policy(logits))
@@ -569,8 +560,7 @@ def minimize_loss(
     trace, when given, is called as trace(accepted_steps, loss, grad_max)
     at the start and after every accepted proposal.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
+    _require_count(steps, 0, f"steps must be a nonnegative integer, got {steps}")
     if not (math.isfinite(step_size) and step_size > 0.0):
         raise ValueError(f"step_size must be positive and finite, got {step_size}")
     z = init
@@ -597,4 +587,5 @@ def minimize_loss(
                 trace(accepted, val, gmax)
         else:
             step *= 0.5
-    return MinimizeResult(problem.policy(z), z, val, gmax, taken)
+    policy = logits_to_policy(z, problem.instance.reference)
+    return MinimizeResult(policy, z, val, gmax, taken)

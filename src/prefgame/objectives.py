@@ -26,8 +26,8 @@ from .instances import (
     GameInstance,
     RewardTable,
     PairwisePreference,
-    SupportViolation,
     TabularPolicy,
+    _raise_at_first,
     _require_sizes,
     _softmax_policy,
 )
@@ -89,9 +89,7 @@ def kl_divergence(
     _require_sizes(base, instance.space.sizes, "base policy")
     p, q = policy.packed, base.packed
     on = p > 0.0
-    if np.any(on & (q == 0.0)):
-        x, y = (int(i) for i in np.argwhere(on & (q == 0.0))[0])
-        raise SupportViolation(x, y, "KL against a zero-probability response")
+    _raise_at_first(on & (q == 0.0), "KL against a zero-probability response")
     terms = p * (np.log(np.where(on, p, 1.0)) - np.log(np.where(on, q, 1.0)))
     return float(instance.prompt_weights @ terms.sum(axis=1))
 
@@ -163,13 +161,13 @@ def expected_win_rates(
     instance: GameInstance,
     opponents: Sequence[TabularPolicy],
     aggregator: Aggregator = MEAN_PAIRWISE,
-    max_tuples: int = ENUMERATION_CAP,
 ) -> np.ndarray:
     """Padded (P, K) table W[x, y] = one-vs-many win probability of y.
 
     Entries past a prompt's response count are 0. mean_pairwise
     factorizes into matrix-vector products; plackett_luce enumerates the
-    product of opponent supports and respects max_tuples.
+    product of opponent supports, bounded by ENUMERATION_CAP as read on
+    this call.
     """
     if len(opponents) == 0:
         raise ValueError("need at least one opponent")
@@ -185,8 +183,8 @@ def expected_win_rates(
     # Python integers: a product of counts can overflow int64 unnoticed.
     live = [np.count_nonzero(o.packed > 0.0, axis=1).tolist() for o in opponents]
     size = sum(k * math.prod(counts) for k, counts in zip(sizes, zip(*live)))
-    if size > max_tuples:
-        raise EnumerationCapExceeded(size, max_tuples)
+    if size > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(size, ENUMERATION_CAP)
     win = np.zeros(instance.reward.packed.shape)
     for x, k in enumerate(sizes):
         win[x, :k] = _pl_win_row(instance.reward.rows[x], [o.rows[x] for o in opponents])
@@ -223,14 +221,13 @@ def multiplayer_objective(
     instance: GameInstance,
     tau: float = 0.0,
     aggregator: Aggregator = MEAN_PAIRWISE,
-    max_tuples: int = ENUMERATION_CAP,
 ) -> float:
     """n-player value of `policy` holding the opponents fixed.
 
     Only the player's own KL penalty appears; opponents' penalties belong
     to their own objectives.
     """
-    win = expected_win_rates(instance, opponents, aggregator, max_tuples)
+    win = expected_win_rates(instance, opponents, aggregator)
     return _player_value(policy, win, instance, tau)
 
 

@@ -26,6 +26,7 @@ from .instances import (
     RewardTable,
     _count_groups,
     _live_rows,
+    _require_count,
     _require_sizes,
     _unpack,
 )
@@ -201,10 +202,11 @@ def fit_pl_reward(
     The comparison list is validated and indexed once, before the first
     step, and the rewards are stepped as one zero-padded array.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got {steps}")
+    _require_count(steps, 0, f"steps must be a nonnegative integer, got {steps}")
     if not (np.isfinite(step_size) and step_size > 0.0):
         raise ValueError(f"step_size must be positive and finite, got {step_size}")
+    if not tol >= 0.0:  # NaN fails too
+        raise ValueError(f"tol must be nonnegative, got {tol}")
     sizes = instance.space.sizes
     filled = _live_rows(sizes, max(sizes))
     packed = np.zeros(filled.shape)
@@ -300,10 +302,8 @@ def generate_rankings(
     then found for all draws at once, with the same bits as one draw at
     a time.
     """
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    if pool_size < 1:
-        raise ValueError("pool_size must be at least 1")
+    _require_count(count, 0, f"count must be nonnegative, got {count}")
+    _require_count(pool_size, 1, "pool_size must be at least 1")
     _require_sizes(rewards, instance.space.sizes, "rewards")
     if not np.all(np.isfinite(rewards.packed)):
         raise ValueError("rewards have non-finite entries")

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .equilibrium import _exploitability_and_value
 from .instances import (
-    NORMALIZATION_TOL, GameInstance, TabularPolicy, _require_sizes, _softmax_policy
+    NORMALIZATION_TOL, GameInstance, TabularPolicy, _mixture_weights, _require_count,
+    _require_sizes, _softmax_policy,
 )
 from .objectives import Aggregator, MEAN_PAIRWISE, kl_divergence
 
@@ -38,9 +39,7 @@ class SolverConfig:
     """Everything a self-play run depends on.
 
     history_weights only matter for the history_window scheme; they are
-    renormalized to a proper mixture over the window. eta_schedule, when
-    given, maps the 1-based iteration index to the step size and overrides
-    the constant eta.
+    renormalized to a proper mixture over the window.
     """
 
     eta: float
@@ -51,21 +50,17 @@ class SolverConfig:
     history_weights: tuple[float, ...] | None = None
     aggregator: Aggregator = MEAN_PAIRWISE
     metric_stride: int = 1
-    eta_schedule: Callable[[int], float] | None = None
 
     def __post_init__(self):
         if not (np.isfinite(self.eta) and self.eta > 0.0):
             raise ValueError(f"eta must be positive and finite, got {self.eta}")
-        if self.iterations < 0:
-            raise ValueError("iterations must be nonnegative")
-        if self.n_players < 2:
-            raise ValueError("need at least two players")
+        for name, low in (("iterations", 0), ("n_players", 2), ("metric_stride", 1)):
+            value = getattr(self, name)
+            _require_count(value, low, f"{name} must be an integer >= {low}, got {value}")
         if not 0.0 <= self.tau < np.inf:  # NaN fails too
             raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
         if self.opponent_scheme not in OPPONENT_SCHEMES:
             raise ValueError(f"unknown opponent scheme {self.opponent_scheme!r}")
-        if self.metric_stride < 1:
-            raise ValueError("metric_stride must be at least 1")
         if self.history_weights is not None:
             w = np.asarray(self.history_weights, dtype=np.float64)
             if len(w) != self.n_players - 1:
@@ -141,15 +136,7 @@ def mwu_step(
         raise ValueError("need at least one opponent")
     if not (np.isfinite(eta) and eta > 0.0):
         raise ValueError(f"eta must be positive and finite, got {eta}")
-    if weights is None:
-        w = np.full(len(opponents), 1.0 / len(opponents))
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if len(w) != len(opponents):
-            raise ValueError("need one weight per opponent")
-        if not (np.all(w >= 0.0) and abs(w.sum() - 1.0) <= NORMALIZATION_TOL):
-            raise ValueError(f"opponent weights must be a distribution, got {w}")
-
+    w = _mixture_weights(weights, len(opponents), "opponent")
     for opp in opponents:
         _require_sizes(opp, instance.space.sizes, "opponent")
     m = instance.preference.packed
@@ -174,14 +161,7 @@ def average_policy(
     """Arithmetic mixture of policies, uniform unless weighted."""
     if len(policies) == 0:
         raise ValueError("nothing to average")
-    if weights is None:
-        w = np.full(len(policies), 1.0 / len(policies))
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        if len(w) != len(policies) or not np.all(w >= 0.0):  # NaN fails too
-            raise ValueError(f"need one nonnegative weight per policy, got {w}")
-        if not abs(w.sum() - 1.0) <= NORMALIZATION_TOL:
-            raise ValueError("averaging weights must sum to one")
+    w = _mixture_weights(weights, len(policies), "averaging")
     sizes = policies[0].sizes
     mix = np.zeros(policies[0].packed.shape)
     for wj, p in zip(w, policies):
@@ -215,7 +195,6 @@ def self_play_run(instance: GameInstance, config: SolverConfig) -> SelfPlayResul
 
     records = [_metrics(current, instance, config, 0)]
     for t in range(1, config.iterations + 1):
-        eta = config.eta if config.eta_schedule is None else config.eta_schedule(t)
         if config.opponent_scheme == "self_play_copies":
             opponents = [current] * (config.n_players - 1)
             weights = None
@@ -229,7 +208,7 @@ def self_play_run(instance: GameInstance, config: SolverConfig) -> SelfPlayResul
             else:
                 w = np.asarray(config.history_weights, dtype=np.float64)
                 weights = w / w.sum()
-        current = mwu_step(opponents, instance, eta, weights)
+        current = mwu_step(opponents, instance, config.eta, weights)
         window.append(current)
         if len(window) > config.n_players:
             window.pop(0)

@@ -8,17 +8,21 @@ from prefgame import (
     MEAN_PAIRWISE,
     PLACKETT_LUCE,
     BestResponseResult,
+    EnumerationCapExceeded,
     GameInstance,
     NegativeGapError,
     PairwisePreference,
     best_response_kl,
     best_response_unregularized,
+    config_from_dict,
     dual_gap_two_player,
     expected_win_rates,
     exploitability_multiplayer,
     multiplayer_objective,
     point_mass_policy,
     policy_from_rows,
+    run_experiment,
+    save_instance,
     two_player_objective,
     uniform_policy,
 )
@@ -262,9 +266,7 @@ def test_exploitability_builds_one_table(rng, table_builds, aggregator, tau):
         table_builds.clear()
         got = exploitability_multiplayer(pol, 3, inst, tau, aggregator)
         assert len(table_builds) == 1
-        br = equilibrium._best_response(
-            inst, others, tau, aggregator, objectives.ENUMERATION_CAP
-        )
+        br = equilibrium._best_response(inst, others, tau, aggregator)
         old = br.value - multiplayer_objective(pol, others, inst, tau, aggregator)
         assert got == pytest.approx(max(old, 0.0), abs=1e-15)
 
@@ -283,6 +285,33 @@ def test_best_responses_build_one_table(rng, table_builds, aggregator):
         assert np.array_equal(br.win, expected_win_rates(inst, [opp, opp], aggregator))
         direct = multiplayer_objective(br.policy, [opp, opp], inst, tau, aggregator)
         assert br.value == direct
+
+
+def _gap_run(bt, uni, tmp_path):
+    save_instance(bt, tmp_path / "bt.json")
+    run_experiment(config_from_dict({
+        "mode": "gap", "instance": str(tmp_path / "bt.json"),
+        "out_dir": str(tmp_path / "out"), "n_players": 5,
+        "aggregator": "plackett_luce",
+    }))
+
+
+@pytest.mark.parametrize("route", [
+    lambda bt, uni, _: multiplayer_objective(uni, [uni] * 4, bt, 0.0, PLACKETT_LUCE),
+    lambda bt, uni, _: best_response_unregularized(bt, [uni] * 4, PLACKETT_LUCE),
+    lambda bt, uni, _: best_response_kl(bt, [uni] * 4, 0.3, PLACKETT_LUCE),
+    lambda bt, uni, _: exploitability_multiplayer(uni, 5, bt, 0.0, PLACKETT_LUCE),
+    _gap_run,
+], ids=["objective", "best_response", "best_response_kl", "exploitability", "gap_run"])
+def test_every_route_reads_the_enumeration_cap_at_call_time(
+    bt, tmp_path, monkeypatch, route
+):
+    # no route binds the cap when its module is imported, so lowering the
+    # one module constant reaches each of them
+    monkeypatch.setattr(objectives, "ENUMERATION_CAP", 100)
+    with pytest.raises(EnumerationCapExceeded) as err:
+        route(bt, uniform_policy(bt.space), tmp_path)
+    assert err.value.cap == 100
 
 
 def test_negative_gap_raises_named_error(rps, monkeypatch):

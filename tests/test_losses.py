@@ -20,6 +20,7 @@ from prefgame import (
     bernoulli_kl_distance,
     closed_form_multi_teacher_optimum,
     external_margin_loss,
+    kl_divergence,
     log_ratio_margin,
     logits_to_policy,
     minimize_loss,
@@ -27,6 +28,7 @@ from prefgame import (
     pair_margin_loss,
     point_mass_policy,
     policy_from_rows,
+    policy_in_support,
     preset,
     squared_distance,
     uniform_policy,
@@ -667,6 +669,26 @@ def test_problem_rejects_pairs_off_the_reference_support_at_construction():
         PairMarginProblem(inst, [cur], preset("simpo"), data=[(0, 2, 0)])
     # pairs that stay on the support are fine
     PairMarginProblem(inst, [cur], preset("simpo"), data=[(0, 1, 0)])
+
+
+@pytest.mark.parametrize("call, detail", [
+    (lambda inst, uni: kl_divergence(uni, inst.reference, inst),
+     "KL against a zero-probability response"),
+    (lambda inst, uni: policy_in_support(uni, inst.reference),
+     "mass outside the base policy's support"),
+    (lambda inst, uni: pair_margin_loss(inst.reference, [uni], preset("simpo"), inst),
+     "policy has zero mass"),
+    (lambda inst, uni: PairMarginProblem(inst, [uni], preset("sppo")),
+     "pairs leave the reference support"),
+], ids=["kl", "policy_in_support", "loss_logs", "problem"])
+def test_support_violations_name_the_first_flagged_cell(call, detail):
+    # two flagged cells, (0, 2) and (1, 0): every raise site reports the
+    # first in prompt-major order, with its own message
+    inst = _two_prompt_instance([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+    with pytest.raises(SupportViolation) as err:
+        call(inst, uniform_policy(inst.space))
+    assert (err.value.prompt, err.value.response) == (0, 2)
+    assert str(err.value) == f"support violation at prompt 0, response 2: {detail}"
 
 
 def test_problem_rejects_a_prompt_without_reference_support_at_construction():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import prefgame.objectives as objectives
 from helpers import random_instance, random_policy
 from prefgame import (
     ENUMERATION_CAP,
@@ -176,13 +177,14 @@ def test_padded_tables_match_per_prompt_loops(rng):
         assert two_player_objective(p, q, inst) == pytest.approx(value, abs=1e-14)
 
 
-def test_expected_win_rates_enumeration_cap(bt):
+def test_expected_win_rates_enumeration_cap(bt, monkeypatch):
     uni = uniform_policy(bt.space)
+    monkeypatch.setattr(objectives, "ENUMERATION_CAP", 100)
     with pytest.raises(EnumerationCapExceeded) as err:
-        expected_win_rates(bt, [uni] * 4, PLACKETT_LUCE, max_tuples=100)
+        expected_win_rates(bt, [uni] * 4, PLACKETT_LUCE)
     assert err.value.size > err.value.cap == 100
     # mean_pairwise never enumerates, so the same cap is harmless there
-    expected_win_rates(bt, [uni] * 4, MEAN_PAIRWISE, max_tuples=100)
+    expected_win_rates(bt, [uni] * 4, MEAN_PAIRWISE)
 
 
 def test_enumeration_cap_count_does_not_overflow():
@@ -353,12 +355,11 @@ def test_multiplayer_pl_identical_players_split_evenly(rng):
         assert got == pytest.approx(1.0 / n, abs=1e-12)
 
 
-def test_multiplayer_respects_max_tuples(bt):
+def test_multiplayer_respects_max_tuples(bt, monkeypatch):
     uni = uniform_policy(bt.space)
+    monkeypatch.setattr(objectives, "ENUMERATION_CAP", 50)
     with pytest.raises(EnumerationCapExceeded):
-        multiplayer_objective(
-            uni, [uni] * 4, bt, 0.0, PLACKETT_LUCE, max_tuples=50
-        )
+        multiplayer_objective(uni, [uni] * 4, bt, 0.0, PLACKETT_LUCE)
 
 
 # ---------------------------------------------------------------------------

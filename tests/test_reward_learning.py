@@ -405,6 +405,10 @@ def test_packed_fit_stops_where_the_per_row_fit_converges():
     ({"step_size": -2.0}, "step_size"),
     ({"step_size": float("nan")}, "step_size"),
     ({"step_size": float("inf")}, "step_size"),
+    ({"steps": float("nan")}, "steps"),
+    ({"steps": 2.5}, "steps"),
+    ({"tol": float("nan")}, "tol"),
+    ({"tol": -1e-6}, "tol"),
 ])
 def test_fit_rejects_bad_arguments_up_front(kwargs, match):
     inst = two_response_instance(0.5, -0.5)

@@ -15,14 +15,17 @@ from prefgame import (
     average_policy,
     best_response_kl,
     closed_form_multi_teacher_optimum,
+    compare_presets,
     dual_gap_two_player,
     exploitability_multiplayer,
+    generate_rankings,
     kl_divergence,
     minimize_loss,
     multiplayer_objective,
     mwu_step,
     point_mass_policy,
     policy_from_rows,
+    preset,
     self_play_run,
     uniform_policy,
 )
@@ -291,15 +294,6 @@ def test_self_play_history_window_scheme_runs(rps):
     assert np.all(res.average.rows[0] > 0.0)
 
 
-def test_self_play_eta_schedule_overrides_constant(rps):
-    fixed = self_play_run(rps, SolverConfig(eta=0.25, iterations=5))
-    scheduled = self_play_run(
-        rps,
-        SolverConfig(eta=9.9, iterations=5, eta_schedule=lambda t: 0.25),
-    )
-    assert np.all(fixed.final.rows[0] == scheduled.final.rows[0])
-
-
 def test_self_play_gap_decreases_on_rps(rps):
     # trend statistic over window means: with 20 windows of 100 iterations,
     # the exploitability of the average should fall essentially monotonically
@@ -346,6 +340,10 @@ def test_solver_config_validation(rps):
 NAN, INF = float("nan"), float("inf")
 
 
+def _rng():
+    return np.random.default_rng(0)
+
+
 def _descent_problem(inst):
     problem = UpdateMatchingProblem(inst, inst.reference, [inst.reference], 0.5)
     return problem, PolicyLogits(tuple(np.zeros(k) for k in inst.space.sizes))
@@ -366,14 +364,39 @@ def _descent_problem(inst):
     (lambda inst: minimize_loss(*_descent_problem(inst), step_size=NAN), "step_size"),
     (lambda inst: minimize_loss(*_descent_problem(inst), step_size=INF), "step_size"),
     (lambda inst: minimize_loss(*_descent_problem(inst), steps=-1), "steps"),
+    (lambda inst: minimize_loss(*_descent_problem(inst), steps=NAN), "steps"),
+    (lambda inst: SolverConfig(eta=0.5, iterations=NAN), "iterations"),
+    (lambda inst: SolverConfig(eta=0.5, iterations=2.5), "iterations"),
+    (lambda inst: SolverConfig(eta=0.5, iterations=3, n_players=NAN), "n_players"),
+    (lambda inst: SolverConfig(eta=0.5, iterations=3, metric_stride=NAN), "metric_stride"),
+    (lambda inst: exploitability_multiplayer(inst.reference, NAN, inst), "n_players"),
+    (lambda inst: preset("ipo", tau=NAN), "tau"),
+    (lambda inst: generate_rankings(inst.reward, inst, NAN, 1, _rng()), "count"),
+    (lambda inst: generate_rankings(inst.reward, inst, 5, NAN, _rng()), "pool_size"),
+    (lambda inst: compare_presets(inst, samples=NAN), "samples"),
 ], ids=[
     "solver_tau_nan", "solver_tau_inf", "best_response_kl_tau_nan",
     "exploitability_tau_nan", "dual_gap_tau_nan", "mwu_step_weights_nan",
     "average_policy_weights_nan", "closed_form_tau_ref_nan", "closed_form_taus_nan",
     "minimize_step_size_nan", "minimize_step_size_inf", "minimize_steps_negative",
+    "minimize_steps_nan", "solver_iterations_nan", "solver_iterations_fractional",
+    "solver_n_players_nan", "solver_metric_stride_nan", "exploitability_n_players_nan",
+    "ipo_tau_nan", "rankings_count_nan", "rankings_pool_size_nan",
+    "presets_samples_nan",
 ])
 def test_non_finite_arguments_are_rejected_by_name(mixed, call, name):
     # the check that names the argument rejects it, before a later step
     # can blame the supports, return a NaN policy or run as if it were valid
     with pytest.raises(ValueError, match=name):
         call(mixed)
+
+
+def test_numpy_integer_counts_are_accepted(mixed):
+    res = self_play_run(mixed, SolverConfig(
+        eta=0.5, iterations=np.int64(4), n_players=np.int64(3), metric_stride=np.int64(2)
+    ))
+    assert [r.iteration for r in res.log.records] == [0, 2, 4]
+    assert exploitability_multiplayer(res.average, np.int64(3), mixed) >= 0.0
+    assert len(generate_rankings(mixed.reward, mixed, np.int64(5), np.int64(1), _rng())) == 5
+    problem, init = _descent_problem(mixed)
+    assert minimize_loss(problem, init, steps=np.int64(3)).steps_taken <= 3
