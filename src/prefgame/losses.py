@@ -172,7 +172,8 @@ def preset(name: str, eta: float = 1.0, tau: float = 0.1, beta: float = 1.0) -> 
     The scalar-target presets (ipo, inpo) and the reward-target preset
     (distill_dpo) store eta = 1 so the regression target is exactly the
     advertised constant; sppo keeps eta as the target scale. Only ipo and
-    inpo read tau; inpo needs 0 < tau <= eta for weights in [0, 1].
+    inpo read tau, which must be finite; inpo needs a finite eta and
+    0 < tau <= eta for weights in [0, 1].
     """
     if name == "dpo":
         return LossConfig(("ref",), (1.0,), "bwd", math.inf, beta=beta)
@@ -189,12 +190,14 @@ def preset(name: str, eta: float = 1.0, tau: float = 0.1, beta: float = 1.0) -> 
     if name == "sppo":
         return LossConfig((0,), (1.0,), "sq", "win_rate_gap", eta=eta)
     if name == "ipo":
-        if not tau > 0.0:  # NaN fails too
-            raise ValueError(f"ipo needs tau > 0, got {tau}")
+        if not 0.0 < tau < math.inf:  # NaN fails too
+            raise ValueError(f"ipo needs a finite tau > 0, got {tau}")
         return LossConfig(("ref",), (1.0,), "sq", 1.0 / (2.0 * tau), eta=1.0)
     if name == "inpo":
-        if not 0.0 < tau <= eta:
-            raise ValueError("inpo needs 0 < tau <= eta")
+        if not math.isfinite(eta):
+            raise ValueError(f"inpo needs a finite eta, got {eta}")
+        if not 0.0 < tau <= eta:  # NaN fails too; tau is finite with eta
+            raise ValueError(f"inpo needs 0 < tau <= eta, got tau={tau}, eta={eta}")
         weights = ((eta - tau) / eta, tau / eta)
         return LossConfig((0, "ref"), weights, "sq", 1.0 / (2.0 * tau), eta=1.0)
     raise ValueError(f"unknown preset {name!r}")
@@ -289,10 +292,11 @@ def _pair_weights(instance, data):
 def _pair_tables(instance, history, config, data):
     """Everything the evaluator needs but the policy, padded over prompts.
 
-    Returns (touched, W, offset, target, factor): the (P, K) mask of the
-    responses the pairs touch, the (P, K, K) pair weights, the opponent
+    Returns (touched, W, offset, target, factor, beta): the (P, K) mask of
+    the responses the pairs touch, the (P, K, K) pair weights, the opponent
     part sum_j w_j log pi_j of the margin offsets, the eta-scaled target
-    (a (P, K, K) table or a scalar) and the (P,) prompt factors.
+    (a (P, K, K) table or a scalar), the (P,) prompt factors and the margin
+    scale (config.beta for the bwd metric, 1 for sq).
     Exact mode zeroes W's diagonal (a judged pair is two responses);
     dataset mode keeps it (a triple may name one response twice).
     """
@@ -314,27 +318,34 @@ def _pair_tables(instance, history, config, data):
         factor = np.ones(instance.num_prompts)
     logs = (_logs(opp, touched, "opponent") for opp in opponents)
     offset = sum(w * lo for w, lo in zip(config.weights, logs))
-    return touched, pair_w, offset, _targets(config, instance, opponents), factor
-
-
-def _evaluate(tables, config, logs, gradient=False):
-    """sum_x factor_x sum_ab W[x, a, b] metric(beta h_xab, target_xab).
-
-    u = logs - sum_j w_j log pi_j, logs the policy's log pi on the touched
-    mask, and h_xab = u_xa - u_xb. With `gradient` set it returns the (P, K)
-    logit gradient: h_xab moves with z_xa - z_xb, so a row is the row sums
-    minus the column sums of W * slope, times beta and the prompt factor.
-    """
-    _, pair_w, offset, target, factor = tables
+    target = _targets(config, instance, opponents)
     beta = config.beta if config.metric == "bwd" else 1.0
+    return touched, pair_w, offset, target, factor, beta
+
+
+def _margins(tables, logs):
+    """beta h_xab = beta (u_xa - u_xb), u = logs - sum_j w_j log pi_j."""
+    _, _, offset, _, _, beta = tables
     u = logs - offset
     margins = u[:, :, None] - u[:, None, :]
-    if beta != 1.0:
-        margins = beta * margins
-    if not gradient:
-        values = _metric(config.metric, margins, target, slope=False)
-        return float(factor @ (pair_w * values).sum(axis=(1, 2)))
-    g = pair_w * _metric(config.metric, margins, target, slope=True)
+    return margins if beta == 1.0 else beta * margins
+
+
+def _value(tables, metric, margins):
+    """sum_x factor_x sum_ab W[x, a, b] metric(beta h_xab, target_xab)."""
+    _, pair_w, _, target, factor, _ = tables
+    values = _metric(metric, margins, target, slope=False)
+    return float(factor @ (pair_w * values).sum(axis=(1, 2)))
+
+
+def _slope(tables, metric, margins):
+    """The (P, K) logit gradient of _value at the same margins.
+
+    h_xab moves with z_xa - z_xb, so a row is the row sums minus the
+    column sums of W * slope, times beta and the prompt factor.
+    """
+    _, pair_w, _, target, factor, beta = tables
+    g = pair_w * _metric(metric, margins, target, slope=True)
     return (g.sum(axis=2) - g.sum(axis=1)) * (factor * beta)[:, None]
 
 
@@ -356,7 +367,8 @@ def pair_margin_loss(
     """
     _require_sizes(policy, instance.space.sizes, "policy")
     tables = _pair_tables(instance, history, config, data)
-    return _evaluate(tables, config, _logs(policy, tables[0], "policy"))
+    margins = _margins(tables, _logs(policy, tables[0], "policy"))
+    return _value(tables, config.metric, margins)
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +488,8 @@ class PairMarginProblem:
     Everything but the policy is fixed, so the pair tables and the support
     checks run once. log pi is a log-softmax of the logits, which never
     underflows to a zero probability however far apart the logits are.
+    value and gradient at the same logits share one log-softmax and margins
+    pass: the last margins are kept with their (read-only) logits object.
     """
 
     def __init__(self, instance, history, config, data=None):
@@ -487,6 +501,7 @@ class PairMarginProblem:
         if dead.any():
             raise ValueError(f"prompt {int(np.argmax(dead))}: no reference support")
         _raise_at_first(self._tables[0] & ~self._live, "pairs leave the reference support")
+        self._memo = (None, None)
 
     def _log_policy(self, logits: PolicyLogits) -> np.ndarray:
         """log pi on the touched mask: z - max - log sum exp over the live entries."""
@@ -496,13 +511,17 @@ class PairMarginProblem:
         logs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         return np.where(self._tables[0], logs, 0.0)
 
+    def _margins_at(self, logits: PolicyLogits) -> np.ndarray:
+        if self._memo[0] is not logits:
+            self._memo = (logits, _margins(self._tables, self._log_policy(logits)))
+        return self._memo[1]
+
     def value(self, logits: PolicyLogits) -> float:
-        return _evaluate(self._tables, self.config, self._log_policy(logits))
+        return _value(self._tables, self.config.metric, self._margins_at(logits))
 
     def gradient(self, logits: PolicyLogits) -> PolicyLogits:
         """d value / d logits, packed; a per-prompt logit shift leaves it unchanged."""
-        logs = self._log_policy(logits)
-        grad = _evaluate(self._tables, self.config, logs, gradient=True)
+        grad = _slope(self._tables, self.config.metric, self._margins_at(logits))
         return PolicyLogits._wrap(grad, logits.sizes)
 
 

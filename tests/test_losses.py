@@ -428,8 +428,9 @@ def test_preset_ipo_target_is_half_inverse_tau():
     assert cfg.target == 1.0 / (2.0 * 0.25)
     assert cfg.metric == "sq"
     assert cfg.eta == 1.0
-    with pytest.raises(ValueError, match="tau"):
-        preset("ipo", tau=0.0)
+    for tau in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="ipo needs a finite tau"):
+            preset("ipo", tau=tau)
 
 
 def test_preset_inpo_weights_mix_previous_and_reference():
@@ -440,6 +441,12 @@ def test_preset_inpo_weights_mix_previous_and_reference():
     assert cfg.target == 1.0
     with pytest.raises(ValueError, match="inpo"):
         preset("inpo", eta=0.5, tau=1.0)
+    for eta, tau in ((math.inf, 1.0), (math.inf, math.inf), (math.nan, 0.5)):
+        with pytest.raises(ValueError, match="inpo needs a finite eta"):
+            preset("inpo", eta=eta, tau=tau)
+    for tau in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match="inpo needs 0 < tau <= eta"):
+            preset("inpo", eta=2.0, tau=tau)
 
 
 def test_preset_sppo_regresses_on_win_rate_gap():
@@ -709,6 +716,54 @@ def test_problem_reads_wide_logit_spreads_without_underflow(rng):
     assert np.all(np.isfinite(problem.gradient(z).packed))
 
 
+def test_update_matching_problem_keeps_its_own_value_and_gradient():
+    # perfbench/tracing.py wraps these two by looking them up in the
+    # class namespace, so inherited methods would go untraced
+    assert "value" in UpdateMatchingProblem.__dict__
+    assert "gradient" in UpdateMatchingProblem.__dict__
+
+
+def _random_logits(rng, sizes):
+    return PolicyLogits(tuple(rng.standard_normal(k) for k in sizes))
+
+
+def _problem_builder(rng, metric):
+    inst = random_instance(rng, num_prompts=2, max_responses=4)
+    cur = random_policy(rng, inst.space.sizes)
+    config = preset("sppo", eta=0.8) if metric == "sq" else preset("dpo", beta=1.4)
+    return inst, lambda cls=PairMarginProblem: cls(inst, [cur], config)
+
+
+def _bits(*values):
+    return b"".join(np.asarray(v, dtype=float).tobytes() for v in values)
+
+
+@pytest.mark.parametrize("metric", ["sq", "bwd"])
+def test_calls_at_other_logits_never_read_kept_margins(rng, metric):
+    # a problem keeps the margins of the last logits object it evaluated;
+    # a call at any other object, even one with equal contents, computes
+    # its own, and every answer matches a freshly built problem's
+    inst, build = _problem_builder(rng, metric)
+    z1 = _random_logits(rng, inst.space.sizes)
+    twin = PolicyLogits(z1.rows)
+    for z2 in (_random_logits(rng, inst.space.sizes), twin, z1):
+        problem = build()
+        got = (problem.value(z1), problem.gradient(z2).packed)
+        want = (build().value(z1), build().gradient(z2).packed)
+        assert _bits(*got) == _bits(*want)
+        problem = build()
+        got = (problem.gradient(z1).packed, problem.value(z2))
+        assert _bits(*got) == _bits(build().gradient(z1).packed, build().value(z2))
+    # the first logits object is dropped as soon as value returns, and
+    # CPython allocates the next one at its address: an id() key held
+    # without a reference would match it
+    problem = build()
+    first, second = (_random_logits(rng, inst.space.sizes).packed for _ in range(2))
+    problem.value(PolicyLogits._wrap(first, inst.space.sizes))
+    z3 = PolicyLogits._wrap(second, inst.space.sizes)
+    assert _bits(problem.gradient(z3).packed) == _bits(build().gradient(z3).packed)
+
+
 # ---------------------------------------------------------------------------
 # minimization
 
@@ -732,7 +787,7 @@ def test_minimize_calls_value_per_proposal_and_gradient_per_acceptance(
     inst = random_instance(rng, num_prompts=2, max_responses=4)
     cur = random_policy(rng, inst.space.sizes)
     problem = UpdateMatchingProblem(inst, cur, [cur], 0.9)
-    calls = {"value": 0, "gradient": 0, "logits_to_policy": 0}
+    calls = {"value": 0, "gradient": 0, "_log_policy": 0, "logits_to_policy": 0}
 
     def spy(name, fn):
         def counted(*args, **kwargs):
@@ -743,6 +798,7 @@ def test_minimize_calls_value_per_proposal_and_gradient_per_acceptance(
 
     monkeypatch.setattr(problem, "value", spy("value", problem.value))
     monkeypatch.setattr(problem, "gradient", spy("gradient", problem.gradient))
+    monkeypatch.setattr(problem, "_log_policy", spy("_log_policy", problem._log_policy))
     monkeypatch.setattr(
         losses, "logits_to_policy", spy("logits_to_policy", losses.logits_to_policy)
     )
@@ -755,8 +811,41 @@ def test_minimize_calls_value_per_proposal_and_gradient_per_acceptance(
     assert calls == {
         "value": 1 + 30,
         "gradient": 1 + (len(accepted) - 1),
+        # every gradient is taken at the logits of the value call before it
+        "_log_policy": 1 + 30,
         "logits_to_policy": 1,
     }
+
+
+class _UnkeptMarginsProblem(PairMarginProblem):
+    """Forgets the kept margins before every call, so each computes its own."""
+
+    def value(self, logits):
+        self._memo = (None, None)
+        return super().value(logits)
+
+    def gradient(self, logits):
+        self._memo = (None, None)
+        return super().gradient(logits)
+
+
+@pytest.mark.parametrize("metric", ["sq", "bwd"])
+def test_kept_margins_change_no_bits_of_the_descent(rng, metric):
+    # compared in-process: numpy's SIMD exp and log may differ by an ulp
+    # between CPUs, so a stored hash would not carry over
+    inst, build = _problem_builder(rng, metric)
+    z0 = PolicyLogits(tuple(3.0 * rng.standard_normal(k) for k in inst.space.sizes))
+    runs = []
+    for problem in (build(), build(_UnkeptMarginsProblem)):
+        rows = []
+        res = minimize_loss(problem, z0, steps=300, trace=lambda *r: rows.append(r))
+        runs.append((res, rows))
+    (kept, kept_rows), (unkept, unkept_rows) = runs
+    assert kept.steps_taken == unkept.steps_taken and len(kept_rows) > 10
+    assert _bits(kept.loss, kept.grad_max, kept.logits.packed) == _bits(
+        unkept.loss, unkept.grad_max, unkept.logits.packed
+    )
+    assert _bits(kept_rows) == _bits(unkept_rows)
 
 
 def test_minimize_reaches_the_update_from_different_inits(rng):
