@@ -39,13 +39,10 @@ from .objectives import (
     closed_form_multi_teacher_optimum,
     expected_win_rates,
     kl_divergence,
-    mean_pairwise_one_vs_many,
     multi_teacher_objective,
     multiplayer_objective,
-    pl_one_vs_many,
     regularized_reward_objective,
     two_player_objective,
-    win_rate_vs_policy,
 )
 from .equilibrium import (
     TIE_TOL,
@@ -77,14 +74,12 @@ from .losses import (
     PolicyLogits,
     UpdateMatchingProblem,
     WinnerTargetProblem,
-    bernoulli_kl_distance,
     external_margin_loss,
     log_ratio_margin,
     logits_to_policy,
     minimize_loss,
     pair_margin_loss,
     preset,
-    squared_distance,
     update_matching_loss,
     winner_target_loss,
 )
@@ -118,106 +113,3 @@ from .harness import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "NORMALIZATION_TOL",
-    "GameInstance",
-    "PairwisePreference",
-    "ResponseSpace",
-    "RewardTable",
-    "SupportViolation",
-    "TabularPolicy",
-    "load_instance",
-    "load_policy",
-    "make_bt_oracle",
-    "make_cyclic_oracle",
-    "point_mass_policy",
-    "policy_from_rows",
-    "policy_in_support",
-    "require_valid",
-    "sample_preference",
-    "sample_preference_dataset",
-    "save_instance",
-    "save_policy",
-    "uniform_policy",
-    "validate_instance",
-    "ENUMERATION_CAP",
-    "MEAN_PAIRWISE",
-    "PLACKETT_LUCE",
-    "Aggregator",
-    "EnumerationCapExceeded",
-    "closed_form_multi_teacher_optimum",
-    "expected_win_rates",
-    "kl_divergence",
-    "mean_pairwise_one_vs_many",
-    "multi_teacher_objective",
-    "multiplayer_objective",
-    "pl_one_vs_many",
-    "regularized_reward_objective",
-    "two_player_objective",
-    "win_rate_vs_policy",
-    "TIE_TOL",
-    "BestResponseResult",
-    "NegativeGapError",
-    "best_response_kl",
-    "best_response_unregularized",
-    "dual_gap_two_player",
-    "exploitability_multiplayer",
-    "OPPONENT_SCHEMES",
-    "RunLog",
-    "RunRecord",
-    "SelfPlayResult",
-    "SolverConfig",
-    "average_policy",
-    "mwu_step",
-    "self_play_run",
-    "METRICS",
-    "PRESET_NAMES",
-    "TARGET_RULES",
-    "ExternalMarginProblem",
-    "LossConfig",
-    "MinimizeResult",
-    "PairMarginProblem",
-    "PolicyLogits",
-    "UpdateMatchingProblem",
-    "WinnerTargetProblem",
-    "bernoulli_kl_distance",
-    "external_margin_loss",
-    "log_ratio_margin",
-    "logits_to_policy",
-    "minimize_loss",
-    "pair_margin_loss",
-    "preset",
-    "squared_distance",
-    "update_matching_loss",
-    "winner_target_loss",
-    "FitResult",
-    "RankedComparison",
-    "fit_pl_reward",
-    "generate_rankings",
-    "pl_nll",
-    "pl_nll_gradient",
-    "rankings_from_csv",
-    "rankings_to_csv",
-    "BUNDLED",
-    "bt_instance",
-    "mixed_instance",
-    "rps_instance",
-    "write_bundled",
-    "EXIT_CONFIG",
-    "EXIT_ENUMERATION_CAP",
-    "EXIT_INVALID",
-    "EXIT_MISSING_FILE",
-    "EXIT_OK",
-    "MODES",
-    "ConfigError",
-    "ExperimentConfig",
-    "ValidationFailure",
-    "compare_presets",
-    "config_from_dict",
-    "derive_rng",
-    "gap_report",
-    "load_config",
-    "run_experiment",
-    "__version__",
-]

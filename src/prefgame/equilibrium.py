@@ -15,6 +15,7 @@ held policy on the same table instead of enumerating the opponents again.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,6 +35,9 @@ from .objectives import (
 
 # Win-rate differences below this count as a tie in the argmax set.
 TIE_TOL = 1e-12
+
+# A KL weight tau is 0 or at least this; below it, win rates / tau overflow.
+_TAU_MIN = sys.float_info.min
 
 
 class NegativeGapError(ArithmeticError):
@@ -73,8 +77,8 @@ def best_response_kl(
     aggregator: Aggregator = MEAN_PAIRWISE,
 ) -> BestResponseResult:
     """Best response with a KL(pi || ref) penalty, tau > 0, in closed form."""
-    if not 0.0 < tau < np.inf:  # NaN fails too
-        raise ValueError(f"best_response_kl needs a finite tau > 0, got {tau}")
+    if not _TAU_MIN <= tau < np.inf:  # NaN fails too
+        raise ValueError(f"best_response_kl needs a finite tau >= {_TAU_MIN}, got {tau}")
     win = expected_win_rates(instance, opponents, aggregator)
     rewards = RewardTable._wrap(win, instance.space.sizes)
     policy = closed_form_multi_teacher_optimum(rewards, instance.reference, [], tau, [])

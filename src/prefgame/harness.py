@@ -19,14 +19,15 @@ plus mode-specific keys (defaults in brackets):
     gap         policy ["uniform" or a policy file path], tau [0.0],
                 n_players [2], aggregator [mean_pairwise]
 
-Unknown or missing keys, numeric values out of range, and an out_dir
-that is or lies under a file raise ConfigError naming the key. The
-ranges: eta and step_size finite and > 0; tau finite and >= 0;
-n_players >= 2; iterations and steps >= 0; inits, metric_stride,
-samples, comparisons and pool_size >= 1. Reruns with an identical config
-write byte-identical files: every random draw flows from the root seed
-through named streams, floats are formatted the same way every time, and
-wall-clock timing is never written.
+Unknown or missing keys, numeric values out of range (an integer too
+large for a float too), and an out_dir that cannot be created (empty,
+a file, or under a file) raise ConfigError naming the key. The ranges:
+eta and step_size finite and > 0; tau 0 or finite and >= the smallest
+normal float; n_players >= 2; iterations and steps >= 0; inits,
+metric_stride, samples, comparisons and pool_size >= 1. Reruns with an
+identical config write byte-identical files: every random draw flows
+from the root seed through named streams, floats are formatted the same
+way every time, and wall-clock timing is never written.
 
 Outputs per mode:
 
@@ -54,6 +55,7 @@ from .instances import (
     TabularPolicy,
     _count_groups,
     _policy_violations,
+    _read_json,
     _require_count,
     load_instance,
     load_policy,
@@ -71,7 +73,7 @@ from .losses import (
     preset,
 )
 from .objectives import Aggregator, MEAN_PAIRWISE, PLACKETT_LUCE
-from .equilibrium import dual_gap_two_player, exploitability_multiplayer
+from .equilibrium import _TAU_MIN, dual_gap_two_player, exploitability_multiplayer
 from .solvers import OPPONENT_SCHEMES, SolverConfig, mwu_step, self_play_run
 from .reward_learning import (
     _center,
@@ -159,6 +161,14 @@ def _bounded(coerce, low, strict=False):
     return check
 
 
+def _tau(v) -> float:
+    """A KL weight: 0, or finite and >= _TAU_MIN, as SolverConfig requires."""
+    v = _bounded(_number, 0)(v)
+    if 0.0 < v < _TAU_MIN:
+        raise ValueError(f"expected a finite value >= {_TAU_MIN} or 0, got {v}")
+    return v
+
+
 def _weights_or_null(v):
     if v is None:
         return None
@@ -183,7 +193,7 @@ _SCHEMAS = {
         "eta": (_bounded(_number, 0, strict=True), _REQUIRED),
         "iterations": (_bounded(_integer, 0), _REQUIRED),
         "n_players": (_bounded(_integer, 2), 2),
-        "tau": (_bounded(_number, 0), 0.0),
+        "tau": (_tau, 0.0),
         "metric_stride": (_bounded(_integer, 1), 1),
         "opponent_scheme": (_choice(OPPONENT_SCHEMES), "self_play_copies"),
         "history_weights": (_weights_or_null, None),
@@ -207,7 +217,7 @@ _SCHEMAS = {
     },
     "gap": {
         "policy": (_string, "uniform"),
-        "tau": (_bounded(_number, 0), 0.0),
+        "tau": (_tau, 0.0),
         "n_players": (_bounded(_integer, 2), 2),
         "aggregator": (_choice(tuple(_AGGREGATORS)), "mean_pairwise"),
     },
@@ -231,11 +241,10 @@ class ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Parse and fully validate a config file against the flat schema."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config file is not valid JSON: {err}") from err
+    try:
+        doc = _read_json(path)
+    except ValueError as err:
+        raise ConfigError(f"config file is not valid JSON: {err}") from err
     return config_from_dict(doc)
 
 
@@ -260,7 +269,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     for key, (coerce, default) in _COMMON.items():
         try:
             values[key] = coerce(doc.get(key, default))
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"bad value for common key '{key}': {err}") from err
 
     params = {}
@@ -272,7 +281,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             continue
         try:
             params[key] = coerce(doc[key])
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"bad value for key '{key}': {err}") from err
     return ExperimentConfig(mode, params=params, **values)
 
@@ -628,9 +637,9 @@ def run_experiment(config) -> dict:
     instance = _load_checked_instance(config.instance)
     try:
         os.makedirs(config.out_dir, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as err:
+    except (FileExistsError, FileNotFoundError, NotADirectoryError) as err:
         raise ConfigError(
-            f"bad value for key 'out_dir': {config.out_dir} is or lies under a file"
+            f"bad value for key 'out_dir': {config.out_dir!r}: {err.strerror}"
         ) from err
     summary = _RUNNERS[config.mode](instance, config)
     summary["mode"] = config.mode

@@ -533,13 +533,22 @@ def save_instance(instance: GameInstance, path) -> None:
         fh.write("\n")
 
 
+def _read_json(path):
+    """The document in a JSON file; every decode failure is a ValueError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:  # nesting deeper than the parser's stack
+            raise ValueError("nested deeper than the JSON parser can follow") from None
+
+
 def _field(key: str, build, value, kind=list):
     """build(value) for file key `key`; a malformed value is a ValueError naming it."""
     try:
         if not isinstance(value, kind):
             raise TypeError(f"expected a {kind.__name__}, got {type(value).__name__}")
         return build(value)
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ValueError(f"key '{key}': {err}") from None
 
 
@@ -575,8 +584,7 @@ def _build_preference(doc: dict, space: ResponseSpace, reward) -> PairwisePrefer
 
 def load_instance(path) -> GameInstance:
     """Parse an instance file. Schema errors name the offending key."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ValueError("instance file must hold a JSON object")
     for key in ("responses", "reference", "preference"):
@@ -619,8 +627,7 @@ def save_policy(policy: TabularPolicy, path) -> None:
 
 
 def load_policy(path) -> TabularPolicy:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "rows" not in doc:
         raise ValueError("policy file missing key 'rows'")
     return _field("rows", policy_from_rows, doc["rows"])

@@ -70,24 +70,6 @@ PRESET_NAMES = (
 OpponentRef = Union[int, str, TabularPolicy]
 
 
-def squared_distance(margin: float, target: float) -> float:
-    return (margin - target) ** 2
-
-
-def bernoulli_kl_distance(margin: float, target: float) -> float:
-    """KL(Bernoulli(sigmoid(target)) || Bernoulli(sigmoid(margin))), in scalar math."""
-    if target == -math.inf:
-        raise ValueError("target -inf is not supported")
-    def softplus(v: float) -> float:  # -log sigmoid(-v)
-        return math.log1p(math.exp(-abs(v))) + max(v, 0.0)
-    if target == math.inf:
-        return softplus(-margin)
-    q = math.exp(-softplus(-target))
-    return q * (softplus(-margin) - softplus(-target)) + (1.0 - q) * (
-        softplus(margin) - softplus(target)
-    )
-
-
 def _metric(metric: str, m, t, slope: bool):
     """metric(m, t) elementwise, or its derivative in m when slope is set.
 

@@ -25,7 +25,6 @@ import numpy as np
 from .instances import (
     GameInstance,
     RewardTable,
-    PairwisePreference,
     TabularPolicy,
     _raise_at_first,
     _require_sizes,
@@ -71,16 +70,6 @@ PLACKETT_LUCE = Aggregator("plackett_luce")
 # elementary quantities
 
 
-def win_rate_vs_policy(
-    preference: PairwisePreference,
-    prompt: int,
-    response: int,
-    policy: TabularPolicy,
-) -> float:
-    """Probability that `response` beats a draw from `policy` on `prompt`."""
-    return float(preference.matrices[prompt][response] @ policy.rows[prompt])
-
-
 def kl_divergence(
     policy: TabularPolicy, base: TabularPolicy, instance: GameInstance
 ) -> float:
@@ -98,39 +87,6 @@ def _expect(policy: TabularPolicy, table: np.ndarray, instance: GameInstance) ->
     """E_x E_{y ~ policy} table[x, y] for a padded (P, K) table."""
     _require_sizes(policy, instance.space.sizes, "policy")
     return float(instance.prompt_weights @ np.einsum("pk,pk->p", policy.packed, table))
-
-
-def pl_one_vs_many(
-    rewards: RewardTable, prompt: int, response: int, others: Sequence[int]
-) -> float:
-    """Plackett-Luce win probability of `response` against a response pool.
-
-    others is a nonempty multiset of response indices not containing
-    `response`. Computed with a max shift so large rewards stay finite.
-    """
-    if len(others) == 0:
-        raise ValueError("pl_one_vs_many needs a nonempty pool")
-    if response in others:
-        raise ValueError("pool must not contain the response itself")
-    row = rewards.rows[prompt]
-    scores = np.concatenate(([row[response]], row[list(others)]))
-    scores = scores - scores.max()
-    e = np.exp(scores)
-    return float(e[0] / e.sum())
-
-
-def mean_pairwise_one_vs_many(
-    preference: PairwisePreference,
-    prompt: int,
-    response: int,
-    opponents: Sequence[TabularPolicy],
-) -> float:
-    """Average pairwise win rate of `response` against each opponent policy."""
-    if len(opponents) == 0:
-        raise ValueError("need at least one opponent")
-    return float(
-        np.mean([win_rate_vs_policy(preference, prompt, response, o) for o in opponents])
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .equilibrium import _exploitability_and_value
+from .equilibrium import _TAU_MIN, _exploitability_and_value
 from .instances import (
     NORMALIZATION_TOL, GameInstance, TabularPolicy, _mixture_weights, _require_count,
     _require_sizes, _softmax_policy,
@@ -57,8 +57,8 @@ class SolverConfig:
         for name, low in (("iterations", 0), ("n_players", 2), ("metric_stride", 1)):
             value = getattr(self, name)
             _require_count(value, low, f"{name} must be an integer >= {low}, got {value}")
-        if not 0.0 <= self.tau < np.inf:  # NaN fails too
-            raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
+        if not (self.tau == 0.0 or _TAU_MIN <= self.tau < np.inf):  # NaN fails too
+            raise ValueError(f"tau must be 0 or finite and >= {_TAU_MIN}, got {self.tau}")
         if self.opponent_scheme not in OPPONENT_SCHEMES:
             raise ValueError(f"unknown opponent scheme {self.opponent_scheme!r}")
         if self.history_weights is not None:

@@ -1,9 +1,15 @@
-"""Shared generators for randomized tests.
+"""Shared generators and reference formulas for the tests.
 
-Everything takes an explicit Generator so each test controls its seed.
+Every generator takes an explicit Generator so each test controls its seed.
+The per-pair reference formulas at the end score one response or one
+margin at a time, sharing no code with the packed tables in prefgame, so
+agreement with them is independent evidence.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Sequence
 
 import numpy as np
 
@@ -177,3 +183,68 @@ def reference_bt_matrix(row: np.ndarray) -> np.ndarray:
             m[a, b] = p
             m[b, a] = 1.0 - p
     return m
+
+
+# ---------------------------------------------------------------------------
+# per-pair reference formulas
+
+
+def win_rate_vs_policy(
+    preference: PairwisePreference,
+    prompt: int,
+    response: int,
+    policy: TabularPolicy,
+) -> float:
+    """Probability that `response` beats a draw from `policy` on `prompt`."""
+    return float(preference.matrices[prompt][response] @ policy.rows[prompt])
+
+
+def pl_one_vs_many(
+    rewards: RewardTable, prompt: int, response: int, others: Sequence[int]
+) -> float:
+    """Plackett-Luce win probability of `response` against a response pool.
+
+    others is a nonempty multiset of response indices not containing
+    `response`. Computed with a max shift so large rewards stay finite.
+    """
+    if len(others) == 0:
+        raise ValueError("pl_one_vs_many needs a nonempty pool")
+    if response in others:
+        raise ValueError("pool must not contain the response itself")
+    row = rewards.rows[prompt]
+    scores = np.concatenate(([row[response]], row[list(others)]))
+    scores = scores - scores.max()
+    e = np.exp(scores)
+    return float(e[0] / e.sum())
+
+
+def mean_pairwise_one_vs_many(
+    preference: PairwisePreference,
+    prompt: int,
+    response: int,
+    opponents: Sequence[TabularPolicy],
+) -> float:
+    """Average pairwise win rate of `response` against each opponent policy."""
+    if len(opponents) == 0:
+        raise ValueError("need at least one opponent")
+    return float(
+        np.mean([win_rate_vs_policy(preference, prompt, response, o) for o in opponents])
+    )
+
+
+def squared_distance(margin: float, target: float) -> float:
+    return (margin - target) ** 2
+
+
+def bernoulli_kl_distance(margin: float, target: float) -> float:
+    """KL(Bernoulli(sigmoid(target)) || Bernoulli(sigmoid(margin))), in scalar math."""
+    if target == -math.inf:
+        raise ValueError("target -inf is not supported")
+    def softplus(v: float) -> float:  # -log sigmoid(-v)
+        return math.log1p(math.exp(-abs(v))) + max(v, 0.0)
+    if target == math.inf:
+        return softplus(-margin)
+    q = math.exp(-softplus(-target))
+    return q * (softplus(-margin) - softplus(-target)) + (1.0 - q) * (
+        softplus(margin) - softplus(target)
+    )

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,16 @@ def test_kl_best_response_matches_hand_written_gibbs_rows(rng, aggregator, n_pla
 def test_kl_best_response_rejects_nonpositive_tau(rps):
     with pytest.raises(ValueError, match="tau"):
         best_response_kl(rps, [rps.reference], tau=0.0)
+
+
+def test_kl_best_response_names_a_subnormal_tau(rps):
+    # win rates / tau overflow below the smallest normal float; the error
+    # names tau instead of the anchors' support
+    for tau in (5e-309, 1e-320):
+        with pytest.raises(ValueError, match="needs a finite tau >="):
+            best_response_kl(rps, [rps.reference], tau=tau)
+    br = best_response_kl(rps, [rps.reference], tau=sys.float_info.min)
+    assert np.all(np.isfinite(br.policy.packed)) and np.isfinite(br.value)
 
 
 # ---------------------------------------------------------------------------

@@ -182,9 +182,11 @@ def test_load_config_round_trip(paths, tmp_path):
 
 def test_load_config_rejects_malformed_json(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text("{not json")
-    with pytest.raises(ConfigError, match="not valid JSON"):
-        load_config(path)
+    # the second is nested past the parser's recursion limit
+    for text in ("{not json", "[" * 100000):
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(path)
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +552,19 @@ _VALID = {
             ("presets", "samples", 0),
             ("gap", "n_players", 1),
             ("gap", "tau", -1.0),
+            # below the smallest normal float, win rates / tau overflow
+            ("gap", "tau", 1e-320),
+            ("selfplay", "tau", 1e-320),
+        ]
+    ]
+    + [
+        # JSON integers too large for a float
+        pytest.param(mode, key, value, id=f"{mode}-{key}-10**400")
+        for mode, key, value in [
+            ("lossmin", "eta", 10**400),
+            ("lossmin", "step_size", 10**400),
+            ("gap", "tau", 10**400),
+            ("selfplay", "history_weights", [10**400]),
         ]
     ],
 )
@@ -633,11 +648,13 @@ def test_cli_run_invalid_instance_exits_5(paths, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "gap"])
-@pytest.mark.parametrize("broken", ["not_json", "short_reference"])
+@pytest.mark.parametrize("broken", ["not_json", "short_reference", "deeply_nested"])
 def test_cli_unreadable_instance_exits_5(paths, tmp_path, capsys, command, broken):
     path = tmp_path / "instance.json"
     if broken == "not_json":
         path.write_text("{ not json")
+    elif broken == "deeply_nested":
+        path.write_text("[" * 100000)
     else:
         doc = json.loads(Path(paths["rps"]).read_text())
         doc["reference"] = [[0.5, 0.5]]
@@ -737,8 +754,9 @@ def test_cli_runs_never_import_numpy_ma(paths, tmp_path):
         ["gap", "rps", "uniform", "--n", "1"],
         ["gap", "rps", "uniform", "--tau", "-1"],
         ["presets", "mixed", "--samples", "0"],
+        ["gap", "mixed", "uniform", "--tau", "1e-310"],
     ],
-    ids=["gap-n-1", "gap-tau--1", "presets-samples-0"],
+    ids=["gap-n-1", "gap-tau--1", "presets-samples-0", "gap-tau-1e-310"],
 )
 def test_cli_flags_out_of_range_exit_2(paths, capsys, argv):
     argv = [argv[0], paths[argv[1]]] + argv[2:]
@@ -800,9 +818,11 @@ def _gap_argv(paths, tmp_path, command, policy):
         json.dumps([[0.5, 0.25, 0.25]]),
         json.dumps({"rows": 3}),
         json.dumps({"rows": []}),
+        "[" * 100000,
+        json.dumps({"rows": [[10**400, 0, 0]]}),
     ],
     ids=["not-json", "nested-rows", "string-row", "string-entries", "top-level-list",
-         "rows-number", "rows-empty"],
+         "rows-number", "rows-empty", "deeply-nested", "row-10**400"],
 )
 def test_cli_unreadable_policy_exits_5(paths, tmp_path, capsys, command, text):
     path = tmp_path / "policy.json"
@@ -821,9 +841,14 @@ def test_cli_unreadable_policy_exits_5(paths, tmp_path, capsys, command, text):
         ("rewards", 7),
         ("preference.matrices", 7),
         ("preference", [1, 2]),
+        ("reference", [[10**400, 0, 0]]),
+        ("rewards", [[10**400, 0, 0]]),
+        ("prompt_weights", [10**400]),
+        ("preference.strength", 10**400),
     ],
     ids=["responses-number", "reference-number", "rewards-number",
-         "matrices-number", "preference-list"],
+         "matrices-number", "preference-list", "reference-10**400",
+         "rewards-10**400", "prompt_weights-10**400", "strength-10**400"],
 )
 def test_cli_instance_key_of_the_wrong_type_exits_5(
     paths, tmp_path, capsys, command, key, value
@@ -832,6 +857,8 @@ def test_cli_instance_key_of_the_wrong_type_exits_5(
     doc["rewards"] = [[0.0, 0.0, 0.0]]
     if key == "preference.matrices":
         doc["preference"]["matrices"] = value
+    elif key == "preference.strength":
+        doc["preference"] = {"kind": "cyclic", "strength": value}
     else:
         doc[key] = value
     path = tmp_path / "instance.json"
@@ -901,6 +928,14 @@ def test_cli_out_dir_on_a_file_exits_2(paths, tmp_path, capsys, where):
     blocker.write_text("not a directory\n")
     doc = base_doc(paths, tmp_path, "gap")
     doc["out_dir"] = str(blocker if where == "is-a-file" else blocker / "out")
+    assert main(["run", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "key 'out_dir'" in err and "Traceback" not in err
+
+
+def test_cli_empty_out_dir_exits_2(paths, tmp_path, capsys):
+    doc = base_doc(paths, tmp_path, "gap")
+    doc["out_dir"] = ""
     assert main(["run", write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert "key 'out_dir'" in err and "Traceback" not in err

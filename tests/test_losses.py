@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from helpers import (
+    bernoulli_kl_distance,
     fd_logit_gradient,
     max_grad_rel_error,
     random_instance,
     random_policy,
+    squared_distance,
 )
 from prefgame import (
     ExternalMarginProblem,
@@ -17,7 +19,6 @@ from prefgame import (
     SupportViolation,
     UpdateMatchingProblem,
     WinnerTargetProblem,
-    bernoulli_kl_distance,
     closed_form_multi_teacher_optimum,
     external_margin_loss,
     kl_divergence,
@@ -30,7 +31,6 @@ from prefgame import (
     policy_from_rows,
     policy_in_support,
     preset,
-    squared_distance,
     uniform_policy,
     update_matching_loss,
     winner_target_loss,

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import prefgame.objectives as objectives
-from helpers import random_instance, random_policy
+from helpers import (
+    mean_pairwise_one_vs_many,
+    pl_one_vs_many,
+    random_instance,
+    random_policy,
+    win_rate_vs_policy,
+)
 from prefgame import (
     ENUMERATION_CAP,
     MEAN_PAIRWISE,
@@ -19,17 +25,14 @@ from prefgame import (
     closed_form_multi_teacher_optimum,
     expected_win_rates,
     kl_divergence,
-    mean_pairwise_one_vs_many,
     mwu_step,
     multi_teacher_objective,
     multiplayer_objective,
-    pl_one_vs_many,
     point_mass_policy,
     policy_from_rows,
     regularized_reward_objective,
     two_player_objective,
     uniform_policy,
-    win_rate_vs_policy,
 )
 
 

@@ -323,6 +323,8 @@ def test_solver_config_validation(rps):
         SolverConfig(eta=1.0, iterations=5, opponent_scheme="roundrobin")
     with pytest.raises(ValueError, match="stride"):
         SolverConfig(eta=1.0, iterations=5, metric_stride=0)
+    with pytest.raises(ValueError, match="tau must be 0 or finite and >="):
+        SolverConfig(eta=1.0, iterations=5, tau=5e-309)
     with pytest.raises(ValueError, match="history weight"):
         SolverConfig(
             eta=1.0,
