@@ -257,7 +257,10 @@ def closed_form_multi_teacher_optimum(
 
     anchors = [(tau_ref, reference)] + [(t, p) for t, p in zip(taus, teachers)]
     _require_sizes(rewards, reference.sizes, "rewards")
-    logit = rewards.packed / tau
+    with np.errstate(over="ignore"):
+        logit = rewards.packed / tau
+    if not np.all(np.isfinite(logit)):  # an inf logit would read as no support
+        raise ValueError(f"rewards / tau is not finite at tau {tau}")
     for coeff, anchor in anchors:
         _require_sizes(anchor, reference.sizes, "teacher")
         if coeff > 0.0:

@@ -58,38 +58,50 @@ class _IndexedComparisons:
 
     `where` holds one int array per pool size, in order of first
     appearance; each row is x * K + member for K the largest response
-    count, with the winner in column 0 and the pool after it.
+    count, with the winner in column 0 and the pool after it. `cells` is
+    every `where` flattened and joined, the gradient's bincount cells.
     """
 
     sizes: tuple[int, ...]
     where: tuple[np.ndarray, ...]
+    cells: np.ndarray
     count: int
 
 
 def _index_comparisons(
     sizes: tuple[int, ...], data: list[RankedComparison]
 ) -> _IndexedComparisons:
-    """Walk the comparison list once, checking bounds against `sizes`.
+    """Group the comparisons by pool size, then check bounds a bucket at a time.
 
-    Index errors name the offending comparison.
+    An error names the lowest-numbered comparison out of range.
     """
     if len(data) == 0:
         raise ValueError("need at least one comparison")
-    width = max(sizes)
-    buckets: dict[int, list[list[int]]] = {}
+    buckets: dict[int, list[int]] = {}
     for i, c in enumerate(data):
+        buckets.setdefault(len(c.pool), []).extend((i, c.prompt, c.winner, *c.pool))
+    counts, width = np.array(sizes), max(sizes)
+    where, bad = [], []
+    for size, flat in buckets.items():
+        try:
+            rows = np.array(flat, dtype=np.intp).reshape(-1, size + 3)
+        except OverflowError:  # an index past intp is out of range anyway
+            rows = np.array(flat, dtype=object).reshape(-1, size + 3)
+        prompt, members = rows[:, 1], rows[:, 2:]
+        stray = (prompt < 0) | (prompt >= len(sizes))
+        k = counts[np.where(stray, 0, prompt).astype(np.intp)]
+        stray |= _row_max((members < 0) | (members >= k[:, None]))
+        if stray.any():
+            bad.append(rows[np.argmax(stray), 0])
+        where.append(prompt[:, None] * width + members)
+    if bad:
+        i = min(bad)
+        c = data[i]
         if not 0 <= c.prompt < len(sizes):
             raise ValueError(f"comparison {i}: prompt {c.prompt} out of range")
-        k = sizes[c.prompt]
-        members = (c.winner,) + c.pool
-        if max(members) >= k or min(members) < 0:
-            raise ValueError(
-                f"comparison {i}: response out of range for prompt {c.prompt}"
-            )
-        base = c.prompt * width
-        buckets.setdefault(len(c.pool), []).append([base + y for y in members])
-    where = tuple(np.array(rows, dtype=np.intp) for rows in buckets.values())
-    return _IndexedComparisons(tuple(sizes), where, len(data))
+        raise ValueError(f"comparison {i}: response out of range for prompt {c.prompt}")
+    cells = np.concatenate([w.ravel() for w in where])
+    return _IndexedComparisons(tuple(sizes), tuple(where), cells, len(data))
 
 
 def _indexed(rewards: RewardTable, data) -> _IndexedComparisons:
@@ -117,7 +129,11 @@ def _softmax_pass(rewards: RewardTable, data):
         scores = flat[where]
         top = _row_max(scores)
         shifted = np.exp(scores - top[:, None])
-        buckets.append((scores, top, shifted, shifted.sum(axis=1)))
+        # numpy adds a row narrower than 8 left to right (pairwise from 8
+        # on), so a column at a time gives sum(axis=1)'s bits, and faster
+        narrow = shifted.shape[1] < 8
+        sums = functools.reduce(np.add, shifted.T) if narrow else shifted.sum(axis=1)
+        buckets.append((scores, top, shifted, sums))
     return indexed, buckets
 
 
@@ -153,8 +169,8 @@ def pl_nll_gradient(
         share = shifted / sums[:, None]
         share[:, 0] -= 1.0
         shares.append(share.ravel())
-    cells = np.concatenate([where.ravel() for where in indexed.where])
-    grad = np.bincount(cells, np.concatenate(shares), minlength=rewards.packed.size)
+    size = rewards.packed.size
+    grad = np.bincount(indexed.cells, np.concatenate(shares), minlength=size)
     grad /= indexed.count
     return _unpack(grad.reshape(rewards.packed.shape), rewards.sizes)
 
@@ -178,8 +194,12 @@ def _center(packed: np.ndarray, groups) -> np.ndarray:
     numpy's summation order.
     """
     for prompts, k in groups:
-        block = packed[prompts, :k]
-        packed[prompts, :k] = block - block.sum(axis=1, keepdims=True) / k
+        if len(prompts) == 1:  # a view of the one row: the same bits, no gather
+            row = packed[prompts[0], :k]
+            row -= row.sum() / k
+        else:
+            block = packed[prompts, :k]
+            packed[prompts, :k] = block - block.sum(axis=1, keepdims=True) / k
     return packed
 
 
@@ -207,6 +227,8 @@ def fit_pl_reward(
         raise ValueError(f"step_size must be positive and finite, got {step_size}")
     if not tol >= 0.0:  # NaN fails too
         raise ValueError(f"tol must be nonnegative, got {tol}")
+    if init is not None and not np.all(np.isfinite(init.packed)):
+        raise ValueError("init has non-finite entries")
     sizes = instance.space.sizes
     filled = _live_rows(sizes, max(sizes))
     packed = np.zeros(filled.shape)
@@ -371,6 +393,9 @@ def rankings_from_csv(path) -> list[RankedComparison]:
         for row in reader:
             if len(row) != 3:
                 raise ValueError(f"ranking row {len(out)} needs 3 fields, got {row}")
-            pool = tuple(int(y) for y in row[2].split(";"))
-            out.append(RankedComparison(int(row[0]), int(row[1]), pool))
+            try:
+                pool = tuple(int(y) for y in row[2].split(";"))
+                out.append(RankedComparison(int(row[0]), int(row[1]), pool))
+            except ValueError as err:
+                raise ValueError(f"ranking row {len(out)}: {err}") from err
     return out

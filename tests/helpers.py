@@ -172,6 +172,32 @@ def reference_validate_instance(instance: GameInstance) -> list[str]:
     return bad
 
 
+def reference_index_comparisons(sizes, data) -> tuple[np.ndarray, ...]:
+    """reward_learning._index_comparisons as one walk, a comparison at a time.
+
+    Returns the `where` arrays, one per pool size in order of first
+    appearance; the first comparison out of range raises ValueError. The
+    property test asks the bucketed numpy checks for the same arrays and
+    the same message.
+    """
+    if len(data) == 0:
+        raise ValueError("need at least one comparison")
+    width = max(sizes)
+    buckets: dict[int, list[list[int]]] = {}
+    for i, c in enumerate(data):
+        if not 0 <= c.prompt < len(sizes):
+            raise ValueError(f"comparison {i}: prompt {c.prompt} out of range")
+        k = sizes[c.prompt]
+        members = (c.winner,) + c.pool
+        if max(members) >= k or min(members) < 0:
+            raise ValueError(
+                f"comparison {i}: response out of range for prompt {c.prompt}"
+            )
+        base = c.prompt * width
+        buckets.setdefault(len(c.pool), []).append([base + y for y in members])
+    return tuple(np.array(rows, dtype=np.intp) for rows in buckets.values())
+
+
 def reference_bt_matrix(row: np.ndarray) -> np.ndarray:
     """Bradley-Terry matrix of one reward row, one pair at a time."""
     k = len(row)

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prefgame.reward_learning as reward_learning
-from helpers import fd_reward_gradient, max_grad_rel_error, random_instance
+from helpers import (
+    fd_reward_gradient,
+    max_grad_rel_error,
+    random_instance,
+    reference_index_comparisons,
+)
 from prefgame import (
     GameInstance,
     PairwisePreference,
@@ -66,6 +71,48 @@ def test_ranked_comparison_validation():
         RankedComparison(0, 1, (0, 0))
     with pytest.raises(ValueError, match="own pool"):
         RankedComparison(0, 1, (1, 2))
+
+
+# indices past intp (and past float64's exact range) must still read as out of range
+_FAR = (-1, -(10**30), 10**30, 2**63, -(2**63))
+
+
+@st.composite
+def _comparison_lists(draw):
+    """Response counts and comparisons, mostly in range, spread over pool sizes."""
+    sizes = tuple(draw(st.lists(st.integers(2, 9), min_size=1, max_size=4)))
+    stray = draw(st.booleans())
+    data = []
+    for _ in range(draw(st.integers(0 if stray else 1, 12))):
+        x = draw(st.integers(0, len(sizes) - 1))
+        k = sizes[x]
+        if stray and draw(st.integers(0, 4)) == 0:
+            x = draw(st.sampled_from((len(sizes),) + _FAR))
+        index = st.integers(0, k - 1)
+        if stray:
+            index = st.one_of(index, index, index, st.sampled_from((k,) + _FAR))
+        members = draw(st.lists(index, min_size=2, max_size=k, unique=True))
+        data.append(RankedComparison(x, members[0], tuple(members[1:])))
+    return sizes, data
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_comparison_lists())
+def test_index_comparisons_matches_the_per_comparison_walk(case):
+    sizes, data = case
+    try:
+        want = reference_index_comparisons(sizes, data)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:  # not OverflowError
+            reward_learning._index_comparisons(sizes, data)
+        assert str(got.value) == str(err)
+        return
+    got = reward_learning._index_comparisons(sizes, data)
+    assert (got.sizes, got.count) == (sizes, len(data))
+    assert len(got.where) == len(want)
+    for a, b in zip(got.where, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(got.cells, np.concatenate([w.ravel() for w in want]))
 
 
 # ---------------------------------------------------------------------------
@@ -159,26 +206,36 @@ def _mixed_pool(inst, group, rng, count):
 
 def test_nll_gradient_scatter_matches_add_at(rng):
     # np.bincount accumulates in input order, as np.add.at did: pool-size
-    # buckets in order of first appearance, comparisons in order within each
-    inst = random_instance(rng, num_prompts=3, max_responses=6)
-    data = [c for g in (1, 2, 1, 3) for c in _mixed_pool(inst, g, rng, 30)]
+    # buckets in order of first appearance, comparisons in order within each.
+    # Pools of 1-11 put buckets on both sides of the 8 columns where numpy's
+    # row sums turn pairwise; the value and the gradient keep those sums' bits.
+    sizes = (12, 9, 4, 12)
+    inst = _uneven_instance(sizes, (0.25,) * 4, [rng.normal(size=k) for k in sizes])
+    groups = (1, 8, 2, 11, 7, 3, 10, 5, 1, 9, 4, 6)
+    counts = (30, 16, 7, 19, 23, 12, 40, 2, 9, 25, 5, 14)
+    data = [c for g, n in zip(groups, counts) for c in _mixed_pool(inst, g, rng, n)]
     probe = RewardTable(tuple(rng.normal(size=k) for k in inst.space.sizes))
     width = probe.packed.shape[1]
     buckets = {}
     for c in data:
         cols = [c.prompt * width + y for y in (c.winner,) + c.pool]
         buckets.setdefault(len(c.pool), []).append(cols)
+    assert sorted(buckets) == list(range(1, 12))
     want = np.zeros(probe.packed.size)
+    nll = 0.0
     for cols in buckets.values():
         where = np.array(cols)
         s = probe.packed.ravel()[where]
-        e = np.exp(s - s.max(axis=1)[:, None])
+        top = s.max(axis=1)
+        e = np.exp(s - top[:, None])
         share = e / e.sum(axis=1)[:, None]
         share[:, 0] -= 1.0
         np.add.at(want, where, share)
+        nll += float(np.sum(top + np.log(e.sum(axis=1)) - s[:, 0]))
     want = want.reshape(probe.packed.shape) / len(data)
     for x, g in enumerate(pl_nll_gradient(probe, data)):
         assert np.array_equal(g, want[x, : len(g)])
+    assert pl_nll(probe, data) == nll / len(data)
 
 
 def test_nll_gradient_matches_finite_differences(rng):
@@ -409,6 +466,8 @@ def test_packed_fit_stops_where_the_per_row_fit_converges():
     ({"steps": 2.5}, "steps"),
     ({"tol": float("nan")}, "tol"),
     ({"tol": -1e-6}, "tol"),
+    ({"init": RewardTable((np.array([np.nan, 0.0]),))}, "init"),
+    ({"init": RewardTable((np.array([0.0, -np.inf]),))}, "init"),
 ])
 def test_fit_rejects_bad_arguments_up_front(kwargs, match):
     inst = two_response_instance(0.5, -0.5)
@@ -636,4 +695,16 @@ def test_rankings_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("prompt,chosen,rest\n0,0,1\n")
     with pytest.raises(ValueError, match="header"):
+        rankings_from_csv(path)
+
+
+@pytest.mark.parametrize("line, match", [
+    ("0,x,2", "ranking row 1: invalid literal for int"),
+    ("0,1,2;", "ranking row 1: invalid literal for int"),
+    ("0,1,1", "ranking row 1: winner 1 appears in its own pool"),
+])
+def test_rankings_csv_field_errors_name_the_row(tmp_path, line, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"prompt,winner,pool\n0,0,1\n{line}\n")
+    with pytest.raises(ValueError, match=match):
         rankings_from_csv(path)
