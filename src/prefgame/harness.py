@@ -53,7 +53,6 @@ from .instances import (
     GameInstance,
     SupportViolation,
     TabularPolicy,
-    _count_groups,
     _policy_violations,
     _read_json,
     _require_count,
@@ -534,7 +533,7 @@ def _run_rewardfit(instance, config: ExperimentConfig) -> dict:
         data, instance, steps=p["steps"], step_size=p["step_size"]
     )
     _write_json({"rows": [r.tolist() for r in fit.rewards.rows]}, fitted_path)
-    true = _center(instance.reward.packed.copy(), _count_groups(instance.space.sizes))
+    true = _center(instance.reward.packed.copy(), instance.space.sizes)
     err = float(np.max(np.abs(fit.rewards.packed - true)))
     _write_json(
         {

@@ -259,8 +259,8 @@ def closed_form_multi_teacher_optimum(
     _require_sizes(rewards, reference.sizes, "rewards")
     with np.errstate(over="ignore"):
         logit = rewards.packed / tau
-    if not np.all(np.isfinite(logit)):  # an inf logit would read as no support
-        raise ValueError(f"rewards / tau is not finite at tau {tau}")
+    if not np.all(logit < np.inf):  # +inf or NaN would read as no support
+        raise ValueError(f"rewards / tau overflows or is NaN at tau {tau}")
     for coeff, anchor in anchors:
         _require_sizes(anchor, reference.sizes, "teacher")
         if coeff > 0.0:

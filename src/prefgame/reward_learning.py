@@ -24,7 +24,6 @@ import numpy as np
 from .instances import (
     GameInstance,
     RewardTable,
-    _count_groups,
     _live_rows,
     _require_count,
     _require_sizes,
@@ -184,22 +183,16 @@ class FitResult:
     steps_taken: int
 
 
-def _center(packed: np.ndarray, groups) -> np.ndarray:
-    """Subtract each prompt row's mean in place, one response count at a time.
+def _center(packed: np.ndarray, sizes) -> np.ndarray:
+    """Subtract each prompt row's mean in place, through a view of the row.
 
-    `groups` pairs the prompts of one count k with k. A row sum over such
-    a block reads only the rows' own entries, and that sum over k is what
-    `r.mean()` computes, so every row gets the bits of `r - r.mean()`; a
-    masked sum over the padded rows would not, since the padding changes
-    numpy's summation order.
+    The sum over a row's own k entries is what `r.mean()` computes, so
+    every row gets the bits of `r - r.mean()`; a masked sum over the padded
+    rows would not, since the padding changes numpy's summation order.
     """
-    for prompts, k in groups:
-        if len(prompts) == 1:  # a view of the one row: the same bits, no gather
-            row = packed[prompts[0], :k]
-            row -= row.sum() / k
-        else:
-            block = packed[prompts, :k]
-            packed[prompts, :k] = block - block.sum(axis=1, keepdims=True) / k
+    for x, k in enumerate(sizes):
+        row = packed[x, :k]
+        row -= row.sum() / k
     return packed
 
 
@@ -236,8 +229,7 @@ def fit_pl_reward(
         if init.sizes != sizes:
             raise ValueError("init does not match the instance's response counts")
         packed[filled] = init.packed[filled]
-    groups = _count_groups(sizes)
-    rewards = RewardTable._wrap(_center(packed, groups), sizes)
+    rewards = RewardTable._wrap(_center(packed, sizes), sizes)
     indexed = _index_comparisons(sizes, data)
 
     gmax = np.inf
@@ -253,7 +245,7 @@ def fit_pl_reward(
             break
         packed = rewards.packed.copy()
         packed[filled] -= step_size * grad
-        rewards = RewardTable._wrap(_center(packed, groups), sizes)
+        rewards = RewardTable._wrap(_center(packed, sizes), sizes)
         taken = t + 1
 
     nll = pl_nll(rewards, indexed)

@@ -436,14 +436,25 @@ def test_closed_form_respects_anchor_supports(rng):
     assert opt.rows[0][2] == 0.0  # excluded by the anchor, reward is irrelevant
 
 
-@pytest.mark.parametrize("rewards, tau", [([1e300, 0.0], 1e-10), ([1.0, 0.0], 1e-310)])
+@pytest.mark.parametrize(
+    "rewards, tau",
+    [([1e300, 0.0], 1e-10), ([1.0, 0.0], 1e-310), ([np.nan, 0.0], 1.0)],
+)
 def test_closed_form_rejects_rewards_over_tau_past_the_float_range(rewards, tau):
     # an infinite logit used to read as an empty support: all mass moved
     # to the other response
     ref = policy_from_rows([[0.5, 0.5]])
     r = RewardTable((np.array(rewards),))
-    with pytest.raises(ValueError, match="tau"):
+    with pytest.raises(ValueError, match="rewards / tau"):
         closed_form_multi_teacher_optimum(r, ref, [], tau, [])
+
+
+@pytest.mark.parametrize("rewards, tau", [([-np.inf, 0.0], 1.0), ([-1e300, 0.0], 1e-10)])
+def test_closed_form_gives_a_minus_inf_logit_zero_mass(rewards, tau):
+    ref = policy_from_rows([[0.5, 0.5]])
+    r = RewardTable((np.array(rewards),))
+    opt = closed_form_multi_teacher_optimum(r, ref, [], tau, [])
+    assert opt.rows[0].tolist() == [0.0, 1.0]
 
 
 def test_closed_form_rejects_zero_total_coefficient(rng):
