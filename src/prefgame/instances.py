@@ -216,7 +216,10 @@ class PairwisePreference(_PerPrompt):
 
 
 class RewardTable(_PerPrompt):
-    """One finite scalar reward row per prompt."""
+    """One scalar reward row per prompt, unchecked here.
+
+    validate_instance rejects non-finite rows; -inf is a never-winning response.
+    """
 
     rows = cached_property(_PerPrompt._views)
 

@@ -121,6 +121,8 @@ def _row_max(scores: np.ndarray) -> np.ndarray:
 
 def _softmax_pass(rewards: RewardTable, data):
     """Indexed comparisons; per bucket (scores, row max, shifted exps, their sums)."""
+    if not (rewards.packed < np.inf).all():  # NaN too; a -inf reward is a zero share
+        raise ValueError("rewards have +inf or NaN entries")
     indexed = _indexed(rewards, data)
     flat = rewards.packed.ravel()
     buckets = []
@@ -295,6 +297,76 @@ def _comparisons(prompts, winners, pools, sizes) -> list[RankedComparison]:
     return out
 
 
+# Generator.choice(n, size, replace=False) runs Floyd's algorithm up to this n
+_FLOYD_MAX = 10000
+
+
+def _replay_pcg64(bits, cdf, sizes, group, prompts, picks, uniforms) -> int:
+    """The per-draw loop's draws, computed from one block of raw PCG64 words.
+
+    random() is (raw >> 11) * 2**-53. A 32-bit draw takes the low half of
+    a fresh word and buffers the high half (has_uint32, uinteger), which
+    random() leaves alone. choice(n, group, replace=False) is Floyd's
+    algorithm over j = n - group .. n - 1 (no draw at j = 0; j itself when
+    the value repeats a pick), then a shuffle over j = group - 1 .. 1; each
+    step draws in [0, j] by Lemire's method, m = u32 * (j + 1) giving
+    m >> 32, redrawn when m mod 2**32 < 2**32 mod (j + 1). Fills the out
+    arrays up to the first draw that would redraw, leaves `bits` as the
+    loop leaves it after them and returns how many it filled.
+    """
+    count, used = len(prompts), [2 * group - 1 - (k == group) for k in sizes]
+    begin = bits.state
+    raw = bits.random_raw(count * (group + 2))  # enough without a redraw
+    doubles = (raw >> 11) * 2.0**-53
+    # the 32-bit values are one stream: the buffered value, then both halves
+    # of each fresh word. Draw i reads `used` of them from offset c; its
+    # prompt's double is word 2i + c // 2, its winner's the next unread
+    seen, xs, offsets, c = doubles.tolist(), [], [], 1 - begin["has_uint32"]
+    for i in range(count):
+        x = bisect_right(cdf, seen[2 * i + c // 2])
+        xs.append(x)
+        offsets.append(c)
+        c += used[x]
+    xs, c = np.array(xs, dtype=np.intp), np.array(offsets + [c])
+    base = 2 * np.arange(count)
+    winner_at = base + 1 + c[1:] // 2
+    fresh = np.ones(2 * count + c[-1] // 2, dtype=bool)
+    fresh[base + c[:-1] // 2] = fresh[winner_at] = False
+    halves = raw[: len(fresh)][fresh].astype("<u8").view("<u4")  # low, high
+    stream = np.concatenate(([begin["uinteger"]], halves)).astype(np.uint64)
+
+    # one column per step, Floyd's then the shuffle's, as spans j + 1; a
+    # step with nothing to draw (span 1) reads a stray value, never redrawn
+    n = np.asarray(sizes)[xs]
+    floyd = n[:, None] + np.arange(1 - group, 1)
+    shuffle = np.tile(np.arange(group, 1, -1), (count, 1))
+    spans = np.hstack([floyd, shuffle]).astype(np.uint64)
+    m = stream[c[:-1, None] - (n == group)[:, None] + np.arange(2 * group - 1)] * spans
+    redrawn = np.any(m % 2**32 < 2**32 % spans, axis=1)
+    done = int(np.argmax(redrawn)) if redrawn.any() else count
+    values = (m[:done] >> 32).astype(np.intp)
+
+    out, r = picks[:done], np.arange(done)
+    for t in range(group):
+        v = values[:, t]
+        repeat = np.any(out[:, :t] == v[:, None], axis=1)
+        out[:, t] = np.where(repeat, floyd[:done, t] - 1, v)
+    for i in range(group - 1, 0, -1):
+        j = values[:, 2 * group - 1 - i]
+        held = out[r, j]
+        out[r, j] = out[:, i]
+        out[:, i] = held
+    prompts[:done] = xs[:done]
+    uniforms[:done] = doubles[winner_at[:done]]
+
+    c = int(c[done])
+    bits.state = begin
+    state = bits.advance(2 * done + c // 2).state
+    state.update(has_uint32=1 - c % 2, uinteger=int(stream[c - c % 2]))
+    bits.state = state
+    return done
+
+
 def generate_rankings(
     rewards: RewardTable,
     instance: GameInstance,
@@ -306,15 +378,15 @@ def generate_rankings(
 
     Each draw picks a prompt from the instance weights, `pool_size` + 1
     distinct responses uniformly, and the winner among them with softmax
-    probability under `rewards`. Consumes three rng calls per draw.
-
-    The prompt and the winner are drawn as `rng.choice(n, p=p)` draws
-    them (one uniform, searched in the normalized cumulative sum), so the
-    stream is numpy's; the distributions are checked once up front rather
-    than on every call. Only the rng calls run per draw: the loop records
-    each prompt, its picks and the winner's uniform, and the winners are
-    then found for all draws at once, with the same bits as one draw at
-    a time.
+    probability under `rewards`, as three rng calls draw them: the prompt
+    and the winner as `rng.choice(n, p=p)` does (one random(), searched in
+    the normalized cumulative sum), the responses by `rng.choice(k,
+    pool_size + 1, replace=False)`. On a Generator over an exact PCG64,
+    with every prompt under 10001 responses, the draws are replayed from
+    one block of raw PCG64 words and the generator is left as the calls
+    leave it; other generators, and a draw numpy would redraw a bounded
+    value for, take the real calls. The winners are then found for all
+    draws at once, with the same bits as one draw at a time.
     """
     _require_count(count, 0, f"count must be nonnegative, got {count}")
     _require_count(pool_size, 1, "pool_size must be at least 1")
@@ -337,11 +409,21 @@ def generate_rankings(
     picks = np.empty((count, group), dtype=np.intp)
     uniforms = np.empty(count)
     random, choice = rng.random, rng.choice
-    for i in range(count):
-        x = bisect_right(prompt_cdf, random())
-        prompts[i] = x
-        picks[i] = choice(sizes[x], size=group, replace=False)
-        uniforms[i] = random()
+    replay = type(rng) is np.random.Generator and max(sizes) <= _FLOYD_MAX
+    replay = replay and type(rng.bit_generator) is np.random.PCG64
+    start = 0
+    while start < count:
+        stop = count
+        if replay:  # up to a draw with a redraw, which the loop takes
+            out = prompts[start:], picks[start:], uniforms[start:]
+            start += _replay_pcg64(rng.bit_generator, prompt_cdf, sizes, group, *out)
+            stop = min(start + 1, count)
+        for i in range(start, stop):
+            x = bisect_right(prompt_cdf, random())
+            prompts[i] = x
+            picks[i] = choice(sizes[x], size=group, replace=False)
+            uniforms[i] = random()
+        start = stop
 
     # each row as the single draw computed it: max-shifted softmax,
     # normalized cumulative sum, right-side search of the uniform (the

@@ -17,6 +17,7 @@ from prefgame import (
     NORMALIZATION_TOL,
     GameInstance,
     PairwisePreference,
+    RankedComparison,
     ResponseSpace,
     RewardTable,
     TabularPolicy,
@@ -196,6 +197,25 @@ def reference_index_comparisons(sizes, data) -> tuple[np.ndarray, ...]:
         base = c.prompt * width
         buckets.setdefault(len(c.pool), []).append([base + y for y in members])
     return tuple(np.array(rows, dtype=np.intp) for rows in buckets.values())
+
+
+def reference_choice_rankings(rewards, instance, count, pool_size, rng):
+    """generate_rankings as written with Generator.choice for every draw.
+
+    The draw-for-draw tests ask generate_rankings, which replays PCG64's
+    raw output, for the same comparisons and the same generator state.
+    """
+    out = []
+    for _ in range(count):
+        x = int(rng.choice(instance.num_prompts, p=instance.prompt_weights))
+        picks = rng.choice(instance.space.sizes[x], size=pool_size + 1, replace=False)
+        r = rewards.rows[x][picks]
+        p = np.exp(r - r.max())
+        p /= p.sum()
+        w = int(rng.choice(pool_size + 1, p=p))
+        pool = tuple(int(y) for i, y in enumerate(picks) if i != w)
+        out.append(RankedComparison(x, int(picks[w]), pool))
+    return out
 
 
 def reference_bt_matrix(row: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from helpers import (
     fd_reward_gradient,
     max_grad_rel_error,
     random_instance,
+    reference_choice_rankings,
     reference_index_comparisons,
 )
 from prefgame import (
@@ -182,6 +184,20 @@ def test_nll_mixed_pool_sizes_match_scalar_evaluation(rng):
 def test_nll_rejects_empty_dataset():
     with pytest.raises(ValueError, match="comparison"):
         pl_nll(RewardTable((np.zeros(2),)), [])
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+def test_nll_rejects_plus_inf_and_nan_rewards(bad):
+    rewards = RewardTable(([bad, 0.0, 1.0], [0.5, 0.0]))
+    data = [RankedComparison(0, 0, (1,)), RankedComparison(0, 2, (0, 1))]
+    if bad == -math.inf:  # a share of zero: the winner's NLL is infinite
+        assert pl_nll(rewards, data) == math.inf
+        grad = pl_nll_gradient(rewards, data)
+        assert np.all(np.isfinite(np.concatenate(grad)))
+        return
+    for f in (pl_nll, pl_nll_gradient):
+        with pytest.raises(ValueError, match=r"^rewards have \+inf or NaN entries$"):
+            f(rewards, data)
 
 
 def test_nll_out_of_range_indices_name_the_comparison():
@@ -517,21 +533,6 @@ def test_generate_rankings_pool_too_large():
         generate_rankings(inst.reward, inst, 10, 2, rng)
 
 
-def _choice_rankings(rewards, instance, count, pool_size, rng):
-    """generate_rankings as written with Generator.choice for every draw."""
-    out = []
-    for _ in range(count):
-        x = int(rng.choice(instance.num_prompts, p=instance.prompt_weights))
-        picks = rng.choice(instance.space.sizes[x], size=pool_size + 1, replace=False)
-        r = rewards.rows[x][picks]
-        p = np.exp(r - r.max())
-        p /= p.sum()
-        w = int(rng.choice(pool_size + 1, p=p))
-        pool = tuple(int(y) for i, y in enumerate(picks) if i != w)
-        out.append(RankedComparison(x, int(picks[w]), pool))
-    return out
-
-
 @pytest.mark.parametrize("seed", [0, 1, 7, 104729])
 @pytest.mark.parametrize("pool_size", [1, 2, 3])
 def test_generate_rankings_match_generator_choice_draw_for_draw(seed, pool_size):
@@ -545,7 +546,7 @@ def test_generate_rankings_match_generator_choice_draw_for_draw(seed, pool_size)
     )
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
     got = generate_rankings(inst.reward, inst, 400, pool_size, a)
-    want = _choice_rankings(inst.reward, inst, 400, pool_size, b)
+    want = reference_choice_rankings(inst.reward, inst, 400, pool_size, b)
     assert got == want
     assert a.bit_generator.state == b.bit_generator.state
     assert all(c.prompt != 1 for c in got)
@@ -553,18 +554,18 @@ def test_generate_rankings_match_generator_choice_draw_for_draw(seed, pool_size)
 
 @st.composite
 def _ranking_games(draw):
-    """A game with 1-6 prompts of 2-12 responses, some of zero weight.
+    """A game with 1-6 prompts of 2-20 responses, some of zero weight.
 
     Every prompt with weight holds a pool plus its winner; zero-weight
     prompts may be smaller. Rewards are wide enough that some softmax
     shares underflow to zero.
     """
-    pool_size = draw(st.integers(1, 3))
+    pool_size = draw(st.integers(1, 6))
     prompts = draw(st.integers(1, 6))
     sizes, weights = [], []
     for x in range(prompts):
         weight = draw(st.integers(0 if x else 1, 5))
-        sizes.append(draw(st.integers(pool_size + 1 if weight else 2, 12)))
+        sizes.append(draw(st.integers(pool_size + 1 if weight else 2, 20)))
         weights.append(weight)
     rewards = [
         draw(st.lists(st.floats(-400.0, 400.0), min_size=k, max_size=k))
@@ -587,8 +588,88 @@ def test_generate_rankings_match_generator_choice_on_random_games(game):
     inst, pool_size, count, seed = game
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
     got = generate_rankings(inst.reward, inst, count, pool_size, a)
-    want = _choice_rankings(inst.reward, inst, count, pool_size, b)
+    want = reference_choice_rankings(inst.reward, inst, count, pool_size, b)
     assert got == want
+    assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("buffered", range(8))
+@pytest.mark.parametrize("pool_size", [1, 2, 3])
+def test_generate_rankings_match_generator_choice_after_a_buffered_value(
+    monkeypatch, buffered, pool_size
+):
+    # draw 0's first bounded draw reads the buffered 32-bit value; 0 is
+    # redrawn by Lemire's method on 12 responses, so draw 0 takes the
+    # real calls and the replay resumes after it
+    inst = _uneven_instance((12,), (1.0,), [np.linspace(-1.0, 1.0, 12)])
+    a, b = np.random.default_rng(31), np.random.default_rng(31)
+    for r in (a, b):
+        state = r.bit_generator.state
+        state.update(has_uint32=1, uinteger=buffered)
+        r.bit_generator.state = state
+    filled, replay = [], reward_learning._replay_pcg64
+
+    def counted(*args):
+        filled.append(replay(*args))
+        return filled[-1]
+
+    monkeypatch.setattr(reward_learning, "_replay_pcg64", counted)
+    got = generate_rankings(inst.reward, inst, 50, pool_size, a)
+    want = reference_choice_rankings(inst.reward, inst, 50, pool_size, b)
+    assert got == want
+    assert a.bit_generator.state == b.bit_generator.state
+    assert filled == ([0, 49] if buffered == 0 else [50])
+
+
+def _same_stream(a, b):
+    """Equal PCG states, else equal follow-on draws (the states hold arrays)."""
+    if type(getattr(a, "bit_generator", None)) in (np.random.PCG64, np.random.PCG64DXSM):
+        assert a.bit_generator.state == b.bit_generator.state
+    # 32-bit draws first, to read a buffered half
+    after = [[*r.choice(1000, size=8, replace=False), *r.random(8)] for r in (a, b)]
+    assert after[0] == after[1]
+
+
+@pytest.mark.parametrize("make", [
+    np.random.default_rng,
+    lambda seed: np.random.Generator(np.random.MT19937(seed)),
+    lambda seed: np.random.Generator(np.random.Philox(seed)),
+    lambda seed: np.random.Generator(np.random.SFC64(seed)),
+    lambda seed: np.random.Generator(np.random.PCG64DXSM(seed)),
+    np.random.RandomState,
+], ids=["PCG64", "MT19937", "Philox", "SFC64", "PCG64DXSM", "RandomState"])
+@pytest.mark.parametrize("count", [0, 1, 60])
+@pytest.mark.parametrize("tight", [0, 2, 4])
+def test_generate_rankings_match_generator_choice_on_every_generator(make, count, tight):
+    # the prompt at `tight` holds exactly a pool plus its winner, where
+    # Floyd's first step has nothing to draw
+    pool_size = 2
+    sizes = [5, 7, 4, 9, 6]
+    sizes[tight] = pool_size + 1
+    inst = _uneven_instance(
+        sizes, (0.3, 0.1, 0.2, 0.25, 0.15), [np.linspace(0.0, 2.0, k) for k in sizes]
+    )
+    a, b = make(0), make(0)
+    for r in (a, b):  # three 32-bit draws leave one buffered on PCG64
+        r.choice(3, size=2, replace=False)
+    got = generate_rankings(inst.reward, inst, count, pool_size, a)
+    want = reference_choice_rankings(inst.reward, inst, count, pool_size, b)
+    assert got == want
+    _same_stream(a, b)
+
+
+def test_generate_rankings_match_generator_choice_past_floyds_range():
+    # past 10000 responses choice shuffles a tail of arange(n) instead of
+    # running Floyd's algorithm; the draws read only the weights, the
+    # counts and the rewards, so no 10001-square oracle is built
+    k = 10001
+    inst = SimpleNamespace(
+        num_prompts=1, prompt_weights=np.array([1.0]), space=SimpleNamespace(sizes=(k,))
+    )
+    rewards = RewardTable((np.linspace(0.0, 3.0, k),))
+    a, b = np.random.default_rng(2), np.random.default_rng(2)
+    got = generate_rankings(rewards, inst, 3, 300, a)
+    assert got == reference_choice_rankings(rewards, inst, 3, 300, b)
     assert a.bit_generator.state == b.bit_generator.state
 
 
