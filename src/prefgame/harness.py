@@ -56,6 +56,7 @@ from .instances import (
     _policy_violations,
     _read_json,
     _require_count,
+    _require_int,
     load_instance,
     load_policy,
     policy_in_support,
@@ -112,8 +113,9 @@ def derive_rng(seed: int, *names: str) -> np.random.Generator:
     always yields the same stream. Names hash through crc32, so the
     derivation is stable across runs and platforms.
     """
+    seed = _require_int(seed, f"seed must be an integer, got {seed!r}")
     keys = tuple(zlib.crc32(n.encode("utf-8")) for n in names)
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=keys))
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=keys))
 
 
 # ---------------------------------------------------------------------------

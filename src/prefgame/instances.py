@@ -67,9 +67,16 @@ def _mixture_weights(weights, n: int, what: str) -> np.ndarray:
     return w
 
 
+def _require_int(value, message: str) -> int:
+    """int(value) for an integer (np.integer too, not bool), else ValueError(message)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(message)
+    return int(value)
+
+
 def _require_count(value, low: int, message: str) -> None:
     """Raise ValueError(message) unless value is an integer (np.integer too) >= low."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+    if _require_int(value, message) < low:
         raise ValueError(message)
 
 
@@ -271,12 +278,10 @@ def point_mass_policy(space: ResponseSpace, picks: Sequence[int]) -> TabularPoli
         raise ValueError("need one pick per prompt")
     rows = []
     for x, k in enumerate(space.sizes):
-        y = int(picks[x])
+        y = _require_int(picks[x], f"pick {picks[x]!r} for prompt {x} is not an integer")
         if not 0 <= y < k:
             raise ValueError(f"pick {y} out of range for prompt {x}")
-        row = np.zeros(k)
-        row[y] = 1.0
-        rows.append(row)
+        rows.append(np.where(np.arange(k) == y, 1.0, 0.0))
     return TabularPolicy(tuple(rows))
 
 
@@ -367,6 +372,9 @@ def sample_preference(
     """
     if first == second:
         raise ValueError("cannot compare a response with itself")
+    for y in (first, second):  # numpy would wrap a negative index
+        if not 0 <= y < preference.sizes[prompt]:
+            raise ValueError(f"response {y} out of range for prompt {prompt}")
     u = rng.random()
     if u < preference.win_prob(prompt, first, second):
         return first, second
@@ -386,6 +394,7 @@ def sample_preference_dataset(
     fair coin and the pair carries zero margin); the winner is the oracle's
     Bernoulli judgment.
     """
+    _require_count(size, 0, f"size must be a nonnegative integer, got {size!r}")
     out = []
     weights = instance.prompt_weights
     for _ in range(size):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import functools
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ from .instances import (
     RewardTable,
     _live_rows,
     _require_count,
+    _require_int,
     _require_sizes,
     _unpack,
 )
@@ -40,9 +40,11 @@ class RankedComparison:
     pool: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "prompt", int(self.prompt))
-        object.__setattr__(self, "winner", int(self.winner))
-        object.__setattr__(self, "pool", tuple(int(y) for y in self.pool))
+        for name in ("prompt", "winner"):
+            v = getattr(self, name)
+            object.__setattr__(self, name, _require_int(v, f"{name} {v!r} is not an integer"))
+        pool = tuple(_require_int(y, f"pool entry {y!r} is not an integer") for y in self.pool)
+        object.__setattr__(self, "pool", pool)
         if len(self.pool) == 0:
             raise ValueError("pool must be nonempty")
         if len(set(self.pool)) != len(self.pool):
@@ -297,76 +299,6 @@ def _comparisons(prompts, winners, pools, sizes) -> list[RankedComparison]:
     return out
 
 
-# Generator.choice(n, size, replace=False) runs Floyd's algorithm up to this n
-_FLOYD_MAX = 10000
-
-
-def _replay_pcg64(bits, cdf, sizes, group, prompts, picks, uniforms) -> int:
-    """The per-draw loop's draws, computed from one block of raw PCG64 words.
-
-    random() is (raw >> 11) * 2**-53. A 32-bit draw takes the low half of
-    a fresh word and buffers the high half (has_uint32, uinteger), which
-    random() leaves alone. choice(n, group, replace=False) is Floyd's
-    algorithm over j = n - group .. n - 1 (no draw at j = 0; j itself when
-    the value repeats a pick), then a shuffle over j = group - 1 .. 1; each
-    step draws in [0, j] by Lemire's method, m = u32 * (j + 1) giving
-    m >> 32, redrawn when m mod 2**32 < 2**32 mod (j + 1). Fills the out
-    arrays up to the first draw that would redraw, leaves `bits` as the
-    loop leaves it after them and returns how many it filled.
-    """
-    count, used = len(prompts), [2 * group - 1 - (k == group) for k in sizes]
-    begin = bits.state
-    raw = bits.random_raw(count * (group + 2))  # enough without a redraw
-    doubles = (raw >> 11) * 2.0**-53
-    # the 32-bit values are one stream: the buffered value, then both halves
-    # of each fresh word. Draw i reads `used` of them from offset c; its
-    # prompt's double is word 2i + c // 2, its winner's the next unread
-    seen, xs, offsets, c = doubles.tolist(), [], [], 1 - begin["has_uint32"]
-    for i in range(count):
-        x = bisect_right(cdf, seen[2 * i + c // 2])
-        xs.append(x)
-        offsets.append(c)
-        c += used[x]
-    xs, c = np.array(xs, dtype=np.intp), np.array(offsets + [c])
-    base = 2 * np.arange(count)
-    winner_at = base + 1 + c[1:] // 2
-    fresh = np.ones(2 * count + c[-1] // 2, dtype=bool)
-    fresh[base + c[:-1] // 2] = fresh[winner_at] = False
-    halves = raw[: len(fresh)][fresh].astype("<u8").view("<u4")  # low, high
-    stream = np.concatenate(([begin["uinteger"]], halves)).astype(np.uint64)
-
-    # one column per step, Floyd's then the shuffle's, as spans j + 1; a
-    # step with nothing to draw (span 1) reads a stray value, never redrawn
-    n = np.asarray(sizes)[xs]
-    floyd = n[:, None] + np.arange(1 - group, 1)
-    shuffle = np.tile(np.arange(group, 1, -1), (count, 1))
-    spans = np.hstack([floyd, shuffle]).astype(np.uint64)
-    m = stream[c[:-1, None] - (n == group)[:, None] + np.arange(2 * group - 1)] * spans
-    redrawn = np.any(m % 2**32 < 2**32 % spans, axis=1)
-    done = int(np.argmax(redrawn)) if redrawn.any() else count
-    values = (m[:done] >> 32).astype(np.intp)
-
-    out, r = picks[:done], np.arange(done)
-    for t in range(group):
-        v = values[:, t]
-        repeat = np.any(out[:, :t] == v[:, None], axis=1)
-        out[:, t] = np.where(repeat, floyd[:done, t] - 1, v)
-    for i in range(group - 1, 0, -1):
-        j = values[:, 2 * group - 1 - i]
-        held = out[r, j]
-        out[r, j] = out[:, i]
-        out[:, i] = held
-    prompts[:done] = xs[:done]
-    uniforms[:done] = doubles[winner_at[:done]]
-
-    c = int(c[done])
-    bits.state = begin
-    state = bits.advance(2 * done + c // 2).state
-    state.update(has_uint32=1 - c % 2, uinteger=int(stream[c - c % 2]))
-    bits.state = state
-    return done
-
-
 def generate_rankings(
     rewards: RewardTable,
     instance: GameInstance,
@@ -376,17 +308,17 @@ def generate_rankings(
 ) -> list[RankedComparison]:
     """Sample top-1-of-pool observations from a generating reward table.
 
-    Each draw picks a prompt from the instance weights, `pool_size` + 1
+    Each draw picks a prompt from the instance weights, g = `pool_size` + 1
     distinct responses uniformly, and the winner among them with softmax
-    probability under `rewards`, as three rng calls draw them: the prompt
-    and the winner as `rng.choice(n, p=p)` does (one random(), searched in
-    the normalized cumulative sum), the responses by `rng.choice(k,
-    pool_size + 1, replace=False)`. On a Generator over an exact PCG64,
-    with every prompt under 10001 responses, the draws are replayed from
-    one block of raw PCG64 words and the generator is left as the calls
-    leave it; other generators, and a draw numpy would redraw a bounded
-    value for, take the real calls. The winners are then found for all
-    draws at once, with the same bits as one draw at a time.
+    probability under `rewards`, all from one row of the only rng call,
+    `rng.random((count, pool_size + 3))` (any generator with `random`).
+    Column 0 is searched in the normalized cumulative prompt weights, and
+    column 1 in the normalized cumulative softmax over the picks (both
+    searchsorted "right"). Columns 2.. run Floyd's uniform g-subset steps
+    (Bentley & Floyd 1987) over the prompt's n responses: step t takes
+    v = floor(u * (j + 1)) for j = n - g + t, or j when v is already
+    picked. On a 53-bit uniform v is off from exactly uniform by at most
+    (j + 1) * 2**-53 (relative), the rounding the two searches have.
     """
     _require_count(count, 0, f"count must be nonnegative, got {count}")
     _require_count(pool_size, 1, "pool_size must be at least 1")
@@ -401,31 +333,18 @@ def generate_rankings(
         raise ValueError(short)
     group = pool_size + 1
     sizes = instance.space.sizes
+    u = rng.random((count, pool_size + 3))
     prompt_cdf = np.cumsum(weights)
     prompt_cdf /= prompt_cdf[-1]
-    # bisect_right on the floats is searchsorted(..., "right")
-    prompt_cdf = prompt_cdf.tolist()
-    prompts = np.empty(count, dtype=np.intp)
+    prompts = np.searchsorted(prompt_cdf, u[:, 0], "right")
     picks = np.empty((count, group), dtype=np.intp)
-    uniforms = np.empty(count)
-    random, choice = rng.random, rng.choice
-    replay = type(rng) is np.random.Generator and max(sizes) <= _FLOYD_MAX
-    replay = replay and type(rng.bit_generator) is np.random.PCG64
-    start = 0
-    while start < count:
-        stop = count
-        if replay:  # up to a draw with a redraw, which the loop takes
-            out = prompts[start:], picks[start:], uniforms[start:]
-            start += _replay_pcg64(rng.bit_generator, prompt_cdf, sizes, group, *out)
-            stop = min(start + 1, count)
-        for i in range(start, stop):
-            x = bisect_right(prompt_cdf, random())
-            prompts[i] = x
-            picks[i] = choice(sizes[x], size=group, replace=False)
-            uniforms[i] = random()
-        start = stop
+    j = np.asarray(sizes)[prompts] - group  # Floyd's j = n - g + t at t = 0
+    for t in range(group):
+        v = (u[:, 2 + t] * (j + 1)).astype(np.intp)
+        picks[:, t] = np.where(np.any(picks[:, :t] == v[:, None], axis=1), j, v)
+        j += 1
 
-    # each row as the single draw computed it: max-shifted softmax,
+    # each row as the single draw computes it: max-shifted softmax,
     # normalized cumulative sum, right-side search of the uniform (the
     # count of entries <= u, since a cumulative sum of shares never falls)
     r = rewards.packed[prompts[:, None], picks]
@@ -433,7 +352,7 @@ def generate_rankings(
     p /= p.sum(axis=1, keepdims=True)
     cdf = np.cumsum(p, axis=1)
     cdf /= cdf[:, -1:]
-    won = np.count_nonzero(cdf <= uniforms[:, None], axis=1)
+    won = np.count_nonzero(cdf <= u[:, 1:2], axis=1)
     beaten = np.arange(group) != won[:, None]
     winners = picks[np.arange(count), won]
     pools = picks[beaten].reshape(count, pool_size)

@@ -8,6 +8,8 @@ agreement with them is independent evidence.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from typing import Sequence
 
@@ -199,22 +201,35 @@ def reference_index_comparisons(sizes, data) -> tuple[np.ndarray, ...]:
     return tuple(np.array(rows, dtype=np.intp) for rows in buckets.values())
 
 
-def reference_choice_rankings(rewards, instance, count, pool_size, rng):
-    """generate_rankings as written with Generator.choice for every draw.
+def reference_block_rankings(rewards, instance, count, pool_size, rng):
+    """generate_rankings written one draw at a time from the same block.
 
-    The draw-for-draw tests ask generate_rankings, which replays PCG64's
-    raw output, for the same comparisons and the same generator state.
+    Reads the block generate_rankings draws, rng.random((count, pool_size
+    + 3)), then per row: bisect_right on the cumulative prompt weights,
+    Floyd's algorithm with a set, and the winner's softmax and cdf. The
+    block tests ask the vectorised pass for the same comparisons.
     """
+    block = rng.random((count, pool_size + 3)).tolist()
+    g = pool_size + 1
+    cdf = list(itertools.accumulate(instance.prompt_weights.tolist()))
+    cdf = [c / cdf[-1] for c in cdf]
     out = []
-    for _ in range(count):
-        x = int(rng.choice(instance.num_prompts, p=instance.prompt_weights))
-        picks = rng.choice(instance.space.sizes[x], size=pool_size + 1, replace=False)
+    for u in block:
+        x = bisect.bisect_right(cdf, u[0])
+        n = instance.space.sizes[x]
+        picks, seen = [], set()
+        for t in range(g):
+            j = n - g + t
+            v = math.floor(u[2 + t] * (j + 1))
+            v = j if v in seen else v
+            seen.add(v)
+            picks.append(v)
         r = rewards.rows[x][picks]
         p = np.exp(r - r.max())
         p /= p.sum()
-        w = int(rng.choice(pool_size + 1, p=p))
-        pool = tuple(int(y) for i, y in enumerate(picks) if i != w)
-        out.append(RankedComparison(x, int(picks[w]), pool))
+        share = np.cumsum(p)
+        w = bisect.bisect_right((share / share[-1]).tolist(), u[1])
+        out.append(RankedComparison(x, picks[w], tuple(picks[:w] + picks[w + 1:])))
     return out
 
 

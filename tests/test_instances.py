@@ -275,6 +275,16 @@ def test_sample_preference_rejects_self_comparison(rps):
         sample_preference(rps.preference, 0, 1, 1, rng)
 
 
+@pytest.mark.parametrize("first, second, bad", [(1, -1, -1), (-3, 0, -3), (0, 3, 3), (7, 1, 7)])
+def test_sample_preference_rejects_responses_outside_the_prompt(rps, first, second, bad):
+    # numpy indexing would wrap -1 to the last response and fail on 3 with IndexError
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^response {bad} out of range for prompt 0$"):
+        sample_preference(rps.preference, 0, first, second, rng)
+    assert rng.bit_generator.state == before
+
+
 def test_sample_dataset_matches_policy_support(bt):
     rng = np.random.default_rng(3)
     pol = point_mass_policy(bt.space, [0])

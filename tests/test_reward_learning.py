@@ -1,6 +1,8 @@
 import csv
+import itertools
 import math
 import re
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +15,7 @@ from helpers import (
     fd_reward_gradient,
     max_grad_rel_error,
     random_instance,
-    reference_choice_rankings,
+    reference_block_rankings,
     reference_index_comparisons,
 )
 from prefgame import (
@@ -535,7 +537,7 @@ def test_generate_rankings_pool_too_large():
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 104729])
 @pytest.mark.parametrize("pool_size", [1, 2, 3])
-def test_generate_rankings_match_generator_choice_draw_for_draw(seed, pool_size):
+def test_generate_rankings_match_block_reference_draw_for_draw(seed, pool_size):
     # uneven counts, a zero-weight prompt too small for the pool, and a
     # prompt weight that puts a flat step in the cumulative sum
     gen = np.random.default_rng(seed)
@@ -546,7 +548,7 @@ def test_generate_rankings_match_generator_choice_draw_for_draw(seed, pool_size)
     )
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
     got = generate_rankings(inst.reward, inst, 400, pool_size, a)
-    want = reference_choice_rankings(inst.reward, inst, 400, pool_size, b)
+    want = reference_block_rankings(inst.reward, inst, 400, pool_size, b)
     assert got == want
     assert a.bit_generator.state == b.bit_generator.state
     assert all(c.prompt != 1 for c in got)
@@ -584,41 +586,34 @@ def _ranking_games(draw):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_ranking_games())
-def test_generate_rankings_match_generator_choice_on_random_games(game):
+def test_generate_rankings_match_block_reference_on_random_games(game):
     inst, pool_size, count, seed = game
     a, b = np.random.default_rng(seed), np.random.default_rng(seed)
     got = generate_rankings(inst.reward, inst, count, pool_size, a)
-    want = reference_choice_rankings(inst.reward, inst, count, pool_size, b)
+    want = reference_block_rankings(inst.reward, inst, count, pool_size, b)
     assert got == want
     assert a.bit_generator.state == b.bit_generator.state
 
 
 @pytest.mark.parametrize("buffered", range(8))
 @pytest.mark.parametrize("pool_size", [1, 2, 3])
-def test_generate_rankings_match_generator_choice_after_a_buffered_value(
-    monkeypatch, buffered, pool_size
+def test_generate_rankings_match_block_reference_after_a_buffered_value(
+    buffered, pool_size
 ):
-    # draw 0's first bounded draw reads the buffered 32-bit value; 0 is
-    # redrawn by Lemire's method on 12 responses, so draw 0 takes the
-    # real calls and the replay resumes after it
+    # random() reads whole 64-bit words, so a 32-bit value PCG64 holds
+    # from an earlier bounded draw stays buffered for the next one
     inst = _uneven_instance((12,), (1.0,), [np.linspace(-1.0, 1.0, 12)])
     a, b = np.random.default_rng(31), np.random.default_rng(31)
     for r in (a, b):
         state = r.bit_generator.state
         state.update(has_uint32=1, uinteger=buffered)
         r.bit_generator.state = state
-    filled, replay = [], reward_learning._replay_pcg64
-
-    def counted(*args):
-        filled.append(replay(*args))
-        return filled[-1]
-
-    monkeypatch.setattr(reward_learning, "_replay_pcg64", counted)
     got = generate_rankings(inst.reward, inst, 50, pool_size, a)
-    want = reference_choice_rankings(inst.reward, inst, 50, pool_size, b)
+    want = reference_block_rankings(inst.reward, inst, 50, pool_size, b)
     assert got == want
     assert a.bit_generator.state == b.bit_generator.state
-    assert filled == ([0, 49] if buffered == 0 else [50])
+    assert a.bit_generator.state["has_uint32"] == 1
+    assert a.bit_generator.state["uinteger"] == buffered
 
 
 def _same_stream(a, b):
@@ -628,6 +623,22 @@ def _same_stream(a, b):
     # 32-bit draws first, to read a buffered half
     after = [[*r.choice(1000, size=8, replace=False), *r.random(8)] for r in (a, b)]
     assert after[0] == after[1]
+
+
+class _Recorder:
+    """Forwards every method call to a generator and records it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def call(*args, **kwargs):
+            self.calls.append((name, args, kwargs))
+            return method(*args, **kwargs)
+
+        return call
 
 
 @pytest.mark.parametrize("make", [
@@ -640,9 +651,9 @@ def _same_stream(a, b):
 ], ids=["PCG64", "MT19937", "Philox", "SFC64", "PCG64DXSM", "RandomState"])
 @pytest.mark.parametrize("count", [0, 1, 60])
 @pytest.mark.parametrize("tight", [0, 2, 4])
-def test_generate_rankings_match_generator_choice_on_every_generator(make, count, tight):
+def test_generate_rankings_match_block_reference_on_every_generator(make, count, tight):
     # the prompt at `tight` holds exactly a pool plus its winner, where
-    # Floyd's first step has nothing to draw
+    # Floyd's first step can only draw 0
     pool_size = 2
     sizes = [5, 7, 4, 9, 6]
     sizes[tight] = pool_size + 1
@@ -652,16 +663,17 @@ def test_generate_rankings_match_generator_choice_on_every_generator(make, count
     a, b = make(0), make(0)
     for r in (a, b):  # three 32-bit draws leave one buffered on PCG64
         r.choice(3, size=2, replace=False)
-    got = generate_rankings(inst.reward, inst, count, pool_size, a)
-    want = reference_choice_rankings(inst.reward, inst, count, pool_size, b)
+    recorder = _Recorder(a)
+    got = generate_rankings(inst.reward, inst, count, pool_size, recorder)
+    assert recorder.calls == [("random", ((count, pool_size + 3),), {})]
+    want = reference_block_rankings(inst.reward, inst, count, pool_size, b)
     assert got == want
     _same_stream(a, b)
 
 
-def test_generate_rankings_match_generator_choice_past_floyds_range():
-    # past 10000 responses choice shuffles a tail of arange(n) instead of
-    # running Floyd's algorithm; the draws read only the weights, the
-    # counts and the rewards, so no 10001-square oracle is built
+def test_generate_rankings_match_block_reference_on_10001_responses():
+    # the draws read only the weights, the counts and the rewards, so no
+    # 10001-square oracle is built
     k = 10001
     inst = SimpleNamespace(
         num_prompts=1, prompt_weights=np.array([1.0]), space=SimpleNamespace(sizes=(k,))
@@ -669,8 +681,21 @@ def test_generate_rankings_match_generator_choice_past_floyds_range():
     rewards = RewardTable((np.linspace(0.0, 3.0, k),))
     a, b = np.random.default_rng(2), np.random.default_rng(2)
     got = generate_rankings(rewards, inst, 3, 300, a)
-    assert got == reference_choice_rankings(rewards, inst, 3, 300, b)
+    assert got == reference_block_rankings(rewards, inst, 3, 300, b)
     assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_generate_rankings_pools_are_uniform_subsets():
+    # every 3-subset of 6 responses, winner included, is equally likely
+    # whatever the rewards; 19 degrees of freedom, 43.82 their 0.999 quantile
+    inst = ladder_instance([2.0, -1.0, 0.5, 0.0, 3.0, -2.0])
+    data = generate_rankings(inst.reward, inst, 20_000, 2, np.random.default_rng(0))
+    subsets = list(itertools.combinations(range(6), 3))
+    seen = Counter(tuple(sorted((c.winner, *c.pool))) for c in data)
+    assert set(seen) == set(subsets)
+    expected = len(data) / len(subsets)
+    chi2 = sum((seen[s] - expected) ** 2 / expected for s in subsets)
+    assert chi2 < 43.82
 
 
 def test_generate_rankings_zero_count_draws_nothing(bt):

@@ -8,6 +8,7 @@ from prefgame import (
     GameInstance,
     PairwisePreference,
     PolicyLogits,
+    RankedComparison,
     RunLog,
     RunRecord,
     SolverConfig,
@@ -16,6 +17,7 @@ from prefgame import (
     best_response_kl,
     closed_form_multi_teacher_optimum,
     compare_presets,
+    derive_rng,
     dual_gap_two_player,
     exploitability_multiplayer,
     generate_rankings,
@@ -26,6 +28,7 @@ from prefgame import (
     point_mass_policy,
     policy_from_rows,
     preset,
+    sample_preference_dataset,
     self_play_run,
     uniform_policy,
 )
@@ -376,6 +379,16 @@ def _descent_problem(inst):
     (lambda inst: generate_rankings(inst.reward, inst, NAN, 1, _rng()), "count"),
     (lambda inst: generate_rankings(inst.reward, inst, 5, NAN, _rng()), "pool_size"),
     (lambda inst: compare_presets(inst, samples=NAN), "samples"),
+    (lambda inst: RankedComparison(0, 1.7, (0,)), "winner"),
+    (lambda inst: RankedComparison(0, "1", (0,)), "winner"),
+    (lambda inst: RankedComparison(True, 1, (0,)), "prompt"),
+    (lambda inst: RankedComparison(0, 1, (0.0,)), "pool"),
+    (lambda inst: point_mass_policy(inst.space, [1.5] * inst.num_prompts), "pick"),
+    (lambda inst: derive_rng(1.5, "fit"), "seed"),
+    (lambda inst: derive_rng(True, "fit"), "seed"),
+    (lambda inst: sample_preference_dataset(inst, inst.reference, -1, _rng()), "size"),
+    (lambda inst: sample_preference_dataset(inst, inst.reference, True, _rng()), "size"),
+    (lambda inst: sample_preference_dataset(inst, inst.reference, 2.0, _rng()), "size"),
 ], ids=[
     "solver_tau_nan", "solver_tau_inf", "best_response_kl_tau_nan",
     "exploitability_tau_nan", "dual_gap_tau_nan", "mwu_step_weights_nan",
@@ -384,7 +397,10 @@ def _descent_problem(inst):
     "minimize_steps_nan", "solver_iterations_nan", "solver_iterations_fractional",
     "solver_n_players_nan", "solver_metric_stride_nan", "exploitability_n_players_nan",
     "ipo_tau_nan", "rankings_count_nan", "rankings_pool_size_nan",
-    "presets_samples_nan",
+    "presets_samples_nan", "ranked_winner_fractional", "ranked_winner_string",
+    "ranked_prompt_bool", "ranked_pool_fractional", "point_mass_pick_fractional",
+    "derive_rng_seed_fractional", "derive_rng_seed_bool", "dataset_size_negative",
+    "dataset_size_bool", "dataset_size_fractional",
 ])
 def test_non_finite_arguments_are_rejected_by_name(mixed, call, name):
     # the check that names the argument rejects it, before a later step
@@ -402,3 +418,13 @@ def test_numpy_integer_counts_are_accepted(mixed):
     assert len(generate_rankings(mixed.reward, mixed, np.int64(5), np.int64(1), _rng())) == 5
     problem, init = _descent_problem(mixed)
     assert minimize_loss(problem, init, steps=np.int64(3)).steps_taken <= 3
+
+
+def test_numpy_integer_indices_are_accepted(mixed):
+    one = np.int64(1)
+    assert RankedComparison(np.int64(0), one, (np.int64(0),)) == RankedComparison(0, 1, (0,))
+    picks = [one] * mixed.num_prompts
+    assert np.array_equal(point_mass_policy(mixed.space, picks).packed,
+                          point_mass_policy(mixed.space, [1] * len(picks)).packed)
+    assert derive_rng(np.int64(7), "fit").random() == derive_rng(7, "fit").random()
+    assert len(sample_preference_dataset(mixed, mixed.reference, np.int64(2), _rng())) == 2
