@@ -651,8 +651,10 @@ class _Recorder:
 ], ids=["PCG64", "MT19937", "Philox", "SFC64", "PCG64DXSM", "RandomState"])
 @pytest.mark.parametrize("count", [0, 1, 60])
 @pytest.mark.parametrize("tight", [0, 2, 4])
-def test_generate_rankings_match_block_reference_on_every_generator(make, count, tight):
-    # the prompt at `tight` holds exactly a pool plus its winner, where
+def test_generate_rankings_match_generator_choice_on_every_generator(make, count, tight):
+    # the rankings match on whichever generator is chosen: the one block
+    # call, the reference's reading of it and the twin's final stream.
+    # The prompt at `tight` holds exactly a pool plus its winner, where
     # Floyd's first step can only draw 0
     pool_size = 2
     sizes = [5, 7, 4, 9, 6]
