@@ -11,6 +11,7 @@ import numpy as np
 from prefgame import (
     GameInstance,
     RankedComparison,
+    Rankings,
     ResponseSpace,
     RewardTable,
     fit_pl_reward,
@@ -56,10 +57,11 @@ def main():
     # pairwise sanity: logistic of the fitted gap vs the observed rate
     pair_rng = np.random.default_rng(11)
     pairs = generate_rankings(inst.reward, inst, 10_000, 1, pair_rng)
-    head_to_head = [c for c in pairs if {c.winner, c.pool[0]} == {0, 1}]
-    won = sum(c.winner == 0 for c in head_to_head) / len(head_to_head)
+    (_, _, members), = pairs.blocks  # one pool size: the winner, then the loser
+    duels = members[np.all(np.sort(members, axis=1) == [0, 1], axis=1)]
+    won = float(np.mean(duels[:, 0] == 0))
     gap = float(fit.rewards.rows[0][0] - fit.rewards.rows[0][1])
-    print(f"\nP(r0 beats r1): empirical {won:.4f} on {len(head_to_head)} duels,"
+    print(f"\nP(r0 beats r1): empirical {won:.4f} on {len(duels)} duels,"
           f" logistic of fitted gap {1 / (1 + np.exp(-gap)):.4f}")
 
     # likelihood only sees reward differences; shifting a prompt is free
@@ -68,7 +70,7 @@ def main():
           f"{abs(pl_nll(shifted, pairs) - pl_nll(fit.rewards, pairs)):.2e}")
 
     # separable data has no finite maximum-likelihood fit
-    biased = [RankedComparison(0, 0, (1, 2)) for _ in range(60)]
+    biased = Rankings([RankedComparison(0, 0, (1, 2)) for _ in range(60)])
     fit = fit_pl_reward(biased, ladder(np.zeros(4)), steps=200)
     print(f"\n60 comparisons all won by r0: converged={fit.converged},"
           f" fitted row {np.round(fit.rewards.rows[0], 2)} (running away)")

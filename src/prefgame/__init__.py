@@ -86,6 +86,7 @@ from .losses import (
 from .reward_learning import (
     FitResult,
     RankedComparison,
+    Rankings,
     fit_pl_reward,
     generate_rankings,
     pl_nll,

@@ -531,9 +531,12 @@ def _run_rewardfit(instance, config: ExperimentConfig) -> dict:
     fitted_path = os.path.join(config.out_dir, "fitted.json")
     report_path = os.path.join(config.out_dir, "report.json")
     rankings_to_csv(data, rankings)
-    fit = fit_pl_reward(
-        data, instance, steps=p["steps"], step_size=p["step_size"]
-    )
+    try:
+        fit = fit_pl_reward(
+            data, instance, steps=p["steps"], step_size=p["step_size"]
+        )
+    except FloatingPointError as err:  # the step overshoots to inf or NaN
+        raise ConfigError(f"key 'step_size' is too large for the data: {err}") from err
     _write_json({"rows": [r.tolist() for r in fit.rewards.rows]}, fitted_path)
     true = _center(instance.reward.packed.copy(), instance.space.sizes)
     err = float(np.max(np.abs(fit.rewards.packed - true)))

@@ -370,6 +370,11 @@ def sample_preference(
 
     Consumes exactly one uniform variate: first wins iff u < M[first, second].
     """
+    prompt = _require_int(prompt, f"prompt {prompt!r} is not an integer")
+    if not 0 <= prompt < preference.num_prompts:  # a tuple would wrap -1
+        raise ValueError(f"prompt {prompt} out of range")
+    first = _require_int(first, f"response {first!r} is not an integer")
+    second = _require_int(second, f"response {second!r} is not an integer")
     if first == second:
         raise ValueError("cannot compare a response with itself")
     for y in (first, second):  # numpy would wrap a negative index

@@ -1,12 +1,13 @@
 """Fitting tabular rewards from ranked comparisons.
 
 The data model is top-1-of-pool: each observation names a prompt, a
-winning response, and the pool of alternatives it beat. The likelihood of
-the winner is its softmax share of the pool (Plackett-Luce restricted to
-the top choice), which for pools of size one is exactly the Bradley-Terry
-pairwise model. Rewards carry an additive per-prompt gauge freedom, so the
-fitter mean-centers every prompt row after each step and all accuracy
-claims are about reward differences.
+winning response, and the pool of alternatives it beat, and a dataset is
+one `Rankings`, integer arrays with one block per pool size. The
+likelihood of the winner is its softmax share of the pool (Plackett-Luce
+restricted to the top choice), which for pools of size one is exactly the
+Bradley-Terry pairwise model. Rewards carry an additive per-prompt gauge
+freedom, so the fitter mean-centers every prompt row after each step and
+all accuracy claims are about reward differences.
 
 Datasets serialize to CSV as `prompt,winner,pool` with the pool written
 as a semicolon-separated index list.
@@ -17,6 +18,7 @@ from __future__ import annotations
 import csv
 import functools
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -53,63 +55,88 @@ class RankedComparison:
             raise ValueError(f"winner {self.winner} appears in its own pool")
 
 
-@dataclass(frozen=True, eq=False)
-class _IndexedComparisons:
-    """Comparisons validated once, as flat indices into RewardTable.packed.
+class Rankings:
+    """Ranked comparisons as integer arrays, one block per pool size.
 
-    `where` holds one int array per pool size, in order of first
-    appearance; each row is x * K + member for K the largest response
-    count, with the winner in column 0 and the pool after it. `cells` is
-    every `where` flattened and joined, the gradient's bincount cells.
+    `blocks` holds a (rows, prompts, members) triple of read-only arrays
+    per pool size, in order of first appearance: the comparisons'
+    positions in the original order (ascending), their prompts, and their
+    members, the winner in column 0 and the pool after it. `len()` counts
+    the comparisons; two Rankings are equal when they hold the same
+    comparisons in the same order. `Rankings(comparisons)` packs a list of
+    RankedComparison in one walk; the likelihood checks the indices.
     """
 
-    sizes: tuple[int, ...]
-    where: tuple[np.ndarray, ...]
-    cells: np.ndarray
-    count: int
+    def __init__(self, comparisons: Sequence[RankedComparison] = ()):
+        buckets: dict[int, list[int]] = {}
+        for i, c in enumerate(comparisons):
+            buckets.setdefault(len(c.pool), []).extend((i, c.prompt, c.winner, *c.pool))
+        blocks = []
+        for size, flat in buckets.items():
+            try:
+                table = np.array(flat, dtype=np.intp).reshape(-1, size + 3)
+            except OverflowError:  # an index past intp is out of range anyway
+                table = np.array(flat, dtype=object).reshape(-1, size + 3)
+            blocks.append((table[:, 0].astype(np.intp), table[:, 1], table[:, 2:]))
+        self._set(blocks)
+
+    @classmethod
+    def _wrap(cls, blocks) -> Rankings:
+        obj = cls.__new__(cls)
+        obj._set(blocks)
+        return obj
+
+    def _set(self, blocks) -> None:
+        for block in blocks:
+            for array in block:
+                array.setflags(write=False)
+        self.blocks = tuple(blocks)
+        self._index = None  # (sizes, where, cells) of the last _flat_cells
+
+    def __len__(self) -> int:
+        return sum(len(rows) for rows, _, _ in self.blocks)
+
+    def __eq__(self, other):
+        if not isinstance(other, Rankings):
+            return NotImplemented
+        return len(self.blocks) == len(other.blocks) and all(
+            np.array_equal(a, b)
+            for mine, theirs in zip(self.blocks, other.blocks)
+            for a, b in zip(mine, theirs)
+        )
 
 
-def _index_comparisons(
-    sizes: tuple[int, ...], data: list[RankedComparison]
-) -> _IndexedComparisons:
-    """Group the comparisons by pool size, then check bounds a bucket at a time.
+def _flat_cells(data: Rankings, sizes: tuple[int, ...]):
+    """Flat indices into RewardTable.packed, computed once per response counts.
 
-    An error names the lowest-numbered comparison out of range.
+    One array per block, rows x * K + member for K = max(sizes), and all
+    of them joined, the gradient's bincount cells. Checked against `sizes`
+    a block at a time (an error names the lowest-numbered comparison out
+    of range) and kept on `data` for the next call with the same counts.
     """
+    if not isinstance(data, Rankings):
+        raise TypeError(f"expected Rankings, got {type(data).__name__}")
+    if data._index is not None and data._index[0] == sizes:
+        return data._index[1:]
     if len(data) == 0:
         raise ValueError("need at least one comparison")
-    buckets: dict[int, list[int]] = {}
-    for i, c in enumerate(data):
-        buckets.setdefault(len(c.pool), []).extend((i, c.prompt, c.winner, *c.pool))
     counts, width = np.array(sizes), max(sizes)
     where, bad = [], []
-    for size, flat in buckets.items():
-        try:
-            rows = np.array(flat, dtype=np.intp).reshape(-1, size + 3)
-        except OverflowError:  # an index past intp is out of range anyway
-            rows = np.array(flat, dtype=object).reshape(-1, size + 3)
-        prompt, members = rows[:, 1], rows[:, 2:]
-        stray = (prompt < 0) | (prompt >= len(sizes))
-        k = counts[np.where(stray, 0, prompt).astype(np.intp)]
+    for rows, prompts, members in data.blocks:
+        stray = (prompts < 0) | (prompts >= len(sizes))
+        k = counts[np.where(stray, 0, prompts).astype(np.intp)]
         stray |= _row_max((members < 0) | (members >= k[:, None]))
         if stray.any():
-            bad.append(rows[np.argmax(stray), 0])
-        where.append(prompt[:, None] * width + members)
+            j = np.argmax(stray)
+            bad.append((rows[j], prompts[j]))
+        where.append(prompts[:, None] * width + members)
     if bad:
-        i = min(bad)
-        c = data[i]
-        if not 0 <= c.prompt < len(sizes):
-            raise ValueError(f"comparison {i}: prompt {c.prompt} out of range")
-        raise ValueError(f"comparison {i}: response out of range for prompt {c.prompt}")
-    cells = np.concatenate([w.ravel() for w in where])
-    return _IndexedComparisons(tuple(sizes), tuple(where), cells, len(data))
-
-
-def _indexed(rewards: RewardTable, data) -> _IndexedComparisons:
-    if isinstance(data, _IndexedComparisons):
-        _require_sizes(rewards, data.sizes, "rewards")
-        return data
-    return _index_comparisons(rewards.sizes, data)
+        i, x = min(bad)
+        if not 0 <= x < len(sizes):
+            raise ValueError(f"comparison {i}: prompt {x} out of range")
+        raise ValueError(f"comparison {i}: response out of range for prompt {x}")
+    data._index = (sizes, tuple(where), np.concatenate([w.ravel() for w in where]))
+    return data._index[1:]
 
 
 def _row_max(scores: np.ndarray) -> np.ndarray:
@@ -121,14 +148,14 @@ def _row_max(scores: np.ndarray) -> np.ndarray:
     return functools.reduce(np.maximum, scores.T)
 
 
-def _softmax_pass(rewards: RewardTable, data):
-    """Indexed comparisons; per bucket (scores, row max, shifted exps, their sums)."""
+def _softmax_pass(rewards: RewardTable, data: Rankings):
+    """Bincount cells; per block (scores, row max, shifted exps, their sums)."""
     if not (rewards.packed < np.inf).all():  # NaN too; a -inf reward is a zero share
         raise ValueError("rewards have +inf or NaN entries")
-    indexed = _indexed(rewards, data)
+    blocks, cells = _flat_cells(data, rewards.sizes)
     flat = rewards.packed.ravel()
     buckets = []
-    for where in indexed.where:
+    for where in blocks:
         scores = flat[where]
         top = _row_max(scores)
         shifted = np.exp(scores - top[:, None])
@@ -137,44 +164,41 @@ def _softmax_pass(rewards: RewardTable, data):
         narrow = shifted.shape[1] < 8
         sums = functools.reduce(np.add, shifted.T) if narrow else shifted.sum(axis=1)
         buckets.append((scores, top, shifted, sums))
-    return indexed, buckets
+    return cells, buckets
 
 
-def pl_nll(rewards: RewardTable, data: list[RankedComparison]) -> float:
+def pl_nll(rewards: RewardTable, data: Rankings) -> float:
     """Mean negative log-likelihood of each winner's softmax share.
 
     Per comparison: logsumexp over {winner} ∪ pool minus the winner's
     reward, computed max-shifted. Adding a constant to any prompt row
     leaves the value unchanged.
     """
-    indexed, buckets = _softmax_pass(rewards, data)
+    _, buckets = _softmax_pass(rewards, data)
     total = 0.0
     for scores, top, _, sums in buckets:
         total += float(np.sum(top + np.log(sums) - scores[:, 0]))
-    return total / indexed.count
+    return total / len(data)
 
 
-def pl_nll_gradient(
-    rewards: RewardTable, data: list[RankedComparison]
-) -> tuple[np.ndarray, ...]:
+def pl_nll_gradient(rewards: RewardTable, data: Rankings) -> tuple[np.ndarray, ...]:
     """Gradient of pl_nll with respect to every reward entry.
 
     Per comparison the winner column receives softmax_share − 1 and each
     pool column its softmax share; contributions accumulate by one
-    np.bincount over the pool-size buckets in order, the sums the
+    np.bincount over the pool-size blocks in order, the sums the
     per-entry np.add.at gave, and the total is divided by the number of
-    comparisons. `data` is a comparison list or the indexed form a fit
-    builds once.
+    comparisons.
     """
-    indexed, buckets = _softmax_pass(rewards, data)
+    cells, buckets = _softmax_pass(rewards, data)
     shares = []
     for _, _, shifted, sums in buckets:
         share = shifted / sums[:, None]
         share[:, 0] -= 1.0
         shares.append(share.ravel())
     size = rewards.packed.size
-    grad = np.bincount(indexed.cells, np.concatenate(shares), minlength=size)
-    grad /= indexed.count
+    grad = np.bincount(cells, np.concatenate(shares), minlength=size)
+    grad /= len(data)
     return _unpack(grad.reshape(rewards.packed.shape), rewards.sizes)
 
 
@@ -201,7 +225,7 @@ def _center(packed: np.ndarray, sizes) -> np.ndarray:
 
 
 def fit_pl_reward(
-    data: list[RankedComparison],
+    data: Rankings,
     instance: GameInstance,
     init: RewardTable | None = None,
     steps: int = 300,
@@ -214,10 +238,11 @@ def fit_pl_reward(
     additive gauge at zero mean. converged reports whether the gradient
     max-norm fell to `tol`; separable data (some response wins everything)
     legitimately never converges and simply returns converged=False with
-    whatever the step budget reached. A non-finite objective aborts: it
-    means the step size is too large for the data, not a model failure.
-    The comparison list is validated and indexed once, before the first
-    step, and the rewards are stepped as one zero-padded array.
+    whatever the step budget reached. An overflow aborts with
+    FloatingPointError: the step size is too large for the data, not a
+    model failure. The first likelihood call checks and indexes the
+    comparisons for every later one, and the rewards are stepped as one
+    zero-padded array.
     """
     _require_count(steps, 0, f"steps must be a nonnegative integer, got {steps}")
     if not (np.isfinite(step_size) and step_size > 0.0):
@@ -234,30 +259,23 @@ def fit_pl_reward(
             raise ValueError("init does not match the instance's response counts")
         packed[filled] = init.packed[filled]
     rewards = RewardTable._wrap(_center(packed, sizes), sizes)
-    indexed = _index_comparisons(sizes, data)
 
-    gmax = np.inf
     taken = 0
-    for t in range(steps):
-        grad = np.concatenate(pl_nll_gradient(rewards, indexed))
-        gmax = float(np.max(np.abs(grad)))
-        if not np.isfinite(gmax):
-            raise FloatingPointError(
-                f"non-finite gradient at step {t}; reduce step_size"
-            )
-        if gmax <= tol:
-            break
-        packed = rewards.packed.copy()
-        packed[filled] -= step_size * grad
-        rewards = RewardTable._wrap(_center(packed, sizes), sizes)
-        taken = t + 1
-
-    nll = pl_nll(rewards, indexed)
-    if not np.isfinite(nll):
-        raise FloatingPointError(
-            f"non-finite objective after {taken} steps; reduce step_size"
-        )
-    gmax = float(np.max(np.abs(np.concatenate(pl_nll_gradient(rewards, indexed)))))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for t in range(steps):
+                grad = np.concatenate(pl_nll_gradient(rewards, data))
+                gmax = float(np.max(np.abs(grad)))
+                if gmax <= tol:
+                    break
+                packed = rewards.packed.copy()
+                packed[filled] -= step_size * grad
+                rewards = RewardTable._wrap(_center(packed, sizes), sizes)
+                taken = t + 1
+            nll = pl_nll(rewards, data)
+            gmax = float(np.max(np.abs(np.concatenate(pl_nll_gradient(rewards, data)))))
+    except FloatingPointError as err:
+        raise FloatingPointError(f"{err} after {taken} steps; reduce step_size") from err
     return FitResult(rewards, nll, gmax, gmax <= tol, taken)
 
 
@@ -276,36 +294,13 @@ def _pool_shortfall(instance: GameInstance, pool_size: int) -> str | None:
     return None
 
 
-def _comparisons(prompts, winners, pools, sizes) -> list[RankedComparison]:
-    """RankedComparisons built from draw arrays, checked in one pass.
-
-    With the pools nonempty (pool_size >= 1 is checked up front), the pass
-    proves of every row what RankedComparison.__post_init__ proves of one
-    (distinct pool responses, the winner outside its pool) and that each
-    response is in range for its prompt, so the objects are built
-    without re-running it.
-    """
-    members = np.sort(np.column_stack([winners, pools]), axis=1)
-    valid = (members[:, 0] >= 0) & (members[:, -1] < np.asarray(sizes)[prompts])
-    valid &= np.all(members[:, 1:] != members[:, :-1], axis=1)
-    if not valid.all():
-        raise ValueError(f"draw {int(np.argmin(valid))} is not a valid comparison")
-    out = []
-    new = object.__new__
-    for x, w, pool in zip(prompts.tolist(), winners.tolist(), pools.tolist()):
-        c = new(RankedComparison)
-        c.__dict__.update(prompt=x, winner=w, pool=tuple(pool))
-        out.append(c)
-    return out
-
-
 def generate_rankings(
     rewards: RewardTable,
     instance: GameInstance,
     count: int,
     pool_size: int,
     rng: np.random.Generator,
-) -> list[RankedComparison]:
+) -> Rankings:
     """Sample top-1-of-pool observations from a generating reward table.
 
     Each draw picks a prompt from the instance weights, g = `pool_size` + 1
@@ -355,8 +350,14 @@ def generate_rankings(
     won = np.count_nonzero(cdf <= u[:, 1:2], axis=1)
     beaten = np.arange(group) != won[:, None]
     winners = picks[np.arange(count), won]
-    pools = picks[beaten].reshape(count, pool_size)
-    return _comparisons(prompts, winners, pools, sizes)
+    members = np.column_stack([winners, picks[beaten].reshape(count, pool_size)])
+    # distinct members in range, what RankedComparison proves of one
+    ordered = np.sort(members, axis=1)
+    valid = (ordered[:, 0] >= 0) & (ordered[:, -1] < np.asarray(sizes)[prompts])
+    valid &= np.all(ordered[:, 1:] != ordered[:, :-1], axis=1)
+    if not valid.all():
+        raise ValueError(f"draw {int(np.argmin(valid))} is not a valid comparison")
+    return Rankings._wrap([(np.arange(count), prompts, members)] if count else [])
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +366,24 @@ def generate_rankings(
 CSV_HEADER = ("prompt", "winner", "pool")
 
 
-def rankings_to_csv(data: list[RankedComparison], path) -> None:
-    """Write `prompt,winner,pool` rows, the bytes csv.writer writes.
+def rankings_to_csv(data: Rankings, path) -> None:
+    """Write `prompt,winner,pool` rows in their original order.
 
-    No field can need quoting: every field is an integer or a
-    semicolon-joined list of integers.
+    The bytes are csv.writer's (no integer field needs quoting); each
+    block is formatted by one `%` over all its rows.
     """
-    rows = [f"{c.prompt},{c.winner},{';'.join(map(str, c.pool))}\n" for c in data]
+    lines = [""] * len(data)
+    for rows, prompts, members in data.blocks:
+        row = "%d,%d," + ";".join(["%d"] * (members.shape[1] - 1)) + "\n"
+        fields = np.column_stack([prompts, members]).ravel().tolist()
+        text = (row * len(rows)) % tuple(fields)
+        for i, line in zip(rows.tolist(), text.splitlines(True)):
+            lines[i] = line
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n" + "".join(rows))
+        fh.write(",".join(CSV_HEADER) + "\n" + "".join(lines))
 
 
-def rankings_from_csv(path) -> list[RankedComparison]:
+def rankings_from_csv(path) -> Rankings:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = tuple(next(reader, ()))
@@ -391,4 +398,4 @@ def rankings_from_csv(path) -> list[RankedComparison]:
                 out.append(RankedComparison(int(row[0]), int(row[1]), pool))
             except ValueError as err:
                 raise ValueError(f"ranking row {len(out)}: {err}") from err
-    return out
+    return Rankings(out)

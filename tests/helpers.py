@@ -20,6 +20,7 @@ from prefgame import (
     GameInstance,
     PairwisePreference,
     RankedComparison,
+    Rankings,
     ResponseSpace,
     RewardTable,
     TabularPolicy,
@@ -176,12 +177,12 @@ def reference_validate_instance(instance: GameInstance) -> list[str]:
 
 
 def reference_index_comparisons(sizes, data) -> tuple[np.ndarray, ...]:
-    """reward_learning._index_comparisons as one walk, a comparison at a time.
+    """Rankings(data) and its bounds check as one walk, a comparison at a time.
 
-    Returns the `where` arrays, one per pool size in order of first
-    appearance; the first comparison out of range raises ValueError. The
-    property test asks the bucketed numpy checks for the same arrays and
-    the same message.
+    Returns the flat-index arrays x * K + member, one per pool size in
+    order of first appearance; the first comparison out of range raises
+    ValueError. The property test asks the packed blocks and their
+    block-at-a-time numpy checks for the same arrays and the same message.
     """
     if len(data) == 0:
         raise ValueError("need at least one comparison")
@@ -230,6 +231,15 @@ def reference_block_rankings(rewards, instance, count, pool_size, rng):
         share = np.cumsum(p)
         w = bisect.bisect_right((share / share[-1]).tolist(), u[1])
         out.append(RankedComparison(x, picks[w], tuple(picks[:w] + picks[w + 1:])))
+    return Rankings(out)
+
+
+def comparison_list(data: Rankings) -> list[RankedComparison]:
+    """The comparisons of a Rankings as records, in their original order."""
+    out = [None] * len(data)
+    for rows, prompts, members in data.blocks:
+        for i, x, m in zip(rows.tolist(), prompts.tolist(), members.tolist()):
+            out[i] = RankedComparison(x, m[0], tuple(m[1:]))
     return out
 
 

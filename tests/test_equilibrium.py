@@ -208,6 +208,19 @@ def test_dual_gap_never_negative(rng):
         assert dual_gap_two_player(pol, inst) >= 0.0
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("game", ["rps", "bt", "mixed"])
+def test_dual_gap_is_twice_the_two_player_exploitability(game, tau, request):
+    # M + M^T = 1 gives J(p, q) + J(q, p) = 1 and J(p, p) = 1/2, so both
+    # halves of the duality gap are the best response's gain over 1/2
+    inst = request.getfixturevalue(game)
+    gen = np.random.default_rng(29)
+    for _ in range(50):
+        pol = random_policy(gen, inst.space.sizes)
+        twice = 2.0 * exploitability_multiplayer(pol, 2, inst, tau)
+        assert abs(dual_gap_two_player(pol, inst, tau) - twice) <= 1e-15
+
+
 def test_dual_gap_with_regularization_vanishes_at_reference_fixed_point(rps):
     # with tau > 0 the regularized game's equilibrium is no longer uniform,
     # but the gap stays nonnegative and is small near the softmax fixed point

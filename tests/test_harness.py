@@ -587,6 +587,19 @@ def test_cli_run_rewardfit_pool_too_large_exits_2(paths, tmp_path, capsys):
     assert "key 'pool_size'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("steps", [1, 60])
+def test_cli_run_rewardfit_step_size_overflow_exits_2(paths, tmp_path, capsys, steps):
+    # the first step lands rewards near 1e308; centering them or summing
+    # the likelihood overflows, which the fit reports as FloatingPointError
+    doc = base_doc(paths, tmp_path, "rewardfit", comparisons=200, steps=steps,
+                   step_size=1e308)
+    doc["instance"] = paths["bt"]
+    assert main(["run", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "key 'step_size'" in err and "reduce step_size" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "weights, n_players",
     [

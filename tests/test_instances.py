@@ -285,6 +285,26 @@ def test_sample_preference_rejects_responses_outside_the_prompt(rps, first, seco
     assert rng.bit_generator.state == before
 
 
+@pytest.mark.parametrize("prompt, first, second, match", [
+    (-1, 0, 1, "^prompt -1 out of range$"),
+    (2, 0, 1, "^prompt 2 out of range$"),
+    (True, 0, 1, "^prompt True is not an integer$"),
+    (0.0, 0, 1, "^prompt 0.0 is not an integer$"),
+    (0, 0.5, 1, "^response 0.5 is not an integer$"),
+    (0, 0, True, "^response True is not an integer$"),
+])
+def test_sample_preference_rejects_bad_prompt_and_response_indices(prompt, first, second, match):
+    # on two prompts, -1 and True would judge a real prompt, and 2 and 0.5
+    # would fail with a bare IndexError
+    pref = PairwisePreference((np.array([[0.5, 0.7], [0.3, 0.5]]), np.full((3, 3), 0.5)))
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=match):
+        sample_preference(pref, prompt, first, second, rng)
+    assert rng.bit_generator.state == before
+    assert sample_preference(pref, np.int64(1), np.int64(2), 0, rng)[1] in (0, 2)
+
+
 def test_sample_dataset_matches_policy_support(bt):
     rng = np.random.default_rng(3)
     pol = point_mass_policy(bt.space, [0])

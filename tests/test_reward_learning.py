@@ -1,6 +1,7 @@
 import csv
 import itertools
 import math
+import os
 import re
 from collections import Counter
 from types import SimpleNamespace
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import prefgame.reward_learning as reward_learning
 from helpers import (
+    comparison_list,
     fd_reward_gradient,
     max_grad_rel_error,
     random_instance,
@@ -22,6 +24,7 @@ from prefgame import (
     GameInstance,
     PairwisePreference,
     RankedComparison,
+    Rankings,
     ResponseSpace,
     RewardTable,
     fit_pl_reward,
@@ -67,6 +70,17 @@ def ladder_instance(rewards) -> GameInstance:
 # comparisons
 
 
+def _interleaved(inst, rng, count):
+    """Comparisons of a random pool size each, so the blocks interleave."""
+    out = []
+    for _ in range(count):
+        x = int(rng.integers(0, inst.num_prompts))
+        k = inst.space.sizes[x]
+        picks = rng.choice(k, size=int(rng.integers(2, k + 1)), replace=False).tolist()
+        out.append(RankedComparison(x, picks[0], tuple(picks[1:])))
+    return out
+
+
 def test_ranked_comparison_validation():
     RankedComparison(0, 1, (0, 2))
     with pytest.raises(ValueError, match="nonempty"):
@@ -103,20 +117,24 @@ def _comparison_lists(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_comparison_lists())
 def test_index_comparisons_matches_the_per_comparison_walk(case):
+    # the list constructor, then the block-at-a-time bounds check the
+    # likelihood runs, against one walk over the list
     sizes, data = case
+    packed = Rankings(data)
+    assert len(packed) == len(data) and comparison_list(packed) == data
     try:
         want = reference_index_comparisons(sizes, data)
     except ValueError as err:
         with pytest.raises(ValueError) as got:  # not OverflowError
-            reward_learning._index_comparisons(sizes, data)
+            reward_learning._flat_cells(packed, sizes)
         assert str(got.value) == str(err)
         return
-    got = reward_learning._index_comparisons(sizes, data)
-    assert (got.sizes, got.count) == (sizes, len(data))
-    assert len(got.where) == len(want)
-    for a, b in zip(got.where, want):
+    where, cells = reward_learning._flat_cells(packed, sizes)
+    assert len(where) == len(want)
+    for a, b in zip(where, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert np.array_equal(got.cells, np.concatenate([w.ravel() for w in want]))
+    assert np.array_equal(cells, np.concatenate([w.ravel() for w in want]))
+    assert reward_learning._flat_cells(packed, sizes)[1] is cells  # kept for the counts
 
 
 # ---------------------------------------------------------------------------
@@ -125,21 +143,21 @@ def test_index_comparisons_matches_the_per_comparison_walk(case):
 
 def test_nll_equal_rewards_pool_of_two():
     r = RewardTable((np.zeros(3),))
-    data = [RankedComparison(0, 0, (1, 2))]
+    data = Rankings([RankedComparison(0, 0, (1, 2))])
     assert pl_nll(r, data) == pytest.approx(math.log(3.0), abs=1e-12)
 
 
 def test_nll_pairwise_is_logistic():
     r = RewardTable((np.array([1.0, 0.0]),))
-    data = [RankedComparison(0, 0, (1,))]
+    data = Rankings([RankedComparison(0, 0, (1,))])
     assert pl_nll(r, data) == pytest.approx(softplus(-1.0), abs=1e-12)
     assert pl_nll(r, data) == pytest.approx(0.31326168751822286, abs=1e-12)
-    lose = [RankedComparison(0, 1, (0,))]
+    lose = Rankings([RankedComparison(0, 1, (0,))])
     assert pl_nll(r, lose) == pytest.approx(softplus(1.0), abs=1e-12)
 
 
 def test_nll_decreases_in_the_winner_reward():
-    data = [RankedComparison(0, 0, (1, 2))]
+    data = Rankings([RankedComparison(0, 0, (1, 2))])
     lo = pl_nll(RewardTable((np.array([0.0, 0.0, 0.0]),)), data)
     hi = pl_nll(RewardTable((np.array([2.0, 0.0, 0.0]),)), data)
     assert hi < lo
@@ -155,25 +173,18 @@ def test_nll_gauge_invariance(rng):
 
 def test_nll_averages_over_comparisons():
     r = RewardTable((np.array([1.0, 0.0, -1.0]),))
-    one = [RankedComparison(0, 0, (1,))]
+    one = Rankings([RankedComparison(0, 0, (1,))])
     two = [RankedComparison(0, 0, (1,)), RankedComparison(0, 2, (1,))]
-    want = 0.5 * (pl_nll(r, [two[0]]) + pl_nll(r, [two[1]]))
-    assert pl_nll(r, two) == pytest.approx(want, rel=1e-14)
+    want = 0.5 * (pl_nll(r, Rankings([two[0]])) + pl_nll(r, Rankings([two[1]])))
+    assert pl_nll(r, Rankings(two)) == pytest.approx(want, rel=1e-14)
     assert pl_nll(r, one) == pytest.approx(softplus(-1.0), abs=1e-13)
 
 
 def test_nll_mixed_pool_sizes_match_scalar_evaluation(rng):
     # bucketed vectorization over pool sizes against a direct per-row formula
     inst = random_instance(rng, num_prompts=2, max_responses=5)
-    sizes = inst.space.sizes
-    data = []
-    for _ in range(60):
-        x = int(rng.integers(0, 2))
-        k = sizes[x]
-        g = int(rng.integers(2, k + 1))
-        picks = rng.choice(k, size=g, replace=False)
-        data.append(RankedComparison(x, int(picks[0]), tuple(int(v) for v in picks[1:])))
-    got = pl_nll(inst.reward, data)
+    data = _interleaved(inst, rng, 60)
+    got = pl_nll(inst.reward, Rankings(data))
     want = 0.0
     for c in data:
         row = inst.reward.rows[c.prompt]
@@ -185,13 +196,23 @@ def test_nll_mixed_pool_sizes_match_scalar_evaluation(rng):
 
 def test_nll_rejects_empty_dataset():
     with pytest.raises(ValueError, match="comparison"):
-        pl_nll(RewardTable((np.zeros(2),)), [])
+        pl_nll(RewardTable((np.zeros(2),)), Rankings([]))
+
+
+def test_likelihood_and_fit_take_rankings_not_lists():
+    inst = two_response_instance(0.5, -0.5)
+    data = [RankedComparison(0, 0, (1,))]
+    for call in (lambda: pl_nll(inst.reward, data),
+                 lambda: pl_nll_gradient(inst.reward, data),
+                 lambda: fit_pl_reward(data, inst)):
+        with pytest.raises(TypeError, match="^expected Rankings, got list$"):
+            call()
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
 def test_nll_rejects_plus_inf_and_nan_rewards(bad):
     rewards = RewardTable(([bad, 0.0, 1.0], [0.5, 0.0]))
-    data = [RankedComparison(0, 0, (1,)), RankedComparison(0, 2, (0, 1))]
+    data = Rankings([RankedComparison(0, 0, (1,)), RankedComparison(0, 2, (0, 1))])
     if bad == -math.inf:  # a share of zero: the winner's NLL is infinite
         assert pl_nll(rewards, data) == math.inf
         grad = pl_nll_gradient(rewards, data)
@@ -205,7 +226,7 @@ def test_nll_rejects_plus_inf_and_nan_rewards(bad):
 def test_nll_out_of_range_indices_name_the_comparison():
     r = RewardTable((np.zeros(2),))
     with pytest.raises(ValueError, match="comparison 0"):
-        pl_nll(r, [RankedComparison(0, 0, (5,))])
+        pl_nll(r, Rankings([RankedComparison(0, 0, (5,))]))
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +272,10 @@ def test_nll_gradient_scatter_matches_add_at(rng):
         np.add.at(want, where, share)
         nll += float(np.sum(top + np.log(e.sum(axis=1)) - s[:, 0]))
     want = want.reshape(probe.packed.shape) / len(data)
-    for x, g in enumerate(pl_nll_gradient(probe, data)):
+    packed = Rankings(data)
+    for x, g in enumerate(pl_nll_gradient(probe, packed)):
         assert np.array_equal(g, want[x, : len(g)])
-    assert pl_nll(probe, data) == nll / len(data)
+    assert pl_nll(probe, packed) == nll / len(data)
 
 
 def test_nll_gradient_matches_finite_differences(rng):
@@ -309,7 +331,8 @@ def test_fitted_pairwise_probability_matches_empirical_rate():
     fit = fit_pl_reward(data, inst)
     gap = float(fit.rewards.rows[0][0] - fit.rewards.rows[0][1])
     fitted_prob = 1.0 / (1.0 + math.exp(-gap))
-    empirical = sum(c.winner == 0 for c in data) / len(data)
+    (_, _, members), = data.blocks
+    empirical = np.count_nonzero(members[:, 0] == 0) / len(data)
     assert abs(fitted_prob - empirical) < 0.02
 
 
@@ -338,7 +361,7 @@ def test_fit_flags_separable_data_as_unconverged():
     # the fitted gap keeps growing with the step budget, and converged stays
     # False rather than pretending the optimum was reached
     inst = two_response_instance(0.0, 0.0)
-    data = [RankedComparison(0, 0, (1,)) for _ in range(50)]
+    data = Rankings([RankedComparison(0, 0, (1,)) for _ in range(50)])
     short = fit_pl_reward(data, inst, steps=50)
     long = fit_pl_reward(data, inst, steps=400)
     assert not short.converged and not long.converged
@@ -358,22 +381,32 @@ def test_fit_reports_final_state_consistently(rng):
     assert fit.converged == (fit.grad_norm <= 1e-6)
 
 
-def test_fit_walks_the_comparison_list_once(monkeypatch, rng):
+def test_fit_steps_the_packed_rankings_without_per_row_objects(monkeypatch, rng):
+    # the draws, the fit and the CSV writer build no RankedComparison and
+    # never call the list constructor; every gradient goes through the
+    # module namespace, where perfbench's tracer rebinds it
     inst = ladder_instance([0.8, 0.0, -0.8])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a per-row object")
+
+    monkeypatch.setattr(reward_learning, "RankedComparison", refuse)
+    monkeypatch.setattr(Rankings, "__init__", refuse)
     data = generate_rankings(inst.reward, inst, 200, 2, rng)
-    walks = []
-    original = reward_learning._index_comparisons
+    calls = []
+    original = reward_learning.pl_nll_gradient
 
-    def spy(sizes, comparisons):
-        walks.append(len(comparisons))
-        return original(sizes, comparisons)
+    def spy(rewards, rankings):
+        calls.append(rankings)
+        return original(rewards, rankings)
 
-    monkeypatch.setattr(reward_learning, "_index_comparisons", spy)
+    monkeypatch.setattr(reward_learning, "pl_nll_gradient", spy)
     for steps in (0, 1, 40):
-        walks.clear()
+        calls.clear()
         fit = fit_pl_reward(data, inst, steps=steps, step_size=0.1)
         assert fit.steps_taken == steps
-        assert walks == [200]
+        assert len(calls) == steps + 1 and all(c is data for c in calls)
+    rankings_to_csv(data, os.devnull)
 
 
 def _uneven_instance(sizes, weights, rewards) -> GameInstance:
@@ -394,11 +427,11 @@ def test_indexed_fit_matches_per_step_fit_on_the_list():
         ([0.3, -0.2, 0.0], [1.0, 0.5, 0.0, -0.5, -1.0], [0.2, -0.2]),
     )
     C = RankedComparison
-    data = [
+    data = Rankings([
         C(1, 0, (3, 4)), C(0, 2, (1,)), C(1, 2, (0,)), C(2, 0, (1,)),
         C(1, 1, (0, 2, 4)), C(0, 0, (1, 2)), C(1, 4, (3,)), C(2, 1, (0,)),
         C(0, 1, (0,)), C(1, 0, (1, 2, 3, 4)), C(1, 3, (1, 2)), C(0, 0, (2,)),
-    ]
+    ])
     steps, step_size = 25, 1.5
     fit = fit_pl_reward(data, inst, steps=steps, step_size=step_size)
 
@@ -449,7 +482,8 @@ def test_packed_fit_matches_the_per_row_fit_to_the_bit(steps, with_init):
     for pool_size in (1, 3, 2, 1):
         weights = np.array([float(k > pool_size) for k in sizes])
         source = _uneven_instance(sizes, weights / weights.sum(), rewards)
-        data += generate_rankings(source.reward, source, 150, pool_size, gen)
+        data += comparison_list(generate_rankings(source.reward, source, 150, pool_size, gen))
+    data = Rankings(data)
     inst = _uneven_instance(sizes, (0.2,) * 5, rewards)
     init = None
     if with_init:
@@ -489,7 +523,7 @@ def test_packed_fit_stops_where_the_per_row_fit_converges():
 ])
 def test_fit_rejects_bad_arguments_up_front(kwargs, match):
     inst = two_response_instance(0.5, -0.5)
-    data = [RankedComparison(0, 0, (1,)), RankedComparison(0, 1, (0,))]
+    data = Rankings([RankedComparison(0, 0, (1,)), RankedComparison(0, 1, (0,))])
     with pytest.raises(ValueError, match=match):
         fit_pl_reward(data, inst, **kwargs)
 
@@ -501,21 +535,22 @@ def test_fit_rejects_bad_arguments_up_front(kwargs, match):
 def test_generate_rankings_shapes_and_ranges(bt, rng):
     data = generate_rankings(bt.reward, bt, 200, 2, rng)
     assert len(data) == 200
-    for c in data:
-        assert c.prompt == 0
-        assert len(c.pool) == 2
-        assert c.winner not in c.pool
+    (rows, prompts, members), = data.blocks
+    assert np.array_equal(rows, np.arange(200)) and np.all(prompts == 0)
+    assert members.shape == (200, 3) and not members.flags.writeable
+    assert all(len(set(m)) == 3 for m in members.tolist())
 
 
 def test_generate_rankings_zero_count(bt, rng):
-    assert generate_rankings(bt.reward, bt, 0, 1, rng) == []
+    data = generate_rankings(bt.reward, bt, 0, 1, rng)
+    assert len(data) == 0 and data == Rankings([])
 
 
 def test_generate_rankings_equal_rewards_are_uniform():
     inst = ladder_instance([0.0, 0.0, 0.0])
     rng = np.random.default_rng(17)
     data = generate_rankings(inst.reward, inst, 10_000, 2, rng)
-    freq = np.bincount([c.winner for c in data], minlength=3) / len(data)
+    freq = np.bincount(data.blocks[0][2][:, 0], minlength=3) / len(data)
     assert np.abs(freq - 1.0 / 3.0).max() < 0.02
 
 
@@ -524,7 +559,7 @@ def test_generate_rankings_dominant_reward_always_wins():
     rng = np.random.default_rng(23)
     data = generate_rankings(inst.reward, inst, 2000, 2, rng)
     # every pool of 3 on a 3-response prompt contains the dominant response
-    wins = sum(c.winner == 0 for c in data) / len(data)
+    wins = np.count_nonzero(data.blocks[0][2][:, 0] == 0) / len(data)
     assert wins >= 0.999
 
 
@@ -551,7 +586,7 @@ def test_generate_rankings_match_block_reference_draw_for_draw(seed, pool_size):
     want = reference_block_rankings(inst.reward, inst, 400, pool_size, b)
     assert got == want
     assert a.bit_generator.state == b.bit_generator.state
-    assert all(c.prompt != 1 for c in got)
+    assert np.all(got.blocks[0][1] != 1)
 
 
 @st.composite
@@ -693,7 +728,7 @@ def test_generate_rankings_pools_are_uniform_subsets():
     inst = ladder_instance([2.0, -1.0, 0.5, 0.0, 3.0, -2.0])
     data = generate_rankings(inst.reward, inst, 20_000, 2, np.random.default_rng(0))
     subsets = list(itertools.combinations(range(6), 3))
-    seen = Counter(tuple(sorted((c.winner, *c.pool))) for c in data)
+    seen = Counter(tuple(sorted(m)) for m in data.blocks[0][2].tolist())
     assert set(seen) == set(subsets)
     expected = len(data) / len(subsets)
     chi2 = sum((seen[s] - expected) ** 2 / expected for s in subsets)
@@ -703,7 +738,7 @@ def test_generate_rankings_pools_are_uniform_subsets():
 def test_generate_rankings_zero_count_draws_nothing(bt):
     rng = np.random.default_rng(5)
     before = rng.bit_generator.state
-    assert generate_rankings(bt.reward, bt, 0, 2, rng) == []
+    assert len(generate_rankings(bt.reward, bt, 0, 2, rng)) == 0
     assert rng.bit_generator.state == before
 
 
@@ -775,28 +810,35 @@ def test_generate_rankings_are_deterministic_per_seed(bt):
 
 
 def test_rankings_csv_round_trip(tmp_path, bt, rng):
-    data = generate_rankings(bt.reward, bt, 30, 2, rng)
     path = tmp_path / "rankings.csv"
-    rankings_to_csv(data, path)
-    assert rankings_from_csv(path) == data
-    header = path.read_text().splitlines()[0]
-    assert header == "prompt,winner,pool"
+    for data in (generate_rankings(bt.reward, bt, 30, 2, rng),
+                 Rankings(_interleaved(bt, rng, 30))):
+        rankings_to_csv(data, path)
+        assert rankings_from_csv(path) == data
+        header = path.read_text().splitlines()[0]
+        assert header == "prompt,winner,pool"
+    assert len(data.blocks) > 1
 
 
-@pytest.mark.parametrize("pool_size", [1, 2, 3])
+@pytest.mark.parametrize("pool_size", [1, 2, 3, "mixed"])
 def test_rankings_csv_bytes_match_csv_writer(tmp_path, pool_size):
-    gen = np.random.default_rng(pool_size)
+    gen = np.random.default_rng(4 if pool_size == "mixed" else pool_size)
     sizes = (4, 11, 6)
     inst = _uneven_instance(sizes, (0.3, 0.5, 0.2), [gen.normal(size=k) for k in sizes])
-    data = generate_rankings(inst.reward, inst, 200, pool_size, gen)
+    if pool_size == "mixed":
+        data = Rankings(_interleaved(inst, gen, 200))
+        assert len(data.blocks) == 10
+    else:
+        data = generate_rankings(inst.reward, inst, 200, pool_size, gen)
     path, want = tmp_path / "got.csv", tmp_path / "want.csv"
     rankings_to_csv(data, path)
     with open(want, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("prompt", "winner", "pool"))
-        for c in data:
+        for c in comparison_list(data):
             writer.writerow([c.prompt, c.winner, ";".join(str(y) for y in c.pool)])
     assert path.read_bytes() == want.read_bytes()
+    assert rankings_from_csv(path) == data
 
 
 def test_rankings_csv_rejects_foreign_header(tmp_path):
