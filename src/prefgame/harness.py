@@ -471,25 +471,28 @@ def _run_lossmin(instance, config: ExperimentConfig) -> dict:
 
     descent = os.path.join(config.out_dir, "descent.csv")
     report_path = os.path.join(config.out_dir, "report.json")
-    rows = []
-    reports = []
+    z0s = []
     for i in range(p["inits"]):
         rng = derive_rng(config.seed, "lossmin", f"init{i}")
-        z0 = PolicyLogits(tuple(rng.standard_normal(k) for k in instance.space.sizes))
-        trace = (lambda s, v, g: rows.append((s, v, g))) if i == 0 else None
-        res = minimize_loss(
-            problem, z0, steps=p["steps"], step_size=p["step_size"], trace=trace
+        z0s.append(PolicyLogits(tuple(rng.standard_normal(k) for k in instance.space.sizes)))
+    rows = []
+    try:
+        results = minimize_loss(
+            problem, z0s, steps=p["steps"], step_size=p["step_size"],
+            trace=lambda s, v, g: rows.append((s, v, g)),
         )
-        linf = float(np.max(np.abs(res.policy.packed - closed.packed)))
-        reports.append(
-            {
-                "init": i,
-                "final_loss": res.loss,
-                "grad_max": res.grad_max,
-                "steps_taken": res.steps_taken,
-                "max_abs_gap_to_update": linf,
-            }
-        )
+    except ValueError as err:  # the schema has checked steps and step_size
+        raise ConfigError(f"bad value for key 'eta': {err}") from err
+    reports = [
+        {
+            "init": i,
+            "final_loss": res.loss,
+            "grad_max": res.grad_max,
+            "steps_taken": res.steps_taken,
+            "max_abs_gap_to_update": float(np.max(np.abs(res.policy.packed - closed.packed))),
+        }
+        for i, res in enumerate(results)
+    ]
     with open(descent, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["step", "loss", "grad_norm"])

@@ -30,6 +30,10 @@ explicit dataset the share of (prompt, winner, loser) triples (x, a, b).
 
 Optimization works on packed logits; the loss reads log pi off them as a
 log-softmax over the reference support, so iterates never touch the boundary.
+The evaluator's helpers take a leading init axis: minimize_loss descends a
+batch of inits in lockstep on one stacked (B, P, K) logits array, one margins
+pass per round of proposals, and a problem's public value and gradient are
+the one-init case.
 """
 
 from __future__ import annotations
@@ -306,29 +310,36 @@ def _pair_tables(instance, history, config, data):
 
 
 def _margins(tables, logs):
-    """beta h_xab = beta (u_xa - u_xb), u = logs - sum_j w_j log pi_j."""
+    """beta h_xab = beta (u_xa - u_xb), u = logs - sum_j w_j log pi_j.
+
+    logs is (B, P, K), one row block per init; the margins are (B, P, K, K).
+    """
     _, _, offset, _, _, beta = tables
     u = logs - offset
-    margins = u[:, :, None] - u[:, None, :]
+    margins = u[..., :, None] - u[..., None, :]
     return margins if beta == 1.0 else beta * margins
 
 
 def _value(tables, metric, margins):
-    """sum_x factor_x sum_ab W[x, a, b] metric(beta h_xab, target_xab)."""
+    """sum_x factor_x sum_ab W[x, a, b] metric(beta h_xab, target_xab), per init.
+
+    Returns a (B,) array. It takes one dot per init, because a (B, P) @ (P,)
+    product may sum in another order than the single init's dot.
+    """
     _, pair_w, _, target, factor, _ = tables
     values = _metric(metric, margins, target, slope=False)
-    return float(factor @ (pair_w * values).sum(axis=(1, 2)))
+    return np.array([factor @ v for v in (pair_w * values).sum(axis=(2, 3))])
 
 
 def _slope(tables, metric, margins):
-    """The (P, K) logit gradient of _value at the same margins.
+    """The (B, P, K) logit gradients of _value at the same margins.
 
     h_xab moves with z_xa - z_xb, so a row is the row sums minus the
     column sums of W * slope, times beta and the prompt factor.
     """
     _, pair_w, _, target, factor, beta = tables
     g = pair_w * _metric(metric, margins, target, slope=True)
-    return (g.sum(axis=2) - g.sum(axis=1)) * (factor * beta)[:, None]
+    return (g.sum(axis=3) - g.sum(axis=2)) * (factor * beta)[:, None]
 
 
 def pair_margin_loss(
@@ -349,8 +360,8 @@ def pair_margin_loss(
     """
     _require_sizes(policy, instance.space.sizes, "policy")
     tables = _pair_tables(instance, history, config, data)
-    margins = _margins(tables, _logs(policy, tables[0], "policy"))
-    return _value(tables, config.metric, margins)
+    margins = _margins(tables, _logs(policy, tables[0], "policy")[None])
+    return float(_value(tables, config.metric, margins)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -485,26 +496,30 @@ class PairMarginProblem:
         _raise_at_first(self._tables[0] & ~self._live, "pairs leave the reference support")
         self._memo = (None, None)
 
-    def _log_policy(self, logits: PolicyLogits) -> np.ndarray:
-        """log pi on the touched mask: z - max - log sum exp over the live entries."""
-        _require_sizes(logits, self.instance.space.sizes, "logits")
-        z = np.where(self._live, logits.packed, -np.inf)
-        z = z - z.max(axis=1, keepdims=True)
-        logs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    def _log_policy(self, z: np.ndarray) -> np.ndarray:
+        """log pi on the touched mask of stacked (B, P, K) logits.
+
+        z - max - log sum exp over the live entries.
+        """
+        z = np.where(self._live, z, -np.inf)
+        z = z - z.max(axis=2, keepdims=True)
+        logs = z - np.log(np.exp(z).sum(axis=2, keepdims=True))
         return np.where(self._tables[0], logs, 0.0)
 
     def _margins_at(self, logits: PolicyLogits) -> np.ndarray:
         if self._memo[0] is not logits:
-            self._memo = (logits, _margins(self._tables, self._log_policy(logits)))
+            _require_sizes(logits, self.instance.space.sizes, "logits")
+            logs = self._log_policy(logits.packed[None])
+            self._memo = (logits, _margins(self._tables, logs))
         return self._memo[1]
 
     def value(self, logits: PolicyLogits) -> float:
-        return _value(self._tables, self.config.metric, self._margins_at(logits))
+        return float(_value(self._tables, self.config.metric, self._margins_at(logits))[0])
 
     def gradient(self, logits: PolicyLogits) -> PolicyLogits:
         """d value / d logits, packed; a per-prompt logit shift leaves it unchanged."""
         grad = _slope(self._tables, self.config.metric, self._margins_at(logits))
-        return PolicyLogits._wrap(grad, logits.sizes)
+        return PolicyLogits._wrap(grad[0], logits.sizes)
 
 
 class UpdateMatchingProblem(PairMarginProblem):
@@ -546,47 +561,111 @@ class MinimizeResult:
     steps_taken: int
 
 
+# Inits descended in lockstep share one stack: a chunk holds as many as keep
+# one (B, P, K, K) pair table within this many bytes, and the rest follow.
+_LOCKSTEP_BYTES = 1 << 20
+
+
 def minimize_loss(
     problem: PairMarginProblem,
-    init: PolicyLogits,
+    init: PolicyLogits | Sequence[PolicyLogits],
     steps: int = 4000,
     step_size: float = 0.5,
     trace: Callable[[int, float, float], None] | None = None,
-) -> MinimizeResult:
+) -> MinimizeResult | list[MinimizeResult]:
     """Plain gradient descent with backtracking.
 
     A proposal that fails to decrease the loss halves the step and is
     retried; a success grows the step by 1.2x. Stops when the step
     underflows, the gradient is at machine floor, or steps run out.
+    init is one PolicyLogits, which returns one MinimizeResult, or a
+    sequence of them, which returns one result per init. A sequence
+    descends in lockstep, each init with its own step size and stopping
+    rule, and each result has the bits of that init's own descent.
     trace, when given, is called as trace(accepted_steps, loss, grad_max)
-    at the start and after every accepted proposal.
+    for the first init, at the start and after every accepted proposal.
+    A loss that is not finite at an init raises ValueError.
     """
     _require_count(steps, 0, f"steps must be a nonnegative integer, got {steps}")
     if not (math.isfinite(step_size) and step_size > 0.0):
         raise ValueError(f"step_size must be positive and finite, got {step_size}")
-    z = init
-    val = problem.value(z)
-    grad = problem.gradient(z)
-    gmax = float(np.abs(grad.packed).max())
-    step = float(step_size)
-    taken = 0
+    single = isinstance(init, PolicyLogits)
+    inits = [init] if single else list(init)
+    if not inits:
+        raise ValueError("need at least one init")
+    for i, z in enumerate(inits):
+        if not isinstance(z, PolicyLogits):
+            raise TypeError(f"init {i} is {type(z).__name__}, not PolicyLogits")
+        _require_sizes(z, problem.instance.space.sizes, f"init {i}: logits")
+    prompts, width = inits[0].packed.shape
+    chunk = max(1, _LOCKSTEP_BYTES // (8 * prompts * width * width))
+    results = []
+    for start in range(0, len(inits), chunk):
+        results += _lockstep(
+            problem, inits[start : start + chunk], start, steps, step_size,
+            trace if start == 0 else None,
+        )
+    return results[0] if single else results
+
+
+def _lockstep(problem, inits, first, steps, step_size, trace) -> list[MinimizeResult]:
+    """minimize_loss on the stacked logits of `inits`, the first being init `first`.
+
+    Each iteration proposes one step for every init still running, takes
+    all their values in one margins pass and, when any accepts, the
+    accepted inits' gradients from the same margins in one pass. An init
+    that stops leaves the stack, so `ids` maps stack rows to inits.
+    """
+    tables, metric = problem._tables, problem.config.metric
+    z = np.stack([lo.packed for lo in inits])
+    with np.errstate(all="ignore"):  # reported below, as an error
+        margins = _margins(tables, problem._log_policy(z))
+        val = _value(tables, metric, margins)
+    bad = ~np.isfinite(val)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"the loss at init {first + i} is {val[i]}, not finite")
+    grad = _slope(tables, metric, margins)
+    gmax = np.abs(grad).max(axis=(1, 2))
+    step = np.full(len(inits), float(step_size))
+    ids = np.arange(len(inits))
+    results = [None] * len(inits)
+
+    def finish(rows, taken):
+        for j in rows:
+            logits = PolicyLogits._wrap(z[j].copy(), inits[ids[j]].sizes)
+            policy = logits_to_policy(logits, problem.instance.reference)
+            results[ids[j]] = MinimizeResult(
+                policy, logits, float(val[j]), float(gmax[j]), taken
+            )
+
     accepted = 0
     if trace is not None:
-        trace(0, val, gmax)
-    for taken in range(1, steps + 1):
-        if gmax < 1e-13 or step < 1e-18:
-            break
-        cand = PolicyLogits._wrap(z.packed - step * grad.packed, z.sizes)
-        cand_val = problem.value(cand)
-        if cand_val < val:
+        trace(0, float(val[0]), float(gmax[0]))
+    for t in range(1, steps + 1):
+        stop = (gmax < 1e-13) | (step < 1e-18)  # a NaN gradient runs on
+        if stop.any():
+            finish(np.flatnonzero(stop), t)
+            keep = ~stop
+            ids, z, val, grad, gmax, step = (a[keep] for a in (ids, z, val, grad, gmax, step))
+            if ids.size == 0:
+                break
+        cand = z - step[:, None, None] * grad
+        margins = _margins(tables, problem._log_policy(cand))
+        cand_val = _value(tables, metric, margins)
+        ok = cand_val < val
+        if ok.all():
             z, val = cand, cand_val
-            grad = problem.gradient(z)
-            gmax = float(np.abs(grad.packed).max())
-            step *= 1.2
+            grad = _slope(tables, metric, margins)
+            gmax = np.abs(grad).max(axis=(1, 2))
+        elif ok.any():
+            z[ok] = cand[ok]
+            val[ok] = cand_val[ok]
+            grad[ok] = _slope(tables, metric, margins[ok])
+            gmax[ok] = np.abs(grad[ok]).max(axis=(1, 2))
+        step *= np.where(ok, 1.2, 0.5)
+        if trace is not None and ids[0] == 0 and ok[0]:
             accepted += 1
-            if trace is not None:
-                trace(accepted, val, gmax)
-        else:
-            step *= 0.5
-    policy = logits_to_policy(z, problem.instance.reference)
-    return MinimizeResult(policy, z, val, gmax, taken)
+            trace(accepted, float(val[0]), float(gmax[0]))
+    finish(range(ids.size), int(steps))
+    return results

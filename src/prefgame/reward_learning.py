@@ -273,7 +273,8 @@ def fit_pl_reward(
                 rewards = RewardTable._wrap(_center(packed, sizes), sizes)
                 taken = t + 1
             nll = pl_nll(rewards, data)
-            gmax = float(np.max(np.abs(np.concatenate(pl_nll_gradient(rewards, data)))))
+            if taken == steps:  # the rewards moved after the loop's last gradient
+                gmax = float(np.max(np.abs(np.concatenate(pl_nll_gradient(rewards, data)))))
     except FloatingPointError as err:
         raise FloatingPointError(f"{err} after {taken} steps; reduce step_size") from err
     return FitResult(rewards, nll, gmax, gmax <= tol, taken)

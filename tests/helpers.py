@@ -18,13 +18,17 @@ import numpy as np
 from prefgame import (
     NORMALIZATION_TOL,
     GameInstance,
+    MinimizeResult,
     PairwisePreference,
+    PolicyLogits,
     RankedComparison,
     Rankings,
     ResponseSpace,
     RewardTable,
     TabularPolicy,
+    logits_to_policy,
 )
+from prefgame.instances import _require_count
 
 
 def random_policy(rng: np.random.Generator, sizes, interior: bool = True) -> TabularPolicy:
@@ -301,6 +305,49 @@ def mean_pairwise_one_vs_many(
     return float(
         np.mean([win_rate_vs_policy(preference, prompt, response, o) for o in opponents])
     )
+
+
+def reference_minimize_loss(
+    problem,
+    init: PolicyLogits,
+    steps: int = 4000,
+    step_size: float = 0.5,
+    trace=None,
+) -> MinimizeResult:
+    """One init's backtracking descent, through the public value and gradient.
+
+    minimize_loss descends a batch of inits in lockstep; each of its
+    results must equal this loop's for that init bit for bit.
+    """
+    _require_count(steps, 0, f"steps must be a nonnegative integer, got {steps}")
+    if not (math.isfinite(step_size) and step_size > 0.0):
+        raise ValueError(f"step_size must be positive and finite, got {step_size}")
+    z = init
+    val = problem.value(z)
+    grad = problem.gradient(z)
+    gmax = float(np.abs(grad.packed).max())
+    step = float(step_size)
+    taken = 0
+    accepted = 0
+    if trace is not None:
+        trace(0, val, gmax)
+    for taken in range(1, steps + 1):
+        if gmax < 1e-13 or step < 1e-18:
+            break
+        cand = PolicyLogits._wrap(z.packed - step * grad.packed, z.sizes)
+        cand_val = problem.value(cand)
+        if cand_val < val:
+            z, val = cand, cand_val
+            grad = problem.gradient(z)
+            gmax = float(np.abs(grad.packed).max())
+            step *= 1.2
+            accepted += 1
+            if trace is not None:
+                trace(accepted, val, gmax)
+        else:
+            step *= 0.5
+    policy = logits_to_policy(z, problem.instance.reference)
+    return MinimizeResult(policy, z, val, gmax, taken)
 
 
 def squared_distance(margin: float, target: float) -> float:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -811,6 +812,21 @@ def test_cli_lossmin_large_eta_reaches_the_update(paths, tmp_path, capsys, name,
     assert main(["run", write_config(tmp_path, doc)]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["worst_gap_to_update"] <= 1e-10
+
+
+@pytest.mark.parametrize("eta", [1e200, 1e308])
+@pytest.mark.parametrize("name", ["rps", "bt", "mixed"])
+def test_cli_lossmin_overflowing_eta_exits_2(paths, tmp_path, capsys, name, eta):
+    # the squared residuals overflow, so the loss at the initial logits is
+    # not finite: the run names eta, warns of nothing and writes no NaN
+    doc = base_doc(paths, tmp_path, "lossmin", eta=eta)
+    doc["instance"] = paths[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "key 'eta'" in err and "not finite" in err and "Traceback" not in err
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def _gap_argv(paths, tmp_path, command, policy):

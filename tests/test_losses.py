@@ -1,7 +1,11 @@
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     bernoulli_kl_distance,
@@ -9,6 +13,7 @@ from helpers import (
     max_grad_rel_error,
     random_instance,
     random_policy,
+    reference_minimize_loss,
     squared_distance,
 )
 from prefgame import (
@@ -31,6 +36,7 @@ from prefgame import (
     policy_from_rows,
     policy_in_support,
     preset,
+    sample_preference_dataset,
     uniform_policy,
     update_matching_loss,
     winner_target_loss,
@@ -779,42 +785,83 @@ def test_minimize_zero_steps_returns_softmaxed_init(rng):
     assert res.steps_taken == 0
 
 
+def _counted(counts, name, fn):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
 def test_minimize_calls_value_per_proposal_and_gradient_per_acceptance(
     monkeypatch, rng
 ):
+    # the lockstep makes one margins pass per round of proposals and one
+    # gradient pass per round in which some init accepts, and together
+    # they propose and accept exactly what the per-init descents do
     import prefgame.losses as losses
 
     inst = random_instance(rng, num_prompts=2, max_responses=4)
     cur = random_policy(rng, inst.space.sizes)
+    inits = [
+        PolicyLogits(tuple(5.0 * rng.standard_normal(k) for k in inst.space.sizes))
+        for _ in range(2)
+    ]
+    # the update itself, where the gradient is already at its floor
+    update = mwu_step([cur], inst, 0.9)
+    inits.insert(1, PolicyLogits(tuple(np.log(r) for r in update.rows)))
+    proposals = acceptances = 0
+    for z0 in inits:
+        own = UpdateMatchingProblem(inst, cur, [cur], 0.9)
+        counts = {"value": 0, "gradient": 0}
+        for name in counts:
+            monkeypatch.setattr(own, name, _counted(counts, name, getattr(own, name)))
+        reference_minimize_loss(own, z0, steps=30)
+        proposals += counts["value"] - 1
+        acceptances += counts["gradient"] - 1
+
     problem = UpdateMatchingProblem(inst, cur, [cur], 0.9)
-    calls = {"value": 0, "gradient": 0, "_log_policy": 0, "logits_to_policy": 0}
-
-    def spy(name, fn):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return counted
-
-    monkeypatch.setattr(problem, "value", spy("value", problem.value))
-    monkeypatch.setattr(problem, "gradient", spy("gradient", problem.gradient))
-    monkeypatch.setattr(problem, "_log_policy", spy("_log_policy", problem._log_policy))
+    calls = {"value": 0, "gradient": 0, "logits_to_policy": 0}
+    for name in ("value", "gradient"):
+        monkeypatch.setattr(problem, name, _counted(calls, name, getattr(problem, name)))
     monkeypatch.setattr(
-        losses, "logits_to_policy", spy("logits_to_policy", losses.logits_to_policy)
+        losses, "logits_to_policy",
+        _counted(calls, "logits_to_policy", losses.logits_to_policy),
     )
-    z0 = PolicyLogits(tuple(5.0 * rng.standard_normal(k) for k in inst.space.sizes))
+    passes = []
+    log_policy, slope = problem._log_policy, losses._slope
+
+    def margins_pass(z):
+        passes.append(("margins", len(z)))
+        return log_policy(z)
+
+    def gradient_pass(tables, metric, margins):
+        passes.append(("gradient", len(margins)))
+        return slope(tables, metric, margins)
+
+    monkeypatch.setattr(problem, "_log_policy", margins_pass)
+    monkeypatch.setattr(losses, "_slope", gradient_pass)
     accepted = []
-    res = minimize_loss(problem, z0, steps=30, trace=lambda s, v, g: accepted.append(s))
-    # the gradient never reached the floor and 30 halvings cannot underflow
-    # the step, so every one of the 30 steps made a proposal
-    assert res.grad_max >= 1e-13 and res.steps_taken == 30
-    assert calls == {
-        "value": 1 + 30,
-        "gradient": 1 + (len(accepted) - 1),
-        # every gradient is taken at the logits of the value call before it
-        "_log_policy": 1 + 30,
-        "logits_to_policy": 1,
-    }
+    results = minimize_loss(
+        problem, inits, steps=30, trace=lambda s, v, g: accepted.append(s)
+    )
+    # the update stops at once; the gradient of the others never reached
+    # the floor and 30 halvings cannot underflow the step, so each of them
+    # made a proposal at every one of the 30 steps
+    assert results[1].steps_taken == 1 and results[1].grad_max < 1e-13
+    assert all(r.grad_max >= 1e-13 and r.steps_taken == 30 for r in results[::2])
+    assert len(accepted) > 1
+    # the public value and gradient stay unused
+    assert calls == {"value": 0, "gradient": 0, "logits_to_policy": 3}
+    assert passes[:2] == [("margins", 3), ("gradient", 3)]
+    rounds = passes[2:]
+    margins = [n for kind, n in rounds if kind == "margins"]
+    gradients = [n for kind, n in rounds if kind == "gradient"]
+    assert margins == [2] * 30 and sum(margins) == proposals
+    assert sum(gradients) == acceptances
+    # a round is one margins pass, then one gradient pass if any init accepted
+    kinds = [kind for kind, _ in rounds]
+    assert kinds[0] == "margins" and ("gradient", "gradient") not in zip(kinds, kinds[1:])
 
 
 class _UnkeptMarginsProblem(PairMarginProblem):
@@ -832,20 +879,105 @@ class _UnkeptMarginsProblem(PairMarginProblem):
 @pytest.mark.parametrize("metric", ["sq", "bwd"])
 def test_kept_margins_change_no_bits_of_the_descent(rng, metric):
     # compared in-process: numpy's SIMD exp and log may differ by an ulp
-    # between CPUs, so a stored hash would not carry over
+    # between CPUs, so a stored hash would not carry over. The lockstep
+    # takes each accepted candidate's gradient from that candidate's
+    # margins, the per-init descent from the margins its value call kept,
+    # and with an unkept problem every call computes its own.
     inst, build = _problem_builder(rng, metric)
     z0 = PolicyLogits(tuple(3.0 * rng.standard_normal(k) for k in inst.space.sizes))
-    runs = []
-    for problem in (build(), build(_UnkeptMarginsProblem)):
+    def run(descend, problem, init):
         rows = []
-        res = minimize_loss(problem, z0, steps=300, trace=lambda *r: rows.append(r))
-        runs.append((res, rows))
-    (kept, kept_rows), (unkept, unkept_rows) = runs
-    assert kept.steps_taken == unkept.steps_taken and len(kept_rows) > 10
-    assert _bits(kept.loss, kept.grad_max, kept.logits.packed) == _bits(
-        unkept.loss, unkept.grad_max, unkept.logits.packed
-    )
-    assert _bits(kept_rows) == _bits(unkept_rows)
+        res = descend(problem, init, steps=300, trace=lambda *r: rows.append(r))
+        return res, rows
+
+    (lockstep,), lockstep_rows = run(minimize_loss, build(), [z0])
+    assert len(lockstep_rows) > 10
+    for res, rows in (
+        run(reference_minimize_loss, build(), z0),
+        run(reference_minimize_loss, build(_UnkeptMarginsProblem), z0),
+    ):
+        assert res.steps_taken == lockstep.steps_taken
+        assert _bits(res.loss, res.grad_max, res.logits.packed) == _bits(
+            lockstep.loss, lockstep.grad_max, lockstep.logits.packed
+        )
+        assert _bits(rows) == _bits(lockstep_rows)
+
+
+def _lockstep_problem(rng, kind):
+    # three prompts of 2-5 responses: the counts differ on most seeds
+    inst = random_instance(rng, num_prompts=3, max_responses=5)
+    cur = random_policy(rng, inst.space.sizes)
+    data = sample_preference_dataset(inst, cur, 12, rng) if kind.endswith("data") else None
+    if kind.startswith("sq"):
+        return PairMarginProblem(inst, [cur], preset("sppo", eta=0.8), data)
+    if kind.startswith("bwd"):
+        return PairMarginProblem(inst, [cur], preset("dpo", beta=1.4), data)
+    other = random_policy(rng, inst.space.sizes)
+    config = LossConfig(("ref", "ref"), (0.3, 0.7), "bwd", 2.0)
+    return ExternalMarginProblem(inst, [cur, other], config)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["sq", "bwd", "sq_data", "bwd_data", "external"]),
+    count=st.integers(1, 4),
+    steps=st.sampled_from([0, 1, 5, 300]),
+    descended=st.booleans(),
+    chunk=st.sampled_from([None, 1, 2]),
+)
+def test_lockstep_descent_matches_per_init_descents_bit_for_bit(
+    seed, kind, count, steps, descended, chunk
+):
+    import prefgame.losses as losses
+
+    rng = np.random.default_rng(seed)
+    problem = _lockstep_problem(rng, kind)
+    sizes = problem.instance.space.sizes
+    inits = [PolicyLogits(tuple(3.0 * rng.standard_normal(k) for k in sizes)) for _ in range(count)]
+    if descended:  # an init a long descent has brought to, or near, its floor
+        where = int(rng.integers(0, count + 1))
+        inits.insert(where, reference_minimize_loss(problem, inits[0], steps=400).logits)
+    limit = contextlib.nullcontext()
+    if chunk is not None:  # chunk inits to a stack
+        table = 8 * problem.instance.preference.packed.size
+        limit = mock.patch.object(losses, "_LOCKSTEP_BYTES", chunk * table)
+    rows = []
+    with limit:
+        results = minimize_loss(problem, inits, steps=steps, trace=lambda *r: rows.append(r))
+    assert len(results) == len(inits)
+    for i, (got, z0) in enumerate(zip(results, inits)):
+        want_rows = []
+        trace = (lambda *r: want_rows.append(r)) if i == 0 else None
+        want = reference_minimize_loss(problem, z0, steps=steps, trace=trace)
+        assert got.steps_taken == want.steps_taken
+        assert got.logits.sizes == got.policy.sizes == sizes
+        assert _bits(got.loss, got.grad_max, got.logits.packed, got.policy.packed) == _bits(
+            want.loss, want.grad_max, want.logits.packed, want.policy.packed
+        )
+        if i == 0:
+            assert _bits(rows) == _bits(want_rows)
+
+
+@pytest.mark.parametrize("inits, error, match", [
+    (lambda z: [], ValueError, "at least one init"),
+    (lambda z: [z, z.packed], TypeError, "init 1 is ndarray"),
+    (lambda z: [z, z, PolicyLogits(z.rows[:1])], ValueError, "init 2: logits"),
+    (lambda z: [PolicyLogits((np.zeros(1), *z.rows[1:])), z], ValueError, "init 0: logits"),
+], ids=["empty", "not_logits", "fewer_prompts", "other_counts"])
+def test_minimize_checks_every_init_before_evaluating(monkeypatch, rng, inits, error, match):
+    import prefgame.losses as losses
+
+    inst, build = _problem_builder(rng, "sq")
+    problem = build()
+
+    def refuse(*args):
+        raise AssertionError("evaluated before checking the inits")
+
+    monkeypatch.setattr(problem, "_log_policy", refuse)
+    monkeypatch.setattr(losses, "_slope", refuse)
+    with pytest.raises(error, match=match):
+        minimize_loss(problem, inits(_random_logits(rng, inst.space.sizes)), steps=5)
 
 
 def test_minimize_reaches_the_update_from_different_inits(rng):

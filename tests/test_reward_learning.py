@@ -406,6 +406,13 @@ def test_fit_steps_the_packed_rankings_without_per_row_objects(monkeypatch, rng)
         fit = fit_pl_reward(data, inst, steps=steps, step_size=0.1)
         assert fit.steps_taken == steps
         assert len(calls) == steps + 1 and all(c is data for c in calls)
+    # a converged fit reuses the gradient that stopped it for grad_norm
+    calls.clear()
+    fit = fit_pl_reward(data, inst, steps=2000, step_size=1.0)
+    assert fit.converged and 0 < fit.steps_taken < 2000
+    assert len(calls) == fit.steps_taken + 1 and all(c is data for c in calls)
+    gmax = float(np.max(np.abs(np.concatenate(original(fit.rewards, data)))))
+    assert np.float64(fit.grad_norm).tobytes() == np.float64(gmax).tobytes()
     rankings_to_csv(data, os.devnull)
 
 
