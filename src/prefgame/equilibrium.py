@@ -30,7 +30,6 @@ from .objectives import (
     _player_value,
     closed_form_multi_teacher_optimum,
     expected_win_rates,
-    two_player_objective,
 )
 
 # Win-rate differences below this count as a tie in the argmax set.
@@ -94,17 +93,18 @@ def _best_response(instance, opponents, tau, aggregator):
 def dual_gap_two_player(
     policy: TabularPolicy, instance: GameInstance, tau: float = 0.0
 ) -> float:
-    """max_p J(p, policy) - min_q J(policy, q), both sides exact.
+    """max_p J(p, policy) - min_q J(policy, q), from one best response.
 
-    The game is symmetric, so the one best response to `policy` is both
-    the strongest attacker and the opponent that hurts `policy` most.
-    Zero exactly at an equilibrium; 1.0 at a point mass in an unregularized
-    cycle, where the counter wins outright.
+    The preference oracle satisfies M + M^T = 1 with a 0.5 diagonal, which
+    validate_instance enforces, so J(p, q) + J(q, p) = 1 and both halves of
+    the gap equal the best response's gain over the held value: the gap is
+    twice the two-player exploitability. Zero exactly at an equilibrium;
+    1.0 at a point mass in an unregularized cycle, where the counter wins
+    outright.
     """
     br = _best_response(instance, [policy], tau, MEAN_PAIRWISE)
-    high = two_player_objective(br.policy, policy, instance, tau)
-    low = two_player_objective(policy, br.policy, instance, tau)
-    return _clipped_gap(high - low, "duality gap")
+    held = _player_value(policy, br.win, instance, tau)
+    return _clipped_gap(2.0 * (br.value - held), "duality gap")
 
 
 def exploitability_multiplayer(

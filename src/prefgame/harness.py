@@ -40,6 +40,7 @@ Outputs per mode:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -73,7 +74,7 @@ from .losses import (
     preset,
 )
 from .objectives import Aggregator, MEAN_PAIRWISE, PLACKETT_LUCE
-from .equilibrium import _TAU_MIN, dual_gap_two_player, exploitability_multiplayer
+from .equilibrium import _TAU_MIN, exploitability_multiplayer
 from .solvers import OPPONENT_SCHEMES, SolverConfig, mwu_step, self_play_run
 from .reward_learning import (
     _center,
@@ -96,6 +97,15 @@ _AGGREGATORS = {"mean_pairwise": MEAN_PAIRWISE, "plackett_luce": PLACKETT_LUCE}
 
 class ConfigError(ValueError):
     """A config violates the schema; the message names the offending key."""
+
+
+@contextlib.contextmanager
+def _sized_by(key: str):
+    """Report a count too large to allocate for as a ConfigError naming `key`."""
+    try:
+        yield
+    except (MemoryError, OverflowError) as err:
+        raise ConfigError(f"key {key!r} is too large: {str(err) or 'out of memory'}") from err
 
 
 class ValidationFailure(ValueError):
@@ -446,7 +456,8 @@ def _run_selfplay(instance, config: ExperimentConfig) -> dict:
         )
     except ValueError as err:
         raise ConfigError(f"bad value for key 'history_weights': {err}") from err
-    result = self_play_run(instance, solver)
+    with _sized_by("n_players"):
+        result = self_play_run(instance, solver)
     metrics = os.path.join(config.out_dir, "metrics.csv")
     final = os.path.join(config.out_dir, "policy_final.json")
     average = os.path.join(config.out_dir, "policy_average.json")
@@ -465,7 +476,8 @@ def _run_selfplay(instance, config: ExperimentConfig) -> dict:
 def _run_lossmin(instance, config: ExperimentConfig) -> dict:
     p = config.params
     current = instance.reference
-    opponents = [current] * (p["n_players"] - 1)
+    with _sized_by("n_players"):
+        opponents = [current] * (p["n_players"] - 1)
     closed = mwu_step(opponents, instance, p["eta"])
     problem = UpdateMatchingProblem(instance, current, opponents, p["eta"])
 
@@ -527,9 +539,10 @@ def _run_rewardfit(instance, config: ExperimentConfig) -> dict:
     if short is not None:
         raise ConfigError(f"key 'pool_size' is too large: {short}")
     rng = derive_rng(config.seed, "rewardfit")
-    data = generate_rankings(
-        instance.reward, instance, p["comparisons"], p["pool_size"], rng
-    )
+    with _sized_by("comparisons"):
+        data = generate_rankings(
+            instance.reward, instance, p["comparisons"], p["pool_size"], rng
+        )
     rankings = os.path.join(config.out_dir, "rankings.csv")
     fitted_path = os.path.join(config.out_dir, "fitted.json")
     report_path = os.path.join(config.out_dir, "report.json")
@@ -566,9 +579,9 @@ def gap_report(
 ) -> dict:
     """Exploitability of a policy given as "uniform" or a policy file path.
 
-    Adds the two-sided duality gap when the game is the plain two-player
-    pairwise one. The policy must be valid and live on the reference
-    support, else ValidationFailure.
+    Adds the two-sided duality gap, which is twice the exploitability,
+    when the game is the plain two-player pairwise one. The policy must be
+    valid and live on the reference support, else ValidationFailure.
     """
     if aggregator_name not in _AGGREGATORS:
         raise ConfigError(
@@ -595,11 +608,12 @@ def gap_report(
     except SupportViolation as err:
         raise ValidationFailure([str(err)]) from err
 
-    expl = float(
-        exploitability_multiplayer(
-            policy, n_players, instance, tau, _AGGREGATORS[aggregator_name]
+    with _sized_by("n_players"):
+        expl = float(
+            exploitability_multiplayer(
+                policy, n_players, instance, tau, _AGGREGATORS[aggregator_name]
+            )
         )
-    )
     doc = {
         "aggregator": aggregator_name,
         "exploitability": expl,
@@ -608,7 +622,7 @@ def gap_report(
         "tau": tau,
     }
     if n_players == 2 and aggregator_name == "mean_pairwise":
-        doc["dual_gap"] = float(dual_gap_two_player(policy, instance, tau))
+        doc["dual_gap"] = 2.0 * expl
     return doc
 
 

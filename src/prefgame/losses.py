@@ -481,8 +481,9 @@ class PairMarginProblem:
     Everything but the policy is fixed, so the pair tables and the support
     checks run once. log pi is a log-softmax of the logits, which never
     underflows to a zero probability however far apart the logits are.
-    value and gradient at the same logits share one log-softmax and margins
-    pass: the last margins are kept with their (read-only) logits object.
+    value and gradient are the one-init case of the margins pass that
+    minimize_loss runs on a stack of inits, and a problem keeps no per-call
+    state.
     """
 
     def __init__(self, instance, history, config, data=None):
@@ -494,7 +495,6 @@ class PairMarginProblem:
         if dead.any():
             raise ValueError(f"prompt {int(np.argmax(dead))}: no reference support")
         _raise_at_first(self._tables[0] & ~self._live, "pairs leave the reference support")
-        self._memo = (None, None)
 
     def _log_policy(self, z: np.ndarray) -> np.ndarray:
         """log pi on the touched mask of stacked (B, P, K) logits.
@@ -507,11 +507,8 @@ class PairMarginProblem:
         return np.where(self._tables[0], logs, 0.0)
 
     def _margins_at(self, logits: PolicyLogits) -> np.ndarray:
-        if self._memo[0] is not logits:
-            _require_sizes(logits, self.instance.space.sizes, "logits")
-            logs = self._log_policy(logits.packed[None])
-            self._memo = (logits, _margins(self._tables, logs))
-        return self._memo[1]
+        _require_sizes(logits, self.instance.space.sizes, "logits")
+        return _margins(self._tables, self._log_policy(logits.packed[None]))
 
     def value(self, logits: PolicyLogits) -> float:
         return float(_value(self._tables, self.config.metric, self._margins_at(logits))[0])

@@ -164,9 +164,8 @@ def two_player_objective(
     """
     _require_sizes(second, instance.space.sizes, "second policy")
     win = np.einsum("pab,pb->pa", instance.preference.packed, second.packed)
-    total = _expect(first, win, instance)
+    total = _player_value(first, win, instance, tau)
     if tau != 0.0:
-        total -= tau * kl_divergence(first, instance.reference, instance)
         total += tau * kl_divergence(second, instance.reference, instance)
     return total
 

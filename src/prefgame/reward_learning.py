@@ -260,21 +260,17 @@ def fit_pl_reward(
         packed[filled] = init.packed[filled]
     rewards = RewardTable._wrap(_center(packed, sizes), sizes)
 
-    taken = 0
     try:
         with np.errstate(over="raise", invalid="raise"):
-            for t in range(steps):
+            for taken in range(steps + 1):  # the last gradient is at the final rewards
                 grad = np.concatenate(pl_nll_gradient(rewards, data))
                 gmax = float(np.max(np.abs(grad)))
-                if gmax <= tol:
+                if gmax <= tol or taken == steps:
                     break
                 packed = rewards.packed.copy()
                 packed[filled] -= step_size * grad
                 rewards = RewardTable._wrap(_center(packed, sizes), sizes)
-                taken = t + 1
             nll = pl_nll(rewards, data)
-            if taken == steps:  # the rewards moved after the loop's last gradient
-                gmax = float(np.max(np.abs(np.concatenate(pl_nll_gradient(rewards, data)))))
     except FloatingPointError as err:
         raise FloatingPointError(f"{err} after {taken} steps; reduce step_size") from err
     return FitResult(rewards, nll, gmax, gmax <= tol, taken)
@@ -329,7 +325,10 @@ def generate_rankings(
         raise ValueError(short)
     group = pool_size + 1
     sizes = instance.space.sizes
-    u = rng.random((count, pool_size + 3))
+    try:
+        u = rng.random((count, pool_size + 3))
+    except ValueError as err:  # numpy's refusal of a shape past the address space
+        raise MemoryError(f"count too large: {err}") from None
     prompt_cdf = np.cumsum(weights)
     prompt_cdf /= prompt_cdf[-1]
     prompts = np.searchsorted(prompt_cdf, u[:, 0], "right")

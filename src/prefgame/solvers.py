@@ -192,22 +192,20 @@ def self_play_run(instance: GameInstance, config: SolverConfig) -> SelfPlayResul
     mean = current.packed.copy()  # running mean of the iterates
     seen = 1
     window: list[TabularPolicy] = [current]
+    weights = None
+    if config.opponent_scheme != "self_play_copies" and config.history_weights is not None:
+        weights = np.asarray(config.history_weights, dtype=np.float64)
+        weights = weights / weights.sum()
 
     records = [_metrics(current, instance, config, 0)]
     for t in range(1, config.iterations + 1):
         if config.opponent_scheme == "self_play_copies":
             opponents = [current] * (config.n_players - 1)
-            weights = None
         else:
             opponents = [
                 window[max(len(window) - 1 - j, 0)]
                 for j in range(config.n_players - 1)
             ]
-            if config.history_weights is None:
-                weights = None
-            else:
-                w = np.asarray(config.history_weights, dtype=np.float64)
-                weights = w / w.sum()
         current = mwu_step(opponents, instance, config.eta, weights)
         window.append(current)
         if len(window) > config.n_players:

@@ -26,7 +26,10 @@ from prefgame import (
     ResponseSpace,
     RewardTable,
     TabularPolicy,
+    best_response_kl,
+    best_response_unregularized,
     logits_to_policy,
+    two_player_objective,
 )
 from prefgame.instances import _require_count
 
@@ -305,6 +308,24 @@ def mean_pairwise_one_vs_many(
     return float(
         np.mean([win_rate_vs_policy(preference, prompt, response, o) for o in opponents])
     )
+
+
+def reference_dual_gap(
+    policy: TabularPolicy, instance: GameInstance, tau: float = 0.0
+) -> float:
+    """max_p J(p, policy) - min_q J(policy, q), both sides valued in full.
+
+    The one best response to `policy` is both the strongest attacker and
+    the opponent that hurts `policy` most; the gap is clipped at zero.
+    dual_gap_two_player reads it off the best response's gain instead.
+    """
+    if tau == 0.0:
+        br = best_response_unregularized(instance, [policy]).policy
+    else:
+        br = best_response_kl(instance, [policy], tau).policy
+    high = two_player_objective(br, policy, instance, tau)
+    low = two_player_objective(policy, br, instance, tau)
+    return max(high - low, 0.0)
 
 
 def reference_minimize_loss(

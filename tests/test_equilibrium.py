@@ -5,7 +5,7 @@ import pytest
 
 import prefgame.equilibrium as equilibrium
 import prefgame.objectives as objectives
-from helpers import random_instance, random_policy
+from helpers import random_instance, random_policy, reference_dual_gap
 from prefgame import (
     MEAN_PAIRWISE,
     PLACKETT_LUCE,
@@ -218,7 +218,9 @@ def test_dual_gap_is_twice_the_two_player_exploitability(game, tau, request):
     for _ in range(50):
         pol = random_policy(gen, inst.space.sizes)
         twice = 2.0 * exploitability_multiplayer(pol, 2, inst, tau)
-        assert abs(dual_gap_two_player(pol, inst, tau) - twice) <= 1e-15
+        gap = dual_gap_two_player(pol, inst, tau)
+        assert abs(gap - twice) <= 1e-15
+        assert abs(gap - reference_dual_gap(pol, inst, tau)) <= 1e-15
 
 
 def test_dual_gap_with_regularization_vanishes_at_reference_fixed_point(rps):

@@ -33,6 +33,7 @@ from prefgame import (
     save_policy,
     write_bundled,
 )
+import prefgame.equilibrium as equilibrium
 from prefgame import cli
 from prefgame.cli import main
 from prefgame.harness import MODES
@@ -378,6 +379,37 @@ def test_gap_run_point_mass_policy_file(paths, tmp_path):
     assert report["exploitability"] == pytest.approx(0.5, abs=1e-10)
 
 
+@pytest.mark.parametrize("tau", [0.0, 0.3])
+def test_gap_run_reads_the_dual_gap_off_one_best_response(
+    paths, tmp_path, monkeypatch, tau
+):
+    # the two-player duality gap is twice the exploitability, so the run
+    # builds one best response and writes the doubled value bit for bit
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("best_response_unregularized", "best_response_kl"):
+        monkeypatch.setattr(equilibrium, name, counted(getattr(equilibrium, name)))
+    pol_path = tmp_path / "policy.json"
+    rows = [np.arange(1.0, k + 1.0) / (k * (k + 1) / 2) for k in mixed_instance().space.sizes]
+    save_policy(policy_from_rows(rows), pol_path)
+    doc = base_doc(paths, tmp_path, "gap", policy=str(pol_path), tau=tau)
+    doc["instance"] = paths["mixed"]
+    run_experiment(config_from_dict(doc))
+    report = json.loads((tmp_path / "out" / "gap.json").read_text())
+    assert report["exploitability"] > 0.0
+    assert np.float64(report["dual_gap"]).tobytes() == np.float64(
+        2.0 * report["exploitability"]
+    ).tobytes()
+    assert len(calls) == 1
+
+
 def test_gap_multiplayer_has_no_dual_gap_key(paths, tmp_path):
     doc = base_doc(paths, tmp_path, "gap", n_players=3, aggregator="plackett_luce")
     run_experiment(config_from_dict(doc))
@@ -567,6 +599,18 @@ _VALID = {
             ("gap", "tau", 10**400),
             ("selfplay", "history_weights", [10**400]),
         ]
+    ]
+    + [
+        # counts whose arrays or opponent lists no machine can hold: each
+        # allocation is refused at once, before any work is done
+        pytest.param(mode, key, value, id=f"{mode}-{key}-{label}")
+        for mode, key, value, label in [
+            ("selfplay", "n_players", 10**18, "10**18"),
+            ("lossmin", "n_players", 10**18, "10**18"),
+            ("gap", "n_players", 10**18, "10**18"),
+            ("rewardfit", "comparisons", 10**13, "10**13"),
+            ("rewardfit", "comparisons", 2**62, "2**62"),
+        ]
     ],
 )
 def test_cli_run_lossmin_out_of_range_exits_2(
@@ -703,6 +747,13 @@ def test_cli_gap_uniform(paths, capsys):
     out = capsys.readouterr().out
     assert "dual_gap: " in out
     assert "exploitability: " in out
+
+
+def test_cli_gap_too_many_players_exits_2(paths, capsys):
+    # the n - 1 opponent copies alone would take 8 * 10**18 bytes
+    assert main(["gap", paths["rps"], "uniform", "--n", str(10**18)]) == 2
+    err = capsys.readouterr().err
+    assert "key 'n_players'" in err and "Traceback" not in err
 
 
 def test_cli_gap_bad_policy_exits_5(paths, tmp_path, capsys):

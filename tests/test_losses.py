@@ -770,6 +770,23 @@ def test_calls_at_other_logits_never_read_kept_margins(rng, metric):
     assert _bits(problem.gradient(z3).packed) == _bits(build().gradient(z3).packed)
 
 
+@pytest.mark.parametrize("metric", ["sq", "bwd"])
+def test_value_and_gradient_leave_the_problem_unchanged(rng, metric):
+    # a problem keeps no per-call state: after value and gradient calls at
+    # several logits its attributes are the very objects it was built with
+    inst, build = _problem_builder(rng, metric)
+    problem = build()
+    before = dict(vars(problem))
+    z1, z2 = (_random_logits(rng, inst.space.sizes) for _ in range(2))
+    problem.value(z1)
+    problem.gradient(z1)
+    problem.gradient(z2)
+    problem.value(z2)
+    after = vars(problem)
+    assert after.keys() == before.keys()
+    assert all(after[name] is value for name, value in before.items())
+
+
 # ---------------------------------------------------------------------------
 # minimization
 

@@ -406,6 +406,9 @@ def test_fit_steps_the_packed_rankings_without_per_row_objects(monkeypatch, rng)
         fit = fit_pl_reward(data, inst, steps=steps, step_size=0.1)
         assert fit.steps_taken == steps
         assert len(calls) == steps + 1 and all(c is data for c in calls)
+        # a fit that uses up its budget reports the gradient at its final rewards
+        gmax = float(np.max(np.abs(np.concatenate(original(fit.rewards, data)))))
+        assert np.float64(fit.grad_norm).tobytes() == np.float64(gmax).tobytes()
     # a converged fit reuses the gradient that stopped it for grad_norm
     calls.clear()
     fit = fit_pl_reward(data, inst, steps=2000, step_size=1.0)
