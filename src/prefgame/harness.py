@@ -21,7 +21,8 @@ plus mode-specific keys (defaults in brackets):
 
 Unknown or missing keys, numeric values out of range (an integer too
 large for a float too), and an out_dir that cannot be created (empty,
-a file, or under a file) raise ConfigError naming the key. The ranges:
+a file, under a file, or holding a NUL byte) or that holds a directory
+under an output's name raise ConfigError naming the key. The ranges:
 eta and step_size finite and > 0; tau 0 or finite and >= the smallest
 normal float; n_players >= 2; iterations and steps >= 0; inits,
 metric_stride, samples, comparisons and pool_size >= 1. Reruns with an
@@ -658,10 +659,14 @@ def run_experiment(config) -> dict:
     instance = _load_checked_instance(config.instance)
     try:
         os.makedirs(config.out_dir, exist_ok=True)
-    except (FileExistsError, FileNotFoundError, NotADirectoryError) as err:
+    except (FileExistsError, FileNotFoundError, NotADirectoryError, ValueError) as err:
+        reason = err.strerror if isinstance(err, OSError) else err  # ValueError: a NUL byte
+        raise ConfigError(f"bad value for key 'out_dir': {config.out_dir!r}: {reason}") from err
+    try:
+        summary = _RUNNERS[config.mode](instance, config)
+    except IsADirectoryError as err:  # inputs are checked files: an output name is taken
         raise ConfigError(
-            f"bad value for key 'out_dir': {config.out_dir!r}: {err.strerror}"
+            f"bad value for key 'out_dir': {err.filename!r}: {err.strerror}"
         ) from err
-    summary = _RUNNERS[config.mode](instance, config)
     summary["mode"] = config.mode
     return summary

@@ -28,8 +28,10 @@ pair weights W[x, a, b]: in exact-expectation mode cur(a) * cur(b) * M[a, b]
 over distinct responses (an iid pair draw plus a Bernoulli winner), on an
 explicit dataset the share of (prompt, winner, loser) triples (x, a, b).
 
-Optimization works on packed logits; the loss reads log pi off them as a
-log-softmax over the reference support, so iterates never touch the boundary.
+Optimization works on packed logits, and the policy is their softmax over the
+reference support. Every margin is then a plain difference of logits: the
+softmax normaliser is one constant per prompt, and the difference cancels it.
+So iterates never touch the boundary, and a margins pass makes no exp or log.
 The evaluator's helpers take a leading init axis: minimize_loss descends a
 batch of inits in lockstep on one stacked (B, P, K) logits array, one margins
 pass per round of proposals, and a problem's public value and gradient are
@@ -278,11 +280,12 @@ def _pair_weights(instance, data):
 def _pair_tables(instance, history, config, data):
     """Everything the evaluator needs but the policy, padded over prompts.
 
-    Returns (touched, W, offset, target, factor, beta): the (P, K) mask of
-    the responses the pairs touch, the (P, K, K) pair weights, the opponent
-    part sum_j w_j log pi_j of the margin offsets, the eta-scaled target
-    (a (P, K, K) table or a scalar), the (P,) prompt factors and the margin
-    scale (config.beta for the bwd metric, 1 for sq).
+    Returns (touched, W, offset, target, factor, beta, scale): the (P, K)
+    mask of the responses the pairs touch, the (P, K, K) pair weights, the
+    opponent part sum_j w_j log pi_j of the margin offsets, the eta-scaled
+    target (a (P, K, K) table or a scalar), the (P,) prompt factors, the
+    margin scale (config.beta for the bwd metric, 1 for sq) and the
+    gradient's (P, 1) row scale factor * beta.
     Exact mode zeroes W's diagonal (a judged pair is two responses);
     dataset mode keeps it (a triple may name one response twice).
     """
@@ -306,16 +309,19 @@ def _pair_tables(instance, history, config, data):
     offset = sum(w * lo for w, lo in zip(config.weights, logs))
     target = _targets(config, instance, opponents)
     beta = config.beta if config.metric == "bwd" else 1.0
-    return touched, pair_w, offset, target, factor, beta
+    return touched, pair_w, offset, target, factor, beta, (factor * beta)[:, None]
 
 
-def _margins(tables, logs):
-    """beta h_xab = beta (u_xa - u_xb), u = logs - sum_j w_j log pi_j.
+def _margins(tables, z):
+    """beta h_xab = beta (u_xa - u_xb), u = z - sum_j w_j log pi_j.
 
-    logs is (B, P, K), one row block per init; the margins are (B, P, K, K).
+    z is (B, P, K), one row block per init: log pi, or logits whose softmax
+    over a support holding the touched mask is pi (softmax shifts each
+    prompt's log pi by one constant, which u_xa - u_xb cancels). u is 0 off
+    the touched mask. The margins are (B, P, K, K).
     """
-    _, _, offset, _, _, beta = tables
-    u = logs - offset
+    touched, _, offset, _, _, beta, _ = tables
+    u = np.where(touched, z, 0.0) - offset
     margins = u[..., :, None] - u[..., None, :]
     return margins if beta == 1.0 else beta * margins
 
@@ -323,12 +329,12 @@ def _margins(tables, logs):
 def _value(tables, metric, margins):
     """sum_x factor_x sum_ab W[x, a, b] metric(beta h_xab, target_xab), per init.
 
-    Returns a (B,) array. It takes one dot per init, because a (B, P) @ (P,)
-    product may sum in another order than the single init's dot.
+    Returns a (B,) array. einsum sums each init's prompt terms in one order
+    whatever the number of inits, so a stacked pass has the one-init bits.
     """
-    _, pair_w, _, target, factor, _ = tables
+    _, pair_w, _, target, factor, _, _ = tables
     values = _metric(metric, margins, target, slope=False)
-    return np.array([factor @ v for v in (pair_w * values).sum(axis=(2, 3))])
+    return np.einsum("bp,p->b", (pair_w * values).sum(axis=(2, 3)), factor)
 
 
 def _slope(tables, metric, margins):
@@ -337,9 +343,9 @@ def _slope(tables, metric, margins):
     h_xab moves with z_xa - z_xb, so a row is the row sums minus the
     column sums of W * slope, times beta and the prompt factor.
     """
-    _, pair_w, _, target, factor, beta = tables
+    _, pair_w, _, target, _, _, scale = tables
     g = pair_w * _metric(metric, margins, target, slope=True)
-    return (g.sum(axis=3) - g.sum(axis=2)) * (factor * beta)[:, None]
+    return (g.sum(axis=3) - g.sum(axis=2)) * scale
 
 
 def pair_margin_loss(
@@ -479,36 +485,26 @@ class PairMarginProblem:
     """pair_margin_loss (exact or sampled) as a function of logits.
 
     Everything but the policy is fixed, so the pair tables and the support
-    checks run once. log pi is a log-softmax of the logits, which never
-    underflows to a zero probability however far apart the logits are.
-    value and gradient are the one-init case of the margins pass that
-    minimize_loss runs on a stack of inits, and a problem keeps no per-call
-    state.
+    checks run once. Every pair lies on the reference support, so each
+    margin is a difference of logits, which no probability underflow can
+    reach however far apart the logits are. value and gradient are the
+    one-init case of the margins pass that minimize_loss runs on a stack of
+    inits, and a problem keeps no per-call state.
     """
 
     def __init__(self, instance, history, config, data=None):
         self.instance = instance
         self.config = config
         self._tables = _pair_tables(instance, history, config, data)
-        self._live = instance.reference.packed > 0.0
-        dead = ~self._live.any(axis=1)
+        live = instance.reference.packed > 0.0
+        dead = ~live.any(axis=1)
         if dead.any():
             raise ValueError(f"prompt {int(np.argmax(dead))}: no reference support")
-        _raise_at_first(self._tables[0] & ~self._live, "pairs leave the reference support")
-
-    def _log_policy(self, z: np.ndarray) -> np.ndarray:
-        """log pi on the touched mask of stacked (B, P, K) logits.
-
-        z - max - log sum exp over the live entries.
-        """
-        z = np.where(self._live, z, -np.inf)
-        z = z - z.max(axis=2, keepdims=True)
-        logs = z - np.log(np.exp(z).sum(axis=2, keepdims=True))
-        return np.where(self._tables[0], logs, 0.0)
+        _raise_at_first(self._tables[0] & ~live, "pairs leave the reference support")
 
     def _margins_at(self, logits: PolicyLogits) -> np.ndarray:
         _require_sizes(logits, self.instance.space.sizes, "logits")
-        return _margins(self._tables, self._log_policy(logits.packed[None]))
+        return _margins(self._tables, logits.packed[None])
 
     def value(self, logits: PolicyLogits) -> float:
         return float(_value(self._tables, self.config.metric, self._margins_at(logits))[0])
@@ -616,7 +612,7 @@ def _lockstep(problem, inits, first, steps, step_size, trace) -> list[MinimizeRe
     tables, metric = problem._tables, problem.config.metric
     z = np.stack([lo.packed for lo in inits])
     with np.errstate(all="ignore"):  # reported below, as an error
-        margins = _margins(tables, problem._log_policy(z))
+        margins = _margins(tables, z)
         val = _value(tables, metric, margins)
     bad = ~np.isfinite(val)
     if bad.any():
@@ -647,9 +643,10 @@ def _lockstep(problem, inits, first, steps, step_size, trace) -> list[MinimizeRe
             ids, z, val, grad, gmax, step = (a[keep] for a in (ids, z, val, grad, gmax, step))
             if ids.size == 0:
                 break
-        cand = z - step[:, None, None] * grad
-        margins = _margins(tables, problem._log_policy(cand))
-        cand_val = _value(tables, metric, margins)
+        with np.errstate(over="ignore", invalid="ignore"):  # not finite: rejected
+            cand = z - step[:, None, None] * grad
+            margins = _margins(tables, cand)
+            cand_val = _value(tables, metric, margins)
         ok = cand_val < val
         if ok.all():
             z, val = cand, cand_val

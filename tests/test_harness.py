@@ -880,6 +880,21 @@ def test_cli_lossmin_overflowing_eta_exits_2(paths, tmp_path, capsys, name, eta)
     assert list((tmp_path / "out").iterdir()) == []
 
 
+@pytest.mark.parametrize("name, step_size", [("mixed", 1e300), ("rps", 1e308)])
+def test_cli_lossmin_huge_step_size_reaches_the_update(
+    paths, tmp_path, capsys, name, step_size
+):
+    # the first proposals overflow; a candidate whose loss is not finite is
+    # rejected without a warning, and the halved steps reach the update
+    doc = base_doc(paths, tmp_path, "lossmin", eta=0.5, step_size=step_size)
+    doc["instance"] = paths[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", write_config(tmp_path, doc)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["worst_gap_to_update"] <= 1e-10
+
+
 def _gap_argv(paths, tmp_path, command, policy):
     if command == "gap":
         return ["gap", paths["rps"], policy]
@@ -1002,12 +1017,18 @@ def test_cli_directory_as_input_file_exits_3(paths, tmp_path, capsys, command, w
     assert "is a directory" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("where", ["is-a-file", "under-a-file"])
+@pytest.mark.parametrize(
+    "where", ["is-a-file", "under-a-file", "nul-byte", "output-is-a-directory"]
+)
 def test_cli_out_dir_on_a_file_exits_2(paths, tmp_path, capsys, where):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory\n")
     doc = base_doc(paths, tmp_path, "gap")
-    doc["out_dir"] = str(blocker if where == "is-a-file" else blocker / "out")
+    if where == "output-is-a-directory":  # the run's gap.json is taken
+        (tmp_path / "out" / "gap.json").mkdir(parents=True)
+    else:
+        cases = {"is-a-file": blocker, "under-a-file": blocker / "out"}
+        doc["out_dir"] = str(cases.get(where, tmp_path / "o\0ut"))
     assert main(["run", write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert "key 'out_dir'" in err and "Traceback" not in err

@@ -722,6 +722,27 @@ def test_problem_reads_wide_logit_spreads_without_underflow(rng):
     assert np.all(np.isfinite(problem.gradient(z).packed))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    metric=st.sampled_from(["sq", "bwd"]),
+    sampled=st.booleans(),
+    spread=st.floats(0.0, 30.0),
+)
+def test_problem_value_is_the_loss_at_the_softmax_policy(seed, metric, sampled, spread):
+    # the problem reads each margin off a logit difference; the loss takes
+    # log pi of the softmax policy, whose normaliser that difference cancels
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, num_prompts=3, max_responses=5)
+    cur = random_policy(rng, inst.space.sizes)
+    config = preset("sppo", eta=0.8) if metric == "sq" else preset("dpo", beta=1.4)
+    data = sample_preference_dataset(inst, cur, 12, rng) if sampled else None
+    z = PolicyLogits(tuple(rng.uniform(-spread, spread, k) for k in inst.space.sizes))
+    want = pair_margin_loss(logits_to_policy(z, inst.reference), [cur], config, inst, data)
+    got = PairMarginProblem(inst, [cur], config, data).value(z)
+    assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
 def test_update_matching_problem_keeps_its_own_value_and_gradient():
     # perfbench/tracing.py wraps these two by looking them up in the
     # class namespace, so inherited methods would go untraced
@@ -846,17 +867,17 @@ def test_minimize_calls_value_per_proposal_and_gradient_per_acceptance(
         _counted(calls, "logits_to_policy", losses.logits_to_policy),
     )
     passes = []
-    log_policy, slope = problem._log_policy, losses._slope
+    margins_of, slope = losses._margins, losses._slope
 
-    def margins_pass(z):
+    def margins_pass(tables, z):
         passes.append(("margins", len(z)))
-        return log_policy(z)
+        return margins_of(tables, z)
 
     def gradient_pass(tables, metric, margins):
         passes.append(("gradient", len(margins)))
         return slope(tables, metric, margins)
 
-    monkeypatch.setattr(problem, "_log_policy", margins_pass)
+    monkeypatch.setattr(losses, "_margins", margins_pass)
     monkeypatch.setattr(losses, "_slope", gradient_pass)
     accepted = []
     results = minimize_loss(
@@ -991,7 +1012,7 @@ def test_minimize_checks_every_init_before_evaluating(monkeypatch, rng, inits, e
     def refuse(*args):
         raise AssertionError("evaluated before checking the inits")
 
-    monkeypatch.setattr(problem, "_log_policy", refuse)
+    monkeypatch.setattr(losses, "_margins", refuse)
     monkeypatch.setattr(losses, "_slope", refuse)
     with pytest.raises(error, match=match):
         minimize_loss(problem, inits(_random_logits(rng, inst.space.sizes)), steps=5)
