@@ -9,9 +9,10 @@ A run is described by one flat JSON config:
 
 plus mode-specific keys (defaults in brackets):
 
-    selfplay    eta, iterations, n_players [2], tau [0.0],
-                metric_stride [1], opponent_scheme [self_play_copies],
-                history_weights [null], aggregator [mean_pairwise]
+    selfplay    eta, iterations, n_players [2], tau [0.0] (anchors each step
+                to the reference; eta * tau <= 1), metric_stride [1],
+                opponent_scheme [self_play_copies], history_weights [null],
+                aggregator [mean_pairwise] (the step's win table and the gap's)
     lossmin     eta, n_players [2], steps [4000], step_size [0.5],
                 inits [3]
     presets     samples [1000]
@@ -22,7 +23,8 @@ plus mode-specific keys (defaults in brackets):
 Unknown or missing keys, numeric values out of range (an integer too
 large for a float too), and an out_dir that cannot be created (empty,
 a file, under a file, or holding a NUL byte) or that holds a directory
-under an output's name raise ConfigError naming the key. The ranges:
+under an output's name (checked before the run writes anything) raise
+ConfigError naming the key. The ranges:
 eta and step_size finite and > 0; tau 0 or finite and >= the smallest
 normal float; n_players >= 2; iterations and steps >= 0; inits,
 metric_stride, samples, comparisons and pool_size >= 1. Reruns with an
@@ -440,10 +442,9 @@ def compare_presets(
 # mode runners
 
 
-def _run_selfplay(instance, config: ExperimentConfig) -> dict:
+def _run_selfplay(instance, config: ExperimentConfig, metrics, final, average) -> dict:
     p = config.params
-    # config_from_dict range-checks every other key the way SolverConfig
-    # does; only the history weights are left to it.
+    # config_from_dict checks each key alone; eta * tau and the weights are left here
     try:
         solver = SolverConfig(
             eta=p["eta"],
@@ -455,35 +456,29 @@ def _run_selfplay(instance, config: ExperimentConfig) -> dict:
             aggregator=_AGGREGATORS[p["aggregator"]],
             metric_stride=p["metric_stride"],
         )
-    except ValueError as err:
-        raise ConfigError(f"bad value for key 'history_weights': {err}") from err
+    except ValueError as err:  # each message opens with its key, the weights' in words
+        key = next((k for k in p if str(err).startswith(k)), "history_weights")
+        raise ConfigError(f"bad value for key '{key}': {err}") from err
     with _sized_by("n_players"):
         result = self_play_run(instance, solver)
-    metrics = os.path.join(config.out_dir, "metrics.csv")
-    final = os.path.join(config.out_dir, "policy_final.json")
-    average = os.path.join(config.out_dir, "policy_average.json")
     result.log.to_csv(metrics)
     save_policy(result.final, final)
     save_policy(result.average, average)
     last = result.log.records[-1]
     return {
-        "outputs": [metrics, final, average],
         "final_gap": float(last.gap),
         "final_kl_ref": float(last.kl_ref),
         "iterations": last.iteration,
     }
 
 
-def _run_lossmin(instance, config: ExperimentConfig) -> dict:
+def _run_lossmin(instance, config: ExperimentConfig, descent, report_path) -> dict:
     p = config.params
     current = instance.reference
     with _sized_by("n_players"):
         opponents = [current] * (p["n_players"] - 1)
     closed = mwu_step(opponents, instance, p["eta"])
     problem = UpdateMatchingProblem(instance, current, opponents, p["eta"])
-
-    descent = os.path.join(config.out_dir, "descent.csv")
-    report_path = os.path.join(config.out_dir, "report.json")
     z0s = []
     for i in range(p["inits"]):
         rng = derive_rng(config.seed, "lossmin", f"init{i}")
@@ -516,21 +511,22 @@ def _run_lossmin(instance, config: ExperimentConfig) -> dict:
         {"eta": p["eta"], "inits": reports, "worst_gap_to_update": worst},
         report_path,
     )
-    return {"outputs": [descent, report_path], "worst_gap_to_update": worst}
+    return {"worst_gap_to_update": worst}
 
 
-def _run_presets(instance, config: ExperimentConfig) -> dict:
+def _run_presets(instance, config: ExperimentConfig, path) -> dict:
     table = compare_presets(instance, config.params["samples"], config.seed)
-    path = os.path.join(config.out_dir, "presets.csv")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["name", "max_abs_deviation"])
         for name, dev in table.items():
             writer.writerow([name, f"{dev:.17g}"])
-    return {"outputs": [path], "max_deviation": max(table.values())}
+    return {"max_deviation": max(table.values())}
 
 
-def _run_rewardfit(instance, config: ExperimentConfig) -> dict:
+def _run_rewardfit(
+    instance, config: ExperimentConfig, rankings, fitted_path, report_path
+) -> dict:
     p = config.params
     if instance.reward is None:
         raise ValidationFailure(
@@ -544,9 +540,6 @@ def _run_rewardfit(instance, config: ExperimentConfig) -> dict:
         data = generate_rankings(
             instance.reward, instance, p["comparisons"], p["pool_size"], rng
         )
-    rankings = os.path.join(config.out_dir, "rankings.csv")
-    fitted_path = os.path.join(config.out_dir, "fitted.json")
-    report_path = os.path.join(config.out_dir, "report.json")
     rankings_to_csv(data, rankings)
     try:
         fit = fit_pl_reward(
@@ -568,7 +561,7 @@ def _run_rewardfit(instance, config: ExperimentConfig) -> dict:
         },
         report_path,
     )
-    return {"outputs": [rankings, fitted_path, report_path], "max_abs_error": err}
+    return {"max_abs_error": err}
 
 
 def gap_report(
@@ -627,22 +620,23 @@ def gap_report(
     return doc
 
 
-def _run_gap(instance, config: ExperimentConfig) -> dict:
+def _run_gap(instance, config: ExperimentConfig, path) -> dict:
     p = config.params
     doc = gap_report(
         instance, p["policy"], p["tau"], p["n_players"], p["aggregator"]
     )
-    path = os.path.join(config.out_dir, "gap.json")
     _write_json(doc, path)
-    return {"outputs": [path], "exploitability": doc["exploitability"]}
+    return {"exploitability": doc["exploitability"]}
 
 
+# mode -> (runner, output file names): the runner takes the outputs' paths
+# after the instance and the config, in this order
 _RUNNERS = {
-    "selfplay": _run_selfplay,
-    "lossmin": _run_lossmin,
-    "presets": _run_presets,
-    "rewardfit": _run_rewardfit,
-    "gap": _run_gap,
+    "selfplay": (_run_selfplay, ("metrics.csv", "policy_final.json", "policy_average.json")),
+    "lossmin": (_run_lossmin, ("descent.csv", "report.json")),
+    "presets": (_run_presets, ("presets.csv",)),
+    "rewardfit": (_run_rewardfit, ("rankings.csv", "fitted.json", "report.json")),
+    "gap": (_run_gap, ("gap.json",)),
 }
 
 
@@ -662,11 +656,15 @@ def run_experiment(config) -> dict:
     except (FileExistsError, FileNotFoundError, NotADirectoryError, ValueError) as err:
         reason = err.strerror if isinstance(err, OSError) else err  # ValueError: a NUL byte
         raise ConfigError(f"bad value for key 'out_dir': {config.out_dir!r}: {reason}") from err
+    runner, names = _RUNNERS[config.mode]
+    outputs = [os.path.join(config.out_dir, name) for name in names]
+    for path in outputs:  # before the run, so that a taken name stops it writing anything
+        if os.path.isdir(path):
+            raise ConfigError(f"bad value for key 'out_dir': {path!r}: Is a directory")
     try:
-        summary = _RUNNERS[config.mode](instance, config)
+        summary = runner(instance, config, *outputs)
     except IsADirectoryError as err:  # inputs are checked files: an output name is taken
         raise ConfigError(
             f"bad value for key 'out_dir': {err.filename!r}: {err.strerror}"
         ) from err
-    summary["mode"] = config.mode
-    return summary
+    return {**summary, "mode": config.mode, "outputs": outputs}

@@ -1,18 +1,21 @@
-"""Multiplicative-weights self-play.
+"""Multiplicative-weights self-play, anchored to the reference.
 
-One update step maps n - 1 opponent policies to the next iterate:
+One update step maps n - 1 opponent policies to the next iterate,
 
-    pi'(y)  proportional to  prod_j pi_j(y)^(w_j) * exp(eta * sum_j w_j P(y beats pi_j))
+    pi'(y)  proportional to  exp(eta W(y)) ref(y)^(eta tau) prod_j pi_j(y)^((1 - eta tau) w_j),
 
-with uniform weights w_j = 1/(n - 1) unless told otherwise. The update
-always uses pairwise oracle win rates and is computed in log space, then
-renormalized over the reference support; a response survives only if every
-opponent and the reference give it positive probability.
+the closed-form multi-anchor optimum of objectives with the win table W
+as reward, so it needs eta * tau <= 1; tau = 0 is plain multiplicative
+weights. Weights are uniform, w_j = 1/(n - 1), unless given. The
+aggregator sets W: mean_pairwise weights the pairwise win rates by w,
+plackett_luce draws the opponents as one joint pool and w weights only
+their anchors. Mass stays on the reference support.
 
-self_play_run iterates this from the reference policy along one shared
+self_play_run iterates this from the reference along one shared
 trajectory (every player is the same policy) and tracks the uniformly
-averaged iterate, which is the object that actually converges; metrics in
-the run log describe that average. The loop itself is exact and needs no
+averaged iterate; metrics in the run log describe that average. At
+tau = 0 the average converges while the last iterate drifts away; at
+tau > 0 the last iterate converges too. The loop is exact and needs no
 randomness.
 """
 
@@ -26,10 +29,13 @@ import numpy as np
 
 from .equilibrium import _TAU_MIN, _exploitability_and_value
 from .instances import (
-    NORMALIZATION_TOL, GameInstance, TabularPolicy, _mixture_weights, _require_count,
-    _require_sizes, _softmax_policy,
+    NORMALIZATION_TOL, GameInstance, RewardTable, TabularPolicy, _mixture_weights,
+    _require_count, _require_sizes,
 )
-from .objectives import Aggregator, MEAN_PAIRWISE, kl_divergence
+from .objectives import (
+    Aggregator, MEAN_PAIRWISE, closed_form_multi_teacher_optimum, expected_win_rates,
+    kl_divergence,
+)
 
 OPPONENT_SCHEMES = ("self_play_copies", "history_window")
 
@@ -59,6 +65,8 @@ class SolverConfig:
             _require_count(value, low, f"{name} must be an integer >= {low}, got {value}")
         if not (self.tau == 0.0 or _TAU_MIN <= self.tau < np.inf):  # NaN fails too
             raise ValueError(f"tau must be 0 or finite and >= {_TAU_MIN}, got {self.tau}")
+        if 1.0 - self.eta * self.tau < 0.0:  # mwu_step's KL weight on the opponents
+            raise ValueError(f"tau must be at most 1/eta, got {self.tau} at eta {self.eta}")
         if self.opponent_scheme not in OPPONENT_SCHEMES:
             raise ValueError(f"unknown opponent scheme {self.opponent_scheme!r}")
         if self.history_weights is not None:
@@ -130,28 +138,27 @@ def mwu_step(
     instance: GameInstance,
     eta: float,
     weights: Sequence[float] | None = None,
+    tau: float = 0.0,
+    aggregator: Aggregator = MEAN_PAIRWISE,
 ) -> TabularPolicy:
-    """One multiplicative-weights update against fixed opponents."""
+    """One reference-anchored multiplicative-weights update against fixed opponents."""
     if len(opponents) == 0:
         raise ValueError("need at least one opponent")
     if not (np.isfinite(eta) and eta > 0.0):
         raise ValueError(f"eta must be positive and finite, got {eta}")
     w = _mixture_weights(weights, len(opponents), "opponent")
+    sizes = instance.space.sizes
     for opp in opponents:
-        _require_sizes(opp, instance.space.sizes, "opponent")
-    m = instance.preference.packed
-    logit = np.zeros(m.shape[:2])
-    with np.errstate(divide="ignore"):
-        for wj, opp in zip(w, opponents):
-            if wj == 0.0:
-                continue  # 0 * log 0 would poison the row with NaN
-            logit = logit + wj * np.log(opp.packed)
-            logit = logit + eta * wj * np.einsum("pab,pb->pa", m, opp.packed)
-    return _softmax_policy(
-        logit,
-        instance.reference.packed > 0.0,
-        instance.space.sizes,
-        "no response survives in every opponent's support",
+        _require_sizes(opp, sizes, "opponent")
+    pool = opponents  # plackett_luce draws the pool jointly: w weights its anchors only
+    if aggregator.kind == "mean_pairwise":  # sum_j w_j M pi_j = M (sum_j w_j pi_j)
+        pool = [TabularPolicy._wrap(sum(wj * o.packed for wj, o in zip(w, opponents)), sizes)]
+    win = eta * expected_win_rates(instance, pool, aggregator)
+    # -inf off the reference support: a never-winning response gets no mass
+    rewards = RewardTable._wrap(np.where(instance.reference.packed > 0.0, win, -np.inf), sizes)
+    return closed_form_multi_teacher_optimum(
+        rewards, instance.reference, opponents, eta * tau,
+        [(1.0 - eta * tau) * wj for wj in w.tolist()],
     )
 
 
@@ -190,7 +197,6 @@ def self_play_run(instance: GameInstance, config: SolverConfig) -> SelfPlayResul
     current = instance.reference
     sizes = instance.space.sizes
     mean = current.packed.copy()  # running mean of the iterates
-    seen = 1
     window: list[TabularPolicy] = [current]
     weights = None
     if config.opponent_scheme != "self_play_copies" and config.history_weights is not None:
@@ -206,13 +212,11 @@ def self_play_run(instance: GameInstance, config: SolverConfig) -> SelfPlayResul
                 window[max(len(window) - 1 - j, 0)]
                 for j in range(config.n_players - 1)
             ]
-        current = mwu_step(opponents, instance, config.eta, weights)
-        window.append(current)
-        if len(window) > config.n_players:
-            window.pop(0)
-
-        seen += 1
-        mean += (current.packed - mean) / seen
+        current = mwu_step(
+            opponents, instance, config.eta, weights, config.tau, config.aggregator
+        )
+        window = window[1 - config.n_players:] + [current]
+        mean += (current.packed - mean) / (t + 1)
         if t % config.metric_stride == 0 or t == config.iterations:
             avg = TabularPolicy._wrap(mean / mean.sum(axis=1, keepdims=True), sizes)
             records.append(_metrics(avg, instance, config, t))

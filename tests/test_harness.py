@@ -672,6 +672,16 @@ def test_cli_run_selfplay_bad_history_weights_exits_2(
     assert "key 'history_weights'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("eta, tau", [(0.5, 3.0), (4.0, 0.5)])
+def test_cli_run_selfplay_eta_times_tau_above_one_exits_2(paths, tmp_path, capsys, eta, tau):
+    # the step's KL weight on its opponents, 1 - eta * tau, would be negative
+    doc = base_doc(paths, tmp_path, "selfplay", eta=eta, iterations=2, tau=tau)
+    assert main(["run", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "key 'tau'" in err and "Traceback" not in err
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_cli_run_missing_config_exits_3(capsys):
     assert main(["run", "/nonexistent/cfg.json"]) == 3
     assert "missing file" in capsys.readouterr().err
@@ -1032,6 +1042,28 @@ def test_cli_out_dir_on_a_file_exits_2(paths, tmp_path, capsys, where):
     assert main(["run", write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert "key 'out_dir'" in err and "Traceback" not in err
+
+
+_OUTPUT_NAMES = {
+    "selfplay": ("metrics.csv", "policy_final.json", "policy_average.json"),
+    "lossmin": ("descent.csv", "report.json"),
+    "presets": ("presets.csv",),
+    "rewardfit": ("rankings.csv", "fitted.json", "report.json"),
+    "gap": ("gap.json",),
+}
+
+
+@pytest.mark.parametrize(
+    "mode, name", [(mode, name) for mode, names in _OUTPUT_NAMES.items() for name in names]
+)
+def test_cli_output_name_taken_writes_nothing(paths, tmp_path, capsys, mode, name):
+    # any output name taken by a directory stops the run before its first write
+    (tmp_path / "out" / name).mkdir(parents=True)
+    doc = base_doc(paths, tmp_path, mode, **_VALID[mode])
+    assert main(["run", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "key 'out_dir'" in err and "Traceback" not in err
+    assert [p.name for p in (tmp_path / "out").rglob("*")] == [name]
 
 
 def test_cli_empty_out_dir_exits_2(paths, tmp_path, capsys):

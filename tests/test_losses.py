@@ -758,7 +758,7 @@ def _problem_builder(rng, metric):
     inst = random_instance(rng, num_prompts=2, max_responses=4)
     cur = random_policy(rng, inst.space.sizes)
     config = preset("sppo", eta=0.8) if metric == "sq" else preset("dpo", beta=1.4)
-    return inst, lambda cls=PairMarginProblem: cls(inst, [cur], config)
+    return inst, lambda: PairMarginProblem(inst, [cur], config)
 
 
 def _bits(*values):
@@ -902,43 +902,28 @@ def test_minimize_calls_value_per_proposal_and_gradient_per_acceptance(
     assert kinds[0] == "margins" and ("gradient", "gradient") not in zip(kinds, kinds[1:])
 
 
-class _UnkeptMarginsProblem(PairMarginProblem):
-    """Forgets the kept margins before every call, so each computes its own."""
-
-    def value(self, logits):
-        self._memo = (None, None)
-        return super().value(logits)
-
-    def gradient(self, logits):
-        self._memo = (None, None)
-        return super().gradient(logits)
-
-
 @pytest.mark.parametrize("metric", ["sq", "bwd"])
 def test_kept_margins_change_no_bits_of_the_descent(rng, metric):
     # compared in-process: numpy's SIMD exp and log may differ by an ulp
     # between CPUs, so a stored hash would not carry over. The lockstep
     # takes each accepted candidate's gradient from that candidate's
-    # margins, the per-init descent from the margins its value call kept,
-    # and with an unkept problem every call computes its own.
+    # margins; the per-init descent calls the public value and gradient,
+    # each of which computes its own margins.
     inst, build = _problem_builder(rng, metric)
     z0 = PolicyLogits(tuple(3.0 * rng.standard_normal(k) for k in inst.space.sizes))
-    def run(descend, problem, init):
+    def run(descend, init):
         rows = []
-        res = descend(problem, init, steps=300, trace=lambda *r: rows.append(r))
+        res = descend(build(), init, steps=300, trace=lambda *r: rows.append(r))
         return res, rows
 
-    (lockstep,), lockstep_rows = run(minimize_loss, build(), [z0])
+    (lockstep,), lockstep_rows = run(minimize_loss, [z0])
     assert len(lockstep_rows) > 10
-    for res, rows in (
-        run(reference_minimize_loss, build(), z0),
-        run(reference_minimize_loss, build(_UnkeptMarginsProblem), z0),
-    ):
-        assert res.steps_taken == lockstep.steps_taken
-        assert _bits(res.loss, res.grad_max, res.logits.packed) == _bits(
-            lockstep.loss, lockstep.grad_max, lockstep.logits.packed
-        )
-        assert _bits(rows) == _bits(lockstep_rows)
+    res, rows = run(reference_minimize_loss, z0)
+    assert res.steps_taken == lockstep.steps_taken
+    assert _bits(res.loss, res.grad_max, res.logits.packed) == _bits(
+        lockstep.loss, lockstep.grad_max, lockstep.logits.packed
+    )
+    assert _bits(rows) == _bits(lockstep_rows)
 
 
 def _lockstep_problem(rng, kind):

@@ -6,9 +6,11 @@ from prefgame import (
     MEAN_PAIRWISE,
     PLACKETT_LUCE,
     GameInstance,
+    PairMarginProblem,
     PairwisePreference,
     PolicyLogits,
     RankedComparison,
+    RewardTable,
     RunLog,
     RunRecord,
     SolverConfig,
@@ -20,6 +22,7 @@ from prefgame import (
     derive_rng,
     dual_gap_two_player,
     exploitability_multiplayer,
+    expected_win_rates,
     generate_rankings,
     kl_divergence,
     minimize_loss,
@@ -122,6 +125,73 @@ def test_mwu_step_argument_validation(rps):
         mwu_step([uni], rps, 1.0, weights=(0.5, 0.5))
     with pytest.raises(ValueError, match="distribution"):
         mwu_step([uni], rps, 1.0, weights=(0.7,))
+
+
+# ---------------------------------------------------------------------------
+# the anchored step
+
+
+@pytest.mark.parametrize("eta_p, tau_p", [(1.0, 0.5), (2.0, 0.3), (0.5, 0.5)])
+@pytest.mark.parametrize("name", ["rps", "bt", "mixed"])
+def test_mwu_step_is_the_inpo_minimizer(request, rng, name, eta_p, tau_p):
+    # the exact-mode inpo loss is stationary, and being convex in the logits
+    # minimal, at cur^(1 - tau_p/eta_p) ref^(tau_p/eta_p) exp(W/tau_p): the
+    # step at eta = 1/tau_p anchored with tau = tau_p^2/eta_p
+    inst = request.getfixturevalue(name)
+    cur = random_policy(rng, inst.space.sizes)
+    problem = PairMarginProblem(inst, [cur], preset("inpo", eta_p, tau_p))
+    step = mwu_step([cur], inst, 1.0 / tau_p, tau=tau_p**2 / eta_p)
+    at_step = PolicyLogits(tuple(np.log(np.where(r > 0.0, r, 1.0)) for r in step.rows))
+    assert np.abs(problem.gradient(at_step).packed).max() <= 1e-13
+    # the descent stops once its step underflows, up to ~3e-8 short of it
+    z0 = PolicyLogits(tuple(np.zeros(k) for k in inst.space.sizes))
+    descended = minimize_loss(problem, z0).policy
+    assert np.abs(descended.packed - step.packed).max() <= 1e-7
+
+
+@pytest.mark.parametrize("aggregator", [MEAN_PAIRWISE, PLACKETT_LUCE])
+def test_mwu_step_is_the_closed_form_on_its_win_table(bt, rng, aggregator):
+    # the closed form in its own scale: reward W, KL weight tau on the
+    # reference and (1/eta - tau) w_j on each opponent
+    eta, tau, w = 0.5, 0.1, np.array([0.7, 0.3])
+    opponents = [random_policy(rng, bt.space.sizes) for _ in w]
+    if aggregator == PLACKETT_LUCE:  # one pool drawn jointly
+        win = expected_win_rates(bt, opponents, PLACKETT_LUCE)
+    else:  # the weighted sum of the pairwise tables
+        win = sum(wj * expected_win_rates(bt, [o]) for wj, o in zip(w, opponents))
+    want = closed_form_multi_teacher_optimum(
+        RewardTable(win), bt.reference, opponents, tau, (1.0 / eta - tau) * w
+    )
+    got = mwu_step(opponents, bt, eta, w, tau, aggregator)
+    assert np.abs(got.packed - want.packed).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n_players", [2, 3])
+@pytest.mark.parametrize("tau", [0.05, 0.2])
+@pytest.mark.parametrize("name", ["rps", "mixed"])
+def test_anchored_last_iterate_converges(request, name, tau, n_players):
+    inst = request.getfixturevalue(name)
+    cfg = SolverConfig(eta=0.5, iterations=1000, n_players=n_players, tau=tau,
+                       metric_stride=1000)
+    res = self_play_run(inst, cfg)
+    assert exploitability_multiplayer(res.final, n_players, inst, tau) <= 1e-12
+
+
+def test_unanchored_last_iterate_drifts_while_the_average_converges(rps):
+    # at tau = 0 the last iterate spirals away from the uniform equilibrium
+    gaps = {}
+    for iterations in (100, 1000):
+        res = self_play_run(rps, SolverConfig(eta=0.5, iterations=iterations,
+                                              metric_stride=iterations))
+        gaps[iterations] = exploitability_multiplayer(res.final, 2, rps)
+    assert 0.25 < gaps[100] < gaps[1000]
+    assert res.log.records[-1].gap < 0.01
+
+
+def test_solver_config_bounds_eta_times_tau():
+    SolverConfig(eta=0.5, iterations=1, tau=2.0)  # eta * tau = 1 resets to the reference
+    with pytest.raises(ValueError, match="tau must be at most 1/eta"):
+        SolverConfig(eta=0.5, iterations=1, tau=3.0)
 
 
 # ---------------------------------------------------------------------------
