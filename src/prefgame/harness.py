@@ -11,11 +11,12 @@ plus mode-specific keys (defaults in brackets):
 
     selfplay    eta, iterations, n_players [2], tau [0.0] (anchors each step
                 to the reference; eta * tau <= 1), metric_stride [1],
-                opponent_scheme [self_play_copies], history_weights [null],
-                aggregator [mean_pairwise] (the step's win table and the gap's)
+                opponent_scheme [self_play_copies], history_weights [null]
+                (history_window only), aggregator [mean_pairwise] (the
+                step's win table and the gap's)
     lossmin     eta, n_players [2], steps [4000], step_size [0.5],
                 inits [3]
-    presets     samples [1000]
+    presets     samples [1000] (pairs drawn on the reference support)
     rewardfit   comparisons, pool_size [2], steps [300], step_size [2.0]
     gap         policy ["uniform" or a policy file path], tau [0.0],
                 n_players [2], aggregator [mean_pairwise]
@@ -24,7 +25,9 @@ Unknown or missing keys, numeric values out of range (an integer too
 large for a float too), and an out_dir that cannot be created (empty,
 a file, under a file, or holding a NUL byte) or that holds a directory
 under an output's name (checked before the run writes anything) raise
-ConfigError naming the key. The ranges:
+ConfigError naming the key. A rewardfit or plackett_luce run on an
+instance without a reward table raises ValidationFailure before it
+makes out_dir. The ranges:
 eta and step_size finite and > 0; tau 0 or finite and >= the smallest
 normal float; n_players >= 2; iterations and steps >= 0; inits,
 metric_stride, samples, comparisons and pool_size >= 1. Reruns with an
@@ -238,6 +241,11 @@ _SCHEMAS = {
 }
 
 
+def _require_mode(mode) -> None:
+    if mode not in MODES:
+        raise ConfigError(f"key 'mode' must be one of {', '.join(MODES)}, got {mode!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     mode: str
@@ -247,10 +255,7 @@ class ExperimentConfig:
     params: dict
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(
-                f"key 'mode' must be one of {', '.join(MODES)}, got {self.mode!r}"
-            )
+        _require_mode(self.mode)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -269,10 +274,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if key not in doc:
             raise ConfigError(f"missing required key '{key}'")
     mode = doc["mode"]
-    if mode not in MODES:
-        raise ConfigError(
-            f"key 'mode' must be one of {', '.join(MODES)}, got {mode!r}"
-        )
+    _require_mode(mode)
     schema = _SCHEMAS[mode]
 
     for key in doc:
@@ -409,15 +411,21 @@ def compare_presets(
 ) -> dict[str, float]:
     """Max |generic family loss - hand-written preset formula| per preset.
 
-    Each sample draws fresh interior policies, a prompt, an ordered
-    response pair, and fresh hyperparameters, then evaluates the family
-    member on that single pair against the published formula. Every preset
-    gets its own named stream from the seed.
+    Each sample draws fresh interior policies, a prompt, an ordered pair of
+    responses on the reference support (four presets take log ref of both)
+    and fresh hyperparameters, then evaluates the family member on that
+    pair against the published formula. Every preset gets its own named
+    stream from the seed. A missing reward table, or a weighted prompt with
+    fewer than two supported responses, raises ValidationFailure.
     """
     _require_count(samples, 1, f"need at least one sample, got samples={samples}")
     sizes = instance.space.sizes
     if instance.reward is None:
-        raise ValueError("compare_presets needs an instance with a reward table")
+        raise ValidationFailure(["compare_presets needs an instance with a reward table"])
+    support = [np.flatnonzero(row > 0.0) for row in instance.reference.rows]
+    thin = [x for x, s in enumerate(support) if len(s) < 2 and instance.prompt_weights[x] > 0.0]
+    if thin:
+        raise ValidationFailure([f"prompts {thin} have under two reference-supported responses"])
     out = {}
     for name in PRESET_NAMES:
         rng = derive_rng(seed, "presets", name)
@@ -426,7 +434,7 @@ def compare_presets(
             policy = _random_interior_policy(rng, sizes)
             prev = _random_interior_policy(rng, sizes)
             x = int(rng.choice(instance.num_prompts, p=instance.prompt_weights))
-            a, b = (int(v) for v in rng.choice(sizes[x], size=2, replace=False))
+            a, b = (int(v) for v in rng.choice(support[x], size=2, replace=False))
             eta, tau, beta = _draw_hypers(name, rng)
             cfg = preset(name, eta, tau, beta)
             generic = pair_margin_loss(policy, [prev], cfg, instance, data=[(x, a, b)])
@@ -444,18 +452,9 @@ def compare_presets(
 
 def _run_selfplay(instance, config: ExperimentConfig, metrics, final, average) -> dict:
     p = config.params
-    # config_from_dict checks each key alone; eta * tau and the weights are left here
+    # the schema's keys are SolverConfig's fields; it checks eta * tau and the weights
     try:
-        solver = SolverConfig(
-            eta=p["eta"],
-            iterations=p["iterations"],
-            n_players=p["n_players"],
-            tau=p["tau"],
-            opponent_scheme=p["opponent_scheme"],
-            history_weights=p["history_weights"],
-            aggregator=_AGGREGATORS[p["aggregator"]],
-            metric_stride=p["metric_stride"],
-        )
+        solver = SolverConfig(**{**p, "aggregator": _AGGREGATORS[p["aggregator"]]})
     except ValueError as err:  # each message opens with its key, the weights' in words
         key = next((k for k in p if str(err).startswith(k)), "history_weights")
         raise ConfigError(f"bad value for key '{key}': {err}") from err
@@ -528,10 +527,6 @@ def _run_rewardfit(
     instance, config: ExperimentConfig, rankings, fitted_path, report_path
 ) -> dict:
     p = config.params
-    if instance.reward is None:
-        raise ValidationFailure(
-            ["mode 'rewardfit' needs an instance with a reward table"]
-        )
     short = _pool_shortfall(instance, p["pool_size"])
     if short is not None:
         raise ConfigError(f"key 'pool_size' is too large: {short}")
@@ -651,6 +646,10 @@ def run_experiment(config) -> dict:
         _require_file(config, "config")
         config = load_config(config)
     instance = _load_checked_instance(config.instance)
+    pooled = config.params.get("aggregator") == "plackett_luce"
+    if instance.reward is None and (pooled or config.mode == "rewardfit"):
+        uses = " with aggregator 'plackett_luce'" if pooled else ""
+        raise ValidationFailure([f"mode {config.mode!r}{uses} needs a reward table"])
     try:
         os.makedirs(config.out_dir, exist_ok=True)
     except (FileExistsError, FileNotFoundError, NotADirectoryError, ValueError) as err:

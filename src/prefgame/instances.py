@@ -80,6 +80,12 @@ def _require_count(value, low: int, message: str) -> None:
         raise ValueError(message)
 
 
+def _require_positive(value, message: str) -> None:
+    """Raise ValueError(message) unless 0 < value < inf (NaN fails too)."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(message)
+
+
 def _pack(tables, square: bool) -> tuple[np.ndarray, tuple[int, ...]]:
     """Per-prompt rows (or square matrices) copied into one zero-padded array.
 

@@ -55,6 +55,7 @@ from .instances import (
     _mixture_weights,
     _raise_at_first,
     _require_count,
+    _require_positive,
     _require_sizes,
     _softmax_policy,
 )
@@ -144,10 +145,8 @@ class LossConfig:
                 raise ValueError(f"bad target {t}")
             if math.isinf(t) and self.metric == "sq":
                 raise ValueError("the sq metric cannot chase an infinite target")
-        if not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise ValueError("eta must be positive and finite")
-        if not (math.isfinite(self.beta) and self.beta > 0.0):
-            raise ValueError("beta must be positive and finite")
+        _require_positive(self.eta, "eta must be positive and finite")
+        _require_positive(self.beta, "beta must be positive and finite")
 
     @property
     def n_players(self) -> int:
@@ -178,8 +177,7 @@ def preset(name: str, eta: float = 1.0, tau: float = 0.1, beta: float = 1.0) -> 
     if name == "sppo":
         return LossConfig((0,), (1.0,), "sq", "win_rate_gap", eta=eta)
     if name == "ipo":
-        if not 0.0 < tau < math.inf:  # NaN fails too
-            raise ValueError(f"ipo needs a finite tau > 0, got {tau}")
+        _require_positive(tau, f"ipo needs a finite tau > 0, got {tau}")
         return LossConfig(("ref",), (1.0,), "sq", 1.0 / (2.0 * tau), eta=1.0)
     if name == "inpo":
         if not math.isfinite(eta):
@@ -580,8 +578,7 @@ def minimize_loss(
     A loss that is not finite at an init raises ValueError.
     """
     _require_count(steps, 0, f"steps must be a nonnegative integer, got {steps}")
-    if not (math.isfinite(step_size) and step_size > 0.0):
-        raise ValueError(f"step_size must be positive and finite, got {step_size}")
+    _require_positive(step_size, f"step_size must be positive and finite, got {step_size}")
     single = isinstance(init, PolicyLogits)
     inits = [init] if single else list(init)
     if not inits:

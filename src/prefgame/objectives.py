@@ -162,7 +162,7 @@ def two_player_objective(
     E_x [ P(first beats second) ] - tau KL(first || ref) + tau KL(second || ref).
     Antisymmetric around 1/2: J(p, q) + J(q, p) = 1, and J(p, p) = 1/2.
     """
-    total = _player_value(first, expected_win_rates(instance, [second]), instance, tau)
+    total = multiplayer_objective(first, [second], instance, tau)
     if tau != 0.0:
         total += tau * kl_divergence(second, instance.reference, instance)
     return total
@@ -204,10 +204,8 @@ def regularized_reward_objective(
     instance: GameInstance,
     tau: float,
 ) -> float:
-    """E_x E_pi [ r(x, y) ] - tau KL(policy || ref)."""
-    _require_sizes(rewards, instance.space.sizes, "rewards")
-    total = _expect(policy, rewards.packed, instance)
-    return total - tau * kl_divergence(policy, instance.reference, instance)
+    """E_x E_pi [ r(x, y) ] - tau KL(policy || ref): the teacherless multi-teacher value."""
+    return multi_teacher_objective(policy, rewards, instance.reference, [], tau, [], instance)
 
 
 def multi_teacher_objective(

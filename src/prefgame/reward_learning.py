@@ -28,6 +28,7 @@ from .instances import (
     _live_rows,
     _require_count,
     _require_int,
+    _require_positive,
     _require_sizes,
     _unpack,
 )
@@ -245,8 +246,7 @@ def fit_pl_reward(
     zero-padded array.
     """
     _require_count(steps, 0, f"steps must be a nonnegative integer, got {steps}")
-    if not (np.isfinite(step_size) and step_size > 0.0):
-        raise ValueError(f"step_size must be positive and finite, got {step_size}")
+    _require_positive(step_size, f"step_size must be positive and finite, got {step_size}")
     if not tol >= 0.0:  # NaN fails too
         raise ValueError(f"tol must be nonnegative, got {tol}")
     if init is not None and not np.all(np.isfinite(init.packed)):

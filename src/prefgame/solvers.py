@@ -30,7 +30,7 @@ import numpy as np
 from .equilibrium import _TAU_MIN, _exploitability_and_value
 from .instances import (
     NORMALIZATION_TOL, GameInstance, RewardTable, TabularPolicy, _mixture_weights,
-    _require_count, _require_sizes,
+    _require_count, _require_positive, _require_sizes,
 )
 from .objectives import (
     Aggregator, MEAN_PAIRWISE, closed_form_multi_teacher_optimum, expected_win_rates,
@@ -44,7 +44,7 @@ OPPONENT_SCHEMES = ("self_play_copies", "history_window")
 class SolverConfig:
     """Everything a self-play run depends on.
 
-    history_weights only matter for the history_window scheme; they are
+    history_weights go only with the history_window scheme; they are
     renormalized to a proper mixture over the window.
     """
 
@@ -58,8 +58,7 @@ class SolverConfig:
     metric_stride: int = 1
 
     def __post_init__(self):
-        if not (np.isfinite(self.eta) and self.eta > 0.0):
-            raise ValueError(f"eta must be positive and finite, got {self.eta}")
+        _require_positive(self.eta, f"eta must be positive and finite, got {self.eta}")
         for name, low in (("iterations", 0), ("n_players", 2), ("metric_stride", 1)):
             value = getattr(self, name)
             _require_count(value, low, f"{name} must be an integer >= {low}, got {value}")
@@ -70,6 +69,8 @@ class SolverConfig:
         if self.opponent_scheme not in OPPONENT_SCHEMES:
             raise ValueError(f"unknown opponent scheme {self.opponent_scheme!r}")
         if self.history_weights is not None:
+            if self.opponent_scheme != "history_window":
+                raise ValueError("history weights go only with the history_window scheme")
             w = np.asarray(self.history_weights, dtype=np.float64)
             if len(w) != self.n_players - 1:
                 raise ValueError("need one history weight per opponent slot")
@@ -144,8 +145,7 @@ def mwu_step(
     """One reference-anchored multiplicative-weights update against fixed opponents."""
     if len(opponents) == 0:
         raise ValueError("need at least one opponent")
-    if not (np.isfinite(eta) and eta > 0.0):
-        raise ValueError(f"eta must be positive and finite, got {eta}")
+    _require_positive(eta, f"eta must be positive and finite, got {eta}")
     w = _mixture_weights(weights, len(opponents), "opponent")
     sizes = instance.space.sizes
     for opp in opponents:
@@ -198,10 +198,9 @@ def self_play_run(instance: GameInstance, config: SolverConfig) -> SelfPlayResul
     sizes = instance.space.sizes
     mean = current.packed.copy()  # running mean of the iterates
     window: list[TabularPolicy] = [current]
-    weights = None
-    if config.opponent_scheme != "self_play_copies" and config.history_weights is not None:
-        weights = np.asarray(config.history_weights, dtype=np.float64)
-        weights = weights / weights.sum()
+    weights = config.history_weights
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64) / np.sum(weights)
 
     records = [_metrics(current, instance, config, 0)]
     for t in range(1, config.iterations + 1):

@@ -43,6 +43,7 @@ from prefgame import (
     uniform_policy,
     validate_instance,
 )
+from prefgame.instances import _require_positive
 
 
 def sigmoid(x):
@@ -616,3 +617,17 @@ def test_load_policy_needs_rows_key(tmp_path):
     path.write_text(json.dumps({"values": [[1.0]]}))
     with pytest.raises(ValueError, match="rows"):
         load_policy(path)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.0, 5e-324, 1.7e308, 3, True, np.float64(0.5), 0.0, -0.0, -1e-300, -2,
+     math.nan, math.inf, -math.inf, np.float64("nan"), np.inf],
+)
+def test_require_positive_is_finite_and_above_zero(value):
+    # the one statement of the rule eta, beta and every step size follow
+    if math.isfinite(value) and value > 0.0:
+        _require_positive(value, "x must be positive and finite")
+    else:
+        with pytest.raises(ValueError, match="^x must be positive and finite$"):
+            _require_positive(value, "x must be positive and finite")

@@ -766,10 +766,10 @@ def _bits(*values):
 
 
 @pytest.mark.parametrize("metric", ["sq", "bwd"])
-def test_calls_at_other_logits_never_read_kept_margins(rng, metric):
-    # a problem keeps the margins of the last logits object it evaluated;
-    # a call at any other object, even one with equal contents, computes
-    # its own, and every answer matches a freshly built problem's
+def test_value_and_gradient_depend_only_on_their_argument(rng, metric):
+    # whatever a problem evaluated before (other logits, an object with
+    # equal contents, the same object), value and gradient give the bits
+    # of a freshly built problem's answer at their own argument
     inst, build = _problem_builder(rng, metric)
     z1 = _random_logits(rng, inst.space.sizes)
     twin = PolicyLogits(z1.rows)
@@ -781,9 +781,8 @@ def test_calls_at_other_logits_never_read_kept_margins(rng, metric):
         problem = build()
         got = (problem.gradient(z1).packed, problem.value(z2))
         assert _bits(*got) == _bits(build().gradient(z1).packed, build().value(z2))
-    # the first logits object is dropped as soon as value returns, and
-    # CPython allocates the next one at its address: an id() key held
-    # without a reference would match it
+    # nor does an object that CPython allocates at the address of one
+    # evaluated and dropped just before
     problem = build()
     first, second = (_random_logits(rng, inst.space.sizes).packed for _ in range(2))
     problem.value(PolicyLogits._wrap(first, inst.space.sizes))

@@ -408,6 +408,16 @@ def test_solver_config_validation(rps):
         )
 
 
+def test_history_weights_go_only_with_the_history_window(rps):
+    # self-play copies would validate the weights and then ignore them
+    with pytest.raises(ValueError, match="only with the history_window scheme"):
+        SolverConfig(eta=1.0, iterations=5, n_players=3, history_weights=(0.5, 0.5))
+    SolverConfig(
+        eta=1.0, iterations=5, n_players=3, opponent_scheme="history_window",
+        history_weights=(0.5, 0.5),
+    )
+
+
 # ---------------------------------------------------------------------------
 # non-finite arguments
 
