@@ -25,15 +25,16 @@ Unknown or missing keys, numeric values out of range (an integer too
 large for a float too), and an out_dir that cannot be created (empty,
 a file, under a file, or holding a NUL byte) or that holds a directory
 under an output's name (checked before the run writes anything) raise
-ConfigError naming the key. A rewardfit or plackett_luce run on an
-instance without a reward table raises ValidationFailure before it
-makes out_dir. The ranges:
+ConfigError naming the key. A rewardfit, presets or plackett_luce run
+on an instance without a reward table raises ValidationFailure before
+it makes out_dir. The ranges:
 eta and step_size finite and > 0; tau 0 or finite and >= the smallest
 normal float; n_players >= 2; iterations and steps >= 0; inits,
-metric_stride, samples, comparisons and pool_size >= 1. Reruns with an
-identical config write byte-identical files: every random draw flows
-from the root seed through named streams, floats are formatted the same
-way every time, and wall-clock timing is never written.
+metric_stride, samples, comparisons and pool_size >= 1; history_weights
+a distribution, one weight per opponent slot. Reruns with an identical
+config write byte-identical files: every random draw flows from the
+root seed through named streams, floats are formatted the same way
+every time, and wall-clock timing is never written.
 
 Outputs per mode:
 
@@ -47,7 +48,6 @@ Outputs per mode:
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import math
 import os
@@ -58,12 +58,12 @@ import numpy as np
 
 from .instances import (
     GameInstance,
-    SupportViolation,
     TabularPolicy,
     _policy_violations,
     _read_json,
     _require_count,
     _require_int,
+    _write_csv,
     load_instance,
     load_policy,
     policy_in_support,
@@ -319,12 +319,17 @@ def _require_file(path, what: str) -> None:
         raise FileNotFoundError(f"{what} file not found: {path}")
 
 
-def _load_checked_instance(path) -> GameInstance:
-    _require_file(path, "instance")
+def _read_checked(path, what: str, load):
+    """load(path) for an existing file; a ValueError becomes a ValidationFailure."""
+    _require_file(path, what)
     try:
-        instance = load_instance(path)
+        return load(path)
     except ValueError as err:  # includes json.JSONDecodeError
-        raise ValidationFailure([f"cannot read instance {path}: {err}"]) from err
+        raise ValidationFailure([f"cannot read {what} {path}: {err}"]) from err
+
+
+def _load_checked_instance(path) -> GameInstance:
+    instance = _read_checked(path, "instance", load_instance)
     problems = validate_instance(instance)
     if problems:
         raise ValidationFailure(problems)
@@ -500,11 +505,8 @@ def _run_lossmin(instance, config: ExperimentConfig, descent, report_path) -> di
         }
         for i, res in enumerate(results)
     ]
-    with open(descent, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["step", "loss", "grad_norm"])
-        for s, v, g in rows:
-            writer.writerow([s, f"{v:.12g}", f"{g:.12g}"])
+    _write_csv(descent, ["step", "loss", "grad_norm"],
+               ([s, f"{v:.12g}", f"{g:.12g}"] for s, v, g in rows))
     worst = max(r["max_abs_gap_to_update"] for r in reports)
     _write_json(
         {"eta": p["eta"], "inits": reports, "worst_gap_to_update": worst},
@@ -515,11 +517,8 @@ def _run_lossmin(instance, config: ExperimentConfig, descent, report_path) -> di
 
 def _run_presets(instance, config: ExperimentConfig, path) -> dict:
     table = compare_presets(instance, config.params["samples"], config.seed)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["name", "max_abs_deviation"])
-        for name, dev in table.items():
-            writer.writerow([name, f"{dev:.17g}"])
+    _write_csv(path, ["name", "max_abs_deviation"],
+               ([name, f"{dev:.17g}"] for name, dev in table.items()))
     return {"max_deviation": max(table.values())}
 
 
@@ -579,22 +578,13 @@ def gap_report(
     if policy_spec == "uniform":
         policy = uniform_policy(instance.space)
     else:
-        _require_file(policy_spec, "policy")
-        try:
-            policy = load_policy(policy_spec)
-        except ValueError as err:  # includes json.JSONDecodeError
-            problem = f"cannot read policy {policy_spec}: {err}"
-            raise ValidationFailure([problem]) from err
-        if policy.sizes != instance.space.sizes:
-            raise ValidationFailure(
-                ["policy rows do not match the instance's response counts"]
-            )
+        policy = _read_checked(policy_spec, "policy", load_policy)
     problems = _policy_violations(policy, "policy")
     if problems:
         raise ValidationFailure(problems)
     try:
         policy_in_support(policy, instance.reference)
-    except SupportViolation as err:
+    except ValueError as err:  # a SupportViolation, or rows of other lengths
         raise ValidationFailure([str(err)]) from err
 
     with _sized_by("n_players"):
@@ -647,7 +637,7 @@ def run_experiment(config) -> dict:
         config = load_config(config)
     instance = _load_checked_instance(config.instance)
     pooled = config.params.get("aggregator") == "plackett_luce"
-    if instance.reward is None and (pooled or config.mode == "rewardfit"):
+    if instance.reward is None and (pooled or config.mode in ("presets", "rewardfit")):
         uses = " with aggregator 'plackett_luce'" if pooled else ""
         raise ValidationFailure([f"mode {config.mode!r}{uses} needs a reward table"])
     try:

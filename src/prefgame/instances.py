@@ -23,6 +23,7 @@ Floats round-trip exactly: json uses shortest-repr decimal strings.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -554,6 +555,14 @@ def save_instance(instance: GameInstance, path) -> None:
     with open(path, "w") as fh:
         json.dump(_instance_to_dict(instance), fh, indent=1)
         fh.write("\n")
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write the header, then the rows, with csv.writer and LF line ends."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _read_json(path):

@@ -29,8 +29,8 @@ import numpy as np
 
 from .equilibrium import _TAU_MIN, _exploitability_and_value
 from .instances import (
-    NORMALIZATION_TOL, GameInstance, RewardTable, TabularPolicy, _mixture_weights,
-    _require_count, _require_positive, _require_sizes,
+    GameInstance, RewardTable, TabularPolicy, _mixture_weights,
+    _require_count, _require_positive, _require_sizes, _write_csv,
 )
 from .objectives import (
     Aggregator, MEAN_PAIRWISE, closed_form_multi_teacher_optimum, expected_win_rates,
@@ -39,13 +39,15 @@ from .objectives import (
 
 OPPONENT_SCHEMES = ("self_play_copies", "history_window")
 
+_RUN_LOG_HEADER = ["iter", "gap", "kl_ref", "self_play_value", "elapsed_ms"]
+
 
 @dataclass(frozen=True, eq=False)
 class SolverConfig:
     """Everything a self-play run depends on.
 
-    history_weights go only with the history_window scheme; they are
-    renormalized to a proper mixture over the window.
+    history_weights go only with the history_window scheme, one per
+    opponent slot, and must be a distribution over the window.
     """
 
     eta: float
@@ -71,13 +73,7 @@ class SolverConfig:
         if self.history_weights is not None:
             if self.opponent_scheme != "history_window":
                 raise ValueError("history weights go only with the history_window scheme")
-            w = np.asarray(self.history_weights, dtype=np.float64)
-            if len(w) != self.n_players - 1:
-                raise ValueError("need one history weight per opponent slot")
-            if not np.all((w >= 0.0) & (w <= 1.0)):  # NaN fails too
-                raise ValueError("history weights must lie in [0, 1]")
-            if w.sum() > 1.0 + NORMALIZATION_TOL or w.sum() <= 0.0:
-                raise ValueError("history weights must sum into (0, 1]")
+            _mixture_weights(self.history_weights, self.n_players - 1, "history")
 
 
 @dataclass(frozen=True)
@@ -106,19 +102,17 @@ class RunLog:
 
     def to_csv(self, path) -> None:
         """Write rows with 12 significant digits; elapsed_ms always reads 0."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["iter", "gap", "kl_ref", "self_play_value", "elapsed_ms"])
-            for r in self.records:
-                values = (r.gap, r.kl_ref, r.self_play_value, 0.0)
-                writer.writerow([r.iteration] + [f"{v:.12g}" for v in values])
+        _write_csv(path, _RUN_LOG_HEADER, (
+            [r.iteration] + [f"{v:.12g}" for v in (r.gap, r.kl_ref, r.self_play_value, 0.0)]
+            for r in self.records
+        ))
 
     @staticmethod
     def from_csv(path) -> "RunLog":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
-            if header != ["iter", "gap", "kl_ref", "self_play_value", "elapsed_ms"]:
+            if header != _RUN_LOG_HEADER:
                 raise ValueError(f"unexpected run-log header {header}")
             records = tuple(
                 RunRecord(int(row[0]), *(float(v) for v in row[1:4]))
@@ -198,9 +192,6 @@ def self_play_run(instance: GameInstance, config: SolverConfig) -> SelfPlayResul
     sizes = instance.space.sizes
     mean = current.packed.copy()  # running mean of the iterates
     window: list[TabularPolicy] = [current]
-    weights = config.history_weights
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64) / np.sum(weights)
 
     records = [_metrics(current, instance, config, 0)]
     for t in range(1, config.iterations + 1):
@@ -212,7 +203,8 @@ def self_play_run(instance: GameInstance, config: SolverConfig) -> SelfPlayResul
                 for j in range(config.n_players - 1)
             ]
         current = mwu_step(
-            opponents, instance, config.eta, weights, config.tau, config.aggregator
+            opponents, instance, config.eta, config.history_weights, config.tau,
+            config.aggregator,
         )
         window = window[1 - config.n_players:] + [current]
         mean += (current.packed - mean) / (t + 1)

@@ -410,8 +410,7 @@ def test_runs_that_read_rewards_require_them(paths, tmp_path, mode, extra):
     doc["instance"] = paths["no_reward"]
     with pytest.raises(ValidationFailure, match="reward table"):
         run_experiment(config_from_dict(doc))
-    if mode != "presets":  # the run's own check comes before out_dir
-        assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_gap_run_uniform_policy(paths, tmp_path):
@@ -491,6 +490,11 @@ def test_gap_report_rejects_support_violation():
     )
     with pytest.raises(ValidationFailure, match="support"):
         gap_report(inst, "uniform")
+
+
+def test_gap_report_rejects_an_unknown_aggregator(rps):
+    with pytest.raises(ConfigError, match="key 'aggregator'"):
+        gap_report(rps, "uniform", aggregator_name="bogus")
 
 
 def test_gap_report_missing_policy_file(rps):
@@ -707,6 +711,7 @@ def test_cli_run_rewardfit_step_size_overflow_exits_2(paths, tmp_path, capsys, s
         pytest.param([-0.5], 2, id="negative"),
         pytest.param([0.5, 0.5], 2, id="wrong-length"),
         pytest.param([float("nan"), 0.5], 3, id="nan"),
+        pytest.param([0.35, 0.15], 3, id="sum-below-one"),
     ],
 )
 def test_cli_run_selfplay_bad_history_weights_exits_2(
@@ -818,6 +823,38 @@ def test_cli_validate_invalid_exits_5(paths, capsys):
 
 def test_cli_validate_missing_file_exits_3(capsys):
     assert main(["validate", "/nonexistent/inst.json"]) == 3
+
+
+@pytest.mark.parametrize(
+    "fault, named",
+    [
+        ("non-square-matrix", "key 'preference.matrices': expected a square matrix"),
+        ("matrix-without-matrices", "preference kind 'matrix' needs key 'matrices'"),
+        ("cyclic-several-prompts", "preference kind 'cyclic' covers single-prompt"),
+        ("top-level-list", "instance file must hold a JSON object"),
+        ("empty-responses-row", "key 'responses': prompt 0 has no responses"),
+        ("prompt-weights-length", "prompt_weights has 1 entries for 3 prompts"),
+    ],
+)
+def test_cli_validate_malformed_instance_exits_5(paths, tmp_path, capsys, fault, named):
+    doc = json.loads(Path(paths["mixed"]).read_text())
+    if fault == "non-square-matrix":
+        doc["preference"]["matrices"][0].pop()
+    elif fault == "matrix-without-matrices":
+        doc["preference"] = {"kind": "matrix"}
+    elif fault == "cyclic-several-prompts":
+        doc["preference"] = {"kind": "cyclic", "strength": 0.8}
+    elif fault == "top-level-list":
+        doc = [doc]
+    elif fault == "empty-responses-row":
+        doc["responses"][0] = []
+    else:
+        doc["prompt_weights"] = [1.0]
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 5
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
 
 
 def test_cli_gap_uniform(paths, capsys):
@@ -1003,6 +1040,23 @@ def test_cli_unreadable_policy_exits_5(paths, tmp_path, capsys, command, text):
     assert main(_gap_argv(paths, tmp_path, command, str(path))) == 5
     err = capsys.readouterr().err
     assert "validation failure" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "gap"])
+@pytest.mark.parametrize(
+    "rows, problem",
+    [
+        ([[1.2, -0.1, -0.1]], "policy row 0 has negative entries"),
+        ([[0.5, 0.5]], "policy row lengths differ from the response counts at prompt 0"),
+    ],
+    ids=["negative-entry", "row-lengths"],
+)
+def test_cli_invalid_policy_exits_5(paths, tmp_path, capsys, command, rows, problem):
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps({"rows": rows}))
+    assert main(_gap_argv(paths, tmp_path, command, str(path))) == 5
+    err = capsys.readouterr().err
+    assert problem in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["run", "gap"])

@@ -612,6 +612,14 @@ def test_save_policy_writes_json_indent_bytes(tmp_path_factory, rows):
         assert np.array(row)[finite].tobytes() == got[finite].tobytes()
 
 
+def test_save_policy_writes_an_empty_row_as_json_does(tmp_path):
+    rows = [[0.5, 0.5], []]
+    path = tmp_path / "policy.json"
+    save_policy(policy_from_rows(rows), path)
+    assert path.read_text() == json.dumps({"rows": rows}, indent=1) + "\n"
+    assert load_policy(path).sizes == (2, 0)
+
+
 def test_load_policy_needs_rows_key(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"values": [[1.0]]}))

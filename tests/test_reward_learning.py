@@ -868,3 +868,10 @@ def test_rankings_csv_field_errors_name_the_row(tmp_path, line, match):
     path.write_text(f"prompt,winner,pool\n0,0,1\n{line}\n")
     with pytest.raises(ValueError, match=match):
         rankings_from_csv(path)
+
+
+def test_rankings_csv_short_row_names_row_0(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("prompt,winner,pool\n0,1\n")
+    with pytest.raises(ValueError, match=r"^ranking row 0 needs 3 fields, got \['0', '1'\]$"):
+        rankings_from_csv(path)

@@ -418,6 +418,33 @@ def test_history_weights_go_only_with_the_history_window(rps):
     )
 
 
+def test_history_weights_must_sum_to_one():
+    # the window's weights are mixture weights, checked as mwu_step checks them
+    with pytest.raises(ValueError, match="history weights must be a distribution"):
+        SolverConfig(
+            eta=1.0, iterations=5, n_players=3, opponent_scheme="history_window",
+            history_weights=(0.35, 0.15),
+        )
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.3])
+def test_history_window_run_is_the_chain_of_mwu_steps(mixed, tau):
+    # the run hands its weights to mwu_step as given; these sum to 1 - 1.1e-16,
+    # so a renormalisation would move the iterates in their last bits
+    weights = (0.6, 0.3, 0.1)
+    assert sum(weights) != 1.0
+    cfg = SolverConfig(
+        eta=0.5, iterations=12, n_players=4, tau=tau,
+        opponent_scheme="history_window", history_weights=weights,
+    )
+    res = self_play_run(mixed, cfg)
+    window = [mixed.reference]
+    for _ in range(cfg.iterations):
+        opponents = [window[max(len(window) - 1 - j, 0)] for j in range(3)]
+        window = window[-3:] + [mwu_step(opponents, mixed, 0.5, weights, tau)]
+    assert np.array_equal(res.final.packed, window[-1].packed)
+
+
 # ---------------------------------------------------------------------------
 # non-finite arguments
 
