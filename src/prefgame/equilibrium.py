@@ -16,13 +16,12 @@ held policy on the same table instead of enumerating the opponents again.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .instances import (
-    GameInstance, RewardTable, TabularPolicy, _require_count, _softmax_policy
+    GameInstance, RewardTable, TabularPolicy, _Record, _require_count, _softmax_policy
 )
 from .objectives import (
     Aggregator,
@@ -43,8 +42,7 @@ class NegativeGapError(ArithmeticError):
     """A best response scored below the policy it was meant to beat."""
 
 
-@dataclass(frozen=True, eq=False)
-class BestResponseResult:
+class BestResponseResult(_Record, eq=False):
     """The response, its value, and the padded (P, K) win table it answers."""
 
     policy: TabularPolicy

@@ -52,13 +52,13 @@ import json
 import math
 import os
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 
 from .instances import (
     GameInstance,
     TabularPolicy,
+    _Record,
     _policy_violations,
     _read_json,
     _require_count,
@@ -246,8 +246,7 @@ def _require_mode(mode) -> None:
         raise ConfigError(f"key 'mode' must be one of {', '.join(MODES)}, got {mode!r}")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     mode: str
     instance: str
     out_dir: str

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -139,6 +138,54 @@ def _require_sizes(table, sizes: tuple[int, ...], what: str) -> None:
         raise ValueError(f"{what} row lengths differ from the response counts at prompt {x}")
 
 
+class _Record:
+    """What @dataclass(frozen=True) generates per class, written once for every record.
+
+    Fields are the annotated class attributes, inherited ones first; class attributes
+    are defaults. Records compare and hash by field tuple unless declared eq=False.
+    """
+
+    def __init_subclass__(cls, eq=True):
+        annotated = (vars(base).get("__annotations__", ()) for base in reversed(cls.__mro__))
+        cls._fields = tuple(dict.fromkeys(f for names in annotated for f in names))
+        cls._defaults = {f: getattr(cls, f) for f in cls._fields if hasattr(cls, f)}
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # not every field given by position
+            values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+            bad = [k for k in kwargs if k not in fields or k in fields[: len(args)]]
+            if len(args) > len(fields) or bad or len(values) < len(fields):
+                missing = [f for f in fields if f not in values]
+                raise TypeError(f"{type(self).__name__}{fields} got {len(args)} positional "
+                                f"values, unknown or repeated keywords {bad}, missing {missing}")
+            args = [values[f] for f in fields]
+        for f, value in zip(fields, args):  # not __dict__.update, which slows every read
+            object.__setattr__(self, f, value)
+        if hasattr(self, "__post_init__"):  # it may replace fields with object.__setattr__
+            self.__post_init__()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self):
+        pairs = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({pairs})"
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+
 class _PerPrompt:
     """A table per prompt, stored as one zero-padded read-only array.
 
@@ -171,8 +218,7 @@ class _PerPrompt:
         return len(self.sizes)
 
 
-@dataclass(frozen=True)
-class ResponseSpace:
+class ResponseSpace(_Record):
     """Response labels per prompt. Labels must be unique within a prompt."""
 
     labels: tuple[tuple[str, ...], ...]
@@ -238,8 +284,7 @@ class RewardTable(_PerPrompt):
     rows = cached_property(_PerPrompt._views)
 
 
-@dataclass(frozen=True, eq=False)
-class GameInstance:
+class GameInstance(_Record, eq=False):
     """A complete tabular preference game.
 
     Cross-component shape consistency is enforced here; value-level
@@ -306,7 +351,8 @@ def _softmax_policy(
     ValueError with `empty` as the reason.
     """
     z = np.where(live, logits, -np.inf)
-    top = z.max(axis=1, keepdims=True)
+    # a row max is exact in any order, and numpy reduces a contiguous axis 0 faster
+    top = np.ascontiguousarray(z.T).max(axis=0)[:, None]
     dead = ~np.isfinite(top[:, 0])
     if dead.any():
         raise ValueError(f"prompt {int(np.argmax(dead))}: {empty}")

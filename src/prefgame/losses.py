@@ -41,7 +41,6 @@ the one-init case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence, Union
 
@@ -52,6 +51,7 @@ from .instances import (
     GameInstance,
     TabularPolicy,
     _PerPrompt,
+    _Record,
     _mixture_weights,
     _raise_at_first,
     _require_count,
@@ -96,8 +96,7 @@ def _metric(metric: str, m, t, slope: bool):
     )
 
 
-@dataclass(frozen=True, eq=False)
-class LossConfig:
+class LossConfig(_Record, eq=False):
     """One member of the loss family.
 
     opponents entries are offsets into an iterate history (0 = current),
@@ -434,7 +433,7 @@ def _anchored(instance, externals, config, pair_policy):
     if len(externals) == 0:
         raise ValueError("need at least one external policy")
     _mixture_weights(config.weights, len(externals), "external-opponent")
-    anchored = replace(config, opponents=tuple(externals))
+    anchored = LossConfig(tuple(externals), *config._values()[1:])  # every other field as is
     source = instance.reference if pair_policy is None else pair_policy
     return [source], anchored
 
@@ -543,8 +542,7 @@ class ExternalMarginProblem(PairMarginProblem):
         super().__init__(instance, history, anchored, data)
 
 
-@dataclass(frozen=True, eq=False)
-class MinimizeResult:
+class MinimizeResult(_Record, eq=False):
     policy: TabularPolicy
     logits: PolicyLogits
     loss: float

@@ -17,7 +17,6 @@ is guarded by an enumeration cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +25,7 @@ from .instances import (
     GameInstance,
     RewardTable,
     TabularPolicy,
+    _Record,
     _raise_at_first,
     _require_sizes,
     _softmax_policy,
@@ -46,8 +46,7 @@ class EnumerationCapExceeded(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class Aggregator:
+class Aggregator(_Record):
     """How one response is scored against many opponents at once.
 
     kind "mean_pairwise" averages the pairwise oracle win probabilities;

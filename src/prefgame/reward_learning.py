@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +24,7 @@ import numpy as np
 from .instances import (
     GameInstance,
     RewardTable,
+    _Record,
     _live_rows,
     _require_count,
     _require_int,
@@ -34,8 +34,7 @@ from .instances import (
 )
 
 
-@dataclass(frozen=True)
-class RankedComparison:
+class RankedComparison(_Record):
     """One observed choice: `winner` beat every response in `pool`."""
 
     prompt: int
@@ -203,8 +202,7 @@ def pl_nll_gradient(rewards: RewardTable, data: Rankings) -> tuple[np.ndarray, .
     return _unpack(grad.reshape(rewards.packed.shape), rewards.sizes)
 
 
-@dataclass(frozen=True, eq=False)
-class FitResult:
+class FitResult(_Record, eq=False):
     rewards: RewardTable
     final_nll: float
     grad_norm: float

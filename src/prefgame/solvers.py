@@ -22,14 +22,13 @@ randomness.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .equilibrium import _TAU_MIN, _exploitability_and_value
 from .instances import (
-    GameInstance, RewardTable, TabularPolicy, _mixture_weights,
+    GameInstance, RewardTable, TabularPolicy, _Record, _mixture_weights,
     _require_count, _require_positive, _require_sizes, _write_csv,
 )
 from .objectives import (
@@ -42,8 +41,7 @@ OPPONENT_SCHEMES = ("self_play_copies", "history_window")
 _RUN_LOG_HEADER = ["iter", "gap", "kl_ref", "self_play_value", "elapsed_ms"]
 
 
-@dataclass(frozen=True, eq=False)
-class SolverConfig:
+class SolverConfig(_Record, eq=False):
     """Everything a self-play run depends on.
 
     history_weights go only with the history_window scheme, one per
@@ -76,19 +74,17 @@ class SolverConfig:
             _mixture_weights(self.history_weights, self.n_players - 1, "history")
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(_Record):
     iteration: int
     gap: float
     kl_ref: float
     self_play_value: float
 
 
-@dataclass(frozen=True)
-class RunLog:
+class RunLog(_Record):
     """Metric rows recorded along a run, strictly increasing in iteration."""
 
-    records: tuple[RunRecord, ...] = field(default_factory=tuple)
+    records: tuple[RunRecord, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))
@@ -121,8 +117,7 @@ class RunLog:
         return RunLog(records)
 
 
-@dataclass(frozen=True, eq=False)
-class SelfPlayResult:
+class SelfPlayResult(_Record, eq=False):
     final: TabularPolicy
     average: TabularPolicy
     log: RunLog

@@ -1,5 +1,7 @@
+import importlib
 import json
 import math
+import pkgutil
 import warnings
 
 import numpy as np
@@ -14,8 +16,23 @@ from helpers import (
     reference_bt_matrix,
     reference_validate_instance,
 )
+import prefgame
 from prefgame import (
+    MEAN_PAIRWISE,
+    PLACKETT_LUCE,
+    Aggregator,
+    BestResponseResult,
+    ExperimentConfig,
+    FitResult,
     GameInstance,
+    LossConfig,
+    MinimizeResult,
+    PolicyLogits,
+    RankedComparison,
+    RunLog,
+    RunRecord,
+    SelfPlayResult,
+    SolverConfig,
     average_policy,
     dual_gap_two_player,
     exploitability_multiplayer,
@@ -43,7 +60,7 @@ from prefgame import (
     uniform_policy,
     validate_instance,
 )
-from prefgame.instances import _require_positive
+from prefgame.instances import _Record, _require_positive
 
 
 def sigmoid(x):
@@ -639,3 +656,143 @@ def test_require_positive_is_finite_and_above_zero(value):
     else:
         with pytest.raises(ValueError, match="^x must be positive and finite$"):
             _require_positive(value, "x must be positive and finite")
+
+
+# ---------------------------------------------------------------------------
+# frozen records
+
+
+def _record_cases():
+    """(class, a value for every field in order, count of fields without default)."""
+    space = ResponseSpace((("a", "b"),))
+    policy = policy_from_rows([[0.25, 0.75]])
+    oracle = PairwisePreference([[[0.5, 0.3], [0.7, 0.5]]])
+    rewards = RewardTable([[0.0, 1.0]])
+    records = (RunRecord(0, 0.1, 0.2, 0.3), RunRecord(2, 0.0, 0.2, 0.5))
+    return [
+        (ResponseSpace, ((("a", "b"),),), 1),
+        (GameInstance, (np.array([1.0]), space, policy, oracle, rewards), 4),
+        (Aggregator, ("plackett_luce",), 1),
+        (BestResponseResult, (policy, 0.5, np.array([[0.3, 0.6]])), 3),
+        (ExperimentConfig, ("gap", "game.json", "out", 7, {"n_players": 3}), 5),
+        (LossConfig, ((0, "ref"), (0.5, 0.5), "bwd", 0.1, 2.0, 3.0), 4),
+        (MinimizeResult, (policy, PolicyLogits([[0.0, 1.0]]), 0.1, 1e-9, 12), 5),
+        (RankedComparison, (0, 1, (0,)), 3),
+        (FitResult, (rewards, 0.5, 1e-7, True, 60), 5),
+        (SolverConfig, (0.5, 10, 3, 0.1, "history_window", (0.7, 0.3), PLACKETT_LUCE, 2), 2),
+        (RunRecord, (4, 0.1, 0.2, 0.3), 4),
+        (RunLog, (records,), 0),
+        (SelfPlayResult, (policy, policy, RunLog()), 3),
+    ]
+
+
+RECORD_CASES = pytest.mark.parametrize(
+    "cls, values, required", [pytest.param(*c, id=c[0].__name__) for c in _record_cases()]
+)
+EQUAL_BY_IDENTITY = (
+    GameInstance, BestResponseResult, LossConfig, MinimizeResult, FitResult, SolverConfig,
+    SelfPlayResult,
+)
+
+
+def _shown(record) -> list[str]:
+    return [repr(getattr(record, name)) for name in type(record)._fields]
+
+
+@RECORD_CASES
+def test_record_builds_by_position_keyword_and_default(cls, values, required):
+    fields = cls._fields
+    assert fields == tuple(cls.__annotations__)
+    by_position = cls(*values)
+    by_keyword = cls(**dict(zip(fields, values)))
+    assert _shown(by_position) == _shown(by_keyword) == [repr(v) for v in values]
+    defaults = [repr(getattr(cls, name)) for name in fields[required:]]
+    assert _shown(cls(*values[:required]))[required:] == defaults
+    for method in ("__init__", "__setattr__", "__repr__"):  # written once, not per class
+        assert getattr(cls, method) is getattr(_Record, method)
+
+
+@RECORD_CASES
+def test_record_rejects_bad_arguments_naming_the_class(cls, values, required):
+    name, first = cls.__name__, cls._fields[0]
+    with pytest.raises(TypeError, match=f"^{name}.* {len(values) + 1} positional values"):
+        cls(*values, values[0])
+    with pytest.raises(TypeError, match=rf"^{name}.*keywords \['bogus'\]"):
+        cls(*values, bogus=1)
+    with pytest.raises(TypeError, match=rf"^{name}.*keywords \['{first}'\]"):
+        cls(*values, **{first: values[0]})
+    if required:
+        with pytest.raises(TypeError, match=rf"^{name}.*missing \['{first}'\]"):
+            cls(*(), **dict(zip(cls._fields[1:], values[1:])))
+
+
+def test_record_runs_post_init():
+    with pytest.raises(ValueError, match="^eta must be positive"):
+        SolverConfig(eta=-1.0, iterations=3)
+    with pytest.raises(ValueError, match="^unknown aggregator kind 'bogus'$"):
+        Aggregator("bogus")
+    with pytest.raises(ValueError, match="^unknown metric 'bogus'$"):
+        LossConfig((0,), (1.0,), "bogus", 0.0)
+    # __post_init__ may still replace a field through object.__setattr__
+    assert ResponseSpace([["a", 1]]).labels == (("a", "1"),)
+
+
+@RECORD_CASES
+def test_record_is_frozen(cls, values, required):
+    record = cls(*values)
+    for name in cls._fields + ("extra",):
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is frozen"):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError, match=f"^{cls.__name__} is frozen"):
+            delattr(record, name)
+    assert _shown(record) == [repr(v) for v in values]
+
+
+@RECORD_CASES
+def test_record_repr_lists_the_fields_in_order(cls, values, required):
+    body = ", ".join(f"{name}={value!r}" for name, value in zip(cls._fields, values))
+    assert repr(cls(*values)) == f"{cls.__name__}({body})"
+
+
+@RECORD_CASES
+def test_record_compares_by_field_tuple_or_identity(cls, values, required):
+    a, b = cls(*values), cls(*values)
+    if cls in EQUAL_BY_IDENTITY:
+        assert a == a and a != b
+        assert hash(a) == object.__hash__(a)
+        return
+    assert a == b and not a != b
+    assert a != tuple(values)
+    if cls is ExperimentConfig:  # its params dict makes the field tuple unhashable
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == hash(tuple(getattr(a, f) for f in cls._fields))
+
+
+def test_record_fields_inherit_in_order_with_class_attribute_defaults():
+    class Base(_Record):
+        a: int
+        b: int = 2
+
+    class Child(Base, eq=False):
+        c: int = 3
+        b: int = 5  # a redefined field keeps its place and takes the new default
+
+    assert Child._fields == ("a", "b", "c")
+    assert repr(Child(1)).endswith("Child(a=1, b=5, c=3)")
+    assert Base(1) == Base(1) != Base(1, 5)
+    assert Child(1) != Child(1)
+    assert RunRecord(1, 0.5, 0.25, 1.0) != RunRecord(2, 0.5, 0.25, 1.0)
+    assert {MEAN_PAIRWISE: 1}[Aggregator("mean_pairwise")] == 1
+
+
+def test_no_prefgame_class_is_a_dataclass():
+    # @dataclass generates and compiles each class's methods when its module
+    # is imported, a cost every fresh `prefgame run` process pays at start-up;
+    # the records subclass instances._Record, which writes those methods once
+    for info in pkgutil.iter_modules(prefgame.__path__):
+        module = importlib.import_module(f"prefgame.{info.name}")
+        for value in vars(module).values():
+            if isinstance(value, type):
+                assert not hasattr(value, "__dataclass_fields__"), (info.name, value)

@@ -41,7 +41,7 @@ from prefgame import (
     update_matching_loss,
     winner_target_loss,
 )
-from prefgame.losses import PRESET_NAMES
+from prefgame.losses import PRESET_NAMES, _anchored
 
 
 def softplus(x):
@@ -553,6 +553,26 @@ def test_external_loss_requires_convex_weights(rng):
     cfg = LossConfig((0, 0), (0.5, 0.4), "sq", 0.0)
     with pytest.raises(ValueError, match="sum to one"):
         external_margin_loss(pol, [pol, pol], cfg, inst)
+
+
+def test_external_anchoring_keeps_every_config_field_but_opponents(rng):
+    # _anchored builds the anchored LossConfig field by field: one it left
+    # out would silently fall back to its default
+    inst = random_instance(rng, num_prompts=2, max_responses=3)
+    pol = random_policy(rng, inst.space.sizes)
+    externals = [random_policy(rng, inst.space.sizes) for _ in range(2)]
+    cfg = LossConfig((0, "ref"), (0.25, 0.75), "bwd", "reward_gap", eta=0.7, beta=1.9)
+    history, anchored = _anchored(inst, externals, cfg, None)
+    assert history == [inst.reference]
+    assert anchored.opponents == tuple(externals)
+    kept = [name for name in LossConfig._fields if name != "opponents"]
+    assert kept == ["weights", "metric", "target", "eta", "beta"]
+    for name in kept:
+        assert getattr(anchored, name) == getattr(cfg, name), name
+    by_hand = LossConfig(tuple(externals), *(getattr(cfg, name) for name in kept))
+    assert external_margin_loss(pol, externals, cfg, inst) == pair_margin_loss(
+        pol, [inst.reference], by_hand, inst
+    )
 
 
 def test_external_loss_minimized_by_multi_teacher_optimum(rng):
