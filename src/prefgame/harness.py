@@ -22,19 +22,19 @@ plus mode-specific keys (defaults in brackets):
                 n_players [2], aggregator [mean_pairwise]
 
 Unknown or missing keys, numeric values out of range (an integer too
-large for a float too), and an out_dir that cannot be created (empty,
-a file, under a file, or holding a NUL byte) or that holds a directory
+large for a float too), and an out_dir that cannot be created (empty, a
+file, under a file, or holding a NUL byte) or that holds a directory
 under an output's name (checked before the run writes anything) raise
-ConfigError naming the key. A rewardfit, presets or plackett_luce run
-on an instance without a reward table raises ValidationFailure before
-it makes out_dir. The ranges:
-eta and step_size finite and > 0; tau 0 or finite and >= the smallest
-normal float; n_players >= 2; iterations and steps >= 0; inits,
-metric_stride, samples, comparisons and pool_size >= 1; history_weights
-a distribution, one weight per opponent slot. Reruns with an identical
-config write byte-identical files: every random draw flows from the
-root seed through named streams, floats are formatted the same way
-every time, and wall-clock timing is never written.
+ConfigError naming the key. A rewardfit, presets or plackett_luce run on
+an instance without a reward table raises ValidationFailure before it
+makes out_dir. The ranges: eta and step_size finite and > 0, and
+lossmin's step_size >= 1e-18, the descent's stop floor; tau 0 or finite
+and >= the smallest normal float; n_players >= 2; iterations and steps
+>= 0; inits, metric_stride, samples, comparisons and pool_size >= 1;
+history_weights a distribution, one weight per opponent slot. Reruns
+with an identical config write byte-identical files: every random draw
+flows from the root seed through named streams, floats are formatted the
+same way every time, and wall-clock timing is never written.
 
 Outputs per mode:
 
@@ -75,6 +75,7 @@ from .losses import (
     PRESET_NAMES,
     PolicyLogits,
     UpdateMatchingProblem,
+    _STEP_FLOOR,
     minimize_loss,
     pair_margin_loss,
     preset,
@@ -220,7 +221,7 @@ _SCHEMAS = {
         "eta": (_bounded(_number, 0, strict=True), _REQUIRED),
         "n_players": (_bounded(_integer, 2), 2),
         "steps": (_bounded(_integer, 0), 4000),
-        "step_size": (_bounded(_number, 0, strict=True), 0.5),
+        "step_size": (_bounded(_number, _STEP_FLOOR), 0.5),
         "inits": (_bounded(_integer, 1), 3),
     },
     "presets": {

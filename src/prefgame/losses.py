@@ -80,11 +80,11 @@ OpponentRef = Union[int, str, TabularPolicy]
 def _metric(metric: str, m, t, slope: bool):
     """metric(m, t) elementwise, or its derivative in m when slope is set.
 
-    t is a table matching m or a scalar; the scalar +inf (bwd only) gives
-    the logistic limit -log sigmoid(m).
+    m is the margins, or for sq the residual m - t; t is a table matching m
+    or a scalar, and the scalar +inf (bwd only) gives -log sigmoid(m).
     """
     if metric == "sq":
-        return 2.0 * (m - t) if slope else (m - t) ** 2
+        return 2.0 * m if slope else m**2
     if isinstance(t, float) and math.isinf(t):
         return -np.exp(-np.logaddexp(0.0, m)) if slope else np.logaddexp(0.0, -m)
     log_q = -np.logaddexp(0.0, -t)
@@ -326,22 +326,24 @@ def _margins(tables, z):
 def _value(tables, metric, margins):
     """sum_x factor_x sum_ab W[x, a, b] metric(beta h_xab, target_xab), per init.
 
-    Returns a (B,) array. einsum sums each init's prompt terms in one order
-    whatever the number of inits, so a stacked pass has the one-init bits.
+    Returns the (B,) values and what _slope reads: the residual it computed
+    for sq, the margins for bwd. einsum sums each init's prompt terms in one
+    order whatever the number of inits, so a stacked pass has the one-init bits.
     """
     _, pair_w, _, target, factor, _, _ = tables
-    values = _metric(metric, margins, target, slope=False)
-    return np.einsum("bp,p->b", (pair_w * values).sum(axis=(2, 3)), factor)
+    held = margins - target if metric == "sq" else margins
+    values = _metric(metric, held, target, slope=False)
+    return np.einsum("bp,p->b", (pair_w * values).sum(axis=(2, 3)), factor), held
 
 
-def _slope(tables, metric, margins):
-    """The (B, P, K) logit gradients of _value at the same margins.
+def _slope(tables, metric, held):
+    """The (B, P, K) logit gradients of _value where it handed over `held`.
 
     h_xab moves with z_xa - z_xb, so a row is the row sums minus the
     column sums of W * slope, times beta and the prompt factor.
     """
     _, pair_w, _, target, _, _, scale = tables
-    g = pair_w * _metric(metric, margins, target, slope=True)
+    g = pair_w * _metric(metric, held, target, slope=True)
     return (g.sum(axis=3) - g.sum(axis=2)) * scale
 
 
@@ -364,7 +366,7 @@ def pair_margin_loss(
     _require_sizes(policy, instance.space.sizes, "policy")
     tables = _pair_tables(instance, history, config, data)
     margins = _margins(tables, _logs(policy, tables[0], "policy")[None])
-    return float(_value(tables, config.metric, margins)[0])
+    return float(_value(tables, config.metric, margins)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -499,16 +501,16 @@ class PairMarginProblem:
             raise ValueError(f"prompt {int(np.argmax(dead))}: no reference support")
         _raise_at_first(self._tables[0] & ~live, "pairs leave the reference support")
 
-    def _margins_at(self, logits: PolicyLogits) -> np.ndarray:
+    def _value_at(self, logits: PolicyLogits):
         _require_sizes(logits, self.instance.space.sizes, "logits")
-        return _margins(self._tables, logits.packed[None])
+        return _value(self._tables, self.config.metric, _margins(self._tables, logits.packed[None]))
 
     def value(self, logits: PolicyLogits) -> float:
-        return float(_value(self._tables, self.config.metric, self._margins_at(logits))[0])
+        return float(self._value_at(logits)[0][0])
 
     def gradient(self, logits: PolicyLogits) -> PolicyLogits:
         """d value / d logits, packed; a per-prompt logit shift leaves it unchanged."""
-        grad = _slope(self._tables, self.config.metric, self._margins_at(logits))
+        grad = _slope(self._tables, self.config.metric, self._value_at(logits)[1])
         return PolicyLogits._wrap(grad[0], logits.sizes)
 
 
@@ -553,6 +555,7 @@ class MinimizeResult(_Record, eq=False):
 # Inits descended in lockstep share one stack: a chunk holds as many as keep
 # one (B, P, K, K) pair table within this many bytes, and the rest follow.
 _LOCKSTEP_BYTES = 1 << 20
+_STEP_FLOOR = 1e-18  # a descent stops once its step falls below this
 
 
 def minimize_loss(
@@ -565,18 +568,23 @@ def minimize_loss(
     """Plain gradient descent with backtracking.
 
     A proposal that fails to decrease the loss halves the step and is
-    retried; a success grows the step by 1.2x. Stops when the step
-    underflows, the gradient is at machine floor, or steps run out.
+    retried; a success grows the step by 1.2x. Stops when the step falls
+    below _STEP_FLOOR (a step_size below it raises ValueError), the
+    gradient is at machine floor, or steps run out.
     init is one PolicyLogits, which returns one MinimizeResult, or a
     sequence of them, which returns one result per init. A sequence
     descends in lockstep, each init with its own step size and stopping
-    rule, and each result has the bits of that init's own descent.
-    trace, when given, is called as trace(accepted_steps, loss, grad_max)
-    for the first init, at the start and after every accepted proposal.
-    A loss that is not finite at an init raises ValueError.
+    rule, and each result has the bits of that init's own descent
+    (_lockstep decides each round on lists read off the stack, and its
+    gradient pass reads the value pass's sq residual). trace, when
+    given, is called as trace(accepted_steps, loss, grad_max) for the
+    first init, at the start and after every accepted proposal. A loss
+    that is not finite at an init raises ValueError.
     """
     _require_count(steps, 0, f"steps must be a nonnegative integer, got {steps}")
     _require_positive(step_size, f"step_size must be positive and finite, got {step_size}")
+    if step_size < _STEP_FLOOR:
+        raise ValueError(f"step_size must be at least {_STEP_FLOOR}, got {step_size}")
     single = isinstance(init, PolicyLogits)
     inits = [init] if single else list(init)
     if not inits:
@@ -599,21 +607,22 @@ def minimize_loss(
 def _lockstep(problem, inits, first, steps, step_size, trace) -> list[MinimizeResult]:
     """minimize_loss on the stacked logits of `inits`, the first being init `first`.
 
-    Each iteration proposes one step for every init still running, takes
-    all their values in one margins pass and, when any accepts, the
-    accepted inits' gradients from the same margins in one pass. An init
-    that stops leaves the stack, so `ids` maps stack rows to inits.
+    A round proposes one step for every init still running, takes all
+    their values in one margins pass and, when any accepts, the accepted
+    inits' gradients in one pass from what _value handed over (the sq
+    residual, or the margins). The stop, accept and trace decisions read
+    each boolean array once, as a list. Stopped inits leave the stack, and
+    `ids` maps stack rows to inits.
     """
     tables, metric = problem._tables, problem.config.metric
     z = np.stack([lo.packed for lo in inits])
     with np.errstate(all="ignore"):  # reported below, as an error
-        margins = _margins(tables, z)
-        val = _value(tables, metric, margins)
+        val, held = _value(tables, metric, _margins(tables, z))
     bad = ~np.isfinite(val)
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"the loss at init {first + i} is {val[i]}, not finite")
-    grad = _slope(tables, metric, margins)
+    grad = _slope(tables, metric, held)
     gmax = np.abs(grad).max(axis=(1, 2))
     step = np.full(len(inits), float(step_size))
     ids = np.arange(len(inits))
@@ -630,31 +639,36 @@ def _lockstep(problem, inits, first, steps, step_size, trace) -> list[MinimizeRe
     accepted = 0
     if trace is not None:
         trace(0, float(val[0]), float(gmax[0]))
-    for t in range(1, steps + 1):
-        stop = (gmax < 1e-13) | (step < 1e-18)  # a NaN gradient runs on
-        if stop.any():
-            finish(np.flatnonzero(stop), t)
-            keep = ~stop
-            ids, z, val, grad, gmax, step = (a[keep] for a in (ids, z, val, grad, gmax, step))
-            if ids.size == 0:
-                break
-        with np.errstate(over="ignore", invalid="ignore"):  # not finite: rejected
+    shrunk = False  # steps start at or above the floor and shrink only on a rejection
+    with np.errstate(over="ignore", invalid="ignore"):  # not finite: rejected
+        for t in range(1, steps + 1):
+            stop = gmax < 1e-13  # a NaN gradient runs on
+            if shrunk:
+                stop |= step < _STEP_FLOOR
+            if any(stop.tolist()):
+                finish(np.flatnonzero(stop), t)
+                ids, z, val, grad, gmax, step = (a[~stop] for a in (ids, z, val, grad, gmax, step))
+                if ids.size == 0:
+                    break
             cand = z - step[:, None, None] * grad
-            margins = _margins(tables, cand)
-            cand_val = _value(tables, metric, margins)
-        ok = cand_val < val
-        if ok.all():
-            z, val = cand, cand_val
-            grad = _slope(tables, metric, margins)
-            gmax = np.abs(grad).max(axis=(1, 2))
-        elif ok.any():
-            z[ok] = cand[ok]
-            val[ok] = cand_val[ok]
-            grad[ok] = _slope(tables, metric, margins[ok])
-            gmax[ok] = np.abs(grad[ok]).max(axis=(1, 2))
-        step *= np.where(ok, 1.2, 0.5)
-        if trace is not None and ids[0] == 0 and ok[0]:
-            accepted += 1
-            trace(accepted, float(val[0]), float(gmax[0]))
+            cand_val, held = _value(tables, metric, _margins(tables, cand))
+            ok = cand_val < val
+            oks = ok.tolist()
+            shrunk = not all(oks)
+            if shrunk:
+                if any(oks):
+                    z[ok] = cand[ok]
+                    val[ok] = cand_val[ok]
+                    grad[ok] = _slope(tables, metric, held[ok])
+                    gmax[ok] = np.abs(grad[ok]).max(axis=(1, 2))
+                step *= np.where(ok, 1.2, 0.5)
+            else:
+                z, val = cand, cand_val
+                grad = _slope(tables, metric, held)
+                gmax = np.abs(grad).max(axis=(1, 2))
+                step *= 1.2
+            if trace is not None and ids[0] == 0 and oks[0]:
+                accepted += 1
+                trace(accepted, float(val[0]), float(gmax[0]))
     finish(range(ids.size), int(steps))
     return results

@@ -627,6 +627,7 @@ _VALID = {
             ("steps", -1),
             ("step_size", 0.0),
             ("step_size", float("nan")),
+            ("step_size", 1e-19),  # below the descent's stop floor
         ]
     ]
     + [

@@ -967,10 +967,13 @@ def _lockstep_problem(rng, kind):
     steps=st.sampled_from([0, 1, 5, 300]),
     descended=st.booleans(),
     chunk=st.sampled_from([None, 1, 2]),
+    step_size=st.sampled_from([0.5, 1e300]),
 )
 def test_lockstep_descent_matches_per_init_descents_bit_for_bit(
-    seed, kind, count, steps, descended, chunk
+    seed, kind, count, steps, descended, chunk, step_size
 ):
+    # at step_size 1e300 the proposals overflow to inf or NaN losses, which
+    # both descents must reject alike
     import prefgame.losses as losses
 
     rng = np.random.default_rng(seed)
@@ -986,12 +989,17 @@ def test_lockstep_descent_matches_per_init_descents_bit_for_bit(
         limit = mock.patch.object(losses, "_LOCKSTEP_BYTES", chunk * table)
     rows = []
     with limit:
-        results = minimize_loss(problem, inits, steps=steps, trace=lambda *r: rows.append(r))
+        results = minimize_loss(
+            problem, inits, steps=steps, step_size=step_size, trace=lambda *r: rows.append(r)
+        )
     assert len(results) == len(inits)
     for i, (got, z0) in enumerate(zip(results, inits)):
         want_rows = []
         trace = (lambda *r: want_rows.append(r)) if i == 0 else None
-        want = reference_minimize_loss(problem, z0, steps=steps, trace=trace)
+        with np.errstate(over="ignore", invalid="ignore"):  # the public value warns
+            want = reference_minimize_loss(
+                problem, z0, steps=steps, step_size=step_size, trace=trace
+            )
         assert got.steps_taken == want.steps_taken
         assert got.logits.sizes == got.policy.sizes == sizes
         assert _bits(got.loss, got.grad_max, got.logits.packed, got.policy.packed) == _bits(

@@ -475,6 +475,8 @@ def _descent_problem(inst):
         inst.reward, inst.reference, [inst.reference], 0.5, [NAN]), "taus"),
     (lambda inst: minimize_loss(*_descent_problem(inst), step_size=NAN), "step_size"),
     (lambda inst: minimize_loss(*_descent_problem(inst), step_size=INF), "step_size"),
+    # below the descent's stop floor it would stop before its first step
+    (lambda inst: minimize_loss(*_descent_problem(inst), step_size=1e-19), "step_size"),
     (lambda inst: minimize_loss(*_descent_problem(inst), steps=-1), "steps"),
     (lambda inst: minimize_loss(*_descent_problem(inst), steps=NAN), "steps"),
     (lambda inst: SolverConfig(eta=0.5, iterations=NAN), "iterations"),
@@ -500,7 +502,8 @@ def _descent_problem(inst):
     "solver_tau_nan", "solver_tau_inf", "best_response_kl_tau_nan",
     "exploitability_tau_nan", "dual_gap_tau_nan", "mwu_step_weights_nan",
     "average_policy_weights_nan", "closed_form_tau_ref_nan", "closed_form_taus_nan",
-    "minimize_step_size_nan", "minimize_step_size_inf", "minimize_steps_negative",
+    "minimize_step_size_nan", "minimize_step_size_inf", "minimize_step_size_below_floor",
+    "minimize_steps_negative",
     "minimize_steps_nan", "solver_iterations_nan", "solver_iterations_fractional",
     "solver_n_players_nan", "solver_metric_stride_nan", "exploitability_n_players_nan",
     "ipo_tau_nan", "rankings_count_nan", "rankings_pool_size_nan",
