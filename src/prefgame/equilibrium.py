@@ -20,9 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .instances import (
-    GameInstance, RewardTable, TabularPolicy, _Record, _require_count, _softmax_policy
-)
+from .instances import GameInstance, RewardTable, TabularPolicy, _Record, _require_count
 from .objectives import (
     Aggregator,
     MEAN_PAIRWISE,
@@ -60,10 +58,11 @@ def best_response_unregularized(
     allowed = instance.reference.packed > 0.0
     w = np.where(allowed, win, -np.inf)
     ties = allowed & (w >= w.max(axis=1, keepdims=True) - TIE_TOL)
-    # the softmax of zeros over the tie set splits the mass uniformly
-    policy = _softmax_policy(
-        np.zeros_like(win), ties, instance.space.sizes, "reference support is empty"
-    )
+    count = ties.sum(axis=1, keepdims=True)
+    if not count.all():
+        raise ValueError(f"prompt {int(np.argmin(count))}: reference support is empty")
+    # an even split of the ties: the bits of a softmax of zeros over them
+    policy = TabularPolicy._wrap(ties / count, instance.space.sizes)
     return BestResponseResult(policy, _player_value(policy, win, instance, 0.0), win)
 
 

@@ -342,20 +342,20 @@ def policy_from_rows(rows: Sequence[Sequence[float]]) -> TabularPolicy:
 
 
 def _softmax_policy(
-    logits: np.ndarray, live: np.ndarray, sizes, empty: str = "no live response"
+    logits: np.ndarray, live: np.ndarray | None, sizes, empty: str = "no live response"
 ) -> TabularPolicy:
     """Row-wise softmax of padded (P, K) logits over the live entries.
 
-    Dead entries, and live ones at -inf, get probability 0. The result is
-    the policy's storage as is. A prompt with no finite live logit raises
-    ValueError with `empty` as the reason.
+    Dead entries, and live ones at -inf, get probability 0; live=None takes
+    logits already at -inf on the dead entries, with no +inf or NaN. The
+    result is the policy's storage as is. A prompt with no finite live
+    logit raises ValueError with `empty` as the reason.
     """
-    z = np.where(live, logits, -np.inf)
+    z = logits if live is None else np.where(live, logits, -np.inf)
     # a row max is exact in any order, and numpy reduces a contiguous axis 0 faster
     top = np.ascontiguousarray(z.T).max(axis=0)[:, None]
-    dead = ~np.isfinite(top[:, 0])
-    if dead.any():
-        raise ValueError(f"prompt {int(np.argmax(dead))}: {empty}")
+    if not np.isfinite(top).all():
+        raise ValueError(f"prompt {int(np.argmin(np.isfinite(top)))}: {empty}")
     e = np.exp(z - top)
     return TabularPolicy._wrap(e / e.sum(axis=1, keepdims=True), sizes)
 
@@ -689,19 +689,19 @@ def load_instance(path) -> GameInstance:
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_row(row: np.ndarray) -> str:
-    """A list of floats as json.dumps(..., indent=1) writes it two levels deep."""
-    if len(row) == 0:
-        return "[]"
-    items = [_JSON_NONFINITE.get(s, s) for s in map(float.__repr__, row.tolist())]
-    return "[\n   " + ",\n   ".join(items) + "\n  ]"
-
-
 def save_policy(policy: TabularPolicy, path) -> None:
     """Write {"rows": ...} with the bytes of json.dumps(..., indent=1), in one write."""
-    rows = ",\n  ".join(map(_json_row, policy.rows))
+    packed, sizes = policy.packed, policy.sizes
+    live = packed[_live_rows(sizes, packed.shape[1])]  # each prompt's entries, in row order
+    items = list(map(float.__repr__, live.tolist()))
+    if not np.isfinite(live).all():
+        items = [_JSON_NONFINITE.get(s, s) for s in items]
+    rows, end = [], 0
+    for k in sizes:  # a row as json.dumps writes a list of floats two levels deep
+        rows.append("[\n   " + ",\n   ".join(items[end:end + k]) + "\n  ]" if k else "[]")
+        end += k
     with open(path, "w") as fh:
-        fh.write('{\n "rows": [\n  ' + rows + "\n ]\n}\n")
+        fh.write('{\n "rows": [\n  ' + ",\n  ".join(rows) + "\n ]\n}\n")
 
 
 def load_policy(path) -> TabularPolicy:

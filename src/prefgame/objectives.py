@@ -130,6 +130,8 @@ def expected_win_rates(
     for o in opponents:
         _require_sizes(o, sizes, "opponent")
     if aggregator.kind == "mean_pairwise":
+        if len(opponents) == 1:  # the same bits as the stacked form, without the stack
+            return np.einsum("pab,pb->pa", instance.preference.packed, opponents[0].packed)
         stacked = np.array([o.packed for o in opponents])  # np.stack costs 4 us more
         return np.einsum("pab,npb->pa", instance.preference.packed, stacked) / len(opponents)
 
@@ -251,14 +253,19 @@ def closed_form_multi_teacher_optimum(
         raise ValueError("need a strictly positive total KL coefficient")
 
     _require_sizes(rewards, reference.sizes, "rewards")
-    with np.errstate(over="ignore", divide="ignore"):
-        logit = rewards.packed / tau
-        if not logit.max() < np.inf:  # +inf or NaN (max keeps a NaN) would read as no support
-            raise ValueError(f"rewards / tau overflows or is NaN at tau {tau}")
-        for coeff, anchor in zip((tau_ref, *taus), (reference, *teachers)):
+    coeffs, anchors = (tau_ref, *taus), (reference, *teachers)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        logit = rewards.packed if tau == 1.0 else rewards.packed / tau
+        for coeff, anchor in zip(coeffs, anchors):
             _require_sizes(anchor, reference.sizes, "teacher")
-            if coeff > 0.0:
-                logit = logit + (coeff / tau) * np.log(anchor.packed)
-    return _softmax_policy(
-        logit, np.isfinite(logit), reference.sizes, "anchors share no support"
-    )
+            if coeff > 0.0:  # coeff / tau can underflow to 0, and 0 * log(0) is NaN
+                log = np.log(anchor.packed)
+                logit = logit + (log if coeff == tau else (coeff / tau or math.ulp(0.0)) * log)
+    if not logit.max() < np.inf:  # +inf or NaN (max keeps a NaN) would read as no support
+        for i, (coeff, anchor) in enumerate(zip(coeffs, anchors)):
+            if coeff > 0.0 and not (np.isfinite(anchor.packed) & (anchor.packed >= 0.0)).all():
+                name = f"teacher {i - 1}" if i else "reference"
+                raise ValueError(f"{name} has a NaN, +inf or negative entry")
+        raise ValueError(f"rewards / tau overflows or is NaN at tau {tau}")
+    # past that check -inf is the only non-finite logit: the softmax needs no live mask
+    return _softmax_policy(logit, None, reference.sizes, "anchors share no support")

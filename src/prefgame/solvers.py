@@ -135,19 +135,20 @@ def mwu_step(
     if len(opponents) == 0:
         raise ValueError("need at least one opponent")
     _require_positive(eta, f"eta must be positive and finite, got {eta}")
-    w = _mixture_weights(weights, len(opponents), "opponent")
+    w = _mixture_weights(weights, len(opponents), "opponent").tolist()
     sizes = instance.space.sizes
     for opp in opponents:
         _require_sizes(opp, sizes, "opponent")
     pool = opponents  # plackett_luce draws the pool jointly: w weights its anchors only
     if aggregator.kind == "mean_pairwise":  # sum_j w_j M pi_j = M (sum_j w_j pi_j)
-        pool = [TabularPolicy._wrap(sum(wj * o.packed for wj, o in zip(w, opponents)), sizes)]
+        terms = [wj * o.packed for wj, o in zip(w, opponents)]
+        pool = [TabularPolicy._wrap(sum(terms[1:], terms[0]), sizes)]  # not from 0: a pass less
     win = eta * expected_win_rates(instance, pool, aggregator)
     # -inf off the reference support: a never-winning response gets no mass
     rewards = RewardTable._wrap(np.where(instance.reference.packed > 0.0, win, -np.inf), sizes)
     return closed_form_multi_teacher_optimum(
         rewards, instance.reference, opponents, eta * tau,
-        [(1.0 - eta * tau) * wj for wj in w.tolist()],
+        [(1.0 - eta * tau) * wj for wj in w],
     )
 
 

@@ -16,7 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from prefgame import (
+    MEAN_PAIRWISE,
     NORMALIZATION_TOL,
+    TIE_TOL,
     GameInstance,
     MinimizeResult,
     PairwisePreference,
@@ -28,6 +30,7 @@ from prefgame import (
     TabularPolicy,
     best_response_kl,
     best_response_unregularized,
+    expected_win_rates,
     logits_to_policy,
     two_player_objective,
 )
@@ -369,6 +372,94 @@ def reference_minimize_loss(
             step *= 0.5
     policy = logits_to_policy(z, problem.instance.reference)
     return MinimizeResult(policy, z, val, gmax, taken)
+
+
+def sparse_game(
+    rng: np.random.Generator, aggregator, n_opponents: int
+) -> tuple[GameInstance, list[TabularPolicy]]:
+    """An uneven instance with zeros in the reference, and opponents on its support.
+
+    About a third of each reference row is zeroed, one entry always kept.
+    plackett_luce enumerates k^(n_opponents + 1) tuples a prompt, so its
+    prompts have at most 5 responses; mean_pairwise ones have up to 12.
+    """
+    k_max = 12 if aggregator.kind == "mean_pairwise" else 5
+    inst = random_instance(rng, num_prompts=int(rng.integers(2, 7)), max_responses=k_max)
+    rows = []
+    for row in inst.reference.rows:
+        keep = rng.random(len(row)) > 0.35
+        keep[rng.integers(len(row))] = True
+        rows.append(np.where(keep, row, 0.0) / row[keep].sum())
+    inst = GameInstance(
+        prompt_weights=inst.prompt_weights,
+        space=inst.space,
+        reference=TabularPolicy(tuple(rows)),
+        preference=inst.preference,
+        reward=inst.reward,
+    )
+    opponents = []
+    for _ in range(n_opponents):
+        masked = [r * (ref > 0.0) for r, ref in zip(
+            random_policy(rng, inst.space.sizes, interior=False).rows, inst.reference.rows
+        )]
+        opponents.append(TabularPolicy(tuple(r / r.sum() for r in masked)))
+    return inst, opponents
+
+
+def _reference_softmax(logits: np.ndarray, live: np.ndarray, sizes) -> TabularPolicy:
+    """Row softmax over the live entries, masking the dead ones with where first."""
+    z = np.where(live, logits, -np.inf)
+    top = z.max(axis=1, keepdims=True)
+    if not np.isfinite(top).all():
+        raise ValueError("a prompt has no finite live logit")
+    e = np.exp(z - top)
+    p = e / e.sum(axis=1, keepdims=True)
+    return TabularPolicy(tuple(p[x, :k] for x, k in enumerate(sizes)))
+
+
+def reference_mwu_step(
+    opponents: Sequence[TabularPolicy],
+    instance: GameInstance,
+    eta: float,
+    weights: Sequence[float] | None = None,
+    tau: float = 0.0,
+    aggregator=MEAN_PAIRWISE,
+) -> TabularPolicy:
+    """mwu_step as the longer call sequence that its lean form replaced.
+
+    The weighted pool is summed from 0, stacked, and averaged with
+    einsum("pab,npb->pa") / n; the rewards are divided by the total
+    coefficient even when it is 1; every weighted anchor's log is scaled by
+    coeff / tau; and the softmax masks the non-finite logits with isfinite
+    and where. mwu_step must give the same bits.
+    """
+    n = len(opponents)
+    w = np.full(n, 1.0 / n) if weights is None else np.asarray(weights, dtype=np.float64)
+    if aggregator.kind == "mean_pairwise":
+        stacked = np.array([sum(wj * o.packed for wj, o in zip(w, opponents))])
+        win = np.einsum("pab,npb->pa", instance.preference.packed, stacked) / len(stacked)
+    else:
+        win = expected_win_rates(instance, opponents, aggregator)
+    rewards = np.where(instance.reference.packed > 0.0, eta * win, -np.inf)
+    coeffs = [eta * tau] + [(1.0 - eta * tau) * wj for wj in w.tolist()]
+    total = coeffs[0] + sum(coeffs[1:])
+    with np.errstate(divide="ignore"):
+        logit = rewards / total
+        for coeff, anchor in zip(coeffs, (instance.reference, *opponents)):
+            if coeff > 0.0:
+                logit = logit + (coeff / total) * np.log(anchor.packed)
+    return _reference_softmax(logit, np.isfinite(logit), instance.space.sizes)
+
+
+def reference_tie_split(
+    instance: GameInstance, opponents: Sequence[TabularPolicy], aggregator=MEAN_PAIRWISE
+) -> TabularPolicy:
+    """The unregularized best response as the softmax of zeros over its ties."""
+    win = expected_win_rates(instance, opponents, aggregator)
+    allowed = instance.reference.packed > 0.0
+    w = np.where(allowed, win, -np.inf)
+    ties = allowed & (w >= w.max(axis=1, keepdims=True) - TIE_TOL)
+    return _reference_softmax(np.zeros(win.shape), ties, instance.space.sizes)
 
 
 def squared_distance(margin: float, target: float) -> float:

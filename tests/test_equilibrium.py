@@ -5,7 +5,13 @@ import pytest
 
 import prefgame.equilibrium as equilibrium
 import prefgame.objectives as objectives
-from helpers import random_instance, random_policy, reference_dual_gap
+from helpers import (
+    random_instance,
+    random_policy,
+    reference_dual_gap,
+    reference_tie_split,
+    sparse_game,
+)
 from prefgame import (
     MEAN_PAIRWISE,
     PLACKETT_LUCE,
@@ -14,6 +20,7 @@ from prefgame import (
     GameInstance,
     NegativeGapError,
     PairwisePreference,
+    RewardTable,
     best_response_kl,
     best_response_unregularized,
     config_from_dict,
@@ -94,6 +101,39 @@ def test_best_response_stays_on_reference_support(rng):
     opp = random_policy(rng, inst.space.sizes)
     br = best_response_unregularized(clipped, [opp])
     assert br.policy.rows[0][0] == 0.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("aggregator", [MEAN_PAIRWISE, PLACKETT_LUCE])
+def test_unregularized_best_response_gives_the_bits_of_the_tie_softmax(seed, aggregator):
+    rng = np.random.default_rng(seed)
+    inst, opponents = sparse_game(rng, aggregator, 2)
+    if seed % 2:  # an indifferent oracle ties every response on the reference support
+        inst = GameInstance(
+            prompt_weights=inst.prompt_weights,
+            space=inst.space,
+            reference=inst.reference,
+            preference=PairwisePreference(tuple(np.full((k, k), 0.5) for k in inst.space.sizes)),
+            reward=RewardTable(tuple(np.zeros(k) for k in inst.space.sizes)),
+        )
+    got = best_response_unregularized(inst, opponents, aggregator).policy
+    want = reference_tie_split(inst, opponents, aggregator)
+    assert np.array_equal(got.packed, want.packed)
+
+
+def test_unregularized_best_response_names_an_empty_reference_row(rng):
+    inst = random_instance(rng, num_prompts=3, max_responses=4)
+    rows = [r.copy() for r in inst.reference.rows]
+    rows[1][:] = 0.0
+    empty = GameInstance(
+        prompt_weights=inst.prompt_weights,
+        space=inst.space,
+        reference=policy_from_rows(rows),
+        preference=inst.preference,
+        reward=inst.reward,
+    )
+    with pytest.raises(ValueError, match="prompt 1: reference support is empty"):
+        best_response_unregularized(empty, [inst.reference])
 
 
 def test_kl_best_response_huge_tau_returns_reference(rps, rng):

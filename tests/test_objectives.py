@@ -457,6 +457,42 @@ def test_closed_form_gives_a_minus_inf_logit_zero_mass(rewards, tau):
     assert opt.rows[0].tolist() == [0.0, 1.0]
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -0.1])
+@pytest.mark.parametrize("bad_teacher", [False, True])
+def test_closed_form_names_an_anchor_entry_that_is_no_probability(entry, bad_teacher):
+    # such an entry used to drop its response silently: [0, 0.526, 0.474] for
+    # a NaN, and the same after a RuntimeWarning from log for a negative one
+    r = RewardTable((np.array([0.1, 0.2, 0.3]),))
+    good = policy_from_rows([[0.5, 0.3, 0.2]])
+    bad = policy_from_rows([[0.2, 0.4, entry]])
+    ref, teacher = (good, bad) if bad_teacher else (bad, good)
+    name = "teacher 0" if bad_teacher else "reference"
+    with pytest.raises(ValueError, match=f"{name} has a NaN, \\+inf or negative entry"):
+        closed_form_multi_teacher_optimum(r, ref, [teacher], 0.5, [0.5])
+
+
+def test_closed_form_ignores_the_entries_of_an_unweighted_anchor():
+    r = RewardTable((np.array([0.1, 0.2, 0.3]),))
+    ref = policy_from_rows([[0.5, 0.3, 0.2]])
+    bad = policy_from_rows([[np.nan, np.inf, -1.0]])
+    opt = closed_form_multi_teacher_optimum(r, ref, [bad], 0.5, [0.0])
+    alone = closed_form_multi_teacher_optimum(r, ref, [], 0.5, [])
+    assert np.array_equal(opt.packed, alone.packed)
+
+
+def test_closed_form_keeps_an_anchor_whose_share_of_tau_underflows():
+    # 5e-324 / 2.0 rounds to 0; the teacher still excludes its zero entry
+    r = RewardTable((np.array([0.1, 0.2, 0.3]),))
+    ref = policy_from_rows([[0.5, 0.3, 0.2]])
+    teacher = policy_from_rows([[0.0, 0.5, 0.5]])
+    tiny = math.ulp(0.0)
+    assert tiny / 2.0 == 0.0
+    opt = closed_form_multi_teacher_optimum(r, ref, [teacher], 2.0, [tiny])
+    want = np.array([0.0, 0.3 * math.exp(0.1), 0.2 * math.exp(0.15)])
+    assert opt.rows[0][0] == 0.0
+    assert np.allclose(opt.rows[0], want / want.sum(), rtol=1e-15, atol=0.0)
+
+
 def test_closed_form_rejects_zero_total_coefficient(rng):
     inst = random_instance(rng)
     with pytest.raises(ValueError, match="positive"):

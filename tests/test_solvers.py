@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_instance, random_policy
+from helpers import random_instance, random_policy, reference_mwu_step, sparse_game
 from prefgame import (
     MEAN_PAIRWISE,
     PLACKETT_LUCE,
@@ -443,6 +443,40 @@ def test_history_window_run_is_the_chain_of_mwu_steps(mixed, tau):
         opponents = [window[max(len(window) - 1 - j, 0)] for j in range(3)]
         window = window[-3:] + [mwu_step(opponents, mixed, 0.5, weights, tau)]
     assert np.array_equal(res.final.packed, window[-1].packed)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.3])
+@pytest.mark.parametrize("n_players", [2, 3, 5])
+def test_self_play_copies_run_is_the_chain_of_mwu_steps(mixed, tau, n_players):
+    cfg = SolverConfig(eta=0.5, iterations=12, n_players=n_players, tau=tau)
+    res = self_play_run(mixed, cfg)
+    current = reference = mixed.reference
+    for _ in range(cfg.iterations):
+        current = mwu_step([current] * (n_players - 1), mixed, 0.5, None, tau)
+        reference = reference_mwu_step([reference] * (n_players - 1), mixed, 0.5, None, tau)
+    assert np.array_equal(res.final.packed, current.packed)
+    assert np.array_equal(res.final.packed, reference.packed)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("aggregator", [MEAN_PAIRWISE, PLACKETT_LUCE])
+@pytest.mark.parametrize("skewed", [False, True])
+@pytest.mark.parametrize("n_players", [2, 3, 5])
+@pytest.mark.parametrize("tau", [0.0, 0.3])
+def test_mwu_step_gives_the_bits_of_the_stacked_call_sequence(
+    seed, aggregator, skewed, n_players, tau
+):
+    rng = np.random.default_rng(seed)
+    inst, opponents = sparse_game(rng, aggregator, n_players - 1)
+    weights = None
+    if skewed and n_players == 2:  # a lone weight just under 1, within the sum tolerance
+        weights = [1.0 - 2.0**-53]
+    elif skewed:
+        w = rng.random(n_players - 1) ** 4 + 1e-3
+        weights = (w / w.sum()).tolist()
+    got = mwu_step(opponents, inst, 0.7, weights, tau, aggregator)
+    want = reference_mwu_step(opponents, inst, 0.7, weights, tau, aggregator)
+    assert np.array_equal(got.packed, want.packed)
 
 
 # ---------------------------------------------------------------------------
