@@ -12,6 +12,7 @@ import numpy as np
 
 from prefgame import (
     PRESET_NAMES,
+    LossConfig,
     PolicyLogits,
     UpdateMatchingProblem,
     compare_presets,
@@ -24,7 +25,6 @@ from prefgame import (
     preset,
     rps_instance,
     update_matching_loss,
-    winner_target_loss,
 )
 
 
@@ -62,10 +62,12 @@ def main():
     print(f"loss at the closed-form step itself:"
           f" {update_matching_loss(closed, inst, ref, [ref], eta):.3e}")
 
-    # at eta = 1 the winner-targeted loss is the same objective shifted
+    # at eta = 1 the winner-targeted loss (the same margin regressed onto
+    # the constant 1 / (2 eta)) is the same objective shifted
     print("\nwinner-target minus update-matching at 10 random policies (eta=1):")
+    winner = LossConfig((ref,), (1.0,), "sq", 0.5)
     diffs = [
-        winner_target_loss(q, inst, ref, [ref], 1.0)
+        pair_margin_loss(q, [ref], winner, inst)
         - update_matching_loss(q, inst, ref, [ref], 1.0)
         for q in (random_interior(rng, inst.space.sizes) for _ in range(10))
     ]

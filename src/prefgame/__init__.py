@@ -67,21 +67,17 @@ from .losses import (
     METRICS,
     PRESET_NAMES,
     TARGET_RULES,
-    ExternalMarginProblem,
     LossConfig,
     MinimizeResult,
     PairMarginProblem,
     PolicyLogits,
     UpdateMatchingProblem,
-    WinnerTargetProblem,
-    external_margin_loss,
     log_ratio_margin,
     logits_to_policy,
     minimize_loss,
     pair_margin_loss,
     preset,
     update_matching_loss,
-    winner_target_loss,
 )
 from .reward_learning import (
     FitResult,

@@ -453,6 +453,7 @@ def sample_preference_dataset(
     Bernoulli judgment.
     """
     _require_count(size, 0, f"size must be a nonnegative integer, got {size!r}")
+    _require_sizes(policy, instance.space.sizes, "policy")
     out = []
     weights = instance.prompt_weights
     for _ in range(size):

@@ -15,13 +15,13 @@ whose b -> +inf limit is -log sigmoid(a), the classic logistic preference
 loss. Named presets (dpo, ipo, sppo, spin, dno, inpo, simpo, distill_dpo)
 are nothing but particular (opponents, weights, metric, target) choices.
 
-Two closed-form companions tie the family to the self-play solver, and
-both are family members too: the squared loss whose exact minimizer is
-the next multiplicative-weights iterate (update_matching_loss), and its
-sampled-target simplification with the constant winner target
-(winner_target_loss). With the constant target 1/(2 eta) the two differ
-by a policy-independent constant exactly at eta = 1 when the pair source
-equals the opponent mixture; tests pin that configuration.
+The squared loss whose exact minimizer is the next multiplicative-weights
+iterate ties the family to the self-play solver (update_matching_loss).
+Its winner-target variant regresses the same equal-weight margin onto the
+constant 1/(2 eta) instead, and an external-anchor loss names its fixed
+opponent policies in the config and draws pairs from an explicit source;
+both are plain LossConfigs, and tests pin that at eta = 1 the winner
+target differs from update matching by a policy-independent constant.
 
 One evaluator computes every loss and gradient from one padded table of
 pair weights W[x, a, b]: in exact-expectation mode cur(a) * cur(b) * M[a, b]
@@ -52,7 +52,6 @@ from .instances import (
     TabularPolicy,
     _PerPrompt,
     _Record,
-    _mixture_weights,
     _raise_at_first,
     _require_count,
     _require_positive,
@@ -370,25 +369,22 @@ def pair_margin_loss(
 
 
 # ---------------------------------------------------------------------------
-# named configurations: the solver companions and external anchors
+# the update-matching configuration
 
 
-def _matching_config(opponents, eta, winner_target=False) -> LossConfig:
-    """The member behind update_matching_loss and winner_target_loss.
+def _matching_config(opponents, eta) -> LossConfig:
+    """The member behind update_matching_loss and UpdateMatchingProblem.
 
     The squared metric on the equal-weight margin, regressed onto the
     eta-scaled win-rate gap (the zero target at eta = 0, which a config's
-    eta cannot be) or onto 1 / (2 eta).
+    eta cannot be).
     """
     if len(opponents) == 0:
         raise ValueError("need at least one opponent")
     n = len(opponents)
-    if winner_target:
-        target, eta = 1.0 / (2.0 * eta), 1.0
-    elif eta == 0.0:
+    target = "win_rate_gap"
+    if eta == 0.0:
         target, eta = 0.0, 1.0
-    else:
-        target = "win_rate_gap"
     return LossConfig(tuple(opponents), (1.0 / n,) * n, "sq", target, eta)
 
 
@@ -405,57 +401,10 @@ def update_matching_loss(
     where h is the equal-weight margin and Theta the scaled win-rate
     advantage. The residual is swap-symmetric, so the winner weighting
     only halves the plain iid-pair sum; it matters when this loss is
-    compared against the winner-target variant, whose residual is not.
+    compared against the winner-target config, whose residual is not.
     """
     config = _matching_config(opponents, eta)
     return pair_margin_loss(policy, [current], config, instance)
-
-
-def winner_target_loss(
-    policy: TabularPolicy,
-    instance: GameInstance,
-    current: TabularPolicy,
-    opponents: Sequence[TabularPolicy],
-    eta: float,
-) -> float:
-    """Sampled-target variant: winner-ordered pairs against 1 / (2 eta).
-
-    E over distinct pairs (y, y') from `current` and a Bernoulli winner
-    draw of (h(y_w, y_l) - 1/(2 eta))^2. Ordered pair (a, b) carries
-    weight cur(a) cur(b) M[a, b], the same distribution as the
-    update-matching loss, so the two differ by a policy-independent
-    constant whenever eta = 1.
-    """
-    config = _matching_config(opponents, eta, winner_target=True)
-    return pair_margin_loss(policy, [current], config, instance)
-
-
-def _anchored(instance, externals, config, pair_policy):
-    """(history, config) of the external-anchor variant of `config`."""
-    if len(externals) == 0:
-        raise ValueError("need at least one external policy")
-    _mixture_weights(config.weights, len(externals), "external-opponent")
-    anchored = LossConfig(tuple(externals), *config._values()[1:])  # every other field as is
-    source = instance.reference if pair_policy is None else pair_policy
-    return [source], anchored
-
-
-def external_margin_loss(
-    policy: TabularPolicy,
-    externals: Sequence[TabularPolicy],
-    config: LossConfig,
-    instance: GameInstance,
-    data: Sequence[tuple[int, int, int]] | None = None,
-    pair_policy: TabularPolicy | None = None,
-) -> float:
-    """Family variant with fixed external opponents and convex weights.
-
-    The weights must sum to exactly one (within tolerance), so the margin
-    is a proper mixture of anchored log ratios. Exact mode draws pairs
-    from pair_policy, defaulting to the reference.
-    """
-    history, anchored = _anchored(instance, externals, config, pair_policy)
-    return pair_margin_loss(policy, history, anchored, instance, data)
 
 
 # ---------------------------------------------------------------------------
@@ -526,22 +475,6 @@ class UpdateMatchingProblem(PairMarginProblem):
 
     def gradient(self, logits):
         return super().gradient(logits)
-
-
-class WinnerTargetProblem(PairMarginProblem):
-    """winner_target_loss as a function of logits."""
-
-    def __init__(self, instance, current, opponents, eta):
-        config = _matching_config(opponents, eta, winner_target=True)
-        super().__init__(instance, [current], config)
-
-
-class ExternalMarginProblem(PairMarginProblem):
-    """external_margin_loss as a function of logits."""
-
-    def __init__(self, instance, externals, config, data=None, pair_policy=None):
-        history, anchored = _anchored(instance, externals, config, pair_policy)
-        super().__init__(instance, history, anchored, data)
 
 
 class MinimizeResult(_Record, eq=False):

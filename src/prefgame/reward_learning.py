@@ -253,8 +253,7 @@ def fit_pl_reward(
     filled = _live_rows(sizes, max(sizes))
     packed = np.zeros(filled.shape)
     if init is not None:
-        if init.sizes != sizes:
-            raise ValueError("init does not match the instance's response counts")
+        _require_sizes(init, sizes, "init")
         packed[filled] = init.packed[filled]
     rewards = RewardTable._wrap(_center(packed, sizes), sizes)
 

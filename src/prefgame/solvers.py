@@ -107,13 +107,14 @@ class RunLog(_Record):
     def from_csv(path) -> "RunLog":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, None)
             if header != _RUN_LOG_HEADER:
                 raise ValueError(f"unexpected run-log header {header}")
-            records = tuple(
-                RunRecord(int(row[0]), *(float(v) for v in row[1:4]))
-                for row in reader
-            )
+            records = []
+            for row in reader:
+                if len(row) != 5:
+                    raise ValueError(f"run-log row {len(records)} needs 5 fields, got {row}")
+                records.append(RunRecord(int(row[0]), *(float(v) for v in row[1:4])))
         return RunLog(records)
 
 

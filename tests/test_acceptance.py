@@ -44,6 +44,7 @@ from prefgame import (
     multi_teacher_objective,
     multiplayer_objective,
     mwu_step,
+    pair_margin_loss,
     pl_nll,
     pl_nll_gradient,
     point_mass_policy,
@@ -54,7 +55,6 @@ from prefgame import (
     two_player_objective,
     uniform_policy,
     update_matching_loss,
-    winner_target_loss,
     write_bundled,
 )
 
@@ -138,11 +138,12 @@ def test_criterion_04_winner_target_differs_by_a_constant(capsys):
     rng = np.random.default_rng(404)
     for inst in (rps_instance(), bt_instance(), mixed_instance()):
         ref = inst.reference
+        winner = LossConfig((ref,), (1.0,), "sq", 0.5)  # target 1 / (2 eta)
         diffs = []
         for _ in range(10):
             p = random_policy(rng, inst.space.sizes)
             diffs.append(
-                winner_target_loss(p, inst, ref, [ref], 1.0)
+                pair_margin_loss(p, [ref], winner, inst)
                 - update_matching_loss(p, inst, ref, [ref], 1.0)
             )
         assert max(diffs) - min(diffs) <= 1e-9

@@ -29,6 +29,7 @@ from prefgame import (
     MinimizeResult,
     PolicyLogits,
     RankedComparison,
+    Rankings,
     RunLog,
     RunRecord,
     SelfPlayResult,
@@ -36,6 +37,7 @@ from prefgame import (
     average_policy,
     dual_gap_two_player,
     exploitability_multiplayer,
+    fit_pl_reward,
     multiplayer_objective,
     mwu_step,
     two_player_objective,
@@ -122,6 +124,12 @@ _MISMATCHED_CALLS = {
     "average_policy": lambda inst, ok, bad: average_policy([ok, bad]),
     "update_matching_loss": lambda inst, ok, bad: update_matching_loss(
         bad, inst, ok, [ok], 0.5
+    ),
+    "sample_preference_dataset": lambda inst, ok, bad: sample_preference_dataset(
+        inst, bad, 5, np.random.default_rng(0)
+    ),
+    "fit_pl_reward": lambda inst, ok, bad: fit_pl_reward(
+        Rankings(), inst, init=RewardTable(bad.rows)
     ),
 }
 

@@ -17,15 +17,12 @@ from helpers import (
     squared_distance,
 )
 from prefgame import (
-    ExternalMarginProblem,
     LossConfig,
     PairMarginProblem,
     PolicyLogits,
     SupportViolation,
     UpdateMatchingProblem,
-    WinnerTargetProblem,
     closed_form_multi_teacher_optimum,
-    external_margin_loss,
     kl_divergence,
     log_ratio_margin,
     logits_to_policy,
@@ -39,9 +36,8 @@ from prefgame import (
     sample_preference_dataset,
     uniform_policy,
     update_matching_loss,
-    winner_target_loss,
 )
-from prefgame.losses import PRESET_NAMES, _anchored
+from prefgame.losses import PRESET_NAMES
 
 
 def softplus(x):
@@ -179,7 +175,12 @@ def test_update_matching_loss_needs_opponents(rng):
 
 
 # ---------------------------------------------------------------------------
-# winner-target loss
+# winner-target loss: the update-matching margin regressed onto 1 / (2 eta)
+
+
+def winner_config(opponents, eta):
+    n = len(opponents)
+    return LossConfig(tuple(opponents), (1.0 / n,) * n, "sq", 1.0 / (2.0 * eta))
 
 
 def test_winner_target_loss_nonnegative(rng):
@@ -187,7 +188,7 @@ def test_winner_target_loss_nonnegative(rng):
         inst = random_instance(rng)
         cur = random_policy(rng, inst.space.sizes)
         pol = random_policy(rng, inst.space.sizes)
-        assert winner_target_loss(pol, inst, cur, [cur], 1.0) >= 0.0
+        assert pair_margin_loss(pol, [cur], winner_config([cur], 1.0), inst) >= 0.0
 
 
 def test_winner_and_update_losses_share_their_minimizer_at_unit_step(rng):
@@ -197,8 +198,12 @@ def test_winner_and_update_losses_share_their_minimizer_at_unit_step(rng):
     cur = random_policy(rng, inst.space.sizes)
     closed = mwu_step([cur], inst, 1.0)
     z0 = PolicyLogits(tuple(rng.standard_normal(k) for k in inst.space.sizes))
-    for cls in (UpdateMatchingProblem, WinnerTargetProblem):
-        res = minimize_loss(cls(inst, cur, [cur], 1.0), z0, steps=6000)
+    problems = (
+        UpdateMatchingProblem(inst, cur, [cur], 1.0),
+        PairMarginProblem(inst, [cur], winner_config([cur], 1.0)),
+    )
+    for problem in problems:
+        res = minimize_loss(problem, z0, steps=6000)
         assert np.abs(res.policy.rows[0] - closed.rows[0]).max() <= 1e-5
 
 
@@ -210,7 +215,7 @@ def test_winner_minus_update_loss_is_constant_at_unit_step(rng):
     for _ in range(10):
         pol = random_policy(rng, inst.space.sizes)
         diffs.append(
-            winner_target_loss(pol, inst, cur, opps, 1.0)
+            pair_margin_loss(pol, [cur], winner_config(opps, 1.0), inst)
             - update_matching_loss(pol, inst, cur, opps, 1.0)
         )
     assert max(diffs) - min(diffs) <= 1e-12
@@ -344,9 +349,9 @@ def test_family_history_offset_out_of_range(rng):
 
 
 def test_named_losses_and_dataset_mode_are_family_configurations(rng):
-    # update matching and winner target are pair_margin_loss under fixed
-    # configs, values and gradients alike; dataset mode is the mean of the
-    # per-triple metric of the equal-weight margin, repeats and ties included
+    # update matching is pair_margin_loss under a fixed config, values and
+    # gradients alike; dataset mode is the mean of the per-triple metric of
+    # the equal-weight margin, repeats and ties included
     for _ in range(6):
         inst = random_instance(rng, num_prompts=3, max_responses=4)
         sizes = inst.space.sizes
@@ -357,17 +362,12 @@ def test_named_losses_and_dataset_mode_are_family_configurations(rng):
         eta = float(rng.uniform(0.2, 2.0))
         z = PolicyLogits(tuple(rng.standard_normal(k) for k in sizes))
         matching = LossConfig(tuple(opps), weights, "sq", "win_rate_gap", eta)
-        winner = LossConfig(tuple(opps), weights, "sq", 1.0 / (2.0 * eta), 1.0)
-        pairs = (
-            (update_matching_loss, UpdateMatchingProblem, matching),
-            (winner_target_loss, WinnerTargetProblem, winner),
-        )
-        for loss, cls, cfg in pairs:
-            want = pair_margin_loss(pol, [cur], cfg, inst)
-            assert loss(pol, inst, cur, opps, eta) == pytest.approx(want, rel=1e-12)
-            got = cls(inst, cur, opps, eta).gradient(z).rows
-            ref = PairMarginProblem(inst, [cur], cfg).gradient(z).rows
-            assert max_grad_rel_error(got, ref) <= 1e-12
+        want = pair_margin_loss(pol, [cur], matching, inst)
+        got = update_matching_loss(pol, inst, cur, opps, eta)
+        assert got == pytest.approx(want, rel=1e-12)
+        got = UpdateMatchingProblem(inst, cur, opps, eta).gradient(z).rows
+        ref = PairMarginProblem(inst, [cur], matching).gradient(z).rows
+        assert max_grad_rel_error(got, ref) <= 1e-12
 
         data = [
             (x, int(rng.integers(sizes[x])), int(rng.integers(sizes[x])))
@@ -513,66 +513,31 @@ def test_loss_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# external anchors
+# external anchors: explicit opponent policies, pairs from an explicit source
 
 
-def test_external_loss_matches_reference_preset(rng):
+def test_explicit_reference_opponent_equals_ref(rng):
     inst = random_instance(rng, num_prompts=1, max_responses=3)
     pol = random_policy(rng, inst.space.sizes)
-    cfg = LossConfig(("ref",), (1.0,), "sq", 0.3, eta=1.0)
+    by_name = LossConfig(("ref",), (1.0,), "sq", 0.3, eta=1.0)
+    explicit = LossConfig((inst.reference,), (1.0,), "sq", 0.3, eta=1.0)
     data = [(0, 0, 1), (0, 2, 1)]
-    via_family = pair_margin_loss(pol, [inst.reference], cfg, inst, data=data)
-    via_external = external_margin_loss(
-        pol, [inst.reference], cfg, inst, data=data
-    )
-    assert via_external == pytest.approx(via_family, rel=1e-14)
+    via_name = pair_margin_loss(pol, [inst.reference], by_name, inst, data=data)
+    via_explicit = pair_margin_loss(pol, [inst.reference], explicit, inst, data=data)
+    assert via_explicit == pytest.approx(via_name, rel=1e-14)
 
 
 def test_external_loss_identical_anchors_ignore_the_split(rng):
     inst = random_instance(rng, num_prompts=1, max_responses=4)
     pol = random_policy(rng, inst.space.sizes)
     anchor = random_policy(rng, inst.space.sizes)
-    a = external_margin_loss(
-        pol,
-        [anchor, anchor],
-        LossConfig((0, 0), (0.3, 0.7), "sq", 0.2),
-        inst,
+    a = pair_margin_loss(
+        pol, [inst.reference], LossConfig((anchor, anchor), (0.3, 0.7), "sq", 0.2), inst
     )
-    b = external_margin_loss(
-        pol,
-        [anchor, anchor],
-        LossConfig((0, 0), (0.5, 0.5), "sq", 0.2),
-        inst,
+    b = pair_margin_loss(
+        pol, [inst.reference], LossConfig((anchor, anchor), (0.5, 0.5), "sq", 0.2), inst
     )
     assert a == pytest.approx(b, rel=1e-13)
-
-
-def test_external_loss_requires_convex_weights(rng):
-    inst = random_instance(rng)
-    pol = random_policy(rng, inst.space.sizes)
-    cfg = LossConfig((0, 0), (0.5, 0.4), "sq", 0.0)
-    with pytest.raises(ValueError, match="sum to one"):
-        external_margin_loss(pol, [pol, pol], cfg, inst)
-
-
-def test_external_anchoring_keeps_every_config_field_but_opponents(rng):
-    # _anchored builds the anchored LossConfig field by field: one it left
-    # out would silently fall back to its default
-    inst = random_instance(rng, num_prompts=2, max_responses=3)
-    pol = random_policy(rng, inst.space.sizes)
-    externals = [random_policy(rng, inst.space.sizes) for _ in range(2)]
-    cfg = LossConfig((0, "ref"), (0.25, 0.75), "bwd", "reward_gap", eta=0.7, beta=1.9)
-    history, anchored = _anchored(inst, externals, cfg, None)
-    assert history == [inst.reference]
-    assert anchored.opponents == tuple(externals)
-    kept = [name for name in LossConfig._fields if name != "opponents"]
-    assert kept == ["weights", "metric", "target", "eta", "beta"]
-    for name in kept:
-        assert getattr(anchored, name) == getattr(cfg, name), name
-    by_hand = LossConfig(tuple(externals), *(getattr(cfg, name) for name in kept))
-    assert external_margin_loss(pol, externals, cfg, inst) == pair_margin_loss(
-        pol, [inst.reference], by_hand, inst
-    )
 
 
 def test_external_loss_minimized_by_multi_teacher_optimum(rng):
@@ -594,12 +559,11 @@ def test_external_loss_minimized_by_multi_teacher_optimum(rng):
             "reward_gap",
             eta=1.0 / tau,
         )
-        externals = [inst.reference, teacher]
-        at_optimum = external_margin_loss(optimum, externals, cfg, inst)
+        at_optimum = pair_margin_loss(optimum, [inst.reference], cfg, inst)
         assert at_optimum <= 1e-20
         for _ in range(100):
             probe = random_policy(rng, inst.space.sizes)
-            assert external_margin_loss(probe, externals, cfg, inst) >= at_optimum
+            assert pair_margin_loss(probe, [inst.reference], cfg, inst) >= at_optimum
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +591,7 @@ def make_problem(inst, rng, kind):
     if kind == "update":
         return UpdateMatchingProblem(inst, cur, [cur], 0.9)
     if kind == "winner":
-        return WinnerTargetProblem(inst, cur, [cur], 0.9)
+        return PairMarginProblem(inst, [cur], winner_config([cur], 0.9))
     if kind == "pair_bwd":
         return PairMarginProblem(inst, [cur], preset("dpo", beta=1.4))
     if kind == "pair_sq":
@@ -635,9 +599,7 @@ def make_problem(inst, rng, kind):
     if kind == "pair_sampled":
         data = [(0, 0, 1), (0, 1, 0)]
         return PairMarginProblem(inst, [cur], preset("ipo", tau=0.3), data)
-    return ExternalMarginProblem(
-        inst, [cur], LossConfig((cur,), (1.0,), "sq", 0.1)
-    )
+    return PairMarginProblem(inst, [inst.reference], LossConfig((cur,), (1.0,), "sq", 0.1))
 
 
 @pytest.mark.parametrize(
@@ -763,11 +725,43 @@ def test_problem_value_is_the_loss_at_the_softmax_policy(seed, metric, sampled, 
     assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
-def test_update_matching_problem_keeps_its_own_value_and_gradient():
-    # perfbench/tracing.py wraps these two by looking them up in the
-    # class namespace, so inherited methods would go untraced
-    assert "value" in UpdateMatchingProblem.__dict__
-    assert "gradient" in UpdateMatchingProblem.__dict__
+def test_benchmark_tracer_finds_every_traced_name_and_restores_it():
+    # perfbench/tracing.py looks each traced function up by module and each
+    # traced method in its class's own namespace (an inherited method would
+    # go untraced); a rename here must fail in this suite, not only in the
+    # benchmark's. The tracer module is executed from its source, unchanged.
+    import sys
+    from pathlib import Path
+
+    import prefgame.cli  # noqa: F401  (the tracer wraps cli.main)
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tracing = {"__name__": "perfbench_tracing"}
+    exec(compile(path.read_text(), str(path), "exec"), tracing)
+    traced = []
+    for mod, attr, _, _ in tracing["TRACED"]:
+        owner = sys.modules[f"prefgame.{mod}"]
+        name = attr
+        if "." in attr:
+            cls_name, name = attr.split(".")
+            owner = getattr(owner, cls_name)
+        original = vars(owner).get(name)  # a class's own namespace: nothing inherited
+        assert callable(original), f"{mod}.{attr} is not where the tracer looks"
+        traced.append((owner, name, original))
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "prefgame"]
+    namespaces = modules + [owner for owner, _, _ in traced if isinstance(owner, type)]
+    before = [dict(vars(ns)) for ns in namespaces]
+    tracer = tracing["Tracer"]()
+    tracer.install()
+    try:
+        for owner, name, original in traced:
+            assert vars(owner)[name] is not original, f"{name} was not wrapped"
+    finally:
+        tracer.uninstall()
+    for ns, was in zip(namespaces, before):
+        now = dict(vars(ns))
+        assert now.keys() == was.keys(), ns
+        assert all(now[key] is was[key] for key in was), ns
 
 
 def _random_logits(rng, sizes):
@@ -955,8 +949,8 @@ def _lockstep_problem(rng, kind):
     if kind.startswith("bwd"):
         return PairMarginProblem(inst, [cur], preset("dpo", beta=1.4), data)
     other = random_policy(rng, inst.space.sizes)
-    config = LossConfig(("ref", "ref"), (0.3, 0.7), "bwd", 2.0)
-    return ExternalMarginProblem(inst, [cur, other], config)
+    config = LossConfig((cur, other), (0.3, 0.7), "bwd", 2.0)
+    return PairMarginProblem(inst, [inst.reference], config)
 
 
 @settings(max_examples=100, deadline=None)

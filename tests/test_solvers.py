@@ -271,6 +271,23 @@ def test_run_log_csv_header_is_pinned(tmp_path):
     )
 
 
+_RUN_LOG_ROWS = "iter,gap,kl_ref,self_play_value,elapsed_ms\n0,1,0,0.5,0\n"
+
+
+@pytest.mark.parametrize("text, match", [
+    ("", "header None"),
+    (_RUN_LOG_ROWS + "1,1,0\n", "row 1 needs 5 fields"),
+    (_RUN_LOG_ROWS + "1,1,0,0.5,0,7\n", "row 1 needs 5 fields"),
+], ids=["empty", "short_row", "long_row"])
+def test_run_log_csv_rejects_an_empty_file_and_ragged_rows(tmp_path, text, match):
+    path = tmp_path / "log.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        RunLog.from_csv(path)
+    path.write_text(_RUN_LOG_ROWS)
+    assert RunLog.from_csv(path) == RunLog((RunRecord(0, 1.0, 0.0, 0.5),))
+
+
 # ---------------------------------------------------------------------------
 # self-play runs
 
