@@ -16,12 +16,12 @@ from prefgame import (
     PairwisePreference,
     ResponseSpace,
     RewardTable,
+    TabularPolicy,
     bt_instance,
     load_instance,
     make_bt_oracle,
     make_cyclic_oracle,
     mixed_instance,
-    policy_from_rows,
     rps_instance,
     sample_preference,
     save_instance,
@@ -70,7 +70,7 @@ def main():
     bad = GameInstance(
         prompt_weights=np.array([1.0]),
         space=ResponseSpace((("a", "b"),)),
-        reference=policy_from_rows([[0.6, 0.3]]),
+        reference=TabularPolicy([[0.6, 0.3]]),
         preference=PairwisePreference((np.array([[0.5, 0.9], [0.3, 0.5]]),)),
         reward=None,
     )

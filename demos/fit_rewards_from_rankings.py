@@ -14,11 +14,11 @@ from prefgame import (
     Rankings,
     ResponseSpace,
     RewardTable,
+    TabularPolicy,
     fit_pl_reward,
     generate_rankings,
     make_bt_oracle,
     pl_nll,
-    policy_from_rows,
 )
 
 
@@ -29,7 +29,7 @@ def ladder(rewards):
     return GameInstance(
         prompt_weights=np.array([1.0]),
         space=ResponseSpace((tuple(f"r{i}" for i in range(k)),)),
-        reference=policy_from_rows([np.full(k, 1.0 / k)]),
+        reference=TabularPolicy([np.full(k, 1.0 / k)]),
         preference=make_bt_oracle(table),
         reward=table,
     )

@@ -14,6 +14,7 @@ from prefgame import (
     PRESET_NAMES,
     LossConfig,
     PolicyLogits,
+    TabularPolicy,
     UpdateMatchingProblem,
     compare_presets,
     log_ratio_margin,
@@ -21,7 +22,6 @@ from prefgame import (
     mixed_instance,
     mwu_step,
     pair_margin_loss,
-    policy_from_rows,
     preset,
     rps_instance,
     update_matching_loss,
@@ -33,7 +33,7 @@ def random_interior(rng, sizes):
     for k in sizes:
         row = rng.random(k) + 0.05
         rows.append(row / row.sum())
-    return policy_from_rows(rows)
+    return TabularPolicy(rows)
 
 
 def main():

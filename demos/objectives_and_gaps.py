@@ -9,6 +9,7 @@ import numpy as np
 
 from prefgame import (
     PLACKETT_LUCE,
+    TabularPolicy,
     best_response_kl,
     best_response_unregularized,
     bt_instance,
@@ -17,7 +18,6 @@ from prefgame import (
     kl_divergence,
     multiplayer_objective,
     point_mass_policy,
-    policy_from_rows,
     rps_instance,
     two_player_objective,
     uniform_policy,
@@ -28,7 +28,7 @@ def main():
     inst = rps_instance()
     uniform = uniform_policy(inst.space)
     rock = point_mass_policy(inst.space, [0])
-    lopsided = policy_from_rows([[0.6, 0.2, 0.2]])
+    lopsided = TabularPolicy([[0.6, 0.2, 0.2]])
 
     print("value of p against q, cyclic game (0.5 = even):")
     for name, p in (("uniform", uniform), ("rock", rock), ("lopsided", lopsided)):

@@ -20,9 +20,7 @@ from .instances import (
     make_bt_oracle,
     make_cyclic_oracle,
     point_mass_policy,
-    policy_from_rows,
     policy_in_support,
-    require_valid,
     sample_preference,
     sample_preference_dataset,
     save_instance,
@@ -41,7 +39,6 @@ from .objectives import (
     kl_divergence,
     multi_teacher_objective,
     multiplayer_objective,
-    regularized_reward_objective,
     two_player_objective,
 )
 from .equilibrium import (

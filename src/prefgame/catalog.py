@@ -22,9 +22,9 @@ from .instances import (
     PairwisePreference,
     RewardTable,
     ResponseSpace,
+    TabularPolicy,
     make_bt_oracle,
     make_cyclic_oracle,
-    policy_from_rows,
     save_instance,
 )
 
@@ -39,7 +39,7 @@ def rps_instance() -> GameInstance:
     return GameInstance(
         prompt_weights=np.array([1.0]),
         space=space,
-        reference=policy_from_rows([[0.5, 0.3, 0.2]]),
+        reference=TabularPolicy([[0.5, 0.3, 0.2]]),
         preference=make_cyclic_oracle(3, 1.0),
         reward=RewardTable((np.zeros(3),)),
     )
@@ -52,7 +52,7 @@ def bt_instance() -> GameInstance:
     return GameInstance(
         prompt_weights=np.array([1.0]),
         space=space,
-        reference=policy_from_rows([[0.2, 0.2, 0.2, 0.2, 0.2]]),
+        reference=TabularPolicy([[0.2, 0.2, 0.2, 0.2, 0.2]]),
         preference=make_bt_oracle(rewards),
         reward=rewards,
     )
@@ -81,7 +81,7 @@ def mixed_instance() -> GameInstance:
     return GameInstance(
         prompt_weights=np.array([0.5, 0.3, 0.2]),
         space=space,
-        reference=policy_from_rows(
+        reference=TabularPolicy(
             [[0.2, 0.3, 0.5], [0.4, 0.3, 0.2, 0.1], [0.5, 0.5]]
         ),
         preference=preference,

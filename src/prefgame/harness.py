@@ -563,18 +563,16 @@ def gap_report(
     policy_spec: str,
     tau: float = 0.0,
     n_players: int = 2,
-    aggregator_name: str = "mean_pairwise",
+    aggregator: Aggregator = MEAN_PAIRWISE,
 ) -> dict:
     """Exploitability of a policy given as "uniform" or a policy file path.
 
-    Adds the two-sided duality gap, which is twice the exploitability,
-    when the game is the plain two-player pairwise one. The policy must be
-    valid and live on the reference support, else ValidationFailure.
+    `aggregator` is an Aggregator record, MEAN_PAIRWISE or PLACKETT_LUCE, as
+    in exploitability_multiplayer; gap.json names its kind. Adds the duality
+    gap, twice the exploitability, when the game is the plain two-player
+    pairwise one. The policy must be valid and live on the reference support,
+    else ValidationFailure.
     """
-    if aggregator_name not in _AGGREGATORS:
-        raise ConfigError(
-            f"key 'aggregator' must be one of {', '.join(_AGGREGATORS)}"
-        )
     if policy_spec == "uniform":
         policy = uniform_policy(instance.space)
     else:
@@ -588,19 +586,15 @@ def gap_report(
         raise ValidationFailure([str(err)]) from err
 
     with _sized_by("n_players"):
-        expl = float(
-            exploitability_multiplayer(
-                policy, n_players, instance, tau, _AGGREGATORS[aggregator_name]
-            )
-        )
+        expl = float(exploitability_multiplayer(policy, n_players, instance, tau, aggregator))
     doc = {
-        "aggregator": aggregator_name,
+        "aggregator": aggregator.kind,
         "exploitability": expl,
         "n_players": n_players,
         "policy": policy_spec,
         "tau": tau,
     }
-    if n_players == 2 and aggregator_name == "mean_pairwise":
+    if n_players == 2 and aggregator.kind == "mean_pairwise":
         doc["dual_gap"] = 2.0 * expl
     return doc
 
@@ -608,7 +602,7 @@ def gap_report(
 def _run_gap(instance, config: ExperimentConfig, path) -> dict:
     p = config.params
     doc = gap_report(
-        instance, p["policy"], p["tau"], p["n_players"], p["aggregator"]
+        instance, p["policy"], p["tau"], p["n_players"], _AGGREGATORS[p["aggregator"]]
     )
     _write_json(doc, path)
     return {"exploitability": doc["exploitability"]}

@@ -255,10 +255,6 @@ class TabularPolicy(_PerPrompt):
 
     rows = cached_property(_PerPrompt._views)
 
-    def support(self, prompt: int) -> np.ndarray:
-        """Boolean mask of responses with strictly positive probability."""
-        return self.rows[prompt] > 0.0
-
 
 class PairwisePreference(_PerPrompt):
     """One k_x by k_x win-probability matrix per prompt.
@@ -270,9 +266,6 @@ class PairwisePreference(_PerPrompt):
 
     _square = True
     matrices = cached_property(_PerPrompt._views)
-
-    def win_prob(self, prompt: int, first: int, second: int) -> float:
-        return float(self.matrices[prompt][first, second])
 
 
 class RewardTable(_PerPrompt):
@@ -335,10 +328,6 @@ def point_mass_policy(space: ResponseSpace, picks: Sequence[int]) -> TabularPoli
             raise ValueError(f"pick {y} out of range for prompt {x}")
         rows.append(np.where(np.arange(k) == y, 1.0, 0.0))
     return TabularPolicy(tuple(rows))
-
-
-def policy_from_rows(rows: Sequence[Sequence[float]]) -> TabularPolicy:
-    return TabularPolicy(rows)
 
 
 def _softmax_policy(
@@ -434,7 +423,7 @@ def sample_preference(
         if not 0 <= y < preference.sizes[prompt]:
             raise ValueError(f"response {y} out of range for prompt {prompt}")
     u = rng.random()
-    if u < preference.win_prob(prompt, first, second):
+    if u < preference.packed[prompt, first, second]:
         return first, second
     return second, first
 
@@ -564,14 +553,6 @@ def validate_instance(instance: GameInstance) -> list[str]:
     return bad
 
 
-def require_valid(instance: GameInstance) -> GameInstance:
-    """Raise ValueError listing all violations; returns the instance if clean."""
-    bad = validate_instance(instance)
-    if bad:
-        raise ValueError("invalid instance:\n  " + "\n  ".join(bad))
-    return instance
-
-
 def policy_in_support(policy: TabularPolicy, base: TabularPolicy) -> None:
     """Raise SupportViolation if policy puts mass outside base's support."""
     _require_sizes(policy, base.sizes, "policy")
@@ -671,7 +652,7 @@ def load_instance(path) -> GameInstance:
             raise ValueError(f"instance file missing key '{key}'")
 
     space = _field("responses", _response_space, doc["responses"])
-    reference = _field("reference", policy_from_rows, doc["reference"])
+    reference = _field("reference", TabularPolicy, doc["reference"])
     reward = None
     if "rewards" in doc:
         reward = _field("rewards", RewardTable, doc["rewards"])
@@ -709,4 +690,4 @@ def load_policy(path) -> TabularPolicy:
     doc = _read_json(path)
     if not isinstance(doc, dict) or "rows" not in doc:
         raise ValueError("policy file missing key 'rows'")
-    return _field("rows", policy_from_rows, doc["rows"])
+    return _field("rows", TabularPolicy, doc["rows"])

@@ -65,6 +65,13 @@ MEAN_PAIRWISE = Aggregator("mean_pairwise")
 PLACKETT_LUCE = Aggregator("plackett_luce")
 
 
+def _require_aggregator(aggregator) -> None:
+    """TypeError for anything but an Aggregator record, such as an aggregator's name."""
+    if not isinstance(aggregator, Aggregator):
+        msg = "aggregator must be an Aggregator (MEAN_PAIRWISE or PLACKETT_LUCE)"
+        raise TypeError(f"{msg}, got {aggregator!r}")
+
+
 # ---------------------------------------------------------------------------
 # elementary quantities
 
@@ -129,6 +136,7 @@ def expected_win_rates(
     sizes = instance.space.sizes
     for o in opponents:
         _require_sizes(o, sizes, "opponent")
+    _require_aggregator(aggregator)
     if aggregator.kind == "mean_pairwise":
         if len(opponents) == 1:  # the same bits as the stacked form, without the stack
             return np.einsum("pab,pb->pa", instance.preference.packed, opponents[0].packed)
@@ -199,16 +207,6 @@ def _player_value(
 # reward objectives
 
 
-def regularized_reward_objective(
-    policy: TabularPolicy,
-    rewards: RewardTable,
-    instance: GameInstance,
-    tau: float,
-) -> float:
-    """E_x E_pi [ r(x, y) ] - tau KL(policy || ref): the teacherless multi-teacher value."""
-    return multi_teacher_objective(policy, rewards, instance.reference, [], tau, [], instance)
-
-
 def multi_teacher_objective(
     policy: TabularPolicy,
     rewards: RewardTable,
@@ -218,7 +216,10 @@ def multi_teacher_objective(
     taus: Sequence[float],
     instance: GameInstance,
 ) -> float:
-    """Reward minus a KL anchor to the reference and to each teacher."""
+    """Reward minus a KL anchor to the reference and to each teacher.
+
+    With no teachers: the KL-regularized reward objective E r - tau_ref KL(pi || ref).
+    """
     if len(teachers) != len(taus):
         raise ValueError("need one tau per teacher")
     _require_sizes(rewards, instance.space.sizes, "rewards")

@@ -32,8 +32,8 @@ from .instances import (
     _require_count, _require_positive, _require_sizes, _write_csv,
 )
 from .objectives import (
-    Aggregator, MEAN_PAIRWISE, closed_form_multi_teacher_optimum, expected_win_rates,
-    kl_divergence,
+    Aggregator, MEAN_PAIRWISE, _require_aggregator, closed_form_multi_teacher_optimum,
+    expected_win_rates, kl_divergence,
 )
 
 OPPONENT_SCHEMES = ("self_play_copies", "history_window")
@@ -114,7 +114,11 @@ class RunLog(_Record):
             for row in reader:
                 if len(row) != 5:
                     raise ValueError(f"run-log row {len(records)} needs 5 fields, got {row}")
-                records.append(RunRecord(int(row[0]), *(float(v) for v in row[1:4])))
+                try:  # elapsed_ms must parse as a float too; it is then dropped
+                    values = [float(v) for v in row[1:]]
+                    records.append(RunRecord(int(row[0]), *values[:3]))
+                except ValueError as err:
+                    raise ValueError(f"run-log row {len(records)}: {err}") from err
         return RunLog(records)
 
 
@@ -140,6 +144,7 @@ def mwu_step(
     sizes = instance.space.sizes
     for opp in opponents:
         _require_sizes(opp, sizes, "opponent")
+    _require_aggregator(aggregator)
     pool = opponents  # plackett_luce draws the pool jointly: w weights its anchors only
     if aggregator.kind == "mean_pairwise":  # sum_j w_j M pi_j = M (sum_j w_j pi_j)
         terms = [wj * o.packed for wj, o in zip(w, opponents)]

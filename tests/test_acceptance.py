@@ -30,6 +30,7 @@ from prefgame import (
     ResponseSpace,
     RewardTable,
     SolverConfig,
+    TabularPolicy,
     UpdateMatchingProblem,
     bt_instance,
     closed_form_multi_teacher_optimum,
@@ -48,7 +49,6 @@ from prefgame import (
     pl_nll,
     pl_nll_gradient,
     point_mass_policy,
-    policy_from_rows,
     rps_instance,
     run_experiment,
     self_play_run,
@@ -257,7 +257,7 @@ def test_criterion_09_ranking_reward_recovery(capsys):
     inst = GameInstance(
         prompt_weights=np.array([1.0]),
         space=ResponseSpace((("a", "b", "c"),)),
-        reference=policy_from_rows([[1 / 3, 1 / 3, 1 / 3]]),
+        reference=TabularPolicy([[1 / 3, 1 / 3, 1 / 3]]),
         preference=make_bt_oracle(rewards),
         reward=rewards,
     )

@@ -21,6 +21,7 @@ from prefgame import (
     NegativeGapError,
     PairwisePreference,
     RewardTable,
+    TabularPolicy,
     best_response_kl,
     best_response_unregularized,
     config_from_dict,
@@ -29,7 +30,6 @@ from prefgame import (
     exploitability_multiplayer,
     multiplayer_objective,
     point_mass_policy,
-    policy_from_rows,
     run_experiment,
     save_instance,
     two_player_objective,
@@ -94,7 +94,7 @@ def test_best_response_stays_on_reference_support(rng):
     clipped = GameInstance(
         prompt_weights=inst.prompt_weights,
         space=inst.space,
-        reference=policy_from_rows(rows),
+        reference=TabularPolicy(rows),
         preference=inst.preference,
         reward=inst.reward,
     )
@@ -128,7 +128,7 @@ def test_unregularized_best_response_names_an_empty_reference_row(rng):
     empty = GameInstance(
         prompt_weights=inst.prompt_weights,
         space=inst.space,
-        reference=policy_from_rows(rows),
+        reference=TabularPolicy(rows),
         preference=inst.preference,
         reward=inst.reward,
     )
@@ -188,7 +188,7 @@ def test_kl_best_response_matches_hand_written_gibbs_rows(rng, aggregator, n_pla
             inst = GameInstance(
                 prompt_weights=inst.prompt_weights,
                 space=inst.space,
-                reference=policy_from_rows(rows),
+                reference=TabularPolicy(rows),
                 preference=inst.preference,
                 reward=inst.reward,
             )

@@ -9,29 +9,35 @@ import numpy as np
 import pytest
 
 from prefgame import (
+    MEAN_PAIRWISE,
+    PLACKETT_LUCE,
     PRESET_NAMES,
     ConfigError,
     EnumerationCapExceeded,
     ExperimentConfig,
     GameInstance,
+    TabularPolicy,
     ValidationFailure,
     compare_presets,
     config_from_dict,
     derive_rng,
+    expected_win_rates,
+    exploitability_multiplayer,
     gap_report,
     load_config,
     load_instance,
     load_policy,
     make_bt_oracle,
     mixed_instance,
+    mwu_step,
     point_mass_policy,
-    policy_from_rows,
     rankings_from_csv,
     ResponseSpace,
     rps_instance,
     run_experiment,
     save_instance,
     save_policy,
+    uniform_policy,
     write_bundled,
 )
 import prefgame.equilibrium as equilibrium
@@ -64,7 +70,7 @@ def paths(tmp_path_factory):
             GameInstance(
                 prompt_weights=rps.prompt_weights,
                 space=rps.space,
-                reference=policy_from_rows([row]),
+                reference=TabularPolicy([row]),
                 preference=rps.preference,
                 reward=rps.reward,
             ),
@@ -452,7 +458,7 @@ def test_gap_run_reads_the_dual_gap_off_one_best_response(
         monkeypatch.setattr(equilibrium, name, counted(getattr(equilibrium, name)))
     pol_path = tmp_path / "policy.json"
     rows = [np.arange(1.0, k + 1.0) / (k * (k + 1) / 2) for k in mixed_instance().space.sizes]
-    save_policy(policy_from_rows(rows), pol_path)
+    save_policy(TabularPolicy(rows), pol_path)
     doc = base_doc(paths, tmp_path, "gap", policy=str(pol_path), tau=tau)
     doc["instance"] = paths["mixed"]
     run_experiment(config_from_dict(doc))
@@ -474,7 +480,7 @@ def test_gap_multiplayer_has_no_dual_gap_key(paths, tmp_path):
 
 def test_gap_report_rejects_shape_mismatch(paths, tmp_path, rps):
     pol_path = tmp_path / "wide.json"
-    save_policy(policy_from_rows([[0.25, 0.25, 0.25, 0.25]]), pol_path)
+    save_policy(TabularPolicy([[0.25, 0.25, 0.25, 0.25]]), pol_path)
     with pytest.raises(ValidationFailure, match="response counts"):
         gap_report(rps, str(pol_path))
 
@@ -484,7 +490,7 @@ def test_gap_report_rejects_support_violation():
     inst = GameInstance(
         prompt_weights=np.array([1.0]),
         space=ResponseSpace((("a", "b"),)),
-        reference=policy_from_rows([[1.0, 0.0]]),
+        reference=TabularPolicy([[1.0, 0.0]]),
         preference=make_bt_oracle(reward),
         reward=reward,
     )
@@ -492,9 +498,29 @@ def test_gap_report_rejects_support_violation():
         gap_report(inst, "uniform")
 
 
-def test_gap_report_rejects_an_unknown_aggregator(rps):
-    with pytest.raises(ConfigError, match="key 'aggregator'"):
-        gap_report(rps, "uniform", aggregator_name="bogus")
+def test_an_aggregator_given_by_name_is_a_type_error(mixed):
+    ref = mixed.reference
+    calls = [
+        lambda: gap_report(mixed, "uniform", 0.0, 3, "plackett_luce"),
+        lambda: expected_win_rates(mixed, [ref], "mean_pairwise"),
+        lambda: mwu_step([ref], mixed, 0.5, aggregator="plackett_luce"),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="aggregator must be an Aggregator .*PLACKETT_LUCE"):
+            call()
+
+
+def test_gap_report_takes_an_aggregator_record(mixed):
+    uni = uniform_policy(mixed.space)
+    pl = gap_report(mixed, "uniform", tau=0.1, n_players=3, aggregator=PLACKETT_LUCE)
+    assert pl["exploitability"] == float(
+        exploitability_multiplayer(uni, 3, mixed, 0.1, PLACKETT_LUCE)
+    )
+    assert pl["aggregator"] == "plackett_luce" and "dual_gap" not in pl
+    pair = gap_report(mixed, "uniform", aggregator=MEAN_PAIRWISE)
+    assert pair["exploitability"] == float(exploitability_multiplayer(uni, 2, mixed))
+    assert pair["aggregator"] == "mean_pairwise"
+    assert pair["dual_gap"] == 2.0 * pair["exploitability"]
 
 
 def test_gap_report_missing_policy_file(rps):
@@ -874,7 +900,7 @@ def test_cli_gap_too_many_players_exits_2(paths, capsys):
 
 def test_cli_gap_bad_policy_exits_5(paths, tmp_path, capsys):
     pol_path = tmp_path / "wide.json"
-    save_policy(policy_from_rows([[0.25, 0.25, 0.25, 0.25]]), pol_path)
+    save_policy(TabularPolicy([[0.25, 0.25, 0.25, 0.25]]), pol_path)
     assert main(["gap", paths["rps"], str(pol_path)]) == 5
 
 
@@ -1255,7 +1281,7 @@ def test_cli_wide_reward_plackett_luce_run_exits_cleanly(paths, tmp_path, capsys
         GameInstance(
             prompt_weights=np.array([1.0]),
             space=ResponseSpace((("a", "b", "c"),)),
-            reference=policy_from_rows([[1 / 3, 1 / 3, 1 / 3]]),
+            reference=TabularPolicy([[1 / 3, 1 / 3, 1 / 3]]),
             preference=make_bt_oracle(rewards),
             reward=rewards,
         ),

@@ -21,6 +21,7 @@ from prefgame import (
     PairMarginProblem,
     PolicyLogits,
     SupportViolation,
+    TabularPolicy,
     UpdateMatchingProblem,
     closed_form_multi_teacher_optimum,
     kl_divergence,
@@ -30,7 +31,6 @@ from prefgame import (
     mwu_step,
     pair_margin_loss,
     point_mass_policy,
-    policy_from_rows,
     policy_in_support,
     preset,
     sample_preference_dataset,
@@ -113,7 +113,7 @@ def test_margin_zero_at_geometric_mean_of_opponents(rng):
     a = random_policy(rng, sizes)
     b = random_policy(rng, sizes)
     geo = np.sqrt(a.rows[0] * b.rows[0])
-    pol = policy_from_rows([geo / geo.sum()])
+    pol = TabularPolicy([geo / geo.sum()])
     for y1 in range(4):
         for y2 in range(4):
             assert log_ratio_margin(pol, [a, b], 0, y1, y2) == pytest.approx(
@@ -122,14 +122,14 @@ def test_margin_zero_at_geometric_mean_of_opponents(rng):
 
 
 def test_margin_unit_for_e_scaled_ratio():
-    opp = policy_from_rows([[0.5, 0.5]])
-    pol = policy_from_rows([[math.e / (1 + math.e), 1 / (1 + math.e)]])
+    opp = TabularPolicy([[0.5, 0.5]])
+    pol = TabularPolicy([[math.e / (1 + math.e), 1 / (1 + math.e)]])
     assert log_ratio_margin(pol, [opp], 0, 0, 1) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_margin_rejects_zero_probability():
-    opp = policy_from_rows([[0.5, 0.5]])
-    dead = policy_from_rows([[1.0, 0.0]])
+    opp = TabularPolicy([[0.5, 0.5]])
+    dead = TabularPolicy([[1.0, 0.0]])
     with pytest.raises(SupportViolation):
         log_ratio_margin(dead, [opp], 0, 0, 1)
     with pytest.raises(SupportViolation):
@@ -285,11 +285,11 @@ def test_family_zero_weights_reduce_to_raw_log_ratio(rng):
 
 def test_family_sampled_target_match_gives_zero_loss():
     # a dataset whose every margin hits eta * target exactly has no residual
-    ref = policy_from_rows([[0.5, 0.5]])
+    ref = TabularPolicy([[0.5, 0.5]])
     inst = random_instance(np.random.default_rng(1), num_prompts=1, max_responses=2)
     target, eta = 0.8, 1.5
     want_margin = eta * target
-    pol = policy_from_rows(
+    pol = TabularPolicy(
         [[sigmoid(want_margin), sigmoid(-want_margin)]]
     )
     cfg = LossConfig((0,), (1.0,), "sq", target, eta=eta)
@@ -299,9 +299,9 @@ def test_family_sampled_target_match_gives_zero_loss():
 
 def test_family_singleton_equals_metric_of_margin():
     # on one recorded pair the family is exactly distance(margin, eta*target)
-    ref = policy_from_rows([[0.6, 0.4]])
+    ref = TabularPolicy([[0.6, 0.4]])
     inst = random_instance(np.random.default_rng(2), num_prompts=1, max_responses=2)
-    pol = policy_from_rows([[0.3, 0.7]])
+    pol = TabularPolicy([[0.3, 0.7]])
     cfg = LossConfig((ref,), (1.0,), "sq", 0.25, eta=2.0)
     got = pair_margin_loss(pol, [pol], cfg, inst, data=[(0, 0, 1)])
     margin = log_ratio_margin(pol, [ref], 0, 0, 1)
@@ -571,7 +571,7 @@ def test_external_loss_minimized_by_multi_teacher_optimum(rng):
 
 
 def test_logits_to_policy_softmax_on_support():
-    ref = policy_from_rows([[0.5, 0.5, 0.0]])
+    ref = TabularPolicy([[0.5, 0.5, 0.0]])
     z = PolicyLogits((np.array([1.0, 0.0, 99.0]),))
     pol = logits_to_policy(z, ref)
     assert pol.rows[0][2] == 0.0  # outside the reference support
@@ -579,7 +579,7 @@ def test_logits_to_policy_softmax_on_support():
 
 
 def test_logits_to_policy_shape_checks():
-    ref = policy_from_rows([[0.5, 0.5]])
+    ref = TabularPolicy([[0.5, 0.5]])
     with pytest.raises(ValueError, match="prompt"):
         logits_to_policy(PolicyLogits((np.zeros(2), np.zeros(2))), ref)
     with pytest.raises(ValueError, match="length"):
@@ -647,7 +647,7 @@ def _two_prompt_instance(reference_rows):
         space=prefgame.ResponseSpace(
             tuple(tuple(f"r{y}" for y in range(k)) for k in sizes)
         ),
-        reference=policy_from_rows(reference_rows),
+        reference=TabularPolicy(reference_rows),
         preference=prefgame.PairwisePreference(
             tuple(np.full((k, k), 0.5) for k in sizes)
         ),
@@ -656,7 +656,7 @@ def _two_prompt_instance(reference_rows):
 
 def test_problem_rejects_pairs_off_the_reference_support_at_construction():
     inst = _two_prompt_instance([[0.5, 0.5, 0.0], [0.5, 0.5]])
-    cur = policy_from_rows([[0.25, 0.25, 0.5], [0.5, 0.5]])
+    cur = TabularPolicy([[0.25, 0.25, 0.5], [0.5, 0.5]])
     with pytest.raises(SupportViolation, match="reference support") as err:
         PairMarginProblem(inst, [cur], preset("sppo"))
     assert (err.value.prompt, err.value.response) == (0, 2)
@@ -1061,7 +1061,7 @@ def test_minimize_realizable_two_response_anchor_problem():
     inst = prefgame.GameInstance(
         prompt_weights=np.array([1.0]),
         space=space,
-        reference=policy_from_rows([[0.5, 0.5]]),
+        reference=TabularPolicy([[0.5, 0.5]]),
         preference=prefgame.PairwisePreference(
             (np.array([[0.5, 1.0], [0.0, 0.5]]),)
         ),

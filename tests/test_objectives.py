@@ -22,6 +22,7 @@ from prefgame import (
     ResponseSpace,
     RewardTable,
     SupportViolation,
+    TabularPolicy,
     closed_form_multi_teacher_optimum,
     expected_win_rates,
     kl_divergence,
@@ -29,8 +30,6 @@ from prefgame import (
     multi_teacher_objective,
     multiplayer_objective,
     point_mass_policy,
-    policy_from_rows,
-    regularized_reward_objective,
     two_player_objective,
     uniform_policy,
 )
@@ -57,7 +56,7 @@ def test_win_rate_against_point_mass(rps):
     pm = point_mass_policy(rps.space, [1])
     for y in range(3):
         assert win_rate_vs_policy(rps.preference, 0, y, pm) == (
-            rps.preference.win_prob(0, y, 1)
+            float(rps.preference.matrices[0][y, 1])
         )
 
 
@@ -71,10 +70,10 @@ def test_kl_point_mass_against_fair_coin():
     inst = GameInstance(
         prompt_weights=np.array([1.0]),
         space=ResponseSpace((("a", "b"),)),
-        reference=policy_from_rows([[0.5, 0.5]]),
+        reference=TabularPolicy([[0.5, 0.5]]),
         preference=PairwisePreference((np.full((2, 2), 0.5),)),
     )
-    pm = policy_from_rows([[1.0, 0.0]])
+    pm = TabularPolicy([[1.0, 0.0]])
     assert kl_divergence(pm, inst.reference, inst) == pytest.approx(
         math.log(2.0), abs=1e-15
     )
@@ -153,7 +152,7 @@ def test_mean_pairwise_two_point_masses(rps):
     b = point_mass_policy(rps.space, [2])
     got = mean_pairwise_one_vs_many(rps.preference, 0, 0, [a, b])
     want = 0.5 * (
-        rps.preference.win_prob(0, 0, 1) + rps.preference.win_prob(0, 0, 2)
+        float(rps.preference.matrices[0][0, 1]) + float(rps.preference.matrices[0][0, 2])
     )
     assert got == pytest.approx(want, abs=1e-15)
 
@@ -215,7 +214,7 @@ def _sparse_policy(rng, sizes):
         if not row.any():
             row[rng.integers(k)] = 1.0
         rows.append(row / row.sum())
-    return policy_from_rows(rows)
+    return TabularPolicy(rows)
 
 
 def test_pl_table_matches_brute_force_enumeration(rng):
@@ -260,7 +259,7 @@ def test_pl_table_at_the_cap_splits_evenly():
         reward=RewardTable((rng.normal(0.0, 3.0, 10),)),
     )
     row = rng.random(10) + 0.05
-    pol = policy_from_rows([row / row.sum()])
+    pol = TabularPolicy([row / row.sum()])
     win = expected_win_rates(inst, [pol] * 6, PLACKETT_LUCE)
     # seven exchangeable players: each wins with probability 1/7
     assert float(pol.rows[0] @ win[0]) == pytest.approx(1.0 / 7.0, abs=1e-12)
@@ -372,18 +371,8 @@ def test_multiplayer_respects_max_tuples(bt, monkeypatch):
 def test_constant_reward_at_reference(rng):
     inst = random_instance(rng)
     const = RewardTable(tuple(np.full(k, 2.5) for k in inst.space.sizes))
-    got = regularized_reward_objective(inst.reference, const, inst, tau=1.3)
+    got = multi_teacher_objective(inst.reference, const, inst.reference, [], 1.3, [], inst)
     assert got == pytest.approx(2.5, abs=1e-12)
-
-
-def test_multi_teacher_with_no_teachers_matches_regularized(rng):
-    inst = random_instance(rng)
-    pol = random_policy(rng, inst.space.sizes)
-    a = multi_teacher_objective(
-        pol, inst.reward, inst.reference, [], 0.8, [], inst
-    )
-    b = regularized_reward_objective(pol, inst.reward, inst, 0.8)
-    assert a == pytest.approx(b, abs=1e-12)
 
 
 def test_multi_teacher_needs_one_tau_per_teacher(rng):
@@ -403,7 +392,7 @@ def test_closed_form_zero_reward_single_anchor_returns_reference(rng):
 
 
 def test_closed_form_two_response_logistic():
-    ref = policy_from_rows([[0.5, 0.5]])
+    ref = TabularPolicy([[0.5, 0.5]])
     r = RewardTable((np.array([1.0, 0.0]),))
     opt = closed_form_multi_teacher_optimum(r, ref, [], 1.0, [])
     assert opt.rows[0][0] == pytest.approx(sigmoid(1.0), abs=1e-12)
@@ -430,7 +419,7 @@ def test_closed_form_is_the_argmax(rng):
 
 
 def test_closed_form_respects_anchor_supports(rng):
-    ref = policy_from_rows([[0.5, 0.5, 0.0]])
+    ref = TabularPolicy([[0.5, 0.5, 0.0]])
     r = RewardTable((np.array([0.0, 0.0, 100.0]),))
     opt = closed_form_multi_teacher_optimum(r, ref, [], 1.0, [])
     assert opt.rows[0][2] == 0.0  # excluded by the anchor, reward is irrelevant
@@ -443,7 +432,7 @@ def test_closed_form_respects_anchor_supports(rng):
 def test_closed_form_rejects_rewards_over_tau_past_the_float_range(rewards, tau):
     # an infinite logit used to read as an empty support: all mass moved
     # to the other response
-    ref = policy_from_rows([[0.5, 0.5]])
+    ref = TabularPolicy([[0.5, 0.5]])
     r = RewardTable((np.array(rewards),))
     with pytest.raises(ValueError, match="rewards / tau"):
         closed_form_multi_teacher_optimum(r, ref, [], tau, [])
@@ -451,7 +440,7 @@ def test_closed_form_rejects_rewards_over_tau_past_the_float_range(rewards, tau)
 
 @pytest.mark.parametrize("rewards, tau", [([-np.inf, 0.0], 1.0), ([-1e300, 0.0], 1e-10)])
 def test_closed_form_gives_a_minus_inf_logit_zero_mass(rewards, tau):
-    ref = policy_from_rows([[0.5, 0.5]])
+    ref = TabularPolicy([[0.5, 0.5]])
     r = RewardTable((np.array(rewards),))
     opt = closed_form_multi_teacher_optimum(r, ref, [], tau, [])
     assert opt.rows[0].tolist() == [0.0, 1.0]
@@ -463,8 +452,8 @@ def test_closed_form_names_an_anchor_entry_that_is_no_probability(entry, bad_tea
     # such an entry used to drop its response silently: [0, 0.526, 0.474] for
     # a NaN, and the same after a RuntimeWarning from log for a negative one
     r = RewardTable((np.array([0.1, 0.2, 0.3]),))
-    good = policy_from_rows([[0.5, 0.3, 0.2]])
-    bad = policy_from_rows([[0.2, 0.4, entry]])
+    good = TabularPolicy([[0.5, 0.3, 0.2]])
+    bad = TabularPolicy([[0.2, 0.4, entry]])
     ref, teacher = (good, bad) if bad_teacher else (bad, good)
     name = "teacher 0" if bad_teacher else "reference"
     with pytest.raises(ValueError, match=f"{name} has a NaN, \\+inf or negative entry"):
@@ -473,8 +462,8 @@ def test_closed_form_names_an_anchor_entry_that_is_no_probability(entry, bad_tea
 
 def test_closed_form_ignores_the_entries_of_an_unweighted_anchor():
     r = RewardTable((np.array([0.1, 0.2, 0.3]),))
-    ref = policy_from_rows([[0.5, 0.3, 0.2]])
-    bad = policy_from_rows([[np.nan, np.inf, -1.0]])
+    ref = TabularPolicy([[0.5, 0.3, 0.2]])
+    bad = TabularPolicy([[np.nan, np.inf, -1.0]])
     opt = closed_form_multi_teacher_optimum(r, ref, [bad], 0.5, [0.0])
     alone = closed_form_multi_teacher_optimum(r, ref, [], 0.5, [])
     assert np.array_equal(opt.packed, alone.packed)
@@ -483,8 +472,8 @@ def test_closed_form_ignores_the_entries_of_an_unweighted_anchor():
 def test_closed_form_keeps_an_anchor_whose_share_of_tau_underflows():
     # 5e-324 / 2.0 rounds to 0; the teacher still excludes its zero entry
     r = RewardTable((np.array([0.1, 0.2, 0.3]),))
-    ref = policy_from_rows([[0.5, 0.3, 0.2]])
-    teacher = policy_from_rows([[0.0, 0.5, 0.5]])
+    ref = TabularPolicy([[0.5, 0.3, 0.2]])
+    teacher = TabularPolicy([[0.0, 0.5, 0.5]])
     tiny = math.ulp(0.0)
     assert tiny / 2.0 == 0.0
     opt = closed_form_multi_teacher_optimum(r, ref, [teacher], 2.0, [tiny])

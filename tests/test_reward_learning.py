@@ -27,12 +27,12 @@ from prefgame import (
     Rankings,
     ResponseSpace,
     RewardTable,
+    TabularPolicy,
     fit_pl_reward,
     generate_rankings,
     make_bt_oracle,
     pl_nll,
     pl_nll_gradient,
-    policy_from_rows,
     rankings_from_csv,
     rankings_to_csv,
 )
@@ -47,7 +47,7 @@ def two_response_instance(r0: float, r1: float) -> GameInstance:
     return GameInstance(
         prompt_weights=np.array([1.0]),
         space=ResponseSpace((("a", "b"),)),
-        reference=policy_from_rows([[0.5, 0.5]]),
+        reference=TabularPolicy([[0.5, 0.5]]),
         preference=make_bt_oracle(reward),
         reward=reward,
     )
@@ -60,7 +60,7 @@ def ladder_instance(rewards) -> GameInstance:
     return GameInstance(
         prompt_weights=np.array([1.0]),
         space=ResponseSpace((tuple(f"r{i}" for i in range(k)),)),
-        reference=policy_from_rows([np.full(k, 1.0 / k)]),
+        reference=TabularPolicy([np.full(k, 1.0 / k)]),
         preference=make_bt_oracle(reward),
         reward=reward,
     )
@@ -425,7 +425,7 @@ def _uneven_instance(sizes, weights, rewards) -> GameInstance:
         prompt_weights=np.asarray(weights, dtype=np.float64),
         space=ResponseSpace(tuple(tuple(f"r{x}_{y}" for y in range(k))
                                   for x, k in enumerate(sizes))),
-        reference=policy_from_rows([np.full(k, 1.0 / k) for k in sizes]),
+        reference=TabularPolicy([np.full(k, 1.0 / k) for k in sizes]),
         preference=make_bt_oracle(reward),
         reward=reward,
     )
@@ -622,7 +622,7 @@ def _ranking_games(draw):
     inst = GameInstance(
         prompt_weights=np.array(weights) / sum(weights),
         space=ResponseSpace(tuple(tuple(map(str, range(k))) for k in sizes)),
-        reference=policy_from_rows([np.full(k, 1.0 / k) for k in sizes]),
+        reference=TabularPolicy([np.full(k, 1.0 / k) for k in sizes]),
         preference=PairwisePreference(tuple(np.full((k, k), 0.5) for k in sizes)),
         reward=RewardTable(tuple(rewards)),
     )

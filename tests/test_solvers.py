@@ -14,6 +14,7 @@ from prefgame import (
     RunLog,
     RunRecord,
     SolverConfig,
+    TabularPolicy,
     UpdateMatchingProblem,
     average_policy,
     best_response_kl,
@@ -29,7 +30,6 @@ from prefgame import (
     multiplayer_objective,
     mwu_step,
     point_mass_policy,
-    policy_from_rows,
     preset,
     sample_preference_dataset,
     self_play_run,
@@ -89,10 +89,10 @@ def test_mwu_step_support_is_the_intersection(rps):
     ref_limited = GameInstance(
         prompt_weights=rps.prompt_weights,
         space=rps.space,
-        reference=policy_from_rows([[0.5, 0.5, 0.0]]),
+        reference=TabularPolicy([[0.5, 0.5, 0.0]]),
         preference=rps.preference,
     )
-    opp = policy_from_rows([[0.0, 0.6, 0.4]])
+    opp = TabularPolicy([[0.0, 0.6, 0.4]])
     out = mwu_step([opp], ref_limited, eta=1.0)
     assert out.rows[0][0] == 0.0  # killed by the opponent
     assert out.rows[0][2] == 0.0  # killed by the reference
@@ -278,7 +278,10 @@ _RUN_LOG_ROWS = "iter,gap,kl_ref,self_play_value,elapsed_ms\n0,1,0,0.5,0\n"
     ("", "header None"),
     (_RUN_LOG_ROWS + "1,1,0\n", "row 1 needs 5 fields"),
     (_RUN_LOG_ROWS + "1,1,0,0.5,0,7\n", "row 1 needs 5 fields"),
-], ids=["empty", "short_row", "long_row"])
+    (_RUN_LOG_ROWS + "1,x,0,0.5,0\n", "row 1: could not convert string to float: 'x'"),
+    (_RUN_LOG_ROWS + "1.5,1,0,0.5,0\n", "row 1: invalid literal for int"),
+    (_RUN_LOG_ROWS + "1,1,0,0.5,banana\n", "row 1: could not convert string to float: 'banana'"),
+], ids=["empty", "short_row", "long_row", "bad_gap", "fractional_iter", "bad_elapsed_ms"])
 def test_run_log_csv_rejects_an_empty_file_and_ragged_rows(tmp_path, text, match):
     path = tmp_path / "log.csv"
     path.write_text(text)
