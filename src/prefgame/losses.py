@@ -24,9 +24,11 @@ both are plain LossConfigs, and tests pin that at eta = 1 the winner
 target differs from update matching by a policy-independent constant.
 
 One evaluator computes every loss and gradient from one padded table of
-pair weights W[x, a, b]: in exact-expectation mode cur(a) * cur(b) * M[a, b]
-over distinct responses (an iid pair draw plus a Bernoulli winner), on an
-explicit dataset the share of (prompt, winner, loser) triples (x, a, b).
+pair weights W[x, a, b]: in exact-expectation mode the prompt weight times
+cur(a) * cur(b) * M[a, b] over distinct responses (an iid pair draw plus a
+Bernoulli winner), on an explicit dataset the share of (prompt, winner,
+loser) triples (x, a, b). Under sq a target rule v_a - v_b joins the margin
+offsets, and the value pass hands the weighted residual W r to the gradient.
 
 Optimization works on packed logits, and the policy is their softmax over the
 reference support. Every margin is then a plain difference of logits: the
@@ -76,14 +78,12 @@ PRESET_NAMES = (
 OpponentRef = Union[int, str, TabularPolicy]
 
 
-def _metric(metric: str, m, t, slope: bool):
-    """metric(m, t) elementwise, or its derivative in m when slope is set.
+def _bwd(m, t, slope: bool):
+    """bwd(m, t) elementwise, or its derivative in m when slope is set.
 
-    m is the margins, or for sq the residual m - t; t is a table matching m
-    or a scalar, and the scalar +inf (bwd only) gives -log sigmoid(m).
+    t is a table matching m or a scalar, and the scalar +inf gives
+    -log sigmoid(m); _value and _slope write out the sq metric.
     """
-    if metric == "sq":
-        return 2.0 * m if slope else m**2
     if isinstance(t, float) and math.isinf(t):
         return -np.exp(-np.logaddexp(0.0, m)) if slope else np.logaddexp(0.0, -m)
     log_q = -np.logaddexp(0.0, -t)
@@ -241,18 +241,16 @@ def log_ratio_margin(
 
 
 def _targets(config, instance, opponents):
-    """eta * target for every (x, a, b), or a scalar (possibly inf)."""
+    """eta * target: a scalar (possibly inf), or a rule's (P, K) v, target v_xa - v_xb."""
     if not isinstance(config.target, str):
         return config.eta * float(config.target)
     if config.target == "reward_gap":
         if instance.reward is None:
             raise ValueError("target rule 'reward_gap' needs a reward table")
-        v = config.eta * instance.reward.packed
-    else:  # win_rate_gap
-        if len(opponents) == 0:
-            raise ValueError("target rule 'win_rate_gap' needs opponents")
-        v = config.eta * expected_win_rates(instance, opponents)
-    return v[:, :, None] - v[:, None, :]
+        return config.eta * instance.reward.packed
+    if len(opponents) == 0:  # win_rate_gap
+        raise ValueError("target rule 'win_rate_gap' needs opponents")
+    return config.eta * expected_win_rates(instance, opponents)
 
 
 def _pair_weights(instance, data):
@@ -276,12 +274,12 @@ def _pair_weights(instance, data):
 def _pair_tables(instance, history, config, data):
     """Everything the evaluator needs but the policy, padded over prompts.
 
-    Returns (touched, W, offset, target, factor, beta, scale): the (P, K)
-    mask of the responses the pairs touch, the (P, K, K) pair weights, the
-    opponent part sum_j w_j log pi_j of the margin offsets, the eta-scaled
-    target (a (P, K, K) table or a scalar), the (P,) prompt factors, the
-    margin scale (config.beta for the bwd metric, 1 for sq) and the
-    gradient's (P, 1) row scale factor * beta.
+    Returns (touched, W, offset, target, beta): the (P, K) mask of the
+    responses the pairs touch, the (P, K, K) pair weights times the prompt
+    factor, the (P, K) margin offsets (the opponent part sum_j w_j log pi_j,
+    plus for sq a target rule's v on the touched mask, which leaves target 0:
+    h_xab - (v_xa - v_xb) is one difference), the eta-scaled target (a
+    (P, K, K) table or a scalar) and the margin scale (config.beta for bwd).
     Exact mode zeroes W's diagonal (a judged pair is two responses);
     dataset mode keeps it (a triple may name one response twice).
     """
@@ -293,57 +291,69 @@ def _pair_tables(instance, history, config, data):
     if data is None:
         cur = history[0].packed
         touched = cur > 0.0
-        pair_w = cur[:, :, None] * cur[:, None, :] * instance.preference.packed
+        factor = instance.prompt_weights[:, None, None]
+        pair_w = cur[:, :, None] * cur[:, None, :] * instance.preference.packed * factor
         diagonal = np.arange(cur.shape[1])
         pair_w[:, diagonal, diagonal] = 0.0
-        factor = instance.prompt_weights
-    else:
+    else:  # every prompt factor is 1
         pair_w = _pair_weights(instance, data)
         touched = (pair_w + pair_w.transpose(0, 2, 1)).any(axis=2)
-        factor = np.ones(instance.num_prompts)
     logs = (_logs(opp, touched, "opponent") for opp in opponents)
     offset = sum(w * lo for w, lo in zip(config.weights, logs))
     target = _targets(config, instance, opponents)
+    if isinstance(target, np.ndarray):
+        if config.metric == "sq":
+            offset, target = offset + np.where(touched, target, 0.0), 0.0
+        else:
+            target = target[:, :, None] - target[:, None, :]
     beta = config.beta if config.metric == "bwd" else 1.0
-    return touched, pair_w, offset, target, factor, beta, (factor * beta)[:, None]
+    return touched, pair_w, offset, target, beta
 
 
 def _margins(tables, z):
-    """beta h_xab = beta (u_xa - u_xb), u = z - sum_j w_j log pi_j.
+    """beta h_xab = beta (u_xa - u_xb), u = z - offset.
 
     z is (B, P, K), one row block per init: log pi, or logits whose softmax
     over a support holding the touched mask is pi (softmax shifts each
     prompt's log pi by one constant, which u_xa - u_xb cancels). u is 0 off
-    the touched mask. The margins are (B, P, K, K).
+    the touched mask, whatever z holds there. The margins are (B, P, K, K).
     """
-    touched, _, offset, _, _, beta, _ = tables
+    touched, _, offset, _, beta = tables
     u = np.where(touched, z, 0.0) - offset
     margins = u[..., :, None] - u[..., None, :]
     return margins if beta == 1.0 else beta * margins
 
 
 def _value(tables, metric, margins):
-    """sum_x factor_x sum_ab W[x, a, b] metric(beta h_xab, target_xab), per init.
+    """sum_xab W[x, a, b] metric(beta h_xab, target_xab), per init.
 
-    Returns the (B,) values and what _slope reads: the residual it computed
-    for sq, the margins for bwd. einsum sums each init's prompt terms in one
-    order whatever the number of inits, so a stacked pass has the one-init bits.
+    Returns the (B,) values and what _slope reads: for sq the weighted
+    residual t = W r, whose value is sum t r, for bwd the margins. Each
+    init's terms are summed as one contiguous row, in one order whatever
+    the number of inits, so a stacked pass has the one-init bits.
     """
-    _, pair_w, _, target, factor, _, _ = tables
-    held = margins - target if metric == "sq" else margins
-    values = _metric(metric, held, target, slope=False)
-    return np.einsum("bp,p->b", (pair_w * values).sum(axis=(2, 3)), factor), held
+    _, pair_w, _, target, _ = tables
+    if metric == "sq":
+        residual = margins - target if target else margins
+        held = pair_w * residual
+        terms = held * residual
+    else:
+        held, terms = margins, pair_w * _bwd(margins, target, slope=False)
+    return terms.reshape(len(terms), -1).sum(axis=1), held
 
 
 def _slope(tables, metric, held):
     """The (B, P, K) logit gradients of _value where it handed over `held`.
 
     h_xab moves with z_xa - z_xb, so a row is the row sums minus the
-    column sums of W * slope, times beta and the prompt factor.
+    column sums of W * metric', times beta: for sq, twice those of t.
     """
-    _, pair_w, _, target, _, _, scale = tables
-    g = pair_w * _metric(metric, held, target, slope=True)
-    return (g.sum(axis=3) - g.sum(axis=2)) * scale
+    _, pair_w, _, target, beta = tables
+    if metric == "sq":
+        return 2.0 * (held.sum(axis=3) - held.sum(axis=2))
+    g = pair_w * _bwd(held, target, slope=True)
+    grad = g.sum(axis=3) - g.sum(axis=2)
+    return grad if beta == 1.0 else beta * grad
 
 
 def pair_margin_loss(
@@ -509,7 +519,7 @@ def minimize_loss(
     descends in lockstep, each init with its own step size and stopping
     rule, and each result has the bits of that init's own descent
     (_lockstep decides each round on lists read off the stack, and its
-    gradient pass reads the value pass's sq residual). trace, when
+    gradient pass reads the value pass's sq weighted residual). trace, when
     given, is called as trace(accepted_steps, loss, grad_max) for the
     first init, at the start and after every accepted proposal. A loss
     that is not finite at an init raises ValueError.
@@ -543,8 +553,8 @@ def _lockstep(problem, inits, first, steps, step_size, trace) -> list[MinimizeRe
     A round proposes one step for every init still running, takes all
     their values in one margins pass and, when any accepts, the accepted
     inits' gradients in one pass from what _value handed over (the sq
-    residual, or the margins). The stop, accept and trace decisions read
-    each boolean array once, as a list. Stopped inits leave the stack, and
+    weighted residual, or the margins). The stop, accept and trace decisions
+    read each boolean array once, as a list. Stopped inits leave the stack, and
     `ids` maps stack rows to inits.
     """
     tables, metric = problem._tables, problem.config.metric

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import math
 from unittest import mock
 
@@ -11,12 +12,15 @@ from helpers import (
     bernoulli_kl_distance,
     fd_logit_gradient,
     max_grad_rel_error,
+    mean_pairwise_one_vs_many,
     random_instance,
     random_policy,
     reference_minimize_loss,
+    sparse_game,
     squared_distance,
 )
 from prefgame import (
+    MEAN_PAIRWISE,
     LossConfig,
     PairMarginProblem,
     PolicyLogits,
@@ -374,16 +378,30 @@ def test_named_losses_and_dataset_mode_are_family_configurations(rng):
             for x in rng.integers(0, 3, size=8)
         ]
         data += [data[0], data[0], (1, 0, 0)]
+        # a target rule's pair target is eta (v_a - v_b): sq folds v into the
+        # margin offsets, bwd keeps the pair table
+        rewards = inst.reward.rows
+        wins = [
+            [mean_pairwise_one_vs_many(inst.preference, x, a, opps) for a in range(k)]
+            for x, k in enumerate(sizes)
+        ]
         members = (
-            (LossConfig(tuple(opps), weights, "sq", 0.7, eta=1.3), 1.0, 0.91),
-            (LossConfig(tuple(opps), weights, "bwd", 0.4, eta=1.5, beta=0.8), 0.8, 0.6),
-            (LossConfig(tuple(opps), weights, "bwd", math.inf, beta=1.7), 1.7, math.inf),
+            (LossConfig(tuple(opps), weights, "sq", 0.7, eta=1.3), 1.0,
+             lambda x, a, b: 0.91),
+            (LossConfig(tuple(opps), weights, "bwd", 0.4, eta=1.5, beta=0.8), 0.8,
+             lambda x, a, b: 0.6),
+            (LossConfig(tuple(opps), weights, "bwd", math.inf, beta=1.7), 1.7,
+             lambda x, a, b: math.inf),
+            (LossConfig(tuple(opps), weights, "sq", "reward_gap", eta=0.6), 1.0,
+             lambda x, a, b: 0.6 * (rewards[x][a] - rewards[x][b])),
+            (LossConfig(tuple(opps), weights, "bwd", "win_rate_gap", eta=1.2, beta=0.7), 0.7,
+             lambda x, a, b: 1.2 * (wins[x][a] - wins[x][b])),
         )
         for cfg, beta, target in members:
             metric = squared_distance if cfg.metric == "sq" else bernoulli_kl_distance
             want = np.mean(
                 [
-                    metric(beta * log_ratio_margin(pol, opps, int(x), a, b), target)
+                    metric(beta * log_ratio_margin(pol, opps, int(x), a, b), target(x, a, b))
                     for x, a, b in data
                 ]
             )
@@ -702,6 +720,44 @@ def test_problem_reads_wide_logit_spreads_without_underflow(rng):
     assert np.any(logits_to_policy(z, inst.reference).packed[:, 0] == 0.0)
     assert math.isfinite(problem.value(z))
     assert np.all(np.isfinite(problem.gradient(z).packed))
+
+
+@pytest.mark.parametrize("sampled", [False, True], ids=["exact", "dataset"])
+@pytest.mark.parametrize("metric", ["sq", "bwd"])
+def test_off_support_logits_never_reach_the_loss(rng, metric, sampled):
+    # the margins pass reads logits on the touched mask only, so logits off
+    # the reference support at alternating +-1e308 (finite, so PolicyLogits
+    # takes them) give the bits they give at 0; an unmasked pass would
+    # difference them to inf and weigh that by 0, which is NaN
+    inst, (cur,) = sparse_game(rng, MEAN_PAIRWISE, 1)
+    if metric == "sq":  # a target rule folded into the margin offsets
+        config = preset("sppo", eta=0.8)
+    else:  # a target rule kept as a pair table
+        config = LossConfig(("ref",), (1.0,), "bwd", "reward_gap", eta=0.7, beta=1.4)
+    data = sample_preference_dataset(inst, cur, 12, rng) if sampled else None
+    problem = PairMarginProblem(inst, [cur], config, data)
+    dead = [ref == 0.0 for ref in inst.reference.rows]
+    assert sum(d.sum() for d in dead) >= 2
+    tame = [np.where(d, 0.0, rng.standard_normal(len(d))) for d in dead]
+    wild = [row.copy() for row in tame]
+    signs = itertools.cycle((1e308, -1e308))
+    for row, d in zip(wild, dead):
+        row[d] = [next(signs) for _ in range(d.sum())]
+    tame, wild = PolicyLogits(tuple(tame)), PolicyLogits(tuple(wild))
+    assert np.isfinite(problem.value(tame))
+    assert _bits(problem.value(wild), problem.gradient(wild).packed) == _bits(
+        problem.value(tame), problem.gradient(tame).packed
+    )
+    policy = logits_to_policy(wild, inst.reference)
+    assert _bits(policy.packed) == _bits(logits_to_policy(tame, inst.reference).packed)
+    assert _bits(pair_margin_loss(policy, [cur], config, inst, data)) == _bits(
+        pair_margin_loss(logits_to_policy(tame, inst.reference), [cur], config, inst, data)
+    )
+    got, want = (minimize_loss(problem, z, steps=50) for z in (wild, tame))
+    assert got.steps_taken == want.steps_taken
+    assert _bits(got.loss, got.grad_max, got.policy.packed) == _bits(
+        want.loss, want.grad_max, want.policy.packed
+    )
 
 
 @settings(max_examples=60, deadline=None)
