@@ -99,6 +99,12 @@ def _expect(policy: TabularPolicy, table: np.ndarray, instance: GameInstance) ->
 # one-vs-many win tables
 
 
+# A reward row spanning more than this takes the log-space win row. Up to it
+# every max-shifted exp is at least exp(-700), about 1e-304, still a normal
+# float, so no draw's shares underflow to 0/0 or lose digits.
+_PL_LINEAR_SPAN = 700.0
+
+
 def _pl_win_row(
     rewards_row: np.ndarray, opponents_rows: list[np.ndarray]
 ) -> np.ndarray:
@@ -107,14 +113,32 @@ def _pl_win_row(
     The opponents' joint weights and pooled denominators are flat arrays
     over the product of their live supports, first opponent slowest; each
     response then takes one dot product with them, so memory stays linear
-    in the tuple count.
+    in the tuple count. On a row spanning more than _PL_LINEAR_SPAN each
+    response y carries log(S / e^{r_y}) per draw instead, pooled by
+    np.logaddexp.outer over the gaps r_j - r_y, and takes the share
+    exp(-logaddexp(0, log(S / e^{r_y}))); the shift by r_y keeps every digit
+    of the draws whose share is neither 0 nor 1. A -inf response never wins.
     """
-    e = np.exp(rewards_row - rewards_row.max())
+    top = rewards_row.max()
     weight = np.ones(1)
-    denom = np.zeros(1)
+    lives = []
     for row in opponents_rows:
         live = np.flatnonzero(row > 0.0)
         weight = np.multiply.outer(weight, row[live]).ravel()
+        lives.append(live)
+    if top - rewards_row.min() > _PL_LINEAR_SPAN:
+        win = np.zeros(len(rewards_row))
+        for y, ry in enumerate(rewards_row):
+            if ry > -np.inf:
+                gap = rewards_row - ry
+                log_ratio = np.full(1, -np.inf)
+                for live in lives:
+                    log_ratio = np.logaddexp.outer(log_ratio, gap[live]).ravel()
+                win[y] = weight @ np.exp(-np.logaddexp(0.0, log_ratio))
+        return win
+    e = np.exp(rewards_row - top)
+    denom = np.zeros(1)
+    for live in lives:
         denom = np.add.outer(denom, e[live]).ravel()
     return np.array([weight @ (ey / (ey + denom)) for ey in e])
 

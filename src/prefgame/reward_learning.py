@@ -30,7 +30,6 @@ from .instances import (
     _require_int,
     _require_positive,
     _require_sizes,
-    _unpack,
 )
 
 
@@ -181,14 +180,15 @@ def pl_nll(rewards: RewardTable, data: Rankings) -> float:
     return total / len(data)
 
 
-def pl_nll_gradient(rewards: RewardTable, data: Rankings) -> tuple[np.ndarray, ...]:
-    """Gradient of pl_nll with respect to every reward entry.
+def pl_nll_gradient(rewards: RewardTable, data: Rankings) -> np.ndarray:
+    """Gradient of pl_nll with respect to every reward entry, padded (P, K).
 
     Per comparison the winner column receives softmax_share − 1 and each
     pool column its softmax share; contributions accumulate by one
     np.bincount over the pool-size blocks in order, the sums the
     per-entry np.add.at gave, and the total is divided by the number of
-    comparisons.
+    comparisons. Entries past a prompt's response count are 0, as in
+    expected_win_rates' table.
     """
     cells, buckets = _softmax_pass(rewards, data)
     shares = []
@@ -196,10 +196,10 @@ def pl_nll_gradient(rewards: RewardTable, data: Rankings) -> tuple[np.ndarray, .
         share = shifted / sums[:, None]
         share[:, 0] -= 1.0
         shares.append(share.ravel())
-    size = rewards.packed.size
-    grad = np.bincount(cells, np.concatenate(shares), minlength=size)
+    weights = shares[0] if len(shares) == 1 else np.concatenate(shares)
+    grad = np.bincount(cells, weights, minlength=rewards.packed.size)
     grad /= len(data)
-    return _unpack(grad.reshape(rewards.packed.shape), rewards.sizes)
+    return grad.reshape(rewards.packed.shape)
 
 
 class FitResult(_Record, eq=False):
@@ -240,8 +240,8 @@ def fit_pl_reward(
     whatever the step budget reached. An overflow aborts with
     FloatingPointError: the step size is too large for the data, not a
     model failure. The first likelihood call checks and indexes the
-    comparisons for every later one, and the rewards are stepped as one
-    zero-padded array.
+    comparisons for every later one; each step subtracts the padded
+    gradient from the padded rewards and centers the result, a fresh table.
     """
     _require_count(steps, 0, f"steps must be a nonnegative integer, got {steps}")
     _require_positive(step_size, f"step_size must be positive and finite, got {step_size}")
@@ -250,23 +250,24 @@ def fit_pl_reward(
     if init is not None and not np.all(np.isfinite(init.packed)):
         raise ValueError("init has non-finite entries")
     sizes = instance.space.sizes
-    filled = _live_rows(sizes, max(sizes))
-    packed = np.zeros(filled.shape)
+    packed = np.zeros((len(sizes), max(sizes)))
     if init is not None:
         _require_sizes(init, sizes, "init")
+        filled = _live_rows(sizes, max(sizes))
         packed[filled] = init.packed[filled]
     rewards = RewardTable._wrap(_center(packed, sizes), sizes)
 
     try:
         with np.errstate(over="raise", invalid="raise"):
             for taken in range(steps + 1):  # the last gradient is at the final rewards
-                grad = np.concatenate(pl_nll_gradient(rewards, data))
-                gmax = float(np.max(np.abs(grad)))
+                # through the module name and np.asarray: a rebound gradient
+                # (the bench's tracer, its perturbation) may return the rows
+                grad = np.asarray(pl_nll_gradient(rewards, data))
+                gmax = float(np.max(np.abs(grad)))  # the padding's zeros leave it alone
                 if gmax <= tol or taken == steps:
                     break
-                packed = rewards.packed.copy()
-                packed[filled] -= step_size * grad
-                rewards = RewardTable._wrap(_center(packed, sizes), sizes)
+                packed = _center(rewards.packed - step_size * grad, sizes)
+                rewards = RewardTable._wrap(packed, sizes)
             nll = pl_nll(rewards, data)
     except FloatingPointError as err:
         raise FloatingPointError(f"{err} after {taken} steps; reduce step_size") from err
@@ -367,17 +368,25 @@ def rankings_to_csv(data: Rankings, path) -> None:
     """Write `prompt,winner,pool` rows in their original order.
 
     The bytes are csv.writer's (no integer field needs quoting); each
-    block is formatted by one `%` over all its rows.
+    block is formatted by one `%` over all its rows. One block holds rows
+    0..n-1 in order and is written as formatted; several are interleaved
+    line by line.
     """
-    lines = [""] * len(data)
+    texts = []
     for rows, prompts, members in data.blocks:
         row = "%d,%d," + ";".join(["%d"] * (members.shape[1] - 1)) + "\n"
         fields = np.column_stack([prompts, members]).ravel().tolist()
-        text = (row * len(rows)) % tuple(fields)
-        for i, line in zip(rows.tolist(), text.splitlines(True)):
-            lines[i] = line
+        texts.append((row * len(rows)) % tuple(fields))
+    if len(texts) == 1:
+        body = texts[0]
+    else:
+        lines = [""] * len(data)
+        for (rows, _, _), text in zip(data.blocks, texts):
+            for i, line in zip(rows.tolist(), text.splitlines(True)):
+                lines[i] = line
+        body = "".join(lines)
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\n" + "".join(lines))
+        fh.write(",".join(CSV_HEADER) + "\n" + body)
 
 
 def rankings_from_csv(path) -> Rankings:

@@ -1264,15 +1264,6 @@ def test_cli_exit_code_sweep(paths, tmp_path, capsys, instance, command):
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "objectives._pl_win_row shifts by the row maximum, so a reward row "
-        "spanning more than about 745 underflows every draw whose members all "
-        "sit far below it and gives 0/0 (CHANGES.md FOUND on the Plackett-Luce "
-        "underflow)"
-    ),
-)
 @pytest.mark.parametrize("command", ["selfplay-pl", "gap-pl"])
 def test_cli_wide_reward_plackett_luce_run_exits_cleanly(paths, tmp_path, capsys, command):
     rewards = RewardTable((np.array([700.0, 0.0, -700.0]),))
@@ -1289,8 +1280,5 @@ def test_cli_wide_reward_plackett_luce_run_exits_cleanly(paths, tmp_path, capsys
     )
     assert main(["validate", path]) == 0
     doc = {**_SWEEP_RUNS[command], "instance": path, "out_dir": str(tmp_path / "out")}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the exit code is the check
-        code = main(["run", write_config(tmp_path, doc)])
-    assert code in (0, 2, 3, 4, 5)
+    assert main(["run", write_config(tmp_path, doc)]) == 0
     assert "Traceback" not in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 
@@ -26,6 +27,7 @@ from prefgame import (
     closed_form_multi_teacher_optimum,
     expected_win_rates,
     kl_divergence,
+    make_bt_oracle,
     mwu_step,
     multi_teacher_objective,
     multiplayer_objective,
@@ -127,6 +129,48 @@ def test_pl_translation_invariance(rng):
 def test_pl_large_rewards_stay_finite():
     r = RewardTable((np.array([700.0, 0.0]),))
     assert pl_one_vs_many(r, 0, 0, [1]) == pytest.approx(1.0, abs=1e-12)
+
+
+def _one_prompt_bt(rewards) -> GameInstance:
+    reward = RewardTable((np.array(rewards),))
+    space = ResponseSpace((tuple(f"r{y}" for y in range(len(rewards))),))
+    return GameInstance(
+        prompt_weights=np.array([1.0]),
+        space=space,
+        reference=uniform_policy(space),
+        preference=make_bt_oracle(reward),
+        reward=reward,
+    )
+
+
+def test_pl_row_on_wide_rewards_is_the_pairwise_row_against_one_opponent():
+    # a row spanning 1400 once gave 0/0 where every member sat far below the
+    # maximum; against one opponent Plackett-Luce is the pairwise game
+    inst = _one_prompt_bt([700.0, 0.0, -700.0])
+    pl = expected_win_rates(inst, [inst.reference], PLACKETT_LUCE)
+    pairwise = expected_win_rates(inst, [inst.reference], MEAN_PAIRWISE)
+    assert np.all(np.abs(pl - pairwise) <= 1e-15)
+
+
+@pytest.mark.parametrize("rewards, opponent", [
+    ([700.0, 0.0, -700.0], [1 / 3, 1 / 3, 1 / 3]),
+    ([750.0, 749.5, 0.0, -800.0], [0.1, 0.4, 0.0, 0.5]),
+])
+def test_pl_row_on_wide_rewards_matches_exact_enumeration(rewards, opponent):
+    # three players: two opponents, each tuple summed in 50-digit decimals
+    inst = _one_prompt_bt(rewards)
+    pol = TabularPolicy([opponent])
+    win = expected_win_rates(inst, [pol, pol], PLACKETT_LUCE)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        r = [decimal.Decimal(v) for v in rewards]
+        p = [decimal.Decimal(v) for v in opponent]
+        for y in range(len(r)):
+            want = sum(
+                p[a] * p[b] / (1 + (r[a] - r[y]).exp() + (r[b] - r[y]).exp())
+                for a, b in itertools.product(range(len(r)), repeat=2)
+            )
+            assert abs(decimal.Decimal(win[0, y]) - want) <= decimal.Decimal(1e-15)
 
 
 def test_pl_pool_validation():

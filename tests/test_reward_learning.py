@@ -283,7 +283,8 @@ def test_nll_gradient_matches_finite_differences(rng):
         inst = random_instance(rng, max_responses=4)
         data = generate_rankings(inst.reward, inst, 50, 1, rng)
         probe = RewardTable(tuple(rng.normal(size=k) for k in inst.space.sizes))
-        analytic = pl_nll_gradient(probe, data)
+        grad = pl_nll_gradient(probe, data)
+        analytic = [grad[x, :k] for x, k in enumerate(probe.sizes)]
         numeric = fd_reward_gradient(probe, data, step=1e-6)
         assert max_grad_rel_error(analytic, numeric) <= 1e-7
 
@@ -416,6 +417,17 @@ def test_fit_steps_the_packed_rankings_without_per_row_objects(monkeypatch, rng)
     assert len(calls) == fit.steps_taken + 1 and all(c is data for c in calls)
     gmax = float(np.max(np.abs(np.concatenate(original(fit.rewards, data)))))
     assert np.float64(fit.grad_norm).tobytes() == np.float64(gmax).tobytes()
+    # perfbench's rewardfit perturbation returns the scaled gradient's rows
+    # as a tuple: the fit reads it as an array, so it runs to a wrong answer
+    plain = fit_pl_reward(data, inst, steps=40, step_size=0.1)
+
+    def scaled(rewards, rankings):
+        return tuple(g * 1.0001 for g in original(rewards, rankings))
+
+    monkeypatch.setattr(reward_learning, "pl_nll_gradient", scaled)
+    perturbed = fit_pl_reward(data, inst, steps=40, step_size=0.1)
+    assert perturbed.steps_taken == 40
+    assert not np.array_equal(perturbed.rewards.packed, plain.rewards.packed)
     rankings_to_csv(data, os.devnull)
 
 
@@ -447,8 +459,8 @@ def test_indexed_fit_matches_per_step_fit_on_the_list():
 
     rows = [np.zeros(k) for k in inst.space.sizes]
     for _ in range(steps):
-        grads = pl_nll_gradient(RewardTable(tuple(rows)), data)
-        rows = [r - step_size * g for r, g in zip(rows, grads)]
+        grad = pl_nll_gradient(RewardTable(tuple(rows)), data)
+        rows = [r - step_size * grad[x, :len(r)] for x, r in enumerate(rows)]
         rows = [r - r.mean() for r in rows]
     want = RewardTable(tuple(rows))
     assert fit.steps_taken == steps and not fit.converged
@@ -468,7 +480,8 @@ def _row_fit(data, instance, init=None, steps=300, step_size=2.0, tol=1e-6):
     rows = [r - r.mean() for r in rows]
     taken = 0
     for t in range(steps):
-        grads = pl_nll_gradient(RewardTable(tuple(rows)), data)
+        grad = pl_nll_gradient(RewardTable(tuple(rows)), data)
+        grads = [grad[x, :len(r)] for x, r in enumerate(rows)]
         gmax = max(float(np.max(np.abs(g))) for g in grads)
         if gmax <= tol:
             break
