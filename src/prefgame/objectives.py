@@ -99,48 +99,32 @@ def _expect(policy: TabularPolicy, table: np.ndarray, instance: GameInstance) ->
 # one-vs-many win tables
 
 
-# A reward row spanning more than this takes the log-space win row. Up to it
-# every max-shifted exp is at least exp(-700), about 1e-304, still a normal
-# float, so no draw's shares underflow to 0/0 or lose digits.
-_PL_LINEAR_SPAN = 700.0
-
-
 def _pl_win_row(
     rewards_row: np.ndarray, opponents_rows: list[np.ndarray]
 ) -> np.ndarray:
-    """W[y] = E_{y_j ~ pi_j} [ e^{r_y} / (e^{r_y} + sum_j e^{r_{y_j}}) ].
+    """W[y] = E_{y_j ~ pi_j} [ 1 / (1 + sum_j e^{r_{y_j} - r_y}) ], at any reward span.
 
-    The opponents' joint weights and pooled denominators are flat arrays
-    over the product of their live supports, first opponent slowest; each
-    response then takes one dot product with them, so memory stays linear
-    in the tuple count. On a row spanning more than _PL_LINEAR_SPAN each
-    response y carries log(S / e^{r_y}) per draw instead, pooled by
-    np.logaddexp.outer over the gaps r_j - r_y, and takes the share
-    exp(-logaddexp(0, log(S / e^{r_y}))); the shift by r_y keeps every digit
-    of the draws whose share is neither 0 nor 1. A -inf response never wins.
+    The ratio table e^{r_j - r_y} is built once, one row per finite response
+    y. The opponents' draws are pooled over the product of their live
+    supports, newest opponent slowest, into one (responses, draws) table of
+    denominators that starts at 1; memory is 8 bytes per weighted tuple as
+    ENUMERATION_CAP counts them. Every denominator is at least 1, so no share
+    is 0/0, and a ratio that overflows gives the exact limit, a share of 0.
+    A -inf response never wins, so an all -inf row is all zeros.
     """
-    top = rewards_row.max()
+    win = np.zeros(len(rewards_row))
+    alive = np.flatnonzero(rewards_row > -np.inf)
     weight = np.ones(1)
-    lives = []
-    for row in opponents_rows:
-        live = np.flatnonzero(row > 0.0)
-        weight = np.multiply.outer(weight, row[live]).ravel()
-        lives.append(live)
-    if top - rewards_row.min() > _PL_LINEAR_SPAN:
-        win = np.zeros(len(rewards_row))
-        for y, ry in enumerate(rewards_row):
-            if ry > -np.inf:
-                gap = rewards_row - ry
-                log_ratio = np.full(1, -np.inf)
-                for live in lives:
-                    log_ratio = np.logaddexp.outer(log_ratio, gap[live]).ravel()
-                win[y] = weight @ np.exp(-np.logaddexp(0.0, log_ratio))
-        return win
-    e = np.exp(rewards_row - top)
-    denom = np.zeros(1)
-    for live in lives:
-        denom = np.add.outer(denom, e[live]).ravel()
-    return np.array([weight @ (ey / (ey + denom)) for ey in e])
+    pooled = np.ones((len(alive), 1))
+    with np.errstate(over="ignore"):
+        ratio = np.exp(rewards_row - rewards_row[alive, None])
+        for row in opponents_rows:
+            live = np.flatnonzero(row > 0.0)
+            weight = np.multiply.outer(row[live], weight).ravel()
+            pooled = ratio.take(live, axis=1)[:, :, None] + pooled[:, None, :]
+            pooled = pooled.reshape(len(alive), len(weight))
+    win[alive] = np.reciprocal(pooled, out=pooled) @ weight
+    return win
 
 
 def expected_win_rates(
@@ -153,7 +137,9 @@ def expected_win_rates(
     Entries past a prompt's response count are 0. mean_pairwise
     factorizes into matrix-vector products; plackett_luce enumerates the
     product of opponent supports, bounded by ENUMERATION_CAP as read on
-    this call.
+    this call. Each Plackett-Luce row is the one formula of _pl_win_row,
+    exact at any reward span, with a -inf response at 0; its table takes
+    8 bytes per weighted tuple, so a row at the cap holds about 80 MB.
     """
     if len(opponents) == 0:
         raise ValueError("need at least one opponent")

@@ -360,6 +360,16 @@ def test_lossmin_run_matches_closed_form_update(paths, tmp_path):
         }
     assert report["worst_gap_to_update"] == summary["worst_gap_to_update"]
 
+    # every opponent is the reference, so more players change nothing past rounding
+    doc = base_doc(paths, tmp_path, "lossmin", eta=0.8, steps=2500, inits=2, n_players=5)
+    doc["out_dir"] = str(tmp_path / "out5")
+    five = run_experiment(config_from_dict(doc))
+    report5 = json.loads((tmp_path / "out5" / "report.json").read_text())
+    assert [e["steps_taken"] for e in report5["inits"]] == [
+        e["steps_taken"] for e in report["inits"]
+    ]
+    assert abs(five["worst_gap_to_update"] - summary["worst_gap_to_update"]) <= 1e-15
+
 
 def test_presets_run_writes_one_row_per_preset(paths, tmp_path):
     doc = base_doc(paths, tmp_path, "presets", samples=200, seed=3)

@@ -261,13 +261,29 @@ def _sparse_policy(rng, sizes):
     return TabularPolicy(rows)
 
 
+def _brute_force_pl_row(rewards: RewardTable, x: int, opponents, first: int = 0):
+    """Prompt x's Plackett-Luce row from response `first` on, tuple by tuple.
+
+    Each tuple is scored by pl_one_vs_many; the opponents draw from a second
+    copy of the response set, so a pool may repeat the response.
+    """
+    k = len(rewards.rows[x])
+    doubled = RewardTable((np.concatenate((rewards.rows[x], rewards.rows[x])),))
+    supports = [np.flatnonzero(o.rows[x] > 0.0) for o in opponents]
+    row = np.zeros(k - first)
+    for y in range(first, k):
+        for tup in itertools.product(*supports):
+            weight = math.prod(o.rows[x][j] for o, j in zip(opponents, tup))
+            row[y - first] += weight * pl_one_vs_many(doubled, 0, y, [k + int(j) for j in tup])
+    return row
+
+
 def test_pl_table_matches_brute_force_enumeration(rng):
-    # Each tuple is scored by pl_one_vs_many; the opponents draw from a
-    # second copy of the response set, so a pool may repeat the response.
-    for _ in range(15):
+    # odd games draw narrow rewards, even games span well past 700
+    for game in range(16):
         base = random_instance(rng, num_prompts=3, max_responses=5)
         sizes = base.space.sizes
-        spread = rng.uniform(0.0, 30.0)
+        spread = rng.uniform(0.0, 30.0) if game % 2 else rng.uniform(400.0, 2000.0)
         rewards = RewardTable(tuple(rng.uniform(-spread, spread, k) for k in sizes))
         inst = GameInstance(
             prompt_weights=base.prompt_weights,
@@ -276,19 +292,38 @@ def test_pl_table_matches_brute_force_enumeration(rng):
             preference=base.preference,
             reward=rewards,
         )
-        doubled = RewardTable(tuple(np.concatenate((r, r)) for r in rewards.rows))
         opponents = [_sparse_policy(rng, sizes) for _ in range(rng.integers(1, 5))]
         win = expected_win_rates(inst, opponents, PLACKETT_LUCE)
         for x, k in enumerate(sizes):
-            supports = [np.flatnonzero(o.rows[x] > 0.0) for o in opponents]
-            for y in range(k):
-                want = 0.0
-                for tup in itertools.product(*supports):
-                    weight = math.prod(o.rows[x][j] for o, j in zip(opponents, tup))
-                    pool = [k + int(j) for j in tup]
-                    want += weight * pl_one_vs_many(doubled, x, y, pool)
-                assert abs(win[x, y] - want) <= 1e-13
+            want = _brute_force_pl_row(rewards, x, opponents)
+            assert np.all(np.abs(win[x, :k] - want) <= 1e-13)
             assert np.all(win[x, k:] == 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_pl_table_never_lets_a_minus_inf_response_win():
+    space = ResponseSpace((("a", "b", "c", "d"), ("a", "b", "c")))
+    inst = GameInstance(
+        prompt_weights=np.array([0.5, 0.5]),
+        space=space,
+        reference=uniform_policy(space),
+        preference=PairwisePreference((np.full((4, 4), 0.5), np.full((3, 3), 0.5))),
+        reward=RewardTable((np.array([-np.inf, 1.0, 0.0, 2.5]), np.full(3, -np.inf))),
+    )
+    mixed = TabularPolicy([[0.1, 0.2, 0.3, 0.4], [0.2, 0.3, 0.5]])
+    # one -inf response: it gets 0, the others match brute force (which
+    # cannot score the -inf response itself: an all -inf pool reads 0/0)
+    win = expected_win_rates(inst, [mixed, mixed], PLACKETT_LUCE)
+    assert win[0, 0] == 0.0
+    want = _brute_force_pl_row(inst.reward, 0, [mixed, mixed], first=1)
+    assert np.all(np.abs(win[0, 1:] - want) <= 1e-15)
+    # an opponent playing only the -inf response: a finite response always wins
+    doomed = TabularPolicy([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    win = expected_win_rates(inst, [doomed], PLACKETT_LUCE)
+    assert win[0].tolist() == [0.0, 1.0, 1.0, 1.0]
+    # an all -inf row: no response ever wins
+    assert win[1].tolist() == [0.0, 0.0, 0.0, 0.0]
+    assert np.all(expected_win_rates(inst, [mixed] * 3, PLACKETT_LUCE)[1] == 0.0)
 
 
 def test_pl_table_at_the_cap_splits_evenly():
