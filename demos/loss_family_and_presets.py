@@ -17,7 +17,6 @@ from prefgame import (
     TabularPolicy,
     UpdateMatchingProblem,
     compare_presets,
-    log_ratio_margin,
     minimize_loss,
     mixed_instance,
     mwu_step,
@@ -45,8 +44,9 @@ def main():
     # the margin is a log-probability-ratio difference, so it needs no
     # partition function; antisymmetric in the pair by construction
     p = random_interior(rng, inst.space.sizes)
-    m01 = log_ratio_margin(p, [ref], 0, 0, 1)
-    m10 = log_ratio_margin(p, [ref], 0, 1, 0)
+    ratio = np.log(p.rows[0]) - np.log(ref.rows[0])  # log p(y)/ref(y) per response
+    m01 = ratio[0] - ratio[1]
+    m10 = ratio[1] - ratio[0]
     print(f"margin(0,1) = {m01:+.4f}, margin(1,0) = {m10:+.4f} (antisymmetric)")
 
     # descending the update-matching loss recovers the closed-form step

@@ -56,7 +56,6 @@ from .solvers import (
     RunRecord,
     SelfPlayResult,
     SolverConfig,
-    average_policy,
     mwu_step,
     self_play_run,
 )
@@ -69,7 +68,6 @@ from .losses import (
     PairMarginProblem,
     PolicyLogits,
     UpdateMatchingProblem,
-    log_ratio_margin,
     logits_to_policy,
     minimize_loss,
     pair_margin_loss,

@@ -90,18 +90,16 @@ def _best_response(instance, opponents, tau, aggregator):
 def dual_gap_two_player(
     policy: TabularPolicy, instance: GameInstance, tau: float = 0.0
 ) -> float:
-    """max_p J(p, policy) - min_q J(policy, q), from one best response.
+    """max_p J(p, policy) - min_q J(policy, q): twice the two-player exploitability.
 
     The preference oracle satisfies M + M^T = 1 with a 0.5 diagonal, which
     validate_instance enforces, so J(p, q) + J(q, p) = 1 and both halves of
-    the gap equal the best response's gain over the held value: the gap is
-    twice the two-player exploitability. Zero exactly at an equilibrium;
-    1.0 at a point mass in an unregularized cycle, where the counter wins
-    outright.
+    the gap equal the best response's gain over the held value. Doubling is
+    exact, so the gap has the bits of 2 * max(gain, 0). Zero exactly at an
+    equilibrium; 1.0 at a point mass in an unregularized cycle, where the
+    counter wins outright.
     """
-    br = _best_response(instance, [policy], tau, MEAN_PAIRWISE)
-    held = _player_value(policy, br.win, instance, tau)
-    return _clipped_gap(2.0 * (br.value - held), "duality gap")
+    return 2.0 * exploitability_multiplayer(policy, 2, instance, tau)
 
 
 def exploitability_multiplayer(
@@ -131,11 +129,7 @@ def _exploitability_and_value(
     others = [policy] * (n_players - 1)
     br = _best_response(instance, others, tau, aggregator)
     held = _player_value(policy, br.win, instance, tau)
-    return _clipped_gap(br.value - held, "exploitability"), held
-
-
-def _clipped_gap(gap: float, name: str) -> float:
-    # a gap this far below zero is a bug, not rounding
-    if gap < -1e-10:
-        raise NegativeGapError(f"negative {name} {gap}")
-    return max(gap, 0.0)
+    gap = br.value - held
+    if gap < -1e-10:  # this far below zero is a bug, not rounding
+        raise NegativeGapError(f"negative exploitability {gap}")
+    return max(gap, 0.0), held

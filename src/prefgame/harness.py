@@ -59,6 +59,7 @@ from .instances import (
     GameInstance,
     TabularPolicy,
     _Record,
+    _number,
     _policy_violations,
     _read_json,
     _require_count,
@@ -137,12 +138,6 @@ def derive_rng(seed: int, *names: str) -> np.random.Generator:
 
 # ---------------------------------------------------------------------------
 # config schema
-
-
-def _number(v) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise TypeError("expected a number")
-    return float(v)
 
 
 def _integer(v) -> int:

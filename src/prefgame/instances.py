@@ -74,6 +74,22 @@ def _require_int(value, message: str) -> int:
     return int(value)
 
 
+def _number(value) -> float:
+    """float(value) for a JSON number; a bool or a string is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return float(value)
+
+
+def _numbers(values: list) -> np.ndarray:
+    """A float array of JSON numbers; a bool, a string or a list entry is a TypeError."""
+    wrong = set(map(type, values)) - {int, float}  # one set pass: bool is not int here
+    if wrong:
+        names = ", ".join(sorted(t.__name__ for t in wrong))
+        raise TypeError(f"expected a number, got {names}")
+    return np.asarray(values, float)
+
+
 def _require_count(value, low: int, message: str) -> None:
     """Raise ValueError(message) unless value is an integer (np.integer too) >= low."""
     if _require_int(value, message) < low:
@@ -633,7 +649,7 @@ def _build_preference(doc: dict, space: ResponseSpace, reward) -> PairwisePrefer
             raise ValueError("preference kind 'cyclic' needs key 'strength'")
         if space.num_prompts != 1:
             raise ValueError("preference kind 'cyclic' covers single-prompt instances")
-        strength = _field("preference.strength", float, doc["strength"], object)
+        strength = _field("preference.strength", _number, doc["strength"], object)
         return make_cyclic_oracle(space.sizes[0], strength)
     if kind == "bradley_terry":
         if reward is None:
@@ -657,9 +673,7 @@ def load_instance(path) -> GameInstance:
     if "rewards" in doc:
         reward = _field("rewards", RewardTable, doc["rewards"])
     if "prompt_weights" in doc:
-        weights = _field(
-            "prompt_weights", lambda v: np.asarray(v, float), doc["prompt_weights"]
-        )
+        weights = _field("prompt_weights", _numbers, doc["prompt_weights"])
     else:
         n = space.num_prompts
         weights = np.full(n, 1.0 / n)

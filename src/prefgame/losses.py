@@ -216,26 +216,6 @@ def _logs(policy, touched, who):
     return np.log(probs)
 
 
-def log_ratio_margin(
-    policy: TabularPolicy,
-    opponents: Sequence[TabularPolicy],
-    prompt: int,
-    first: int,
-    second: int,
-) -> float:
-    """Equal-weight margin log pi(y)/pi(y') - mean_j log pi_j(y)/pi_j(y')."""
-    if len(opponents) == 0:
-        raise ValueError("need at least one opponent")
-    # IndexError past the prompt's count; negative indices count from its end
-    pair = np.arange(policy.sizes[prompt])[[first, second]]
-    touched = np.zeros(policy.packed.shape, dtype=bool)
-    touched[prompt, pair] = True
-    u = _logs(policy, touched, "policy")[prompt, pair]
-    for opp in opponents:
-        u -= _logs(opp, touched, "opponent")[prompt, pair] / len(opponents)
-    return float(u[0] - u[1])
-
-
 # ---------------------------------------------------------------------------
 # the pair-margin evaluator
 

@@ -21,7 +21,6 @@ randomness.
 
 from __future__ import annotations
 
-import csv
 from typing import Sequence
 
 import numpy as np
@@ -103,24 +102,6 @@ class RunLog(_Record):
             for r in self.records
         ))
 
-    @staticmethod
-    def from_csv(path) -> "RunLog":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != _RUN_LOG_HEADER:
-                raise ValueError(f"unexpected run-log header {header}")
-            records = []
-            for row in reader:
-                if len(row) != 5:
-                    raise ValueError(f"run-log row {len(records)} needs 5 fields, got {row}")
-                try:  # elapsed_ms must parse as a float too; it is then dropped
-                    values = [float(v) for v in row[1:]]
-                    records.append(RunRecord(int(row[0]), *values[:3]))
-                except ValueError as err:
-                    raise ValueError(f"run-log row {len(records)}: {err}") from err
-        return RunLog(records)
-
 
 class SelfPlayResult(_Record, eq=False):
     final: TabularPolicy
@@ -156,21 +137,6 @@ def mwu_step(
         rewards, instance.reference, opponents, eta * tau,
         [(1.0 - eta * tau) * wj for wj in w],
     )
-
-
-def average_policy(
-    policies: Sequence[TabularPolicy], weights: Sequence[float] | None = None
-) -> TabularPolicy:
-    """Arithmetic mixture of policies, uniform unless weighted."""
-    if len(policies) == 0:
-        raise ValueError("nothing to average")
-    w = _mixture_weights(weights, len(policies), "averaging")
-    sizes = policies[0].sizes
-    mix = np.zeros(policies[0].packed.shape)
-    for wj, p in zip(w, policies):
-        _require_sizes(p, sizes, "policy")
-        mix = mix + wj * p.packed
-    return TabularPolicy._wrap(mix / mix.sum(axis=1, keepdims=True), sizes)
 
 
 def _metrics(avg, instance, config, iteration) -> RunRecord:

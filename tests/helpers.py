@@ -320,7 +320,7 @@ def reference_dual_gap(
 
     The one best response to `policy` is both the strongest attacker and
     the opponent that hurts `policy` most; the gap is clipped at zero.
-    dual_gap_two_player reads it off the best response's gain instead.
+    dual_gap_two_player doubles the two-player exploitability instead.
     """
     if tau == 0.0:
         br = best_response_unregularized(instance, [policy]).policy
@@ -460,6 +460,26 @@ def reference_tie_split(
     w = np.where(allowed, win, -np.inf)
     ties = allowed & (w >= w.max(axis=1, keepdims=True) - TIE_TOL)
     return _reference_softmax(np.zeros(win.shape), ties, instance.space.sizes)
+
+
+def log_ratio_margin(
+    policy: TabularPolicy,
+    opponents: Sequence[TabularPolicy],
+    prompt: int,
+    first: int,
+    second: int,
+) -> float:
+    """Equal-weight margin log pi(y)/pi(y') - mean_j log pi_j(y)/pi_j(y'), one pair.
+
+    Every policy needs positive mass on both responses.
+    """
+    if len(opponents) == 0:
+        raise ValueError("need at least one opponent")
+    pair = [first, second]
+    u = np.log(policy.rows[prompt][pair])
+    for opp in opponents:
+        u -= np.log(opp.rows[prompt][pair]) / len(opponents)
+    return float(u[0] - u[1])
 
 
 def squared_distance(margin: float, target: float) -> float:

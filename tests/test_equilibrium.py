@@ -395,7 +395,7 @@ def test_negative_gap_raises_named_error(rps, monkeypatch):
     winner = point_mass_policy(rps.space, [2])
     with pytest.raises(NegativeGapError, match="negative exploitability"):
         exploitability_multiplayer(winner, 2, rps)
-    with pytest.raises(NegativeGapError, match="negative duality gap"):
+    with pytest.raises(NegativeGapError, match="negative exploitability"):
         dual_gap_two_player(winner, rps)
     assert issubclass(NegativeGapError, ArithmeticError)
     assert not issubclass(NegativeGapError, AssertionError)

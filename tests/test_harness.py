@@ -590,6 +590,19 @@ def test_reruns_are_byte_identical(paths, tmp_path):
     assert outputs["first"] == outputs["second"]
 
 
+def test_selfplay_null_history_weights_is_the_default(paths, tmp_path):
+    outputs = {}
+    for tag, extra in (("null", {"history_weights": None}), ("absent", {})):
+        doc = base_doc(
+            paths, tmp_path, "selfplay", eta=0.5, iterations=20, n_players=3,
+            opponent_scheme="history_window", **extra,
+        )
+        doc["out_dir"] = str(tmp_path / tag)
+        run_experiment(config_from_dict(doc))
+        outputs[tag] = {f.name: f.read_bytes() for f in (tmp_path / tag).iterdir()}
+    assert outputs["null"] == outputs["absent"]
+
+
 def test_rewardfit_reruns_are_byte_identical(paths, tmp_path):
     outputs = {}
     for tag in ("first", "second"):
@@ -694,6 +707,14 @@ _VALID = {
             ("lossmin", "step_size", 10**400),
             ("gap", "tau", 10**400),
             ("selfplay", "history_weights", [10**400]),
+        ]
+    ]
+    + [
+        # a path or policy name that is not a JSON string
+        pytest.param(mode, key, value, id=f"{mode}-{key}-{value}")
+        for mode, key, value in [
+            ("presets", "instance", 7),
+            ("gap", "policy", ["uniform"]),
         ]
     ]
     + [
@@ -1136,6 +1157,33 @@ def test_cli_instance_key_of_the_wrong_type_exits_5(
     assert main(argv) == 5
     err = capsys.readouterr().err
     assert f"key '{key}'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("preference.strength", "0.7"),
+        ("preference.strength", True),
+        ("prompt_weights", [True]),
+        ("prompt_weights", ["1.0"]),
+    ],
+    ids=["strength-string", "strength-bool", "prompt_weights-bool", "prompt_weights-string"],
+)
+def test_cli_validate_rejects_a_string_or_bool_number_exits_5(
+    paths, tmp_path, capsys, key, value
+):
+    # a string or a boolean where the schema wants a JSON number, as the
+    # config schema rejects it too
+    doc = json.loads(Path(paths["rps"]).read_text())
+    if key == "preference.strength":
+        doc["preference"] = {"kind": "cyclic", "strength": value}
+    else:
+        doc[key] = value
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 5
+    err = capsys.readouterr().err
+    assert f"key '{key}'" in err and "expected a number" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])

@@ -34,7 +34,6 @@ from prefgame import (
     RunRecord,
     SelfPlayResult,
     SolverConfig,
-    average_policy,
     dual_gap_two_player,
     exploitability_multiplayer,
     fit_pl_reward,
@@ -119,7 +118,6 @@ _MISMATCHED_CALLS = {
         bad, 2, inst
     ),
     "dual_gap_two_player": lambda inst, ok, bad: dual_gap_two_player(bad, inst),
-    "average_policy": lambda inst, ok, bad: average_policy([ok, bad]),
     "update_matching_loss": lambda inst, ok, bad: update_matching_loss(
         bad, inst, ok, [ok], 0.5
     ),

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (
     bernoulli_kl_distance,
     fd_logit_gradient,
+    log_ratio_margin,
     max_grad_rel_error,
     mean_pairwise_one_vs_many,
     random_instance,
@@ -21,6 +22,7 @@ from helpers import (
 )
 from prefgame import (
     MEAN_PAIRWISE,
+    GameInstance,
     LossConfig,
     PairMarginProblem,
     PolicyLogits,
@@ -29,7 +31,6 @@ from prefgame import (
     UpdateMatchingProblem,
     closed_form_multi_teacher_optimum,
     kl_divergence,
-    log_ratio_margin,
     logits_to_policy,
     minimize_loss,
     mwu_step,
@@ -96,7 +97,8 @@ def test_bernoulli_kl_rejects_negative_infinity():
 
 
 # ---------------------------------------------------------------------------
-# margins
+# the reference margin (helpers.log_ratio_margin) that the tests below score
+# the packed evaluator against
 
 
 def test_margin_is_antisymmetric(rng):
@@ -129,15 +131,6 @@ def test_margin_unit_for_e_scaled_ratio():
     opp = TabularPolicy([[0.5, 0.5]])
     pol = TabularPolicy([[math.e / (1 + math.e), 1 / (1 + math.e)]])
     assert log_ratio_margin(pol, [opp], 0, 0, 1) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_margin_rejects_zero_probability():
-    opp = TabularPolicy([[0.5, 0.5]])
-    dead = TabularPolicy([[1.0, 0.0]])
-    with pytest.raises(SupportViolation):
-        log_ratio_margin(dead, [opp], 0, 0, 1)
-    with pytest.raises(SupportViolation):
-        log_ratio_margin(opp, [dead], 0, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +313,22 @@ def test_family_needs_nonempty_history_and_data(rng):
         pair_margin_loss(pol, [], cfg, inst)
     with pytest.raises(ValueError, match="empty"):
         pair_margin_loss(pol, [pol], cfg, inst, data=[])
+
+
+def test_family_target_rules_need_their_tables(rng):
+    inst = random_instance(rng)
+    pol = random_policy(rng, inst.space.sizes)
+    bare = GameInstance(
+        prompt_weights=inst.prompt_weights,
+        space=inst.space,
+        reference=inst.reference,
+        preference=inst.preference,
+        reward=None,
+    )
+    with pytest.raises(ValueError, match="'reward_gap' needs a reward table"):
+        pair_margin_loss(pol, [pol], LossConfig(("ref",), (1.0,), "sq", "reward_gap"), bare)
+    with pytest.raises(ValueError, match="'win_rate_gap' needs opponents"):
+        pair_margin_loss(pol, [pol], LossConfig((), (), "sq", "win_rate_gap"), inst)
 
 
 def test_family_rejects_malformed_dataset(rng):

@@ -344,6 +344,11 @@ def test_pl_table_at_the_cap_splits_evenly():
     assert float(pol.rows[0] @ win[0]) == pytest.approx(1.0 / 7.0, abs=1e-12)
 
 
+def test_expected_win_rates_needs_an_opponent(rps):
+    with pytest.raises(ValueError, match="at least one opponent"):
+        expected_win_rates(rps, [])
+
+
 def test_expected_win_rates_pl_needs_rewards(rps):
     inst = GameInstance(
         prompt_weights=rps.prompt_weights,
@@ -559,6 +564,14 @@ def test_closed_form_keeps_an_anchor_whose_share_of_tau_underflows():
     want = np.array([0.0, 0.3 * math.exp(0.1), 0.2 * math.exp(0.15)])
     assert opt.rows[0][0] == 0.0
     assert np.allclose(opt.rows[0], want / want.sum(), rtol=1e-15, atol=0.0)
+
+
+def test_closed_form_needs_one_tau_per_teacher(rng):
+    inst = random_instance(rng)
+    with pytest.raises(ValueError, match="one tau per teacher"):
+        closed_form_multi_teacher_optimum(
+            inst.reward, inst.reference, [inst.reference] * 2, 0.5, [0.5]
+        )
 
 
 def test_closed_form_rejects_zero_total_coefficient(rng):

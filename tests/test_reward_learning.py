@@ -567,6 +567,7 @@ def test_generate_rankings_shapes_and_ranges(bt, rng):
 def test_generate_rankings_zero_count(bt, rng):
     data = generate_rankings(bt.reward, bt, 0, 1, rng)
     assert len(data) == 0 and data == Rankings([])
+    assert (Rankings([]) == []) is False  # not a Rankings: unequal, no exception
 
 
 def test_generate_rankings_equal_rewards_are_uniform():

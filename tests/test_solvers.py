@@ -16,7 +16,6 @@ from prefgame import (
     SolverConfig,
     TabularPolicy,
     UpdateMatchingProblem,
-    average_policy,
     best_response_kl,
     closed_form_multi_teacher_optimum,
     compare_presets,
@@ -195,40 +194,6 @@ def test_solver_config_bounds_eta_times_tau():
 
 
 # ---------------------------------------------------------------------------
-# averaging
-
-
-def test_average_policy_single_is_identity(rng):
-    pol = random_policy(rng, (3,))
-    avg = average_policy([pol])
-    assert np.all(avg.rows[0] == pol.rows[0])
-
-
-def test_average_policy_of_point_masses(rps):
-    a = point_mass_policy(rps.space, [0])
-    b = point_mass_policy(rps.space, [2])
-    avg = average_policy([a, b])
-    assert np.allclose(avg.rows[0], [0.5, 0.0, 0.5], atol=1e-15)
-
-
-def test_average_policy_weighted(rps):
-    a = point_mass_policy(rps.space, [0])
-    b = point_mass_policy(rps.space, [2])
-    avg = average_policy([a, b], weights=(0.25, 0.75))
-    assert np.allclose(avg.rows[0], [0.25, 0.0, 0.75], atol=1e-15)
-
-
-def test_average_policy_validation(rps):
-    a = uniform_policy(rps.space)
-    with pytest.raises(ValueError, match="nothing"):
-        average_policy([])
-    with pytest.raises(ValueError, match="weight"):
-        average_policy([a], weights=(0.5, 0.5))
-    with pytest.raises(ValueError, match="sum to one"):
-        average_policy([a, a], weights=(0.5, 0.4))
-
-
-# ---------------------------------------------------------------------------
 # run log
 
 
@@ -252,43 +217,21 @@ def test_run_log_csv_round_trip(tmp_path):
     log = RunLog(tuple(_record(t, gap=0.1 / (t + 1)) for t in range(0, 30, 3)))
     path = tmp_path / "log.csv"
     log.to_csv(path)
-    back = RunLog.from_csv(path)
-    assert len(back.records) == len(log.records)
-    for a, b in zip(log.records, back.records):
-        assert a.iteration == b.iteration
-        assert b.gap == pytest.approx(a.gap, rel=1e-11)
+    rows = path.read_text().splitlines()[1:]
+    assert len(rows) == len(log.records)
+    for rec, row in zip(log.records, rows):
+        iteration, gap, kl_ref, value, elapsed_ms = row.split(",")
+        assert int(iteration) == rec.iteration
+        assert float(gap) == pytest.approx(rec.gap, rel=1e-11)
+        assert (float(kl_ref), float(value), elapsed_ms) == (rec.kl_ref, rec.self_play_value, "0")
 
 
 def test_run_log_csv_header_is_pinned(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("iter,gap,kl,value,ms\n0,0,0,0,0\n")
-    with pytest.raises(ValueError, match="header"):
-        RunLog.from_csv(path)
     good = tmp_path / "good.csv"
     RunLog((_record(0),)).to_csv(good)
     assert good.read_text().splitlines()[0] == (
         "iter,gap,kl_ref,self_play_value,elapsed_ms"
     )
-
-
-_RUN_LOG_ROWS = "iter,gap,kl_ref,self_play_value,elapsed_ms\n0,1,0,0.5,0\n"
-
-
-@pytest.mark.parametrize("text, match", [
-    ("", "header None"),
-    (_RUN_LOG_ROWS + "1,1,0\n", "row 1 needs 5 fields"),
-    (_RUN_LOG_ROWS + "1,1,0,0.5,0,7\n", "row 1 needs 5 fields"),
-    (_RUN_LOG_ROWS + "1,x,0,0.5,0\n", "row 1: could not convert string to float: 'x'"),
-    (_RUN_LOG_ROWS + "1.5,1,0,0.5,0\n", "row 1: invalid literal for int"),
-    (_RUN_LOG_ROWS + "1,1,0,0.5,banana\n", "row 1: could not convert string to float: 'banana'"),
-], ids=["empty", "short_row", "long_row", "bad_gap", "fractional_iter", "bad_elapsed_ms"])
-def test_run_log_csv_rejects_an_empty_file_and_ragged_rows(tmp_path, text, match):
-    path = tmp_path / "log.csv"
-    path.write_text(text)
-    with pytest.raises(ValueError, match=match):
-        RunLog.from_csv(path)
-    path.write_text(_RUN_LOG_ROWS)
-    assert RunLog.from_csv(path) == RunLog((RunRecord(0, 1.0, 0.0, 0.5),))
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +272,8 @@ def test_self_play_metric_iterations_follow_stride(rps):
 def test_self_play_average_includes_the_initial_iterate(rps):
     cfg = SolverConfig(eta=0.5, iterations=1)
     res = self_play_run(rps, cfg)
-    want = average_policy([rps.reference, res.final])
-    assert np.allclose(res.average.rows[0], want.rows[0], atol=1e-14)
+    want = (rps.reference.rows[0] + res.final.rows[0]) / 2.0
+    assert np.allclose(res.average.rows[0], want, atol=1e-14)
 
 
 def test_self_play_reruns_are_bit_identical(rps):
@@ -522,11 +465,11 @@ def _descent_problem(inst):
     (lambda inst: exploitability_multiplayer(inst.reference, 3, inst, NAN), "tau"),
     (lambda inst: dual_gap_two_player(inst.reference, inst, NAN), "tau"),
     (lambda inst: mwu_step([inst.reference] * 2, inst, 0.5, [NAN, 1.0]), "weights"),
-    (lambda inst: average_policy([inst.reference] * 2, [NAN, 1.0]), "weight"),
     (lambda inst: closed_form_multi_teacher_optimum(
         inst.reward, inst.reference, [], NAN, []), "tau_ref"),
     (lambda inst: closed_form_multi_teacher_optimum(
         inst.reward, inst.reference, [inst.reference], 0.5, [NAN]), "taus"),
+    (lambda inst: PolicyLogits((np.zeros(3), np.array([0.0, NAN]))), "logit row 1"),
     (lambda inst: minimize_loss(*_descent_problem(inst), step_size=NAN), "step_size"),
     (lambda inst: minimize_loss(*_descent_problem(inst), step_size=INF), "step_size"),
     # below the descent's stop floor it would stop before its first step
@@ -555,7 +498,7 @@ def _descent_problem(inst):
 ], ids=[
     "solver_tau_nan", "solver_tau_inf", "best_response_kl_tau_nan",
     "exploitability_tau_nan", "dual_gap_tau_nan", "mwu_step_weights_nan",
-    "average_policy_weights_nan", "closed_form_tau_ref_nan", "closed_form_taus_nan",
+    "closed_form_tau_ref_nan", "closed_form_taus_nan", "logits_row_nan",
     "minimize_step_size_nan", "minimize_step_size_inf", "minimize_step_size_below_floor",
     "minimize_steps_negative",
     "minimize_steps_nan", "solver_iterations_nan", "solver_iterations_fractional",
