@@ -34,11 +34,15 @@ from prefgame import (
     RunRecord,
     SelfPlayResult,
     SolverConfig,
+    best_response_kl,
     dual_gap_two_player,
+    expected_win_rates,
     exploitability_multiplayer,
     fit_pl_reward,
     multiplayer_objective,
     mwu_step,
+    pair_margin_loss,
+    preset,
     two_player_objective,
     update_matching_loss,
     PairwisePreference,
@@ -118,6 +122,11 @@ _MISMATCHED_CALLS = {
         bad, 2, inst
     ),
     "dual_gap_two_player": lambda inst, ok, bad: dual_gap_two_player(bad, inst),
+    "best_response_kl": lambda inst, ok, bad: best_response_kl(inst, [bad], 0.5),
+    "expected_win_rates": lambda inst, ok, bad: expected_win_rates(inst, [ok, bad]),
+    "pair_margin_loss": lambda inst, ok, bad: pair_margin_loss(
+        ok, [bad], preset("sppo"), inst
+    ),
     "update_matching_loss": lambda inst, ok, bad: update_matching_loss(
         bad, inst, ok, [ok], 0.5
     ),

@@ -133,6 +133,19 @@ def test_margin_unit_for_e_scaled_ratio():
     assert log_ratio_margin(pol, [opp], 0, 0, 1) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_margin_rejects_zero_probability():
+    # the packed evaluator refuses a judged pair to which the policy or an
+    # opponent gives no mass, where the reference margin would take log 0
+    inst = _two_prompt_instance([[0.5, 0.5], [0.5, 0.5]])
+    opp = TabularPolicy([[0.5, 0.5], [0.5, 0.5]])
+    dead = TabularPolicy([[1.0, 0.0], [0.5, 0.5]])
+    cfg = LossConfig((0,), (1.0,), "sq", 0.0)
+    with pytest.raises(SupportViolation, match="policy has zero mass"):
+        pair_margin_loss(dead, [opp], cfg, inst, data=[(0, 0, 1)])
+    with pytest.raises(SupportViolation, match="opponent has zero mass"):
+        pair_margin_loss(opp, [dead], cfg, inst, data=[(0, 0, 1)])
+
+
 # ---------------------------------------------------------------------------
 # update-matching loss
 
