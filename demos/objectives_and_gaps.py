@@ -59,11 +59,13 @@ def main():
         kl = kl_divergence(br.policy, inst.reference, inst)
         print(f"  tau {tau:>5}: {np.round(br.policy.rows[0], 3)}  KL to ref {kl:.3f}")
 
-    # the one-vs-many value with softmax pooling; identical players tie at 1/n
+    # the one-vs-many value with softmax pooling; identical players tie at 1/n.
+    # The n - 1 copies pool as multisets of draws: at n = 8 that is C(11, 7) = 330
+    # multisets of the 5 responses rather than 5**7 = 78125 ordered tuples.
     ladder = bt_instance()
     me = uniform_policy(ladder.space)
     print()
-    for n in (2, 3, 4):
+    for n in range(2, 9):
         value = multiplayer_objective(me, [me] * (n - 1), ladder, 0.0, PLACKETT_LUCE)
         print(f"n={n} identical players, softmax pooling: value {value:.6f}"
               f" (1/n = {1 / n:.6f})")

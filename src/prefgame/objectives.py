@@ -10,12 +10,14 @@ The n-player value of a policy against a set of opponents is
 
 where the one-vs-many probability P is set by the aggregator: mean of
 pairwise oracle wins, or a Plackett-Luce softmax over the pooled rewards.
-The Plackett-Luce case needs the full product of opponent supports, so it
-is guarded by an enumeration cap.
+The Plackett-Luce case sums over the product of opponent supports, drawing
+copies of one opponent as multisets, and is guarded by an enumeration cap
+on the ordered tuples.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -99,32 +101,94 @@ def _expect(policy: TabularPolicy, table: np.ndarray, instance: GameInstance) ->
 # one-vs-many win tables
 
 
+@functools.lru_cache(maxsize=32)
+def _multisets(c: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The C(c + m - 1, m) draws of m indices from range(c), as multisets.
+
+    Each multiset is its nondecreasing index tuple, in lexicographic order:
+    the (m, M) indices, one row per draw position, the (c, M) table of how
+    often each index is drawn, and each multiset's number of orderings,
+    m! / prod(count!). Built one position at a time: appending index j to a
+    tuple whose last run of j then has length t multiplies its orderings by
+    (new length) / t. Each step is exact in float64 while m * c**m < 2**53,
+    which ENUMERATION_CAP keeps with room to spare. Read-only, as cached.
+    """
+    idx = np.arange(c)[None, :]
+    orderings = np.ones(c)
+    run = np.ones(c)  # length of each tuple's last run of equal indices
+    for k in range(2, m + 1):
+        last = idx[-1]
+        grow = c - last  # each tuple's next index runs from last to c - 1
+        parent = np.repeat(np.arange(len(last)), grow)
+        step = np.arange(len(parent)) - np.repeat(np.cumsum(grow) - grow, grow)
+        run = (step == 0) * run[parent] + 1
+        orderings = orderings[parent] * k / run
+        idx = np.vstack((idx[:, parent], last[parent] + step))
+    size = idx.shape[1]
+    cells = idx * size + np.arange(size)  # each draw's cell in the (c, M) count table
+    counts = np.bincount(cells.ravel(), minlength=c * size).reshape(c, size)
+    tables = (idx, counts.astype(np.float64), orderings)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _pl_win_row(
     rewards_row: np.ndarray, opponents_rows: list[np.ndarray]
 ) -> np.ndarray:
     """W[y] = E_{y_j ~ pi_j} [ 1 / (1 + sum_j e^{r_{y_j} - r_y}) ], at any reward span.
 
     The ratio table e^{r_j - r_y} is built once, one row per finite response
-    y. The opponents' draws are pooled over the product of their live
-    supports, newest opponent slowest, into one (responses, draws) table of
-    denominators that starts at 1; memory is 8 bytes per weighted tuple as
-    ENUMERATION_CAP counts them. Every denominator is at least 1, so no share
-    is 0/0, and a ratio that overflows gives the exact limit, a share of 0.
-    A -inf response never wins, so an all -inf row is all zeros.
+    y. Opponents passed as the same row object are one group: a draw's
+    denominator depends only on which responses it holds, so a group of m
+    copies over c live responses draws the C(c + m - 1, m) multisets, each
+    weighted by its probability times its number of orderings, rather than
+    the c**m ordered tuples. A group of one is its c draws. The groups, in
+    order of first appearance, are pooled over the product of their draws,
+    newest group slowest, into one (responses, draws) table of denominators
+    that starts at 1; memory is 8 bytes per pooled draw, which against
+    distinct opponents is the weighted tuple ENUMERATION_CAP counts (the cap
+    still counts tuples, however the opponents group). Every denominator is
+    at least 1, so no share is 0/0, and a draw holding a response whose ratio
+    overflows has the exact limit, a share of 0. A -inf response never wins,
+    so an all -inf row is all zeros.
     """
     win = np.zeros(len(rewards_row))
     alive = np.flatnonzero(rewards_row > -np.inf)
+    groups: dict[int, list] = {}
+    for row in opponents_rows:
+        groups.setdefault(id(row), [row, 0])[1] += 1
     weight = np.ones(1)
     pooled = np.ones((len(alive), 1))
     with np.errstate(over="ignore"):
         ratio = np.exp(rewards_row - rewards_row[alive, None])
-        for row in opponents_rows:
+        for row, m in groups.values():
             live = np.flatnonzero(row > 0.0)
-            weight = np.multiply.outer(row[live], weight).ravel()
-            pooled = ratio.take(live, axis=1)[:, :, None] + pooled[:, None, :]
+            probs, draws = row[live], ratio.take(live, axis=1)
+            if m > 1:
+                idx, counts, orderings = _multisets(len(live), m)
+                probs, draws = orderings * probs[idx].prod(axis=0), _draw_sums(draws, counts)
+            weight = np.multiply.outer(probs, weight).ravel()
+            pooled = draws[:, :, None] + pooled[:, None, :]
             pooled = pooled.reshape(len(alive), len(weight))
     win[alive] = np.reciprocal(pooled, out=pooled) @ weight
     return win
+
+
+def _draw_sums(ratio: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """ratio @ counts, with +inf wherever a multiset draws an overflowed ratio.
+
+    The product alone would read inf * 0 as NaN for a response not drawn.
+    It is an einsum, not a BLAS matmul: at a few live responses einsum
+    costs about 2 us more, while the first matmul grows the resident set
+    by about 0.3 MiB of BLAS code and buffers no other call here needs.
+    """
+    over = np.isinf(ratio)
+    if not over.any():
+        return np.einsum("ac,cm->am", ratio, counts)
+    sums = np.einsum("ac,cm->am", np.where(over, 0.0, ratio), counts)
+    sums[np.einsum("ac,cm->am", over, counts) > 0.0] = np.inf
+    return sums
 
 
 def expected_win_rates(
@@ -138,8 +202,12 @@ def expected_win_rates(
     factorizes into matrix-vector products; plackett_luce enumerates the
     product of opponent supports, bounded by ENUMERATION_CAP as read on
     this call. Each Plackett-Luce row is the one formula of _pl_win_row,
-    exact at any reward span, with a -inf response at 0; its table takes
-    8 bytes per weighted tuple, so a row at the cap holds about 80 MB.
+    exact at any reward span, with a -inf response at 0. Copies of one
+    opponent draw multisets: m copies with c live responses cost
+    C(c + m - 1, m) draws rather than c**m, so 6 copies at c = 10 take
+    5005 draws, not 10**6. The cap still counts ordered weighted tuples,
+    k * prod(live counts), however the opponents group; against distinct
+    opponents a row's table takes 8 bytes per tuple, about 80 MB at the cap.
     """
     if len(opponents) == 0:
         raise ValueError("need at least one opponent")

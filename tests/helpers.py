@@ -299,6 +299,32 @@ def pl_one_vs_many(
     return float(e[0] / e.sum())
 
 
+def reference_pl_win_row(
+    rewards_row: np.ndarray, opponents_rows: Sequence[np.ndarray]
+) -> np.ndarray:
+    """The Plackett-Luce win row over every ordered tuple of opponent draws.
+
+    objectives._pl_win_row with every opponent its own group: each
+    opponent, in turn, multiplies the pooled (responses, tuples) table of
+    denominators by its live support, newest opponent slowest. Against
+    distinct opponents the library row takes these steps, operation for
+    operation; against copies it draws multisets instead.
+    """
+    win = np.zeros(len(rewards_row))
+    alive = np.flatnonzero(rewards_row > -np.inf)
+    weight = np.ones(1)
+    pooled = np.ones((len(alive), 1))
+    with np.errstate(over="ignore"):
+        ratio = np.exp(rewards_row - rewards_row[alive, None])
+        for row in opponents_rows:
+            live = np.flatnonzero(row > 0.0)
+            weight = np.multiply.outer(row[live], weight).ravel()
+            pooled = ratio.take(live, axis=1)[:, :, None] + pooled[:, None, :]
+            pooled = pooled.reshape(len(alive), len(weight))
+    win[alive] = np.reciprocal(pooled, out=pooled) @ weight
+    return win
+
+
 def mean_pairwise_one_vs_many(
     preference: PairwisePreference,
     prompt: int,

@@ -11,6 +11,7 @@ from helpers import (
     pl_one_vs_many,
     random_instance,
     random_policy,
+    reference_pl_win_row,
     win_rate_vs_policy,
 )
 from prefgame import (
@@ -342,6 +343,99 @@ def test_pl_table_at_the_cap_splits_evenly():
     win = expected_win_rates(inst, [pol] * 6, PLACKETT_LUCE)
     # seven exchangeable players: each wins with probability 1/7
     assert float(pol.rows[0] @ win[0]) == pytest.approx(1.0 / 7.0, abs=1e-12)
+
+
+def _rewards_row(rng, k, spread):
+    """k rewards on [-spread, spread], about 20% of them -inf, the first finite."""
+    rewards = rng.uniform(-spread, spread, k)
+    rewards[1:][rng.random(k - 1) < 0.2] = -np.inf
+    return rewards
+
+
+def _exp_or_inf(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def _fsum_pl_row(rewards_row, opponents_rows):
+    """The Plackett-Luce row over ordered tuples, each sum rounded once (math.fsum)."""
+    supports = [np.flatnonzero(row > 0.0).tolist() for row in opponents_rows]
+    win = np.zeros(len(rewards_row))
+    for y in np.flatnonzero(rewards_row > -np.inf).tolist():
+        terms = []
+        for tup in itertools.product(*supports):
+            weight = math.prod(float(row[j]) for row, j in zip(opponents_rows, tup))
+            ratios = [_exp_or_inf(rewards_row[j] - rewards_row[y]) for j in tup]
+            terms.append(weight / math.fsum([1.0, *ratios]))
+        win[y] = math.fsum(terms)
+    return win
+
+
+def test_pl_row_against_distinct_opponents_is_the_tuple_row(rng):
+    # rows equal in value but not the same object are distinct opponents
+    for trial in range(60):
+        k = int(rng.integers(1, 7))
+        rewards = _rewards_row(rng, k, 30.0 if trial % 2 else 1000.0)
+        opponents = [_sparse_policy(rng, [k]).rows[0] for _ in range(rng.integers(1, 5))]
+        opponents.append(opponents[0].copy())
+        got = objectives._pl_win_row(rewards, opponents)
+        assert np.array_equal(got, reference_pl_win_row(rewards, opponents))
+
+
+def test_pl_row_against_copies_is_the_tuple_row(rng):
+    # copies pool as multisets, so sums run in another order; the tuple row
+    # itself rounds off the once-rounded sum by up to about 2e-15 at 8
+    # players, while the multiset row stays within 1e-15 of it
+    for n in range(2, 9):
+        for trial in range(2):
+            k = 4 if n <= 6 else 3
+            rewards = _rewards_row(rng, k, 3.0 if trial else 30.0)
+            a, b = _sparse_policy(rng, [k]).rows[0], _sparse_policy(rng, [k]).rows[0]
+            pools = [[a] * (n - 1)]
+            if n >= 4:
+                pools += [[a, a, b] + [b] * (n - 4), [a, b, a] + [a] * (n - 4)]
+            for pool in pools:
+                got = objectives._pl_win_row(rewards, pool)
+                assert np.all(np.abs(got - _fsum_pl_row(rewards, pool)) <= 1e-15)
+                assert np.all(np.abs(got - reference_pl_win_row(rewards, pool)) <= 4e-15)
+                assert np.all(got[np.isneginf(rewards)] == 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_pl_row_against_copies_past_an_overflowing_span():
+    # e^800 overflows: a multiset holding response 0 gives every other
+    # response a share of exactly 0, and one that leaves it out must not
+    # read the overflowed ratio times a zero count as NaN
+    rewards = np.array([800.0, 0.0, -5.0, -np.inf])
+    mixed = np.array([0.5, 0.3, 0.0, 0.2])
+    for m in (2, 3, 6):
+        got = objectives._pl_win_row(rewards, [mixed] * m)
+        assert not np.isnan(got).any()
+        assert np.all(np.abs(got - _fsum_pl_row(rewards, [mixed] * m)) <= 1e-15)
+        # response 1 wins only the draws from {1, 3}: a draws of 1 give 1 / (1 + a)
+        want = math.fsum(
+            math.comb(m, a) * 0.3**a * 0.2 ** (m - a) / (1 + a) for a in range(m + 1)
+        )
+        assert got[1] == pytest.approx(want, abs=1e-15)
+        point = objectives._pl_win_row(rewards, [np.array([1.0, 0.0, 0.0, 0.0])] * m)
+        assert point.tolist() == [1.0 / (1 + m), 0.0, 0.0, 0.0]
+
+
+def test_multiset_table_counts_every_ordering_once():
+    for c in range(1, 6):
+        for m in range(1, 6):
+            idx, counts, orderings = objectives._multisets(c, m)
+            assert idx.shape == (m, math.comb(c + m - 1, m))
+            assert np.all(np.diff(idx, axis=0) >= 0)
+            assert len(set(zip(*idx.tolist()))) == idx.shape[1]
+            assert np.all(counts.sum(axis=0) == m)
+            assert orderings.sum() == c**m
+            for draw, count in zip(idx.T.tolist(), orderings.tolist()):
+                cells = [draw.count(j) for j in range(c)]
+                assert count == math.factorial(m) // math.prod(map(math.factorial, cells))
+            assert not any(t.flags.writeable for t in (idx, counts, orderings))
 
 
 def test_expected_win_rates_needs_an_opponent(rps):
