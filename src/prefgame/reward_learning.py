@@ -5,9 +5,13 @@ winning response, and the pool of alternatives it beat, and a dataset is
 one `Rankings`, integer arrays with one block per pool size. The
 likelihood of the winner is its softmax share of the pool (Plackett-Luce
 restricted to the top choice), which for pools of size one is exactly the
-Bradley-Terry pairwise model. Rewards carry an additive per-prompt gauge
-freedom, so the fitter mean-centers every prompt row after each step and
-all accuracy claims are about reward differences.
+Bradley-Terry pairwise model. The likelihood depends on the data only
+through how often each member set was drawn and how often each response
+won (the sufficient statistics of Hunter's MM algorithm for generalized
+Bradley-Terry models, 2004), so it reads each distinct set once. Rewards
+carry an additive per-prompt gauge freedom: the fitter mean-centers the
+initial rewards, every step keeps each row's mean, and all accuracy
+claims are about reward differences.
 
 Datasets serialize to CSV as `prompt,winner,pool` with the pool written
 as a semicolon-separated index list.
@@ -90,7 +94,7 @@ class Rankings:
             for array in block:
                 array.setflags(write=False)
         self.blocks = tuple(blocks)
-        self._index = None  # (sizes, where, cells) of the last _flat_cells
+        self._index = None  # (sizes, where, pool) of the last _flat_cells
 
     def __len__(self) -> int:
         return sum(len(rows) for rows, _, _ in self.blocks)
@@ -106,12 +110,13 @@ class Rankings:
 
 
 def _flat_cells(data: Rankings, sizes: tuple[int, ...]):
-    """Flat indices into RewardTable.packed, computed once per response counts.
+    """Flat indices into RewardTable.packed and their pool, once per response counts.
 
-    One array per block, rows x * K + member for K = max(sizes), and all
-    of them joined, the gradient's bincount cells. Checked against `sizes`
-    a block at a time (an error names the lowest-numbered comparison out
-    of range) and kept on `data` for the next call with the same counts.
+    Returns (where, pool): one array per block, rows x * K + member for
+    K = max(sizes), and `_pool` of them, what the likelihood reads.
+    Checked against `sizes` a block at a time (an error names the
+    lowest-numbered comparison out of range) and kept on `data` for the
+    next call with the same counts.
     """
     if not isinstance(data, Rankings):
         raise TypeError(f"expected Rankings, got {type(data).__name__}")
@@ -134,8 +139,32 @@ def _flat_cells(data: Rankings, sizes: tuple[int, ...]):
         if not 0 <= x < len(sizes):
             raise ValueError(f"comparison {i}: prompt {x} out of range")
         raise ValueError(f"comparison {i}: response out of range for prompt {x}")
-    data._index = (sizes, tuple(where), np.concatenate([w.ravel() for w in where]))
+    data._index = (sizes, tuple(where), _pool(where, len(sizes) * width))
     return data._index[1:]
+
+
+def _pool(where, size: int):
+    """The comparisons as distinct member sets, their counts and the wins.
+
+    Returns (sets, counts, cells, wins): per pool size, smallest first,
+    the distinct sets of flat cells, each row sorted and the rows in
+    lexicographic order, and how many comparisons drew each set (float);
+    all the sets' cells joined, the gradient's bincount cells; and how
+    often each of the `size` flat cells won (float). Identical rows are
+    grouped by one lexsort and the run boundaries, with no packed integer
+    key to overflow. Neither the order of the comparisons nor the order
+    within a pool shows in any of these.
+    """
+    sets, counts = [], []
+    for block in sorted(where, key=lambda w: w.shape[1]):
+        rows = np.sort(block, axis=1)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        starts = np.flatnonzero(np.concatenate(([True], _row_max(rows[1:] != rows[:-1]))))
+        sets.append(rows[starts])
+        counts.append(np.diff(starts, append=len(rows)).astype(np.float64))
+    winners = np.concatenate([w[:, 0] for w in where])
+    wins = np.bincount(winners, minlength=size).astype(np.float64)
+    return tuple(sets), tuple(counts), np.concatenate([c.ravel() for c in sets]), wins
 
 
 def _row_max(scores: np.ndarray) -> np.ndarray:
@@ -148,56 +177,60 @@ def _row_max(scores: np.ndarray) -> np.ndarray:
 
 
 def _softmax_pass(rewards: RewardTable, data: Rankings):
-    """Bincount cells; per block (scores, row max, shifted exps, their sums)."""
-    if not (rewards.packed < np.inf).all():  # NaN too; a -inf reward is a zero share
+    """The pool; per pool size (row max, shifted exps, their sums) of its sets."""
+    if not rewards.packed.max() < np.inf:  # NaN too; a -inf reward is a zero share
         raise ValueError("rewards have +inf or NaN entries")
-    blocks, cells = _flat_cells(data, rewards.sizes)
+    _, pool = _flat_cells(data, rewards.sizes)
     flat = rewards.packed.ravel()
     buckets = []
-    for where in blocks:
-        scores = flat[where]
+    for sets in pool[0]:
+        scores = flat[sets]
         top = _row_max(scores)
         shifted = np.exp(scores - top[:, None])
         # numpy adds a row narrower than 8 left to right (pairwise from 8
         # on), so a column at a time gives sum(axis=1)'s bits, and faster
         narrow = shifted.shape[1] < 8
         sums = functools.reduce(np.add, shifted.T) if narrow else shifted.sum(axis=1)
-        buckets.append((scores, top, shifted, sums))
-    return cells, buckets
+        buckets.append((top, shifted, sums))
+    return pool, buckets
 
 
 def pl_nll(rewards: RewardTable, data: Rankings) -> float:
     """Mean negative log-likelihood of each winner's softmax share.
 
-    Per comparison: logsumexp over {winner} ∪ pool minus the winner's
-    reward, computed max-shifted. Adding a constant to any prompt row
+    Per distinct member set: its count times the max-shifted logsumexp of
+    its rewards; minus each response's wins times its reward, over the
+    responses that won (a -inf reward that never won adds nothing); all
+    over the number of comparisons. Adding a constant to any prompt row
     leaves the value unchanged.
     """
-    _, buckets = _softmax_pass(rewards, data)
+    (_, counts, _, wins), buckets = _softmax_pass(rewards, data)
     total = 0.0
-    for scores, top, _, sums in buckets:
-        total += float(np.sum(top + np.log(sums) - scores[:, 0]))
+    for n, (top, _, sums) in zip(counts, buckets):
+        total += float(np.sum(n * (top + np.log(sums))))
+    won = np.flatnonzero(wins)
+    total -= float(np.sum(wins[won] * rewards.packed.ravel()[won]))
     return total / len(data)
 
 
 def pl_nll_gradient(rewards: RewardTable, data: Rankings) -> np.ndarray:
     """Gradient of pl_nll with respect to every reward entry, padded (P, K).
 
-    Per comparison the winner column receives softmax_share − 1 and each
-    pool column its softmax share; contributions accumulate by one
-    np.bincount over the pool-size blocks in order, the sums the
-    per-entry np.add.at gave, and the total is divided by the number of
-    comparisons. Entries past a prompt's response count are 0, as in
+    Every member of a distinct set receives its softmax share times the
+    set's count, accumulated by one np.bincount over the pool sizes;
+    each response's wins are subtracted and the total is divided by the
+    number of comparisons. Every prompt row sums to 0 up to rounding.
+    Entries past a prompt's response count are 0, as in
     expected_win_rates' table.
     """
-    cells, buckets = _softmax_pass(rewards, data)
-    shares = []
-    for _, _, shifted, sums in buckets:
-        share = shifted / sums[:, None]
-        share[:, 0] -= 1.0
-        shares.append(share.ravel())
-    weights = shares[0] if len(shares) == 1 else np.concatenate(shares)
+    (_, counts, cells, wins), buckets = _softmax_pass(rewards, data)
+    weights = [
+        (shifted * (n / sums)[:, None]).ravel()  # sums >= 1: the top adds 1
+        for n, (_, shifted, sums) in zip(counts, buckets)
+    ]
+    weights = weights[0] if len(weights) == 1 else np.concatenate(weights)
     grad = np.bincount(cells, weights, minlength=rewards.packed.size)
+    grad -= wins
     grad /= len(data)
     return grad.reshape(rewards.packed.shape)
 
@@ -231,17 +264,18 @@ def fit_pl_reward(
     step_size: float = 2.0,
     tol: float = 1e-6,
 ) -> FitResult:
-    """Fixed-step gradient descent on pl_nll with per-prompt centering.
+    """Fixed-step gradient descent on pl_nll from mean-centered rewards.
 
-    Every prompt row is mean-centered after each step, pinning the
-    additive gauge at zero mean. converged reports whether the gradient
-    max-norm fell to `tol`; separable data (some response wins everything)
-    legitimately never converges and simply returns converged=False with
-    whatever the step budget reached. An overflow aborts with
-    FloatingPointError: the step size is too large for the data, not a
-    model failure. The first likelihood call checks and indexes the
-    comparisons for every later one; each step subtracts the padded
-    gradient from the padded rewards and centers the result, a fresh table.
+    The initial rewards are mean-centered per prompt row, pinning the
+    additive gauge at zero mean; each row of the gradient sums to 0, so a
+    step keeps the row's mean there up to rounding. converged reports
+    whether the gradient max-norm fell to `tol`; separable data (some
+    response wins everything) legitimately never converges and simply
+    returns converged=False with whatever the step budget reached. An
+    overflow aborts with FloatingPointError: the step size is too large
+    for the data, not a model failure. The first likelihood call checks
+    and pools the comparisons for every later one; each step subtracts
+    the padded gradient from the padded rewards, a fresh table.
     """
     _require_count(steps, 0, f"steps must be a nonnegative integer, got {steps}")
     _require_positive(step_size, f"step_size must be positive and finite, got {step_size}")
@@ -266,8 +300,7 @@ def fit_pl_reward(
                 gmax = float(np.max(np.abs(grad)))  # the padding's zeros leave it alone
                 if gmax <= tol or taken == steps:
                     break
-                packed = _center(rewards.packed - step_size * grad, sizes)
-                rewards = RewardTable._wrap(packed, sizes)
+                rewards = RewardTable._wrap(rewards.packed - step_size * grad, sizes)
             nll = pl_nll(rewards, data)
     except FloatingPointError as err:
         raise FloatingPointError(f"{err} after {taken} steps; reduce step_size") from err

@@ -212,6 +212,33 @@ def reference_index_comparisons(sizes, data) -> tuple[np.ndarray, ...]:
     return tuple(np.array(rows, dtype=np.intp) for rows in buckets.values())
 
 
+def reference_pl_nll_gradient(rewards, data) -> tuple[float, np.ndarray]:
+    """pl_nll and pl_nll_gradient walked a comparison at a time.
+
+    Comparisons are bucketed by pool size in order of first appearance;
+    per bucket one max-shifted softmax per comparison, its shares minus 1
+    at the winner scattered by np.add.at, and its logsumexp minus the
+    winner's reward summed. Returns (mean NLL, padded (P, K) gradient).
+    """
+    width = rewards.packed.shape[1]
+    buckets: dict[int, list[list[int]]] = {}
+    for c in data:
+        cols = [c.prompt * width + y for y in (c.winner,) + c.pool]
+        buckets.setdefault(len(c.pool), []).append(cols)
+    grad = np.zeros(rewards.packed.size)
+    nll = 0.0
+    for cols in buckets.values():
+        where = np.array(cols)
+        s = rewards.packed.ravel()[where]
+        top = s.max(axis=1)
+        e = np.exp(s - top[:, None])
+        share = e / e.sum(axis=1)[:, None]
+        share[:, 0] -= 1.0
+        np.add.at(grad, where, share)
+        nll += float(np.sum(top + np.log(e.sum(axis=1)) - s[:, 0]))
+    return nll / len(data), grad.reshape(rewards.packed.shape) / len(data)
+
+
 def reference_block_rankings(rewards, instance, count, pool_size, rng):
     """generate_rankings written one draw at a time from the same block.
 

@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import re
+import warnings
 from collections import Counter
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ from helpers import (
     random_instance,
     reference_block_rankings,
     reference_index_comparisons,
+    reference_pl_nll_gradient,
 )
 from prefgame import (
     GameInstance,
@@ -129,12 +131,22 @@ def test_index_comparisons_matches_the_per_comparison_walk(case):
             reward_learning._flat_cells(packed, sizes)
         assert str(got.value) == str(err)
         return
-    where, cells = reward_learning._flat_cells(packed, sizes)
+    where, pool = reward_learning._flat_cells(packed, sizes)
     assert len(where) == len(want)
     for a, b in zip(where, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert np.array_equal(cells, np.concatenate([w.ravel() for w in want]))
-    assert reward_learning._flat_cells(packed, sizes)[1] is cells  # kept for the counts
+    assert reward_learning._flat_cells(packed, sizes)[1] is pool  # kept for the counts
+    # the pool: every distinct sorted set once, with how often it was drawn
+    sets, counts, cells, wins = pool
+    got = Counter()
+    for block, n in zip(sets, counts):
+        assert np.all(block[:, :-1] < block[:, 1:])
+        got.update({tuple(row): int(m) for row, m in zip(block.tolist(), n)})
+    assert sum(got.values()) == len(data)
+    assert got == Counter(tuple(sorted(row)) for b in want for row in b.tolist())
+    assert np.array_equal(cells, np.concatenate([b.ravel() for b in sets]))
+    winners = np.concatenate([b[:, 0] for b in want])
+    assert np.array_equal(wins, np.bincount(winners, minlength=len(sizes) * max(sizes)))
 
 
 # ---------------------------------------------------------------------------
@@ -244,38 +256,65 @@ def _mixed_pool(inst, group, rng, count):
 
 
 def test_nll_gradient_scatter_matches_add_at(rng):
-    # np.bincount accumulates in input order, as np.add.at did: pool-size
-    # buckets in order of first appearance, comparisons in order within each.
-    # Pools of 1-11 put buckets on both sides of the 8 columns where numpy's
-    # row sums turn pairwise; the value and the gradient keep those sums' bits.
+    # the pooled likelihood against one np.add.at scatter per comparison:
+    # pools of 1-11 put buckets on both sides of the 8 columns where numpy's
+    # row sums turn pairwise. Pooling reorders the sums, so the two agree to
+    # rounding: at most 11.5 eps (gradient, absolute) and 1.9 eps (NLL,
+    # relative) were measured over 300 random games of 1-4 prompts.
+    eps = np.finfo(np.float64).eps
     sizes = (12, 9, 4, 12)
     inst = _uneven_instance(sizes, (0.25,) * 4, [rng.normal(size=k) for k in sizes])
     groups = (1, 8, 2, 11, 7, 3, 10, 5, 1, 9, 4, 6)
     counts = (30, 16, 7, 19, 23, 12, 40, 2, 9, 25, 5, 14)
     data = [c for g, n in zip(groups, counts) for c in _mixed_pool(inst, g, rng, n)]
-    probe = RewardTable(tuple(rng.normal(size=k) for k in inst.space.sizes))
-    width = probe.packed.shape[1]
-    buckets = {}
-    for c in data:
-        cols = [c.prompt * width + y for y in (c.winner,) + c.pool]
-        buckets.setdefault(len(c.pool), []).append(cols)
-    assert sorted(buckets) == list(range(1, 12))
-    want = np.zeros(probe.packed.size)
-    nll = 0.0
-    for cols in buckets.values():
-        where = np.array(cols)
-        s = probe.packed.ravel()[where]
-        top = s.max(axis=1)
-        e = np.exp(s - top[:, None])
-        share = e / e.sum(axis=1)[:, None]
-        share[:, 0] -= 1.0
-        np.add.at(want, where, share)
-        nll += float(np.sum(top + np.log(e.sum(axis=1)) - s[:, 0]))
-    want = want.reshape(probe.packed.shape) / len(data)
+    assert sorted({len(c.pool) for c in data}) == list(range(1, 12))
     packed = Rankings(data)
-    for x, g in enumerate(pl_nll_gradient(probe, packed)):
-        assert np.array_equal(g, want[x, : len(g)])
-    assert pl_nll(probe, packed) == nll / len(data)
+    for _ in range(20):
+        probe = RewardTable(tuple(rng.normal(size=k) for k in inst.space.sizes))
+        nll, want = reference_pl_nll_gradient(probe, data)
+        grad = pl_nll_gradient(probe, packed)
+        assert grad.shape == want.shape
+        assert np.max(np.abs(grad - want)) <= 16 * eps
+        assert abs(pl_nll(probe, packed) - nll) <= 8 * eps * abs(nll)
+
+
+def test_likelihood_reads_the_multiset_of_comparisons(rng):
+    # shuffling the comparisons and permuting each pool leaves the distinct
+    # sets, their counts and the wins as they were, so the bits do not move;
+    # pools of 1-11 sit on both sides of numpy's 8-column pairwise switch,
+    # and the 3- and 4-response prompts and a repeated third of the data
+    # draw many sets more than once
+    sizes = (12, 9, 4, 12, 3)
+    inst = _uneven_instance(sizes, (0.2,) * 5, [rng.normal(size=k) for k in sizes])
+    data = [c for g in range(1, 12) for c in _mixed_pool(inst, g, rng, 40)]
+    data += data[::3]
+    assert len({(c.prompt, frozenset((c.winner,) + c.pool)) for c in data}) < len(data)
+    probe = RewardTable(tuple(rng.normal(0.0, 2.0, size=k) for k in sizes))
+    want_grad = pl_nll_gradient(probe, Rankings(data))
+    want_nll = pl_nll(probe, Rankings(data))
+    for _ in range(5):
+        order = rng.permutation(len(data))
+        shuffled = [
+            RankedComparison(c.prompt, c.winner, tuple(rng.permutation(c.pool).tolist()))
+            for c in (data[i] for i in order)
+        ]
+        assert np.array_equal(pl_nll_gradient(probe, Rankings(shuffled)), want_grad)
+        assert pl_nll(probe, Rankings(shuffled)) == want_nll
+
+
+def test_minus_inf_reward_that_never_wins_reads_a_finite_nll():
+    # the winner term runs over responses that won: 0 wins times a -inf
+    # reward would read NaN
+    data = Rankings([RankedComparison(0, 0, (1, 2)), RankedComparison(0, 1, (2,))])
+    probe = RewardTable((np.array([0.5, 0.0, -np.inf]),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nll = pl_nll(probe, data)
+        grad = pl_nll_gradient(probe, data)
+    # the -inf response is a zero share: the second winner's share is 1
+    want = math.log1p(math.exp(-0.5)) / 2
+    assert math.isfinite(nll) and nll == pytest.approx(want, rel=1e-15)
+    assert grad[0, 2] == 0.0 and np.all(np.isfinite(grad))
 
 
 def test_nll_gradient_matches_finite_differences(rng):
@@ -461,7 +500,6 @@ def test_indexed_fit_matches_per_step_fit_on_the_list():
     for _ in range(steps):
         grad = pl_nll_gradient(RewardTable(tuple(rows)), data)
         rows = [r - step_size * grad[x, :len(r)] for x, r in enumerate(rows)]
-        rows = [r - r.mean() for r in rows]
     want = RewardTable(tuple(rows))
     assert fit.steps_taken == steps and not fit.converged
     for got, ref in zip(fit.rewards.rows, want.rows):
@@ -486,7 +524,6 @@ def _row_fit(data, instance, init=None, steps=300, step_size=2.0, tol=1e-6):
         if gmax <= tol:
             break
         rows = [r - step_size * g for r, g in zip(rows, grads)]
-        rows = [r - r.mean() for r in rows]
         taken = t + 1
     fitted = RewardTable(tuple(rows))
     grads = pl_nll_gradient(fitted, data)
@@ -494,11 +531,8 @@ def _row_fit(data, instance, init=None, steps=300, step_size=2.0, tol=1e-6):
     return fitted, pl_nll(fitted, data), gmax, taken
 
 
-@pytest.mark.parametrize("steps", [0, 1, 60])
-@pytest.mark.parametrize("with_init", [False, True])
-def test_packed_fit_matches_the_per_row_fit_to_the_bit(steps, with_init):
-    # uneven counts with two prompts sharing a count, pool sizes 1-3 mixed
-    gen = np.random.default_rng(31 + steps)
+def _row_fit_case(gen, with_init):
+    """Uneven counts with two prompts sharing a count, pool sizes 1-3 mixed."""
     sizes = (4, 7, 3, 7, 12)
     rewards = [gen.normal(0.0, 1.5, k) for k in sizes]
     data = []
@@ -506,11 +540,17 @@ def test_packed_fit_matches_the_per_row_fit_to_the_bit(steps, with_init):
         weights = np.array([float(k > pool_size) for k in sizes])
         source = _uneven_instance(sizes, weights / weights.sum(), rewards)
         data += comparison_list(generate_rankings(source.reward, source, 150, pool_size, gen))
-    data = Rankings(data)
     inst = _uneven_instance(sizes, (0.2,) * 5, rewards)
     init = None
     if with_init:
         init = RewardTable(tuple(gen.normal(3.0, 2.0, k) for k in sizes))
+    return Rankings(data), inst, init
+
+
+@pytest.mark.parametrize("steps", [0, 1, 60])
+@pytest.mark.parametrize("with_init", [False, True])
+def test_packed_fit_matches_the_per_row_fit_to_the_bit(steps, with_init):
+    data, inst, init = _row_fit_case(np.random.default_rng(31 + steps), with_init)
     fit = fit_pl_reward(data, inst, init=init, steps=steps, step_size=1.7)
     want, nll, gmax, taken = _row_fit(data, inst, init, steps, step_size=1.7)
     assert fit.rewards.sizes == want.sizes
@@ -519,6 +559,44 @@ def test_packed_fit_matches_the_per_row_fit_to_the_bit(steps, with_init):
     assert fit.grad_norm == gmax
     assert fit.steps_taken == taken == steps
     assert fit.converged == (gmax <= 1e-6)
+
+
+@pytest.mark.parametrize("with_init", [False, True])
+def test_fit_without_per_step_centring_matches_the_centred_descent(with_init):
+    # every gradient row sums to 0, so centring the init once pins the
+    # gauge: the descent that re-centred each row after every step lands
+    # on the same rewards up to rounding
+    data, inst, init = _row_fit_case(np.random.default_rng(91), with_init)
+    fit = fit_pl_reward(data, inst, init=init, steps=60, step_size=1.7)
+    rows = [np.zeros(k) for k in inst.space.sizes] if init is None else list(init.rows)
+    rows = [r - r.mean() for r in rows]
+    for _ in range(60):
+        grad = pl_nll_gradient(RewardTable(tuple(rows)), data)
+        rows = [r - 1.7 * grad[x, :len(r)] for x, r in enumerate(rows)]
+        rows = [r - r.mean() for r in rows]
+    assert fit.steps_taken == 60
+    for got, want in zip(fit.rewards.rows, rows):
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert abs(float(got.mean())) <= 1e-12
+
+
+def test_fit_keeps_row_means_at_zero_on_separable_data():
+    # one response wins every comparison of its prompt: the rewards run off
+    # for all 2000 steps while each row's mean stays where the init put it
+    sizes = (4, 7, 3, 12)
+    inst = _uneven_instance(sizes, (0.25,) * 4, [np.zeros(k) for k in sizes])
+    gen = np.random.default_rng(5)
+    data = []
+    for x, k in enumerate(sizes):
+        for _ in range(40):
+            pool = gen.choice(np.arange(1, k), size=int(gen.integers(1, k)), replace=False)
+            data.append(RankedComparison(x, 0, tuple(pool.tolist())))
+    init = RewardTable(tuple(gen.normal(1.0, 2.0, k) for k in sizes))
+    fit = fit_pl_reward(Rankings(data), inst, init=init, steps=2000, step_size=2.0)
+    assert fit.steps_taken == 2000 and not fit.converged
+    for row in fit.rewards.rows:
+        assert row[0] == row.max() and row[0] - np.sort(row)[-2] > 5.0
+        assert abs(float(row.mean())) <= 1e-12
 
 
 def test_packed_fit_stops_where_the_per_row_fit_converges():
