@@ -415,8 +415,9 @@ def compare_presets(
     responses on the reference support (four presets take log ref of both)
     and fresh hyperparameters, then evaluates the family member on that
     pair against the published formula. Every preset gets its own named
-    stream from the seed. A missing reward table, or a weighted prompt with
-    fewer than two supported responses, raises ValidationFailure.
+    stream from the seed. A missing reward table, a weighted prompt with
+    fewer than two supported responses, or a loss that overflows (a reward
+    gap past about 1e154 squares to inf) raises ValidationFailure.
     """
     _require_count(samples, 1, f"need at least one sample, got samples={samples}")
     sizes = instance.space.sizes
@@ -427,22 +428,26 @@ def compare_presets(
     if thin:
         raise ValidationFailure([f"prompts {thin} have under two reference-supported responses"])
     out = {}
-    for name in PRESET_NAMES:
-        rng = derive_rng(seed, "presets", name)
-        worst = 0.0
-        for _ in range(samples):
-            policy = _random_interior_policy(rng, sizes)
-            prev = _random_interior_policy(rng, sizes)
-            x = int(rng.choice(instance.num_prompts, p=instance.prompt_weights))
-            a, b = (int(v) for v in rng.choice(support[x], size=2, replace=False))
-            eta, tau, beta = _draw_hypers(name, rng)
-            cfg = preset(name, eta, tau, beta)
-            generic = pair_margin_loss(policy, [prev], cfg, instance, data=[(x, a, b)])
-            direct = _direct_formula(
-                name, instance, policy, prev, x, a, b, eta, tau, beta
-            )
-            worst = max(worst, abs(generic - direct))
-        out[name] = worst
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for name in PRESET_NAMES:
+                rng = derive_rng(seed, "presets", name)
+                worst = 0.0
+                for _ in range(samples):
+                    policy = _random_interior_policy(rng, sizes)
+                    prev = _random_interior_policy(rng, sizes)
+                    x = int(rng.choice(instance.num_prompts, p=instance.prompt_weights))
+                    a, b = (int(v) for v in rng.choice(support[x], size=2, replace=False))
+                    eta, tau, beta = _draw_hypers(name, rng)
+                    cfg = preset(name, eta, tau, beta)
+                    generic = pair_margin_loss(policy, [prev], cfg, instance, data=[(x, a, b)])
+                    direct = _direct_formula(
+                        name, instance, policy, prev, x, a, b, eta, tau, beta
+                    )
+                    worst = max(worst, abs(generic - direct))
+                out[name] = worst
+    except (FloatingPointError, OverflowError) as err:  # numpy's and float's
+        raise ValidationFailure([f"preset {name!r} overflows on this instance: {err}"]) from None
     return out
 
 

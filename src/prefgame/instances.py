@@ -67,6 +67,20 @@ def _mixture_weights(weights, n: int, what: str) -> np.ndarray:
     return w
 
 
+# The tolerance Generator.choice allows on the sum of its probabilities.
+_WEIGHT_TOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _require_drawable(rows: np.ndarray, message: str) -> None:
+    """ValueError(message) unless each row of the 2-d `rows` is a distribution.
+
+    The rule Generator.choice applies to its probabilities: nonnegative
+    entries (NaN fails) that sum to 1 within _WEIGHT_TOL.
+    """
+    if not (np.all(rows >= 0.0) and np.all(np.abs(rows.sum(axis=1) - 1.0) <= _WEIGHT_TOL)):
+        raise ValueError(message)
+
+
 def _require_int(value, message: str) -> int:
     """int(value) for an integer (np.integer too, not bool), else ValueError(message)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -455,23 +469,31 @@ def sample_preference_dataset(
     Prompts follow the instance weights; the two candidates are iid draws
     from `policy` (they may coincide, in which case the winner label is a
     fair coin and the pair carries zero margin); the winner is the oracle's
-    Bernoulli judgment.
+    Bernoulli judgment. Every triple reads one row of the only rng call,
+    `rng.random((size, 4))`, as four Generator.choice-style draws would:
+    column 0 is searched in the normalized cumulative prompt weights and
+    columns 1 and 2 in the drawn prompt's normalized cumulative policy row
+    (searchsorted "right"), and column 3 judges u < M[x, a, b]. Prompt
+    weights or a policy row that Generator.choice would refuse raise
+    ValueError.
     """
     _require_count(size, 0, f"size must be a nonnegative integer, got {size!r}")
     _require_sizes(policy, instance.space.sizes, "policy")
-    out = []
     weights = instance.prompt_weights
-    for _ in range(size):
-        x = int(rng.choice(instance.num_prompts, p=weights))
-        row = policy.rows[x]
-        a = int(rng.choice(len(row), p=row))
-        b = int(rng.choice(len(row), p=row))
-        if a == b:
-            w, l = (a, b) if rng.random() < 0.5 else (b, a)
-        else:
-            w, l = sample_preference(instance.preference, x, a, b, rng)
-        out.append((x, w, l))
-    return out
+    _require_drawable(weights[None], "prompt_weights must be a probability distribution")
+    _require_drawable(policy.packed, "policy rows must be probability distributions")
+    u = rng.random((size, 4))
+    prompt_cdf = np.cumsum(weights)
+    prompt_cdf /= prompt_cdf[-1]
+    x = np.searchsorted(prompt_cdf, u[:, 0], "right")
+    # each row's cumulative sum over its own entries, then 1.0 on the padding
+    cdf = np.cumsum(policy.packed, axis=1)
+    cdf /= cdf[:, -1:]
+    # a right-side search is the count of entries <= u: the cdf never falls
+    a = np.count_nonzero(cdf[x] <= u[:, 1:2], axis=1)
+    b = np.count_nonzero(cdf[x] <= u[:, 2:3], axis=1)
+    first = u[:, 3] < instance.preference.packed[x, a, b]
+    return list(zip(x.tolist(), np.where(first, a, b).tolist(), np.where(first, b, a).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -537,11 +559,13 @@ def _preference_violations(preference: PairwisePreference) -> list[str]:
     return bad
 
 
+@np.errstate(over="ignore")
 def validate_instance(instance: GameInstance) -> list[str]:
     """Check every value-level invariant; returns violations, empty if ok.
 
     Each check is one array op over the padded tables; messages are built
-    only for the prompts that fail one.
+    only for the prompts that fail one. A sum of finite entries near the
+    float limit may overflow to inf, which fails its check as it should.
     """
     bad = []
 

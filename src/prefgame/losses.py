@@ -28,7 +28,10 @@ pair weights W[x, a, b]: in exact-expectation mode the prompt weight times
 cur(a) * cur(b) * M[a, b] over distinct responses (an iid pair draw plus a
 Bernoulli winner), on an explicit dataset the share of (prompt, winner,
 loser) triples (x, a, b). Under sq a target rule v_a - v_b joins the margin
-offsets, and the value pass hands the weighted residual W r to the gradient.
+offsets, and the loss is a quadratic form in the offset logits u (the margins
+are u_a - u_b): the pair table carries its Hessian, the weighted graph
+Laplacian of W + W^T, so the value pass hands u to the gradient, which is one
+contraction with that Laplacian plus a constant row for a nonzero target.
 
 Optimization works on packed logits, and the policy is their softmax over the
 reference support. Every margin is then a plain difference of logits: the
@@ -254,12 +257,13 @@ def _pair_weights(instance, data):
 def _pair_tables(instance, history, config, data):
     """Everything the evaluator needs but the policy, padded over prompts.
 
-    Returns (touched, W, offset, target, beta): the (P, K) mask of the
-    responses the pairs touch, the (P, K, K) pair weights times the prompt
-    factor, the (P, K) margin offsets (the opponent part sum_j w_j log pi_j,
-    plus for sq a target rule's v on the touched mask, which leaves target 0:
-    h_xab - (v_xa - v_xb) is one difference), the eta-scaled target (a
-    (P, K, K) table or a scalar) and the margin scale (config.beta for bwd).
+    Returns (touched, W, offset, target, beta, lap, row): the (P, K) mask of
+    the responses the pairs touch, the (P, K, K) pair weights times the
+    prompt factor, the (P, K) margin offsets (the opponent part sum_j w_j log
+    pi_j, plus for sq a target rule's v on the touched mask, which leaves
+    target 0: h_xab - (v_xa - v_xb) is one difference), the eta-scaled target
+    (a (P, K, K) table or a scalar), the margin scale (config.beta for bwd)
+    and, for sq, _laplacian's Hessian and constant gradient row (None for bwd).
     Exact mode zeroes W's diagonal (a judged pair is two responses);
     dataset mode keeps it (a triple may name one response twice).
     """
@@ -286,37 +290,58 @@ def _pair_tables(instance, history, config, data):
             offset, target = offset + np.where(touched, target, 0.0), 0.0
         else:
             target = target[:, :, None] - target[:, None, :]
-    beta = config.beta if config.metric == "bwd" else 1.0
-    return touched, pair_w, offset, target, beta
+    if config.metric == "bwd":
+        return touched, pair_w, offset, target, config.beta, None, None
+    return (touched, pair_w, offset, target, 1.0, *_laplacian(pair_w, target))
+
+
+def _laplacian(pair_w, target):
+    """The sq loss's (P, K, K) Hessian in u, and its (P, K) gradient at u = 0.
+
+    sum_ab W_ab (u_a - u_b - c)^2 has the gradient lap u + row, with lap =
+    2 (diag(S 1) - S) the Laplacian of S = W + W^T and row = -2 c (W 1 -
+    W^T 1), None when the scalar target c is 0. A self-pair's margin is 0
+    whatever u, so S's diagonal is zeroed first.
+    """
+    sym = pair_w + pair_w.transpose(0, 2, 1)
+    diagonal = np.arange(sym.shape[1])
+    sym[:, diagonal, diagonal] = 0.0
+    lap = -2.0 * sym
+    lap[:, diagonal, diagonal] = 2.0 * sym.sum(axis=2)
+    if not target:
+        return lap, None
+    return lap, -2.0 * target * (pair_w.sum(axis=2) - pair_w.sum(axis=1))
 
 
 def _margins(tables, z):
-    """beta h_xab = beta (u_xa - u_xb), u = z - offset.
+    """The offset logits u = z - offset and beta h_xab = beta (u_xa - u_xb).
 
     z is (B, P, K), one row block per init: log pi, or logits whose softmax
     over a support holding the touched mask is pi (softmax shifts each
     prompt's log pi by one constant, which u_xa - u_xb cancels). u is 0 off
-    the touched mask, whatever z holds there. The margins are (B, P, K, K).
+    the touched mask, whatever z holds there. Returns u, (B, P, K), and the
+    margins, (B, P, K, K).
     """
-    touched, _, offset, _, beta = tables
+    touched, _, offset, _, beta, _, _ = tables
     u = np.where(touched, z, 0.0) - offset
     margins = u[..., :, None] - u[..., None, :]
-    return margins if beta == 1.0 else beta * margins
+    return u, (margins if beta == 1.0 else beta * margins)
 
 
-def _value(tables, metric, margins):
+def _value(tables, metric, passed):
     """sum_xab W[x, a, b] metric(beta h_xab, target_xab), per init.
 
-    Returns the (B,) values and what _slope reads: for sq the weighted
-    residual t = W r, whose value is sum t r, for bwd the margins. Each
-    init's terms are summed as one contiguous row, in one order whatever
-    the number of inits, so a stacked pass has the one-init bits.
+    `passed` is what _margins returns. Returns the (B,) values and what
+    _slope reads: for sq the offset logits u (the value sums W r r, for the
+    residual r of each margin), for bwd the margins. Each init's terms are
+    summed as one contiguous row, in one order whatever the number of inits,
+    so a stacked pass has the one-init bits.
     """
-    _, pair_w, _, target, _ = tables
+    _, pair_w, _, target, _, _, _ = tables
+    u, margins = passed
     if metric == "sq":
         residual = margins - target if target else margins
-        held = pair_w * residual
-        terms = held * residual
+        held, terms = u, pair_w * residual * residual
     else:
         held, terms = margins, pair_w * _bwd(margins, target, slope=False)
     return terms.reshape(len(terms), -1).sum(axis=1), held
@@ -325,12 +350,16 @@ def _value(tables, metric, margins):
 def _slope(tables, metric, held):
     """The (B, P, K) logit gradients of _value where it handed over `held`.
 
-    h_xab moves with z_xa - z_xb, so a row is the row sums minus the
-    column sums of W * metric', times beta: for sq, twice those of t.
+    For sq, the Laplacian times u, plus the constant row for a nonzero
+    target. For bwd, h_xab moves with z_xa - z_xb, so a row is the row sums
+    minus the column sums of W * bwd', times beta.
     """
-    _, pair_w, _, target, beta = tables
+    _, pair_w, _, target, beta, lap, row = tables
     if metric == "sq":
-        return 2.0 * (held.sum(axis=3) - held.sum(axis=2))
+        grad = np.einsum("pab,npb->npa", lap, held)
+        if row is not None:
+            grad += row
+        return grad
     g = pair_w * _bwd(held, target, slope=True)
     grad = g.sum(axis=3) - g.sum(axis=2)
     return grad if beta == 1.0 else beta * grad
@@ -499,7 +528,7 @@ def minimize_loss(
     descends in lockstep, each init with its own step size and stopping
     rule, and each result has the bits of that init's own descent
     (_lockstep decides each round on lists read off the stack, and its
-    gradient pass reads the value pass's sq weighted residual). trace, when
+    gradient pass reads the value pass's sq offset logits). trace, when
     given, is called as trace(accepted_steps, loss, grad_max) for the
     first init, at the start and after every accepted proposal. A loss
     that is not finite at an init raises ValueError.
@@ -533,7 +562,7 @@ def _lockstep(problem, inits, first, steps, step_size, trace) -> list[MinimizeRe
     A round proposes one step for every init still running, takes all
     their values in one margins pass and, when any accepts, the accepted
     inits' gradients in one pass from what _value handed over (the sq
-    weighted residual, or the margins). The stop, accept and trace decisions
+    offset logits, or the margins). The stop, accept and trace decisions
     read each boolean array once, as a list. Stopped inits leave the stack, and
     `ids` maps stack rows to inits.
     """

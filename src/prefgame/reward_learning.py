@@ -31,6 +31,7 @@ from .instances import (
     _Record,
     _live_rows,
     _require_count,
+    _require_drawable,
     _require_int,
     _require_positive,
     _require_sizes,
@@ -201,15 +202,20 @@ def pl_nll(rewards: RewardTable, data: Rankings) -> float:
     Per distinct member set: its count times the max-shifted logsumexp of
     its rewards; minus each response's wins times its reward, over the
     responses that won (a -inf reward that never won adds nothing); all
-    over the number of comparisons. Adding a constant to any prompt row
-    leaves the value unchanged.
+    over the number of comparisons. Both sums read each reward less its
+    prompt row's largest finite entry, a shift that cancels between them,
+    so adding a constant to any prompt row leaves the value unchanged up to
+    the rounding of the shifted rewards, however large the constant.
     """
-    (_, counts, _, wins), buckets = _softmax_pass(rewards, data)
+    (sets, counts, _, wins), buckets = _softmax_pass(rewards, data)
+    flat, width = rewards.packed.ravel(), rewards.packed.shape[1]
+    row_top = np.where(_live_rows(rewards.sizes, width), rewards.packed, -np.inf).max(axis=1)
+    shift = np.repeat(np.where(row_top > -np.inf, row_top, 0.0), width)
     total = 0.0
-    for n, (top, _, sums) in zip(counts, buckets):
-        total += float(np.sum(n * (top + np.log(sums))))
+    for cells, n, (top, _, sums) in zip(sets, counts, buckets):
+        total += float(np.sum(n * (top - shift[cells[:, 0]] + np.log(sums))))
     won = np.flatnonzero(wins)
-    total -= float(np.sum(wins[won] * rewards.packed.ravel()[won]))
+    total -= float(np.sum(wins[won] * (flat[won] - shift[won])))
     return total / len(data)
 
 
@@ -307,10 +313,6 @@ def fit_pl_reward(
     return FitResult(rewards, nll, gmax, gmax <= tol, taken)
 
 
-# The tolerance Generator.choice allows on the sum of its probabilities.
-_WEIGHT_TOL = float(np.sqrt(np.finfo(np.float64).eps))
-
-
 def _pool_shortfall(instance: GameInstance, pool_size: int) -> str | None:
     """Why a drawable prompt cannot hold a pool plus its winner, else None."""
     for x, k in enumerate(instance.space.sizes):
@@ -349,8 +351,7 @@ def generate_rankings(
     if not np.all(np.isfinite(rewards.packed)):
         raise ValueError("rewards have non-finite entries")
     weights = instance.prompt_weights
-    if not (np.all(weights >= 0.0) and abs(weights.sum() - 1.0) <= _WEIGHT_TOL):
-        raise ValueError("prompt_weights must be a probability distribution")
+    _require_drawable(weights[None], "prompt_weights must be a probability distribution")
     short = _pool_shortfall(instance, pool_size)
     if short is not None:
         raise ValueError(short)

@@ -32,6 +32,7 @@ from prefgame import (
     best_response_unregularized,
     expected_win_rates,
     logits_to_policy,
+    sample_preference,
     two_player_objective,
 )
 from prefgame.instances import _require_count
@@ -239,6 +240,29 @@ def reference_pl_nll_gradient(rewards, data) -> tuple[float, np.ndarray]:
     return nll / len(data), grad.reshape(rewards.packed.shape) / len(data)
 
 
+def reference_preference_dataset(instance, policy, size, rng) -> list[tuple[int, int, int]]:
+    """sample_preference_dataset as four generator calls per triple.
+
+    Per triple: the prompt and both candidates by Generator.choice, then a
+    fair coin when the candidates coincide, else sample_preference's one
+    uniform against M[x, a, b]. The one-block draw must give the same
+    triples and leave the generator in the same state.
+    """
+    _require_count(size, 0, f"size must be a nonnegative integer, got {size!r}")
+    out = []
+    for _ in range(size):
+        x = int(rng.choice(instance.num_prompts, p=instance.prompt_weights))
+        row = policy.rows[x]
+        a = int(rng.choice(len(row), p=row))
+        b = int(rng.choice(len(row), p=row))
+        if a == b:
+            w, l = (a, b) if rng.random() < 0.5 else (b, a)
+        else:
+            w, l = sample_preference(instance.preference, x, a, b, rng)
+        out.append((x, w, l))
+    return out
+
+
 def reference_block_rankings(rewards, instance, count, pool_size, rng):
     """generate_rankings written one draw at a time from the same block.
 
@@ -425,6 +449,18 @@ def reference_minimize_loss(
             step *= 0.5
     policy = logits_to_policy(z, problem.instance.reference)
     return MinimizeResult(policy, z, val, gmax, taken)
+
+
+def reference_sq_slope(pair_w, target, u):
+    """The sq loss's logit gradient from its weighted residual, a pair at a time.
+
+    pair_w is the (P, K, K) pair table, target the scalar target and u the
+    (B, P, K) offset logits. r_xab = u_xa - u_xb - target and t = W r; the
+    gradient is twice t's row sums minus its column sums. The packed
+    evaluator contracts its Laplacian with u instead.
+    """
+    t = pair_w * (u[..., :, None] - u[..., None, :] - target)
+    return 2.0 * (t.sum(axis=-1) - t.sum(axis=-2))
 
 
 def sparse_game(

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefgame import (
     MEAN_PAIRWISE,
@@ -1340,3 +1345,143 @@ def test_cli_wide_reward_plackett_luce_run_exits_cleanly(paths, tmp_path, capsys
     doc = {**_SWEEP_RUNS[command], "instance": path, "out_dir": str(tmp_path / "out")}
     assert main(["run", write_config(tmp_path, doc)]) == 0
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the exit-code contract: mutated instance documents and run configs
+
+_ODD = st.sampled_from(["x", True, None, float("nan"), [[0.5]], 1e308, -1.0, 0, {}])
+_UNIT = st.floats(0.0, 2.0)
+
+
+# per mode, each key's small in-range draw; a key may also be left out or
+# get one of _ODD's wrong values, but samples and steps are never left out:
+# their defaults (1000 samples, 4000 lossmin steps) make a slow example
+_FUZZ_KEYS = {
+    "selfplay": {
+        "eta": _UNIT, "iterations": st.integers(0, 20), "n_players": st.integers(2, 6),
+        "tau": st.floats(0.0, 1.0), "metric_stride": st.integers(1, 5),
+        "opponent_scheme": st.sampled_from(["self_play_copies", "history_window", "other"]),
+        "history_weights": st.none() | st.lists(st.floats(0.0, 1.0), max_size=6),
+        "aggregator": st.sampled_from(["mean_pairwise", "plackett_luce", "median"]),
+    },
+    "lossmin": {
+        "eta": _UNIT, "n_players": st.integers(2, 6), "steps": st.integers(0, 200),
+        "step_size": st.floats(1e-3, 50.0), "inits": st.integers(1, 3),
+    },
+    "presets": {"samples": st.integers(1, 20)},
+    "rewardfit": {
+        "comparisons": st.integers(1, 200), "pool_size": st.integers(1, 5), "steps": st.integers(0, 100),
+        "step_size": st.floats(1e-3, 50.0),
+    },
+    "gap": {
+        "policy": st.sampled_from(["uniform", "missing.json"]), "tau": st.floats(0.0, 1.0),
+        "n_players": st.integers(2, 6),
+        "aggregator": st.sampled_from(["mean_pairwise", "plackett_luce", "median"]),
+    },
+}
+
+
+def _rows(node, found):
+    """Every list of scalars in a JSON document: the tables' rows and label rows."""
+    if isinstance(node, dict):
+        for value in node.values():
+            _rows(value, found)
+    elif isinstance(node, list):
+        if node and not any(isinstance(v, (list, dict)) for v in node):
+            found.append(node)
+        for value in node:
+            _rows(value, found)
+    return found
+
+
+def _mutated_instance(draw, text):
+    doc = json.loads(text)
+    kind = draw(st.sampled_from(["keep", "drop", "retype", "entry", "shorten"]))
+    if kind in ("drop", "retype"):
+        target = doc
+        if "preference" in doc and draw(st.booleans()):
+            target = doc["preference"]  # kind, matrices
+        key = draw(st.sampled_from(sorted(target)))
+        if kind == "drop":
+            del target[key]
+        else:
+            target[key] = draw(_ODD)
+    elif kind != "keep":
+        rows = _rows(doc, [])
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if kind == "shorten":
+            row.pop()
+        else:
+            row[draw(st.integers(0, len(row) - 1))] = draw(_ODD)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cli_run_fuzzed_inputs_keep_the_exit_code_contract(paths, data):
+    # the hypothesis example, not a fixture, owns the directory: each example
+    # writes its own files. An exception escaping main() (a numpy warning
+    # included, which tier-1 raises) breaks the contract.
+    draw = data.draw
+    # half the examples keep the instance and every value in range, so that
+    # runs get past the checks and into the solvers
+    clean = draw(st.booleans())
+    text = Path(paths[draw(st.sampled_from(["rps", "bt", "mixed"]))]).read_text()
+    instance = json.loads(text) if clean else _mutated_instance(draw, text)
+    mode = draw(st.sampled_from(sorted(_FUZZ_KEYS)))
+    doc = {"mode": mode, "seed": draw(st.integers(0, 100))}
+    for key, values in _FUZZ_KEYS[mode].items():
+        choices = ["omit", "valid", "valid", "valid", "odd"][key in ("samples", "steps") :]
+        choice = draw(st.sampled_from(choices[: len(choices) - clean]))
+        if choice != "omit":
+            doc[key] = draw(values if choice == "valid" else _ODD)
+    with tempfile.TemporaryDirectory() as work:
+        doc["instance"] = os.path.join(work, "instance.json")
+        doc["out_dir"] = os.path.join(work, "out")
+        with open(doc["instance"], "w") as fh:
+            json.dump(instance, fh)
+        cfg = os.path.join(work, "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main(["run", cfg])
+    assert code in (0, 2, 3, 4, 5), sink.getvalue()
+
+
+@pytest.mark.parametrize("table", ["prompt_weights", "reference", "matrices"])
+def test_cli_validate_sums_past_the_float_limit_exit_5(paths, tmp_path, capsys, table):
+    # two entries of 1e308 sum to inf: a violation, with no overflow warning
+    doc = json.loads(Path(paths["mixed"]).read_text())
+    if table == "prompt_weights":
+        doc[table] = [1e308, 1e308, 0.2]
+    elif table == "reference":
+        doc[table][1] = [1e308, 1e308, 0.2, 0.1]
+    else:
+        doc["preference"][table][0][0][1] = doc["preference"][table][0][1][0] = 1e308
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 5
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "presets"])
+def test_cli_presets_on_a_reward_gap_past_the_float_limit_exits_5(
+    paths, tmp_path, capsys, command
+):
+    # distill_dpo squares the reward gap; past about 1e154 the square
+    # overflows, in numpy and in the hand-written formula's float power
+    doc = json.loads(Path(paths["bt"]).read_text())
+    doc["rewards"] = [[1e308, 0.0, 0.0, 0.0, 0.0]]
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    if command == "run":
+        run_doc = base_doc(paths, tmp_path, "presets", samples=20)
+        run_doc["instance"] = str(path)
+        argv = ["run", write_config(tmp_path, run_doc)]
+    else:
+        argv = ["presets", str(path), "--samples", "20"]
+    assert main(argv) == 5
+    err = capsys.readouterr().err
+    assert "preset 'distill_dpo' overflows" in err and "Traceback" not in err

@@ -14,6 +14,7 @@ from helpers import (
     random_policy,
     random_preference,
     reference_bt_matrix,
+    reference_preference_dataset,
     reference_validate_instance,
 )
 import prefgame
@@ -350,6 +351,70 @@ def test_sample_dataset_triples_are_in_range(mixed, rng):
     for x, w, l in sample_preference_dataset(mixed, pol, 200, rng):
         k = mixed.space.sizes[x]
         assert 0 <= w < k and 0 <= l < k
+
+
+def _dataset_case(seed):
+    """An uneven instance, some prompt weights and policy entries zeroed.
+
+    Some rows are point masses, so many draws name one response twice.
+    """
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, num_prompts=int(rng.integers(1, 6)), max_responses=7)
+    weights = inst.prompt_weights * (rng.random(inst.num_prompts) > 0.3)
+    if not weights.any():
+        weights[rng.integers(inst.num_prompts)] = 1.0
+    inst = GameInstance(
+        prompt_weights=weights / weights.sum(), space=inst.space,
+        reference=inst.reference, preference=inst.preference,
+    )
+    rows = []
+    for k in inst.space.sizes:
+        row = rng.random(k) * (rng.random(k) > rng.choice([0.0, 0.4, 0.9]))
+        row[rng.integers(k)] += 0.01  # one live entry at least
+        rows.append(row / row.sum())
+    return rng, inst, TabularPolicy(tuple(rows))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.sampled_from([0, 1, 2, 7, 60]))
+def test_sample_dataset_matches_the_per_triple_draws(seed, size):
+    rng, inst, pol = _dataset_case(seed)
+    state = rng.bit_generator.state
+    want = reference_preference_dataset(inst, pol, size, rng)
+    want_state = rng.bit_generator.state
+    rng.bit_generator.state = state
+    got = sample_preference_dataset(inst, pol, size, rng)
+    assert got == want
+    assert all(type(v) is int for triple in got for v in triple)
+    assert rng.bit_generator.state == want_state
+
+
+@pytest.mark.parametrize("which, bad", [
+    ("policy", [0.5, -0.1, 0.6]),
+    ("policy", [0.5, np.nan, 0.5]),
+    ("policy", [0.5, 0.5, 1e-6]),
+    ("policy", [0.0, 0.0, 0.0]),
+    ("policy", [np.inf, 0.0, 0.0]),
+    ("weights", [np.nan]),
+    ("weights", [1.0 + 1e-6]),
+    ("weights", [-1.0]),
+])
+def test_sample_dataset_refuses_what_choice_refuses(rps, which, bad):
+    # the per-triple draws raise ValueError at the first triple, and so
+    # does the one-block draw
+    policy, weights = uniform_policy(rps.space), rps.prompt_weights
+    if which == "policy":
+        policy = TabularPolicy([bad])
+    else:
+        weights = np.array(bad)
+    inst = GameInstance(
+        prompt_weights=weights, space=rps.space, reference=rps.reference,
+        preference=rps.preference,
+    )
+    for draw in (reference_preference_dataset, sample_preference_dataset):
+        with pytest.raises(ValueError), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # choice's sums of inf and NaN
+            draw(inst, policy, 3, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

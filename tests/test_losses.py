@@ -17,6 +17,7 @@ from helpers import (
     random_instance,
     random_policy,
     reference_minimize_loss,
+    reference_sq_slope,
     sparse_game,
     squared_distance,
 )
@@ -676,6 +677,88 @@ def test_gradient_vanishes_at_the_closed_form_minimizer(rng):
     z = PolicyLogits((np.log(nxt.rows[0]),))
     grad = problem.gradient(z).rows
     assert max(np.abs(g).max() for g in grad) <= 1e-8
+
+
+_SQ_KINDS = ["matching", "sppo", "ipo", "inpo", "distill_dpo"]
+_EPS = np.finfo(np.float64).eps
+
+
+def _sq_problem(seed, kind, sampled):
+    """An sq problem, its tables and random logits on an uneven sparse game.
+
+    About a third of each reference row is zero; the current and the other
+    policy live on the reference support. A sampled problem reads triples
+    drawn from the current policy, self-pairs included.
+    """
+    rng = np.random.default_rng(seed)
+    inst, (cur, other) = sparse_game(rng, MEAN_PAIRWISE, 2)
+    eta = float(rng.uniform(0.1, 3.0))
+    tau = float(rng.uniform(0.05, 1.0)) * eta
+    history = [cur, other]
+    config = {
+        "matching": lambda: LossConfig((cur, other), (0.5, 0.5), "sq", "win_rate_gap", eta),
+        "sppo": lambda: preset("sppo", eta=eta),
+        "ipo": lambda: preset("ipo", tau=tau),
+        "inpo": lambda: preset("inpo", eta=eta, tau=tau),
+        "distill_dpo": lambda: preset("distill_dpo"),
+    }[kind]()
+    data = sample_preference_dataset(inst, cur, int(rng.integers(1, 40)), rng) if sampled else None
+    problem = PairMarginProblem(inst, history, config, data)
+    spread = float(rng.choice([1.0, 10.0, 100.0]))
+    z = PolicyLogits(tuple(rng.normal(0.0, spread, k) for k in inst.space.sizes))
+    return rng, problem, problem._tables, z
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(_SQ_KINDS),
+    sampled=st.booleans(),
+)
+def test_laplacian_gradient_matches_the_residual_gradient(seed, kind, sampled):
+    # the gradient is the pair table's Laplacian times the offset logits u
+    # (plus a constant row for a scalar target); the reference sums the
+    # weighted residual W r a pair at a time. Both round each entry within a
+    # few eps of (1 + |u| + |c|) times a row of S = W + W^T; 3000 random cases
+    # read at most 5 of the 64 allowed here.
+    import prefgame.losses as losses
+
+    _, problem, tables, z = _sq_problem(seed, kind, sampled)
+    u, _ = losses._margins(tables, z.packed[None])
+    pair_w, target = tables[1], tables[3]
+    got = problem.gradient(z).packed
+    want = reference_sq_slope(pair_w, target, u)[0]
+    sym = pair_w + pair_w.transpose(0, 2, 1)
+    scale = (1.0 + np.abs(u).max() + abs(target)) * sym.sum(axis=2).max()
+    assert np.abs(got - want).max() <= 64 * _EPS * scale
+    assert np.all(got[~tables[0]] == 0.0)  # untouched responses move nothing
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(_SQ_KINDS),
+    sampled=st.booleans(),
+)
+def test_sq_loss_is_exactly_quadratic_with_the_table_as_hessian(seed, kind, sampled):
+    # value(z + d) - value(z) - <grad(z), d> = d^T lap d / 2 for any step d on
+    # the touched mask; the bound is 64 eps times the sum of the magnitudes
+    # of the four terms (3000 random cases read at most 3 eps)
+    rng, problem, tables, z = _sq_problem(seed, kind, sampled)
+    touched, lap = tables[0], tables[5]
+    d = np.where(touched, rng.normal(0.0, float(rng.choice([0.1, 1.0, 10.0])), touched.shape), 0.0)
+    v0 = problem.value(z)
+    v1 = problem.value(PolicyLogits._wrap(z.packed + d, z.sizes))
+    grad = problem.gradient(z).packed
+    half = 0.5 * float(np.einsum("pa,pab,pb->", d, lap, d))
+    scale = v0 + v1 + float(np.sum(np.abs(grad * d))) + 0.5 * float(
+        np.einsum("pa,pab,pb->", np.abs(d), np.abs(lap), np.abs(d))
+    )
+    assert abs(v1 - v0 - float(np.sum(grad * d)) - half) <= 64 * _EPS * scale
+    # the Hessian is a Laplacian: symmetric, rows summing to 0, zero off the mask
+    assert np.array_equal(lap, lap.transpose(0, 2, 1))
+    assert np.abs(lap.sum(axis=2)).max() <= 16 * _EPS * np.abs(lap).max()
+    assert not lap[~touched].any()
 
 
 def _two_prompt_instance(reference_rows):

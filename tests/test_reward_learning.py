@@ -183,6 +183,57 @@ def test_nll_gauge_invariance(rng):
     assert abs(pl_nll(shifted, data) - base) <= 1e-12
 
 
+def _fitted_game(seed):
+    """Four prompts of 3-12 responses, 300 ranked pairs and a 60-step fit."""
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, num_prompts=4, max_responses=12)
+    while min(inst.space.sizes) < 3:  # a pool of 2 and its winner
+        inst = random_instance(rng, num_prompts=4, max_responses=12)
+    data = generate_rankings(inst.reward, inst, 300, 2, rng)
+    return fit_pl_reward(data, inst, steps=60).rewards, data
+
+
+def _shift_rows(rewards, c):
+    return RewardTable(tuple(row + (x + 1) * c for x, row in enumerate(rewards.rows)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nll_is_exactly_gauge_invariant_where_the_shift_is_exact(seed):
+    # rewards on a 2**-20 grid shifted by up to 4 * 2**20 either way stay
+    # exact, so the row-shifted likelihood reads the same terms and drifts by
+    # nothing (a row pushed far below 0 shifts by its own largest entry, not
+    # by the padding's 0); the per-comparison form adds each comparison's
+    # large top to its log sum first, and its drift is at least that
+    fitted, data = _fitted_game(seed)
+    grid = RewardTable(tuple(np.round(row * 2.0**20) / 2.0**20 for row in fitted.rows))
+    listed = comparison_list(data)
+    base, ref_base = pl_nll(grid, data), reference_pl_nll_gradient(grid, listed)[0]
+    for c in (2.0**7, 2.0**14, 2.0**20, -(2.0**20)):
+        shifted = _shift_rows(grid, c)
+        drift = abs(pl_nll(shifted, data) - base)
+        assert drift == 0.0
+        assert drift <= abs(reference_pl_nll_gradient(shifted, listed)[0] - ref_base)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nll_drift_under_a_large_shift_is_the_rounding_of_the_shifted_rewards(seed):
+    # adding (x + 1) c to prompt x's row rounds each reward by up to half an
+    # ulp of the shifted value; to first order the likelihood then moves by
+    # <gradient, rounding>, and the row-shifted sums add no drift of their
+    # own past 16 eps of the NLL. (The per-comparison form read up to 5700
+    # times this bound on 600 random shifts.)
+    fitted, data = _fitted_game(seed)
+    base = pl_nll(fitted, data)
+    for c in (1e2, 1e4, 1e6, -1e6):
+        shifted = _shift_rows(fitted, c)
+        rounding = np.zeros(fitted.packed.shape)
+        for x, (row, moved) in enumerate(zip(fitted.rows, shifted.rows)):
+            rounding[x, : len(row)] = (moved - moved.max()) - (row - row.max())
+        first_order = abs(float(np.sum(pl_nll_gradient(shifted, data) * rounding)))
+        drift = abs(pl_nll(shifted, data) - base)
+        assert drift <= 1.01 * first_order + 16 * np.finfo(np.float64).eps * base
+
+
 def test_nll_averages_over_comparisons():
     r = RewardTable((np.array([1.0, 0.0, -1.0]),))
     one = Rankings([RankedComparison(0, 0, (1,))])
