@@ -60,12 +60,12 @@ def main():
         print(f"  tau {tau:>5}: {np.round(br.policy.rows[0], 3)}  KL to ref {kl:.3f}")
 
     # the one-vs-many value with softmax pooling; identical players tie at 1/n.
-    # The n - 1 copies pool as multisets of draws: at n = 8 that is C(11, 7) = 330
-    # multisets of the 5 responses rather than 5**7 = 78125 ordered tuples.
+    # The table is one integral over the opponents' independent draws, so at
+    # n = 64 it costs what n = 2 does, not 5**63 ordered tuples of draws.
     ladder = bt_instance()
     me = uniform_policy(ladder.space)
     print()
-    for n in range(2, 9):
+    for n in (*range(2, 9), 16, 64):
         value = multiplayer_objective(me, [me] * (n - 1), ladder, 0.0, PLACKETT_LUCE)
         print(f"n={n} identical players, softmax pooling: value {value:.6f}"
               f" (1/n = {1 / n:.6f})")

@@ -29,11 +29,9 @@ from .instances import (
     validate_instance,
 )
 from .objectives import (
-    ENUMERATION_CAP,
     MEAN_PAIRWISE,
     PLACKETT_LUCE,
     Aggregator,
-    EnumerationCapExceeded,
     closed_form_multi_teacher_optimum,
     expected_win_rates,
     kl_divergence,
@@ -88,7 +86,6 @@ from .reward_learning import (
 from .catalog import BUNDLED, bt_instance, mixed_instance, rps_instance, write_bundled
 from .harness import (
     EXIT_CONFIG,
-    EXIT_ENUMERATION_CAP,
     EXIT_INVALID,
     EXIT_MISSING_FILE,
     EXIT_OK,

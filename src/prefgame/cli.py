@@ -6,7 +6,7 @@
     prefgame validate <instance.json>
 
 Exit codes: 0 success, 2 config or usage problem, 3 missing file,
-4 enumeration cap exceeded, 5 validation failure.
+5 validation failure; 4 is retired.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import sys
 from .harness import (
     ConfigError,
     EXIT_CONFIG,
-    EXIT_ENUMERATION_CAP,
     EXIT_INVALID,
     EXIT_MISSING_FILE,
     EXIT_OK,
@@ -30,7 +29,6 @@ from .harness import (
     gap_report,
     run_experiment,
 )
-from .objectives import EnumerationCapExceeded
 
 
 def _cmd_run(args) -> int:
@@ -144,9 +142,6 @@ def main(argv=None) -> int:
     except FileNotFoundError as err:
         print(f"missing file: {err}", file=sys.stderr)
         return EXIT_MISSING_FILE
-    except EnumerationCapExceeded as err:
-        print(f"enumeration cap: {err}", file=sys.stderr)
-        return EXIT_ENUMERATION_CAP
     except ValidationFailure as err:
         print(f"validation failure: {err}", file=sys.stderr)
         return EXIT_INVALID

@@ -95,7 +95,6 @@ from .reward_learning import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_MISSING_FILE = 3
-EXIT_ENUMERATION_CAP = 4
 EXIT_INVALID = 5
 
 MODES = ("selfplay", "lossmin", "presets", "rewardfit", "gap")
@@ -634,6 +633,16 @@ def run_experiment(config) -> dict:
     if instance.reward is None and (pooled or config.mode in ("presets", "rewardfit")):
         uses = " with aggregator 'plackett_luce'" if pooled else ""
         raise ValidationFailure([f"mode {config.mode!r}{uses} needs a reward table"])
+    if config.mode == "rewardfit":  # it centres each reward row and draws softmaxes of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            spread = np.ptp(instance.reward.packed, axis=1)
+            centred = _center(instance.reward.packed.copy(), instance.space.sizes)
+        wide = np.flatnonzero(~(np.isfinite(spread) & np.isfinite(centred).all(axis=1)))
+        if wide.size:
+            raise ValidationFailure(
+                [f"reward row {x} overflows: its mean or spread passes the float limit"
+                 for x in wide.tolist()]
+            )
     try:
         os.makedirs(config.out_dir, exist_ok=True)
     except (FileExistsError, FileNotFoundError, NotADirectoryError, ValueError) as err:

@@ -355,11 +355,11 @@ def reference_pl_win_row(
 ) -> np.ndarray:
     """The Plackett-Luce win row over every ordered tuple of opponent draws.
 
-    objectives._pl_win_row with every opponent its own group: each
-    opponent, in turn, multiplies the pooled (responses, tuples) table of
-    denominators by its live support, newest opponent slowest. Against
-    distinct opponents the library row takes these steps, operation for
-    operation; against copies it draws multisets instead.
+    Each opponent, in turn, multiplies the pooled (responses, tuples) table
+    of denominators by its live support, newest opponent slowest, and each
+    response's share is the weighted sum of its reciprocals. The table in
+    prefgame integrates the same expectation by quadrature, so the two share
+    no step; the sum here costs k**n per row, which keeps it to test sizes.
     """
     win = np.zeros(len(rewards_row))
     alive = np.flatnonzero(rewards_row > -np.inf)
@@ -464,16 +464,14 @@ def reference_sq_slope(pair_w, target, u):
 
 
 def sparse_game(
-    rng: np.random.Generator, aggregator, n_opponents: int
+    rng: np.random.Generator, n_opponents: int
 ) -> tuple[GameInstance, list[TabularPolicy]]:
     """An uneven instance with zeros in the reference, and opponents on its support.
 
-    About a third of each reference row is zeroed, one entry always kept.
-    plackett_luce enumerates k^(n_opponents + 1) tuples a prompt, so its
-    prompts have at most 5 responses; mean_pairwise ones have up to 12.
+    About a third of each reference row is zeroed, one entry always kept;
+    prompts have up to 12 responses.
     """
-    k_max = 12 if aggregator.kind == "mean_pairwise" else 5
-    inst = random_instance(rng, num_prompts=int(rng.integers(2, 7)), max_responses=k_max)
+    inst = random_instance(rng, num_prompts=int(rng.integers(2, 7)), max_responses=12)
     rows = []
     for row in inst.reference.rows:
         keep = rng.random(len(row)) > 0.35

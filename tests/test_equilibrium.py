@@ -16,7 +16,6 @@ from prefgame import (
     MEAN_PAIRWISE,
     PLACKETT_LUCE,
     BestResponseResult,
-    EnumerationCapExceeded,
     GameInstance,
     NegativeGapError,
     PairwisePreference,
@@ -24,14 +23,11 @@ from prefgame import (
     TabularPolicy,
     best_response_kl,
     best_response_unregularized,
-    config_from_dict,
     dual_gap_two_player,
     expected_win_rates,
     exploitability_multiplayer,
     multiplayer_objective,
     point_mass_policy,
-    run_experiment,
-    save_instance,
     two_player_objective,
     uniform_policy,
 )
@@ -107,7 +103,7 @@ def test_best_response_stays_on_reference_support(rng):
 @pytest.mark.parametrize("aggregator", [MEAN_PAIRWISE, PLACKETT_LUCE])
 def test_unregularized_best_response_gives_the_bits_of_the_tie_softmax(seed, aggregator):
     rng = np.random.default_rng(seed)
-    inst, opponents = sparse_game(rng, aggregator, 2)
+    inst, opponents = sparse_game(rng, 2)
     if seed % 2:  # an indifferent oracle ties every response on the reference support
         inst = GameInstance(
             prompt_weights=inst.prompt_weights,
@@ -352,33 +348,6 @@ def test_best_responses_build_one_table(rng, table_builds, aggregator):
         assert np.array_equal(br.win, expected_win_rates(inst, [opp, opp], aggregator))
         direct = multiplayer_objective(br.policy, [opp, opp], inst, tau, aggregator)
         assert br.value == direct
-
-
-def _gap_run(bt, uni, tmp_path):
-    save_instance(bt, tmp_path / "bt.json")
-    run_experiment(config_from_dict({
-        "mode": "gap", "instance": str(tmp_path / "bt.json"),
-        "out_dir": str(tmp_path / "out"), "n_players": 5,
-        "aggregator": "plackett_luce",
-    }))
-
-
-@pytest.mark.parametrize("route", [
-    lambda bt, uni, _: multiplayer_objective(uni, [uni] * 4, bt, 0.0, PLACKETT_LUCE),
-    lambda bt, uni, _: best_response_unregularized(bt, [uni] * 4, PLACKETT_LUCE),
-    lambda bt, uni, _: best_response_kl(bt, [uni] * 4, 0.3, PLACKETT_LUCE),
-    lambda bt, uni, _: exploitability_multiplayer(uni, 5, bt, 0.0, PLACKETT_LUCE),
-    _gap_run,
-], ids=["objective", "best_response", "best_response_kl", "exploitability", "gap_run"])
-def test_every_route_reads_the_enumeration_cap_at_call_time(
-    bt, tmp_path, monkeypatch, route
-):
-    # no route binds the cap when its module is imported, so lowering the
-    # one module constant reaches each of them
-    monkeypatch.setattr(objectives, "ENUMERATION_CAP", 100)
-    with pytest.raises(EnumerationCapExceeded) as err:
-        route(bt, uniform_policy(bt.space), tmp_path)
-    assert err.value.cap == 100
 
 
 def test_negative_gap_raises_named_error(rps, monkeypatch):

@@ -18,7 +18,6 @@ from prefgame import (
     PLACKETT_LUCE,
     PRESET_NAMES,
     ConfigError,
-    EnumerationCapExceeded,
     ExperimentConfig,
     GameInstance,
     TabularPolicy,
@@ -566,15 +565,6 @@ def test_run_experiment_validates_the_instance(paths, tmp_path):
     assert any("sum" in p for p in err.value.problems)
 
 
-def test_enumeration_cap_propagates(paths, tmp_path):
-    doc = base_doc(
-        paths, tmp_path, "gap", n_players=12, aggregator="plackett_luce"
-    )
-    doc["instance"] = paths["bt"]
-    with pytest.raises(EnumerationCapExceeded):
-        run_experiment(config_from_dict(doc))
-
-
 def test_reruns_are_byte_identical(paths, tmp_path):
     outputs = {}
     for tag in ("first", "second"):
@@ -835,13 +825,17 @@ def test_cli_run_missing_instance_exits_3(tmp_path, capsys):
     assert main(["run", cfg]) == 3
 
 
-def test_cli_run_enumeration_cap_exits_4(paths, tmp_path, capsys):
+@pytest.mark.parametrize("n_players", [12, 50, 1000])
+def test_cli_run_plackett_luce_gap_at_many_players_exits_0(paths, tmp_path, capsys, n_players):
+    # bt's 5 responses against n - 1 copies: 5**(n - 1) tuples of draws, one quadrature
     doc = base_doc(
-        paths, tmp_path, "gap", n_players=12, aggregator="plackett_luce"
+        paths, tmp_path, "gap", n_players=n_players, aggregator="plackett_luce"
     )
     doc["instance"] = paths["bt"]
-    assert main(["run", write_config(tmp_path, doc)]) == 4
-    assert "enumeration cap" in capsys.readouterr().err
+    assert main(["run", write_config(tmp_path, doc)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "out" / "gap.json").read_text())
+    assert 0.0 <= report["exploitability"] < 1.0
 
 
 def test_cli_run_invalid_instance_exits_5(paths, tmp_path, capsys):
@@ -1323,7 +1317,7 @@ def test_cli_exit_code_sweep(paths, tmp_path, capsys, instance, command):
     # an exception escaping main() is the traceback and exit 1 of a process
     assert main(["validate", paths[instance]]) == 0
     code = main(_sweep_argv(paths, tmp_path, instance, command))
-    assert code in (0, 2, 3, 4, 5)
+    assert code in (0, 2, 3, 5)
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -1376,7 +1370,7 @@ _FUZZ_KEYS = {
     },
     "gap": {
         "policy": st.sampled_from(["uniform", "missing.json"]), "tau": st.floats(0.0, 1.0),
-        "n_players": st.integers(2, 6),
+        "n_players": st.integers(2, 64),
         "aggregator": st.sampled_from(["mean_pairwise", "plackett_luce", "median"]),
     },
 }
@@ -1447,7 +1441,7 @@ def test_cli_run_fuzzed_inputs_keep_the_exit_code_contract(paths, data):
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             code = main(["run", cfg])
-    assert code in (0, 2, 3, 4, 5), sink.getvalue()
+    assert code in (0, 2, 3, 5), sink.getvalue()
 
 
 @pytest.mark.parametrize("table", ["prompt_weights", "reference", "matrices"])
@@ -1485,3 +1479,21 @@ def test_cli_presets_on_a_reward_gap_past_the_float_limit_exits_5(
     assert main(argv) == 5
     err = capsys.readouterr().err
     assert "preset 'distill_dpo' overflows" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("row", [[1e308, 1e308, 1.0, 0.0, 0.0], [1e308, -1e308, 1.0, 0.0, 0.0]])
+def test_cli_rewardfit_on_a_reward_row_past_the_float_limit_exits_5(
+    paths, tmp_path, capsys, row
+):
+    # the first row's sum overflows when rewardfit centres it, the second's
+    # spread when it draws softmaxes; either used to write a non-finite error
+    doc = json.loads(Path(paths["bt"]).read_text())
+    doc["rewards"] = [row]
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    run_doc = base_doc(paths, tmp_path, "rewardfit", comparisons=20, steps=5)
+    run_doc["instance"] = str(path)
+    assert main(["run", write_config(tmp_path, run_doc)]) == 5
+    err = capsys.readouterr().err
+    assert "reward row 0 overflows" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -22,7 +22,6 @@ from helpers import (
     squared_distance,
 )
 from prefgame import (
-    MEAN_PAIRWISE,
     GameInstance,
     LossConfig,
     PairMarginProblem,
@@ -691,7 +690,7 @@ def _sq_problem(seed, kind, sampled):
     drawn from the current policy, self-pairs included.
     """
     rng = np.random.default_rng(seed)
-    inst, (cur, other) = sparse_game(rng, MEAN_PAIRWISE, 2)
+    inst, (cur, other) = sparse_game(rng, 2)
     eta = float(rng.uniform(0.1, 3.0))
     tau = float(rng.uniform(0.05, 1.0)) * eta
     history = [cur, other]
@@ -834,7 +833,7 @@ def test_off_support_logits_never_reach_the_loss(rng, metric, sampled):
     # the reference support at alternating +-1e308 (finite, so PolicyLogits
     # takes them) give the bits they give at 0; an unmasked pass would
     # difference them to inf and weigh that by 0, which is NaN
-    inst, (cur,) = sparse_game(rng, MEAN_PAIRWISE, 1)
+    inst, (cur,) = sparse_game(rng, 1)
     if metric == "sq":  # a target rule folded into the margin offsets
         config = preset("sppo", eta=0.8)
     else:  # a target rule kept as a pair table

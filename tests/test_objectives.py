@@ -15,10 +15,8 @@ from helpers import (
     win_rate_vs_policy,
 )
 from prefgame import (
-    ENUMERATION_CAP,
     MEAN_PAIRWISE,
     PLACKETT_LUCE,
-    EnumerationCapExceeded,
     GameInstance,
     PairwisePreference,
     ResponseSpace,
@@ -224,32 +222,6 @@ def test_padded_tables_match_per_prompt_loops(rng):
         assert two_player_objective(p, q, inst) == pytest.approx(value, abs=1e-14)
 
 
-def test_expected_win_rates_enumeration_cap(bt, monkeypatch):
-    uni = uniform_policy(bt.space)
-    monkeypatch.setattr(objectives, "ENUMERATION_CAP", 100)
-    with pytest.raises(EnumerationCapExceeded) as err:
-        expected_win_rates(bt, [uni] * 4, PLACKETT_LUCE)
-    assert err.value.size > err.value.cap == 100
-    # mean_pairwise never enumerates, so the same cap is harmless there
-    expected_win_rates(bt, [uni] * 4, MEAN_PAIRWISE)
-
-
-def test_enumeration_cap_count_does_not_overflow():
-    # 12 responses against 17 opponents: 12**18 tuples, past int64, whose
-    # wrapped value would still be a positive number above the cap
-    space = ResponseSpace((tuple(f"r{y}" for y in range(12)),))
-    inst = GameInstance(
-        prompt_weights=np.array([1.0]),
-        space=space,
-        reference=uniform_policy(space),
-        preference=PairwisePreference((np.full((12, 12), 0.5),)),
-        reward=RewardTable((np.zeros(12),)),
-    )
-    with pytest.raises(EnumerationCapExceeded) as err:
-        expected_win_rates(inst, [inst.reference] * 17, PLACKETT_LUCE)
-    assert err.value.size == 12**18
-
-
 def _sparse_policy(rng, sizes):
     """Random rows with about 40% of the entries zeroed, each row still live."""
     rows = []
@@ -327,8 +299,8 @@ def test_pl_table_never_lets_a_minus_inf_response_win():
     assert np.all(expected_win_rates(inst, [mixed] * 3, PLACKETT_LUCE)[1] == 0.0)
 
 
-def test_pl_table_at_the_cap_splits_evenly():
-    # 10 responses, 6 opponents: 10 * 10**6 weighted tuples, exactly the cap
+def test_pl_table_against_copies_splits_evenly():
+    # 10 responses against 6 and against 999 copies of one policy
     rng = np.random.default_rng(7)
     space = ResponseSpace((tuple(f"r{y}" for y in range(10)),))
     inst = GameInstance(
@@ -340,9 +312,17 @@ def test_pl_table_at_the_cap_splits_evenly():
     )
     row = rng.random(10) + 0.05
     pol = TabularPolicy([row / row.sum()])
-    win = expected_win_rates(inst, [pol] * 6, PLACKETT_LUCE)
-    # seven exchangeable players: each wins with probability 1/7
-    assert float(pol.rows[0] @ win[0]) == pytest.approx(1.0 / 7.0, abs=1e-12)
+    for n in (7, 1000):
+        win = expected_win_rates(inst, [pol] * (n - 1), PLACKETT_LUCE)
+        # n exchangeable players: each wins with probability 1/n
+        assert float(pol.rows[0] @ win[0]) == pytest.approx(1.0 / n, abs=1e-12)
+
+
+def _pl_row(rewards_row, opponents_rows):
+    """objectives._pl_win_row on one prompt; rows that are one object stay one table."""
+    tables: dict[int, np.ndarray] = {}
+    stacked = [tables.setdefault(id(row), row[None]) for row in opponents_rows]
+    return objectives._pl_win_row(rewards_row[None], stacked)[0]
 
 
 def _rewards_row(rng, k, spread):
@@ -380,14 +360,13 @@ def test_pl_row_against_distinct_opponents_is_the_tuple_row(rng):
         rewards = _rewards_row(rng, k, 30.0 if trial % 2 else 1000.0)
         opponents = [_sparse_policy(rng, [k]).rows[0] for _ in range(rng.integers(1, 5))]
         opponents.append(opponents[0].copy())
-        got = objectives._pl_win_row(rewards, opponents)
-        assert np.array_equal(got, reference_pl_win_row(rewards, opponents))
+        got = _pl_row(rewards, opponents)
+        assert np.all(np.abs(got - reference_pl_win_row(rewards, opponents)) <= 1e-15)
 
 
 def test_pl_row_against_copies_is_the_tuple_row(rng):
-    # copies pool as multisets, so sums run in another order; the tuple row
-    # itself rounds off the once-rounded sum by up to about 2e-15 at 8
-    # players, while the multiset row stays within 1e-15 of it
+    # the tuple row itself rounds off the once-rounded sum by up to about
+    # 2e-15 at 8 players, while the quadrature stays within 1e-15 of it
     for n in range(2, 9):
         for trial in range(2):
             k = 4 if n <= 6 else 3
@@ -397,7 +376,7 @@ def test_pl_row_against_copies_is_the_tuple_row(rng):
             if n >= 4:
                 pools += [[a, a, b] + [b] * (n - 4), [a, b, a] + [a] * (n - 4)]
             for pool in pools:
-                got = objectives._pl_win_row(rewards, pool)
+                got = _pl_row(rewards, pool)
                 assert np.all(np.abs(got - _fsum_pl_row(rewards, pool)) <= 1e-15)
                 assert np.all(np.abs(got - reference_pl_win_row(rewards, pool)) <= 4e-15)
                 assert np.all(got[np.isneginf(rewards)] == 0.0)
@@ -405,13 +384,12 @@ def test_pl_row_against_copies_is_the_tuple_row(rng):
 
 @pytest.mark.filterwarnings("error")
 def test_pl_row_against_copies_past_an_overflowing_span():
-    # e^800 overflows: a multiset holding response 0 gives every other
-    # response a share of exactly 0, and one that leaves it out must not
-    # read the overflowed ratio times a zero count as NaN
+    # e^800 overflows: a draw holding response 0 gives every other response
+    # a share of 0, and the overflowed ratio must not read as NaN
     rewards = np.array([800.0, 0.0, -5.0, -np.inf])
     mixed = np.array([0.5, 0.3, 0.0, 0.2])
     for m in (2, 3, 6):
-        got = objectives._pl_win_row(rewards, [mixed] * m)
+        got = _pl_row(rewards, [mixed] * m)
         assert not np.isnan(got).any()
         assert np.all(np.abs(got - _fsum_pl_row(rewards, [mixed] * m)) <= 1e-15)
         # response 1 wins only the draws from {1, 3}: a draws of 1 give 1 / (1 + a)
@@ -419,23 +397,78 @@ def test_pl_row_against_copies_past_an_overflowing_span():
             math.comb(m, a) * 0.3**a * 0.2 ** (m - a) / (1 + a) for a in range(m + 1)
         )
         assert got[1] == pytest.approx(want, abs=1e-15)
-        point = objectives._pl_win_row(rewards, [np.array([1.0, 0.0, 0.0, 0.0])] * m)
-        assert point.tolist() == [1.0 / (1 + m), 0.0, 0.0, 0.0]
+        point = _pl_row(rewards, [np.array([1.0, 0.0, 0.0, 0.0])] * m)
+        assert abs(point[0] - 1.0 / (1 + m)) <= 1e-15
+        assert point[1:].tolist() == [0.0, 0.0, 0.0]
 
 
-def test_multiset_table_counts_every_ordering_once():
-    for c in range(1, 6):
-        for m in range(1, 6):
-            idx, counts, orderings = objectives._multisets(c, m)
-            assert idx.shape == (m, math.comb(c + m - 1, m))
-            assert np.all(np.diff(idx, axis=0) >= 0)
-            assert len(set(zip(*idx.tolist()))) == idx.shape[1]
-            assert np.all(counts.sum(axis=0) == m)
-            assert orderings.sum() == c**m
-            for draw, count in zip(idx.T.tolist(), orderings.tolist()):
-                cells = [draw.count(j) for j in range(c)]
-                assert count == math.factorial(m) // math.prod(map(math.factorial, cells))
-            assert not any(t.flags.writeable for t in (idx, counts, orderings))
+def test_pl_row_against_an_opponent_that_never_wins_is_exactly_one(rng):
+    # the weights' own sum normalises the quadrature, so on every grid of
+    # nodes (the span sets where it starts) a certain win reads exactly 1
+    for spread in np.geomspace(1e-3, 1e3, 60):
+        rewards = np.concatenate(([-np.inf], rng.uniform(-1.0, 1.0, 3) * spread))
+        for m in (1, 2, 7):
+            got = _pl_row(rewards, [np.array([1.0, 0.0, 0.0, 0.0])] * m)
+            assert got.tolist() == [0.0, 1.0, 1.0, 1.0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_pl_row_matches_the_tuple_row_at_any_span(rng):
+    # -inf rewards, zeroed opponent entries, spans past 709 and rewards of
+    # +-1e308, against distinct opponents and copies mixed in with them
+    for trial in range(400):
+        k = int(rng.integers(1, 7))
+        if trial % 4 == 3:
+            rewards = rng.choice([-1e308, 0.0, 1e308], k)
+        else:
+            rewards = rng.uniform(-1.0, 1.0, k) * (3.0, 30.0, 1000.0)[trial % 4]
+        rewards[1:][rng.random(k - 1) < 0.2] = -np.inf
+        opponents = [_sparse_policy(rng, [k]).rows[0] for _ in range(rng.integers(1, 4))]
+        opponents += [opponents[-1]] * int(rng.integers(0, 3))
+        got = _pl_row(rewards, opponents)
+        want = reference_pl_win_row(rewards, opponents)
+        assert np.all(np.abs(got - want) <= 1e-15)
+        shares = want > 1e-290
+        assert np.all(np.abs(got - want)[shares] <= 1e-13 * want[shares])
+
+
+def test_pl_table_in_chunks_matches_the_tuple_rows(rng):
+    # twelve prompts of up to 12 responses take more than one chunk of rows
+    inst = random_instance(rng, num_prompts=12, max_responses=12)
+    a, b = (_sparse_policy(rng, inst.space.sizes) for _ in range(2))
+    win = expected_win_rates(inst, [a, b, b], PLACKETT_LUCE)
+    for x, k in enumerate(inst.space.sizes):
+        want = reference_pl_win_row(inst.reward.rows[x], [a.rows[x], b.rows[x], b.rows[x]])
+        assert np.all(np.abs(win[x, :k] - want) <= 1e-15)
+        assert np.all(win[x, k:] == 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 100, 1000, 4097])
+def test_pl_row_against_copies_gives_each_player_one_nth(rng, n):
+    for _ in range(20):
+        k = int(rng.integers(2, 9))
+        rewards = rng.normal(0.0, float(rng.choice([0.5, 3.0, 30.0])), k)
+        pi = rng.random(k) + 0.05
+        pi /= pi.sum()
+        assert abs(n * float(pi @ _pl_row(rewards, [pi] * (n - 1))) - 1.0) <= 1e-13
+
+
+def test_pl_row_against_many_copies_nears_the_mean_field_limit(rng):
+    # W[y] / (1 / (1 + (n - 1) E_pi[rho_y])) - 1, rho_y = e^{r - r_y}, is
+    # Var_pi[rho_y] / (n E_pi[rho_y]^2) to first order in 1/n
+    for _ in range(10):
+        k = int(rng.integers(2, 8))
+        rewards = rng.normal(0.0, 2.0, k)
+        pi = rng.random(k) + 0.05
+        pi /= pi.sum()
+        ratio = np.exp(rewards[None, :] - rewards[:, None])
+        mean = ratio @ pi
+        spread = (ratio**2 @ pi - mean**2) / mean**2
+        for n in (16, 64, 256, 1024, 4096):
+            limit = 1.0 / (1.0 + (n - 1) * mean)
+            scaled = n * (_pl_row(rewards, [pi] * (n - 1)) / limit - 1.0)
+            assert np.all((0.0 <= scaled) & (scaled <= 2.0 * spread))
+        assert np.all(np.abs(scaled / spread - 1.0) <= 0.01)
 
 
 def test_expected_win_rates_needs_an_opponent(rps):
@@ -533,13 +566,6 @@ def test_multiplayer_pl_identical_players_split_evenly(rng):
         pol = random_policy(rng, inst.space.sizes)
         got = multiplayer_objective(pol, [pol] * (n - 1), inst, 0.0, PLACKETT_LUCE)
         assert got == pytest.approx(1.0 / n, abs=1e-12)
-
-
-def test_multiplayer_respects_max_tuples(bt, monkeypatch):
-    uni = uniform_policy(bt.space)
-    monkeypatch.setattr(objectives, "ENUMERATION_CAP", 50)
-    with pytest.raises(EnumerationCapExceeded):
-        multiplayer_objective(uni, [uni] * 4, bt, 0.0, PLACKETT_LUCE)
 
 
 # ---------------------------------------------------------------------------
@@ -679,6 +705,3 @@ def test_closed_form_rejects_zero_total_coefficient(rng):
             inst.reward, inst.reference, [], -1.0, []
         )
 
-
-def test_enumeration_cap_constant_is_large():
-    assert ENUMERATION_CAP == 10**7

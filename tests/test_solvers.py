@@ -430,7 +430,7 @@ def test_mwu_step_gives_the_bits_of_the_stacked_call_sequence(
     seed, aggregator, skewed, n_players, tau
 ):
     rng = np.random.default_rng(seed)
-    inst, opponents = sparse_game(rng, aggregator, n_players - 1)
+    inst, opponents = sparse_game(rng, n_players - 1)
     weights = None
     if skewed and n_players == 2:  # a lone weight just under 1, within the sum tolerance
         weights = [1.0 - 2.0**-53]
